@@ -25,13 +25,9 @@ from .measures import (
     joint_distribution,
     marginal_distribution,
     neur_bound,
-    one_way_steering,
     shannon_entropy,
-    squeezing_factor,
-    steerability_z,
     steering_functional,
     x_coefficients,
-    xi,
 )
 from .processes import (
     ChannelParameterError,

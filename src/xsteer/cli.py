@@ -11,13 +11,13 @@ import json
 import sys
 
 from .measures import PathDisagreementError
-from .qstate import BellIndex
+from .qstate import R_MAX, BellIndex
 from .sweep import MODES, ConfigError, SweepConfig, run_sweep
 
 _DEFAULT_GRIDS = {
     "nu": "0:1:201",
     "swap": "0:1:201",
-    "acceleration": "0:0.7853981633974483:201",
+    "acceleration": f"0:{R_MAX!r}:201",
     "ad-channel": "0:100:201",
     "dephasing-channel": "0:40:201",
 }
@@ -136,10 +136,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _build_config(args)
-    except ConfigError as exc:
-        print(f"sweep: invalid config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
         records = run_sweep(cfg)
     except ConfigError as exc:
         print(f"sweep: invalid config: {exc}", file=sys.stderr)

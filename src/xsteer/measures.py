@@ -176,39 +176,15 @@ def neur_bound(n: int) -> float:
     return half * math.log(half) + (1.0 + half) * math.log(1.0 + half)
 
 
-def one_way_steering(p: XStateParams) -> float:
-    """Normalized one-way steering degree S = max{0, (I_AB - 2ln2)/(4ln2)}."""
-    return max(0.0, (steering_functional(p) - TWO_LN2) / (SIX_LN2 - TWO_LN2))
-
-
-def xi(rho: np.ndarray, axis: PauliAxis) -> float:
-    """Exponentiated conditional entropy exp(H_i)."""
-    return math.exp(conditional_entropy(rho, axis))
-
-
-def squeezing_factor(rho: np.ndarray, axis: PauliAxis) -> float:
-    """Entropy-squeezing quadrature E_i = max{0, 2/sqrt(Xi_z) - Xi_i}, i in {x, y}.
-
-    Positive values certify squeezing of the chosen quadrature relative to
-    the z reference; both quadratures reach 1 on a Bell state.
-    """
-    if axis is PauliAxis.Z:
-        raise ValueError("squeezing quadratures are defined for the x and y axes only")
-    return max(0.0, 2.0 / math.sqrt(xi(rho, PauliAxis.Z)) - xi(rho, axis))
-
-
-def steerability_z(rho: np.ndarray) -> float:
-    """Average of the two squeezing quadratures, clamped at zero."""
-    e_x = squeezing_factor(rho, PauliAxis.X)
-    e_y = squeezing_factor(rho, PauliAxis.Y)
-    return max(0.0, 0.5 * (e_x + e_y))
-
-
 @dataclass(frozen=True)
 class SteeringReport:
     """Every derived quantity for one state.
 
-    h_cond and xi are ordered (x, y, z); entropies are in nats.
+    h_cond and xi are ordered (x, y, z); entropies are in nats.  With
+    Xi_i = exp(H_i): S = max{0, (I_AB - 2 ln 2) / (4 ln 2)}, the squeezing
+    quadratures are E_i = max{0, 2/sqrt(Xi_z) - Xi_i} for i in {x, y}, and
+    Z is their average.  Positive E_i certifies squeezing of quadrature i
+    relative to the z reference; S, E_x, E_y and Z all reach 1 on Bell states.
     """
 
     h_cond: tuple[float, float, float]

@@ -18,6 +18,7 @@ import math
 import numpy as np
 
 from .qstate import (
+    DOMAINS,
     BellIndex,
     InvalidStateError,
     XStateParams,
@@ -28,7 +29,6 @@ from .qstate import (
     tensor,
 )
 
-R_MAX = math.pi / 4.0
 COMPLETENESS_TOL = 1e-12
 SWAP_PROBABILITY_FLOOR = 1e-12
 
@@ -46,11 +46,9 @@ class ZeroProbabilityOutcomeError(ValueError):
 # ---------------------------------------------------------------------------
 
 def _check_acceleration(nu: float, r_a: float, r_b: float) -> None:
-    if not 0.0 <= nu <= 1.0:
-        raise InvalidStateError(f"nu must lie in [0, 1], got {nu}")
-    for name, r in (("r_a", r_a), ("r_b", r_b)):
-        if not 0.0 <= r <= R_MAX:
-            raise InvalidStateError(f"{name} must lie in [0, pi/4], got {r}")
+    DOMAINS["nu"].check(nu, "nu", InvalidStateError)
+    DOMAINS["r"].check(r_a, "r_a", InvalidStateError)
+    DOMAINS["r"].check(r_b, "r_b", InvalidStateError)
 
 
 def accelerated_params(nu: float, r_a: float, r_b: float) -> XStateParams:
@@ -113,11 +111,9 @@ def accelerate_oracle(nu: float, r_a: float, r_b: float) -> np.ndarray:
 # Noisy channels
 # ---------------------------------------------------------------------------
 
-def _check_channel(g_over_gamma: float, gamma_t: float) -> None:
-    if g_over_gamma <= 0.0:
-        raise ChannelParameterError(f"g/gamma must be positive, got {g_over_gamma}")
-    if gamma_t < 0.0:
-        raise ChannelParameterError(f"gamma*t must be nonnegative, got {gamma_t}")
+def _check_channel(g_over_gamma: float, gamma_t: float, rate: str) -> None:
+    DOMAINS[rate].check(g_over_gamma, "g/gamma", ChannelParameterError)
+    DOMAINS["gamma_t"].check(gamma_t, "gamma*t", ChannelParameterError)
 
 
 def ad_survival(g_over_gamma: float, gamma_t: float) -> float:
@@ -128,12 +124,8 @@ def ad_survival(g_over_gamma: float, gamma_t: float) -> float:
     R = g/gamma and tau = gamma t.  P(0) = 1 and P <= 1 for all times;
     R >= 2 makes l imaginary and is rejected.
     """
-    _check_channel(g_over_gamma, gamma_t)
+    _check_channel(g_over_gamma, gamma_t, "g_over_gamma_ad")
     r = g_over_gamma
-    if r >= 2.0:
-        raise ChannelParameterError(
-            f"amplitude damping requires g/gamma < 2 (oscillatory regime), got {r}"
-        )
     lam = math.sqrt(r * (2.0 - r))
     half_phase = 0.5 * lam * gamma_t
     amp = math.cos(half_phase) + (r / lam) * math.sin(half_phase)
@@ -160,11 +152,12 @@ def dephasing_coherence(g_over_gamma: float, gamma_t: float) -> float:
     """Coherence retention factor of the pure-dephasing channel.
 
     P(t) = exp{-(gamma/2) (t + g^{-1} [e^{-g t} - 1])} in the same
-    dimensionless variables; monotone from 1 toward 0.
+    dimensionless variables; monotone from 1 toward 0.  expm1 keeps the
+    bracket accurate for small g/gamma, where it tends to (g/gamma) tau^2 / 2.
     """
-    _check_channel(g_over_gamma, gamma_t)
+    _check_channel(g_over_gamma, gamma_t, "g_over_gamma")
     r = g_over_gamma
-    return math.exp(-0.5 * (gamma_t + (math.exp(-r * gamma_t) - 1.0) / r))
+    return min(1.0, math.exp(-0.5 * (gamma_t + math.expm1(-r * gamma_t) / r)))
 
 
 def dephasing_kraus(g_over_gamma: float, gamma_t: float) -> list[np.ndarray]:

@@ -20,9 +20,50 @@ TRACE_TOL = 1e-12
 EIGENVALUE_TOL = -1e-10
 X_STRUCTURE_TOL = 1e-10
 
+R_MAX = math.pi / 4.0
+
 
 class InvalidStateError(ValueError):
     """A density operator or parameter set violates a state invariant."""
+
+
+@dataclass(frozen=True)
+class Domain:
+    """An interval of finite reals; an open end excludes its bound."""
+
+    lo: float
+    hi: float
+    lo_open: bool = False
+    hi_open: bool = False
+
+    def __str__(self) -> str:
+        hi = "pi/4" if self.hi == R_MAX else f"{self.hi:g}"
+        return f"{'(' if self.lo_open else '['}{self.lo:g}, {hi}{')' if self.hi_open else ']'}"
+
+    def contains(self, x: float) -> bool:
+        if not math.isfinite(x):
+            return False
+        above = self.lo < x if self.lo_open else self.lo <= x
+        below = x < self.hi if self.hi_open else x <= self.hi
+        return above and below
+
+    def check(self, x: float, name: str, error: type[Exception]) -> None:
+        """Raise `error` naming the parameter unless x lies in the domain."""
+        if not self.contains(x):
+            raise error(f"{name} must lie in {self}, got {x}")
+
+
+# The parameter domains every layer checks against: the Bell-mixture weight nu,
+# the Rindler parameter r of each qubit, the channel rate ratio g/gamma and the
+# dimensionless time gamma*t.  Amplitude damping needs g/gamma < 2, beyond which
+# its oscillation rate sqrt(g (2 gamma - g)) turns imaginary.
+DOMAINS = {
+    "nu": Domain(0.0, 1.0),
+    "r": Domain(0.0, R_MAX),
+    "g_over_gamma": Domain(0.0, math.inf, lo_open=True, hi_open=True),
+    "g_over_gamma_ad": Domain(0.0, 2.0, lo_open=True, hi_open=True),
+    "gamma_t": Domain(0.0, math.inf, hi_open=True),
+}
 
 
 @dataclass(frozen=True)
@@ -157,8 +198,7 @@ def bell_mixture(nu: float) -> XStateParams:
     ((1-nu)/2, nu/2, nu/2, (1-nu)/2) and coherences c14 = (1-nu)/2,
     c23 = nu/2.
     """
-    if not 0.0 <= nu <= 1.0:
-        raise InvalidStateError(f"mixing parameter nu must lie in [0, 1], got {nu}")
+    DOMAINS["nu"].check(nu, "mixing parameter nu", InvalidStateError)
     w = (1.0 - nu) / 2.0
     v = nu / 2.0
     return XStateParams(w, v, v, w, c14=w, c23=v)

@@ -17,8 +17,10 @@ order before anything is written.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -28,13 +30,20 @@ from .processes import (
     accelerate,
     amplitude_damping_kraus,
     apply_local_channel,
-    bell_project_swap,
     dephasing_kraus,
+    swap_bell_mixtures,
 )
-from .qstate import BellIndex, bell_mixture, from_x_params
+from .qstate import DOMAINS, R_MAX, BellIndex, bell_mixture, from_x_params
 
-MODES = ("nu", "acceleration", "ad-channel", "dephasing-channel", "swap")
-R_MAX = math.pi / 4.0
+# What each mode sweeps: its DOMAINS entry and its plot axis label.
+_SWEPT = {
+    "nu": ("nu", "ν"),
+    "acceleration": ("r", "r"),
+    "ad-channel": ("gamma_t", "γt"),
+    "dephasing-channel": ("gamma_t", "γt"),
+    "swap": ("nu", "ν"),
+}
+MODES = tuple(_SWEPT)
 
 CSV_HEADER = "param,s,z,e_x,e_y,i_ab"
 _FIELD_FORMAT = "{:.12e}"
@@ -91,29 +100,20 @@ class SweepConfig:
             raise ConfigError("out: an output path is required")
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
-        if self.mode in ("nu", "swap"):
-            if self.start < 0.0 or self.stop > 1.0:
-                raise ConfigError(f"{self.mode} sweeps need a grid inside [0, 1]")
+        swept = DOMAINS[_SWEPT[self.mode][0]]
+        if not (swept.contains(self.start) and swept.contains(self.stop)):
+            raise ConfigError(f"{self.mode} sweeps need a grid inside {swept}")
         if self.mode == "acceleration":
-            if self.start < 0.0 or self.stop > R_MAX + 1e-15:
-                raise ConfigError("acceleration sweeps need a grid inside [0, pi/4]")
             if isinstance(self.r_b, str):
                 if self.r_b != "track":
                     raise ConfigError(f"r_b must be a number or 'track', got {self.r_b!r}")
-            elif not 0.0 <= self.r_b <= R_MAX:
-                raise ConfigError(f"r_b must lie in [0, pi/4], got {self.r_b}")
+            else:
+                DOMAINS["r"].check(self.r_b, "r_b", ConfigError)
         if self.mode in ("acceleration", "ad-channel", "dephasing-channel"):
-            if not 0.0 <= self.nu <= 1.0:
-                raise ConfigError(f"nu must lie in [0, 1], got {self.nu}")
+            DOMAINS["nu"].check(self.nu, "nu", ConfigError)
         if self.mode in ("ad-channel", "dephasing-channel"):
-            if self.start < 0.0:
-                raise ConfigError("channel sweeps need gamma*t >= 0")
-            if self.g_over_gamma <= 0.0:
-                raise ConfigError(f"g-over-gamma must be positive, got {self.g_over_gamma}")
-            if self.mode == "ad-channel" and self.g_over_gamma >= 2.0:
-                raise ConfigError(
-                    f"g-over-gamma must be < 2 for ad-channel, got {self.g_over_gamma}"
-                )
+            rate = "g_over_gamma_ad" if self.mode == "ad-channel" else "g_over_gamma"
+            DOMAINS[rate].check(self.g_over_gamma, "g-over-gamma", ConfigError)
         if not isinstance(self.bell, BellIndex):
             raise ConfigError(f"bell must be a BellIndex, got {self.bell!r}")
         return self
@@ -122,46 +122,39 @@ class SweepConfig:
         return np.linspace(self.start, self.stop, self.points)
 
 
-def _evaluate(task: tuple) -> SweepRecord:
-    mode, param, nu, r_b, g_over_gamma, bell = task
-    if mode == "nu":
-        rho = from_x_params(bell_mixture(param))
-    elif mode == "acceleration":
-        rb = param if r_b == "track" else r_b
-        rho = accelerate(nu, param, rb)
-    elif mode == "ad-channel":
-        ops = amplitude_damping_kraus(g_over_gamma, param)
-        rho = apply_local_channel(from_x_params(bell_mixture(nu)), ops, ops)
-    elif mode == "dephasing-channel":
-        ops = dephasing_kraus(g_over_gamma, param)
-        rho = apply_local_channel(from_x_params(bell_mixture(nu)), ops, ops)
-    elif mode == "swap":
-        pair = from_x_params(bell_mixture(param))
-        rho = bell_project_swap(pair, pair, bell)
-    else:
-        raise ConfigError(f"unknown mode {mode!r}")
-    rep = full_report(rho)
-    return SweepRecord(
-        param=float(param), s=rep.s, z=rep.z, e_x=rep.e_x, e_y=rep.e_y, i_ab=rep.i_ab
-    )
-
-
 def evaluate_point(cfg: SweepConfig, param: float) -> SweepRecord:
-    return _evaluate((cfg.mode, float(param), cfg.nu, cfg.r_b, cfg.g_over_gamma, cfg.bell))
+    """The record of one grid point of the sweep `cfg`."""
+    param = float(param)
+    if cfg.mode == "nu":
+        rho = from_x_params(bell_mixture(param))
+    elif cfg.mode == "acceleration":
+        rb = param if cfg.r_b == "track" else cfg.r_b
+        rho = accelerate(cfg.nu, param, rb)
+    elif cfg.mode in ("ad-channel", "dephasing-channel"):
+        kraus = amplitude_damping_kraus if cfg.mode == "ad-channel" else dephasing_kraus
+        ops = kraus(cfg.g_over_gamma, param)
+        rho = apply_local_channel(from_x_params(bell_mixture(cfg.nu)), ops, ops)
+    elif cfg.mode == "swap":
+        rho = swap_bell_mixtures(param, cfg.bell)
+    else:
+        raise ConfigError(f"unknown mode {cfg.mode!r}")
+    rep = full_report(rho)
+    return SweepRecord(param=param, s=rep.s, z=rep.z, e_x=rep.e_x, e_y=rep.e_y, i_ab=rep.i_ab)
 
 
 def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
-    """Evaluate the grid, write the CSV and its plot script, return the records."""
+    """Evaluate the grid, write the CSV and its plot script, return the records.
+
+    With jobs > 1 the points go to a process pool of at most one worker per
+    CPU, since the pool starts all its workers up front.
+    """
     cfg.validate()
-    tasks = [
-        (cfg.mode, float(p), cfg.nu, cfg.r_b, cfg.g_over_gamma, cfg.bell)
-        for p in cfg.grid()
-    ]
+    point = partial(evaluate_point, cfg)
     if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            records = list(pool.map(_evaluate, tasks, chunksize=16))
+        with ProcessPoolExecutor(max_workers=min(cfg.jobs, os.cpu_count() or 1)) as pool:
+            records = list(pool.map(point, cfg.grid(), chunksize=16))
     else:
-        records = [_evaluate(t) for t in tasks]
+        records = [point(p) for p in cfg.grid()]
     csv_path = Path(cfg.out)
     write_csv(records, csv_path)
     emit_plot_script(csv_path, cfg.mode)
@@ -189,15 +182,6 @@ def load_csv(path: Path | str) -> list[SweepRecord]:
     return out
 
 
-_AXIS_LABEL = {
-    "nu": "ν",
-    "swap": "ν",
-    "acceleration": "r",
-    "ad-channel": "γt",
-    "dephasing-channel": "γt",
-}
-
-
 def emit_plot_script(csv_path: Path | str, mode: str) -> Path:
     """Write a gnuplot script next to the CSV: S solid, Z dashed."""
     csv_path = Path(csv_path)
@@ -206,7 +190,7 @@ def emit_plot_script(csv_path: Path | str, mode: str) -> Path:
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
     name = csv_path.name
-    label = _AXIS_LABEL[mode]
+    label = _SWEPT[mode][1]
     script = "\n".join(
         [
             f"# render with: gnuplot -persist {csv_path.stem}.gnuplot",

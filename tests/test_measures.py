@@ -15,13 +15,9 @@ from xsteer.measures import (
     joint_distribution,
     marginal_distribution,
     neur_bound,
-    one_way_steering,
     shannon_entropy,
-    squeezing_factor,
-    steerability_z,
     steering_functional,
     x_coefficients,
-    xi,
 )
 from xsteer.qstate import (
     BellIndex,
@@ -232,17 +228,21 @@ def test_neur_bound():
             neur_bound(bad)
 
 
+def _report(p):
+    return full_report(from_x_params(p))
+
+
 def test_one_way_steering_values():
-    assert abs(one_way_steering(bell_mixture(0.0)) - 1.0) < 1e-12
-    assert abs(one_way_steering(bell_mixture(1.0)) - 1.0) < 1e-12
-    assert one_way_steering(bell_mixture(0.5)) == 0.0
-    assert one_way_steering(XStateParams(0.25, 0.25, 0.25, 0.25, 0, 0)) == 0.0
+    assert abs(_report(bell_mixture(0.0)).s - 1.0) < 1e-12
+    assert abs(_report(bell_mixture(1.0)).s - 1.0) < 1e-12
+    assert _report(bell_mixture(0.5)).s == 0.0
+    assert _report(XStateParams(0.25, 0.25, 0.25, 0.25, 0, 0)).s == 0.0
 
 
 def test_s_symmetric_in_nu():
     for nu in np.linspace(0.0, 1.0, 201):
-        s1 = one_way_steering(bell_mixture(nu))
-        s2 = one_way_steering(bell_mixture(1.0 - nu))
+        s1 = _report(bell_mixture(nu)).s
+        s2 = _report(bell_mixture(1.0 - nu)).s
         assert abs(s1 - s2) < 1e-10
 
 
@@ -262,7 +262,7 @@ def test_base2_rescaling_leaves_s_invariant():
 
     for seed in range(100):
         p = random_x_state(seed)
-        assert abs(one_way_steering(p) - s_base2(p)) < 1e-12
+        assert abs(_report(p).s - s_base2(p)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -270,40 +270,36 @@ def test_base2_rescaling_leaves_s_invariant():
 # ---------------------------------------------------------------------------
 
 def test_xi_values():
-    for axis in PauliAxis:
-        assert abs(xi(BELL_PSI, axis) - 1.0) < 1e-12
-        assert abs(xi(MAX_MIXED, axis) - 2.0) < 1e-12
-    assert abs(xi(NU_HALF, PauliAxis.X) - 1.0) < 1e-12
+    for i in range(3):
+        assert abs(full_report(BELL_PSI).xi[i] - 1.0) < 1e-12
+        assert abs(full_report(MAX_MIXED).xi[i] - 2.0) < 1e-12
+    assert abs(full_report(NU_HALF).xi[0] - 1.0) < 1e-12
 
 
 def test_xi_range():
     for seed in range(100):
-        rho = from_x_params(random_x_state(seed))
-        for axis in PauliAxis:
-            assert 0.5 - 1e-12 <= xi(rho, axis) <= 2.0 + 1e-12
+        for value in _report(random_x_state(seed)).xi:
+            assert 0.5 - 1e-12 <= value <= 2.0 + 1e-12
 
 
 def test_squeezing_factor_values():
-    assert abs(squeezing_factor(BELL_PSI, PauliAxis.X) - 1.0) < 1e-12
-    assert squeezing_factor(PURE_00, PauliAxis.X) == 0.0
-    assert abs(squeezing_factor(NU_HALF, PauliAxis.X) - (SQ2 - 1.0)) < 1e-12
-    with pytest.raises(ValueError, match="x and y"):
-        squeezing_factor(BELL_PSI, PauliAxis.Z)
+    assert abs(full_report(BELL_PSI).e_x - 1.0) < 1e-12
+    assert full_report(PURE_00).e_x == 0.0
+    assert abs(full_report(NU_HALF).e_x - (SQ2 - 1.0)) < 1e-12
 
 
 def test_squeezing_factor_range():
     cap = 2.0 * SQ2 - 0.5
     for seed in range(100):
-        rho = from_x_params(random_x_state(seed))
-        for axis in (PauliAxis.X, PauliAxis.Y):
-            e = squeezing_factor(rho, axis)
+        rep = _report(random_x_state(seed))
+        for e in (rep.e_x, rep.e_y):
             assert 0.0 <= e <= cap + 1e-12
 
 
 def test_steerability_z_values():
-    assert abs(steerability_z(BELL_PSI) - 1.0) < 1e-12
-    assert abs(steerability_z(NU_HALF) - (SQ2 - 1.0) / 2.0) < 1e-12
-    assert steerability_z(PURE_00) == 0.0
+    assert abs(full_report(BELL_PSI).z - 1.0) < 1e-12
+    assert abs(full_report(NU_HALF).z - (SQ2 - 1.0) / 2.0) < 1e-12
+    assert full_report(PURE_00).z == 0.0
 
 
 # ---------------------------------------------------------------------------

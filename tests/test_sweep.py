@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +50,10 @@ def _cfg(tmp_path, **kw):
         (dict(mode="ad-channel", start=0.0, stop=10.0, g_over_gamma=2.5), "g-over-gamma"),
         (dict(mode="dephasing-channel", start=0.0, stop=10.0, g_over_gamma=-1.0), "g-over-gamma"),
         (dict(mode="swap", bell="psi"), "bell"),
+        (dict(mode="acceleration", start=0.0, stop=math.nextafter(math.pi / 4, 1)), "pi/4"),
+        (dict(mode="ad-channel", start=0.0, stop=math.inf), "inside"),
+        (dict(mode="dephasing-channel", start=0.0, stop=10.0, g_over_gamma=math.inf),
+         "g-over-gamma"),
     ],
 )
 def test_config_validation_reports_offending_field(tmp_path, kw, fragment):
@@ -133,6 +141,31 @@ def test_csv_byte_determinism_parallel(tmp_path):
     cfg_b = _cfg(tmp_path, out=str(tmp_path / "par.csv"), points=41, jobs=4)
     run_sweep(cfg_a)
     run_sweep(cfg_b)
+    assert (tmp_path / "seq.csv").read_bytes() == (tmp_path / "par.csv").read_bytes()
+
+
+def test_pool_size_is_capped_at_cpu_count(tmp_path, monkeypatch):
+    import xsteer.sweep as sweep
+
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", InProcessPool)
+    run_sweep(_cfg(tmp_path, out=str(tmp_path / "seq.csv"), points=9))
+    run_sweep(_cfg(tmp_path, out=str(tmp_path / "par.csv"), points=9, jobs=10**6))
+    assert sizes == [os.cpu_count() or 1]
     assert (tmp_path / "seq.csv").read_bytes() == (tmp_path / "par.csv").read_bytes()
 
 
@@ -225,6 +258,25 @@ def test_cli_invalid_grid_is_config_error(tmp_path, capsys):
     code = main(["--mode", "nu", "--grid", "0:1", "--out", str(tmp_path / "x.csv")])
     assert code == EXIT_CONFIG
     assert "invalid config" in capsys.readouterr().err
+
+
+def test_cli_rejects_out_of_domain_values_without_traceback(tmp_path):
+    import xsteer
+
+    env = dict(os.environ, PYTHONPATH=str(Path(xsteer.__file__).parents[1]))
+    for flags in (
+        ["--mode", "acceleration", "--grid", "0:0.7853981633974484:3"],
+        ["--mode", "ad-channel", "--grid", "0:inf:3"],
+        ["--mode", "dephasing-channel", "--g-over-gamma", "inf"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "xsteer", *flags, "--out", str(tmp_path / "x.csv")],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert proc.stderr.startswith("sweep: invalid config:")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_cli_missing_mode_is_config_error(tmp_path):
