@@ -9,7 +9,6 @@ from .qstate import (
     from_x_params,
     is_x_structured,
     partial_trace,
-    partial_trace_b,
     random_x_state,
     tensor,
     x_params_from_density,
@@ -17,13 +16,11 @@ from .qstate import (
 from .measures import (
     NegativeProbabilityError,
     PathDisagreementError,
-    PauliAxis,
     SteeringReport,
     XCoefficients,
     conditional_entropy,
     full_report,
     joint_distribution,
-    marginal_distribution,
     neur_bound,
     shannon_entropy,
     steering_functional,

@@ -76,6 +76,23 @@ def _parse_rb(value) -> float | str:
         raise ConfigError(f"rb must be a number or 'track', got {value!r}") from exc
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# The JSON value each config key takes, as (description, test).
+_CONFIG_TYPES = {
+    "mode": ("a string", lambda v: isinstance(v, str)),
+    "grid": ("a string", lambda v: isinstance(v, str)),
+    "nu": ("a number", _is_number),
+    "rb": ('a number or "track"', lambda v: _is_number(v) or v == "track"),
+    "g_over_gamma": ("a number", _is_number),
+    "bell": ("a string", lambda v: isinstance(v, str)),
+    "out": ("a string", lambda v: isinstance(v, str)),
+    "jobs": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+}
+
+
 def _load_config_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -86,10 +103,13 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"config: {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config: {path} must hold a JSON object")
-    known = {"mode", "grid", "nu", "rb", "g_over_gamma", "bell", "out", "jobs"}
-    unknown = set(data) - known
+    unknown = set(data) - set(_CONFIG_TYPES)
     if unknown:
         raise ConfigError(f"config: unknown keys {sorted(unknown)}")
+    for key, value in data.items():
+        kind, accepts = _CONFIG_TYPES[key]
+        if not accepts(value):
+            raise ConfigError(f"config: {key} must be {kind}, got {json.dumps(value)}")
     return data
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -25,7 +24,6 @@ from .qstate import (
     XStateParams,
     check_density,
     is_x_structured,
-    partial_trace_b,
     x_params_from_density,
 )
 
@@ -41,6 +39,15 @@ NEGATIVE_PROBABILITY_TOL = -1e-10
 PATH_AGREEMENT_TOL = 1e-9
 
 _SQ2 = 1.0 / math.sqrt(2.0)
+# Product eigenbases of x, y and z: column 2n + m of PRODUCT_BASES[i] is
+# |n>_A |m>_B, with |0>, |1> the +1, -1 eigenvectors of sigma_i:
+# (|0> +- |1>)/sqrt(2) for x, (|0> +- i|1>)/sqrt(2) for y, |0>, |1> for z.
+# Probabilities are phase independent, so any consistent phase choice works.
+PRODUCT_BASES = np.stack([np.kron(b, b) for b in (
+    np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex),
+    np.array([[_SQ2, _SQ2], [1j * _SQ2, -1j * _SQ2]], dtype=complex),
+    np.eye(2, dtype=complex),
+)])
 
 
 class NegativeProbabilityError(ValueError):
@@ -51,67 +58,41 @@ class PathDisagreementError(RuntimeError):
     """Closed-form and entropy-identity evaluations of I_AB disagree."""
 
 
-class PauliAxis(Enum):
-    X = "x"
-    Y = "y"
-    Z = "z"
-
-    @property
-    def eigenbasis(self) -> np.ndarray:
-        """2x2 matrix whose columns are the +1 and -1 eigenvectors.
-
-        Conventions: Z -> |0>, |1>;  X -> (|0> +- |1>)/sqrt(2);
-        Y -> (|0> +- i|1>)/sqrt(2).  Probabilities are phase independent,
-        so any consistent phase choice gives the same distributions.
-        """
-        if self is PauliAxis.Z:
-            return np.eye(2, dtype=complex)
-        if self is PauliAxis.X:
-            return np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex)
-        return np.array([[_SQ2, _SQ2], [1j * _SQ2, -1j * _SQ2]], dtype=complex)
-
-
 def _clean_probabilities(p: np.ndarray) -> np.ndarray:
     if float(np.min(p)) < NEGATIVE_PROBABILITY_TOL:
         raise NegativeProbabilityError(
             f"raw probability {float(np.min(p)):.3e} below {NEGATIVE_PROBABILITY_TOL:.0e}"
         )
     p = np.clip(p, 0.0, 1.0)
-    return p / p.sum()
+    return p / p.sum(axis=-1, keepdims=True)
 
 
-def joint_distribution(rho: np.ndarray, axis: PauliAxis) -> np.ndarray:
-    """Outcome probabilities of measuring `axis` on both qubits.
+def joint_distribution(rho: np.ndarray) -> np.ndarray:
+    """Outcome probabilities of measuring x, y and z on both qubits.
 
-    Ordering is (n, m) = (+,+), (+,-), (-,+), (-,-) with the first label
-    for qubit A.
+    Rows are the axes x, y, z.  Column 2n + m holds outcome n of qubit A
+    and m of qubit B, with 0 for +1 and 1 for -1: (+,+), (+,-), (-,+), (-,-).
     """
-    basis = np.kron(axis.eigenbasis, axis.eigenbasis)
-    p = np.real(np.einsum("ji,jk,ki->i", basis.conj(), np.asarray(rho, dtype=complex), basis))
-    return _clean_probabilities(p)
+    p = np.einsum(
+        "aji,jk,aki->ai", PRODUCT_BASES.conj(), np.asarray(rho, dtype=complex), PRODUCT_BASES
+    )
+    return _clean_probabilities(p.real)
 
 
-def marginal_distribution(rho_a: np.ndarray, axis: PauliAxis) -> np.ndarray:
-    """Outcome probabilities (+, -) of measuring `axis` on a single qubit."""
-    basis = axis.eigenbasis
-    p = np.real(np.einsum("ji,jk,ki->i", basis.conj(), np.asarray(rho_a, dtype=complex), basis))
-    return _clean_probabilities(p)
+def shannon_entropy(p) -> np.ndarray | float:
+    """- sum p ln p over the last axis in nats, with the 0 ln 0 = 0 convention."""
+    p = np.asarray(p, dtype=float)
+    return -np.sum(p * np.log(np.where(p > 0.0, p, 1.0)), axis=-1)
 
 
-def shannon_entropy(p) -> float:
-    """- sum p ln p in nats, with the 0 ln 0 = 0 convention."""
-    total = 0.0
-    for x in np.asarray(p, dtype=float).ravel():
-        if x > 0.0:
-            total -= x * math.log(x)
-    return total
+def conditional_entropy(rho: np.ndarray) -> np.ndarray:
+    """H(sigma_i^B | sigma_i^A) for i = x, y, z, in nats.
 
-
-def conditional_entropy(rho: np.ndarray, axis: PauliAxis) -> float:
-    """H(joint outcomes) minus H(outcomes of the reduced state of A), in nats."""
-    joint = joint_distribution(rho, axis)
-    marginal = marginal_distribution(partial_trace_b(rho), axis)
-    return shannon_entropy(joint) - shannon_entropy(marginal)
+    Each is the entropy of the joint outcomes minus that of qubit A's
+    outcomes, which are the joint row summed over B's outcomes.
+    """
+    joint = joint_distribution(rho)
+    return shannon_entropy(joint) - shannon_entropy(joint.reshape(3, 2, 2).sum(axis=-1))
 
 
 @dataclass(frozen=True)
@@ -205,10 +186,11 @@ def full_report(rho: np.ndarray) -> SteeringReport:
     transcription bug rather than bad input.
     """
     rho = check_density(rho)
-    h = tuple(conditional_entropy(rho, ax) for ax in (PauliAxis.X, PauliAxis.Y, PauliAxis.Z))
+    h = tuple(conditional_entropy(rho).tolist())
     identity_value = SIX_LN2 - 2.0 * (h[0] + h[1] + h[2])
     if is_x_structured(rho):
-        closed = steering_functional(x_params_from_density(rho))
+        # The x and y statistics read only the real parts of the coherences.
+        closed = steering_functional(x_params_from_density(rho.real))
         if abs(closed - identity_value) > PATH_AGREEMENT_TOL:
             raise PathDisagreementError(
                 f"I_AB closed form {closed!r} vs entropy identity {identity_value!r}"

@@ -152,12 +152,15 @@ def dephasing_coherence(g_over_gamma: float, gamma_t: float) -> float:
     """Coherence retention factor of the pure-dephasing channel.
 
     P(t) = exp{-(gamma/2) (t + g^{-1} [e^{-g t} - 1])} in the same
-    dimensionless variables; monotone from 1 toward 0.  expm1 keeps the
-    bracket accurate for small g/gamma, where it tends to (g/gamma) tau^2 / 2.
+    dimensionless variables; monotone from 1 toward 0.  With x = (g/gamma) tau
+    the bracket is tau (1 + expm1(-x)/x): expm1 keeps it accurate for small
+    g/gamma, where it tends to (g/gamma) tau^2 / 2, and dividing by x rather
+    than by g/gamma keeps it accurate when g/gamma is subnormal.
     """
     _check_channel(g_over_gamma, gamma_t, "g_over_gamma")
-    r = g_over_gamma
-    return min(1.0, math.exp(-0.5 * (gamma_t + math.expm1(-r * gamma_t) / r)))
+    x = g_over_gamma * gamma_t
+    bracket = gamma_t * (1.0 + math.expm1(-x) / x) if x > 0.0 else 0.0
+    return min(1.0, math.exp(-0.5 * bracket))
 
 
 def dephasing_kraus(g_over_gamma: float, gamma_t: float) -> list[np.ndarray]:

@@ -231,11 +231,6 @@ def partial_trace(rho: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
     return reduced.reshape(dim, dim)
 
 
-def partial_trace_b(rho: np.ndarray) -> np.ndarray:
-    """Reduced state of qubit A: (Tr_B rho)[m, n] = sum_k rho[2m+k, 2n+k]."""
-    return partial_trace(rho, keep=(0,))
-
-
 def random_x_state(seed: int) -> XStateParams:
     """Deterministic random X state, valid by construction.
 

@@ -9,11 +9,9 @@ from xsteer.measures import (
     TWO_LN2,
     NegativeProbabilityError,
     PathDisagreementError,
-    PauliAxis,
     conditional_entropy,
     full_report,
     joint_distribution,
-    marginal_distribution,
     neur_bound,
     shannon_entropy,
     steering_functional,
@@ -24,7 +22,7 @@ from xsteer.qstate import (
     XStateParams,
     bell_mixture,
     from_x_params,
-    partial_trace_b,
+    partial_trace,
     random_x_state,
 )
 
@@ -41,9 +39,10 @@ PURE_00 = np.diag([1.0, 0, 0, 0]).astype(complex)
 # ---------------------------------------------------------------------------
 
 def _axis_kets(axis):
-    if axis is PauliAxis.Z:
+    """+1 and -1 eigenvectors of the Pauli axis 0, 1, 2 = x, y, z (the table rows)."""
+    if axis == 2:
         return [np.array([1.0, 0.0], complex), np.array([0.0, 1.0], complex)]
-    if axis is PauliAxis.X:
+    if axis == 0:
         return [np.array([1, 1], complex) / SQ2, np.array([1, -1], complex) / SQ2]
     return [np.array([1, 1j], complex) / SQ2, np.array([1, -1j], complex) / SQ2]
 
@@ -61,77 +60,91 @@ def _oracle_marginal(rho_a, axis):
     return [float(np.real(np.vdot(k, rho_a @ k))) for k in _axis_kets(axis)]
 
 
+def _oracle_entropy(probs):
+    return -sum(p * math.log(p) for p in probs if p > 0.0)
+
+
+def _oracle_conditional_entropy(rho, axis):
+    rho_a = partial_trace(rho, keep=(0,))
+    joint, marginal = _oracle_joint(rho, axis), _oracle_marginal(rho_a, axis)
+    return _oracle_entropy(joint) - _oracle_entropy(marginal)
+
+
+def _marginal_table(rho):
+    """Qubit A's outcome probabilities: each joint row summed over B's outcomes."""
+    return joint_distribution(rho).reshape(3, 2, 2).sum(axis=-1)
+
+
 # ---------------------------------------------------------------------------
 # distributions
 # ---------------------------------------------------------------------------
 
 def test_joint_distribution_bell_z():
-    np.testing.assert_allclose(
-        joint_distribution(BELL_PSI, PauliAxis.Z), [0.5, 0, 0, 0.5], atol=1e-14
-    )
+    np.testing.assert_allclose(joint_distribution(BELL_PSI)[2], [0.5, 0, 0, 0.5], atol=1e-14)
 
 
-@pytest.mark.parametrize("axis", list(PauliAxis))
-def test_joint_distribution_maximally_mixed(axis):
-    np.testing.assert_allclose(joint_distribution(MAX_MIXED, axis), [0.25] * 4, atol=1e-14)
+def test_joint_distribution_maximally_mixed():
+    np.testing.assert_allclose(joint_distribution(MAX_MIXED), np.full((3, 4), 0.25), atol=1e-14)
 
 
 def test_joint_distribution_bell_y_anticorrelated():
-    np.testing.assert_allclose(
-        joint_distribution(BELL_PSI, PauliAxis.Y), [0, 0.5, 0.5, 0], atol=1e-14
-    )
+    np.testing.assert_allclose(joint_distribution(BELL_PSI)[1], [0, 0.5, 0.5, 0], atol=1e-14)
 
 
-@pytest.mark.parametrize("axis", list(PauliAxis))
-def test_joint_distribution_matches_oracle(axis):
+def test_joint_distribution_matches_oracle():
     for seed in range(30):
         rho = from_x_params(random_x_state(seed))
         np.testing.assert_allclose(
-            joint_distribution(rho, axis), _oracle_joint(rho, axis), atol=1e-12
+            joint_distribution(rho), [_oracle_joint(rho, axis) for axis in range(3)], atol=1e-12
         )
 
 
 def test_joint_distribution_negative_probability():
     indefinite = np.diag([0.7, 0.5, -0.1, -0.1]).astype(complex)
     with pytest.raises(NegativeProbabilityError):
-        joint_distribution(indefinite, PauliAxis.Z)
+        joint_distribution(indefinite)
 
 
 def test_marginal_distribution_cases():
     half = np.eye(2, dtype=complex) / 2
     ground = np.diag([1.0, 0.0]).astype(complex)
-    for axis in PauliAxis:
-        np.testing.assert_allclose(marginal_distribution(half, axis), [0.5, 0.5], atol=1e-14)
-    np.testing.assert_allclose(marginal_distribution(ground, PauliAxis.Z), [1, 0], atol=1e-14)
-    np.testing.assert_allclose(marginal_distribution(ground, PauliAxis.X), [0.5, 0.5], atol=1e-14)
+    np.testing.assert_allclose(_marginal_table(np.kron(half, ground)), 0.5, atol=1e-14)
+    np.testing.assert_allclose(
+        _marginal_table(np.kron(ground, half)), [[0.5, 0.5], [0.5, 0.5], [1, 0]], atol=1e-14
+    )
     rng = np.random.default_rng(5)
     for _ in range(10):
-        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        rho_a = m @ m.conj().T
-        rho_a /= np.trace(rho_a)
-        for axis in PauliAxis:
-            np.testing.assert_allclose(
-                marginal_distribution(rho_a, axis), _oracle_marginal(rho_a, axis), atol=1e-12
-            )
+        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        rho = m @ m.conj().T
+        rho /= np.trace(rho)
+        rho_a = partial_trace(rho, keep=(0,))
+        np.testing.assert_allclose(
+            _marginal_table(rho), [_oracle_marginal(rho_a, axis) for axis in range(3)], atol=1e-12
+        )
 
 
 def test_shannon_entropy():
     assert shannon_entropy([1.0, 0.0]) == 0.0
     assert abs(shannon_entropy([0.5, 0.5]) - LN2) < 1e-15
     assert abs(shannon_entropy([0.25] * 4) - 2 * LN2) < 1e-15
+    rng = np.random.default_rng(7)
+    table = rng.dirichlet(np.ones(4), size=50)
+    table[rng.random(table.shape) < 0.3] = 0.0
+    np.testing.assert_allclose(
+        shannon_entropy(table), [_oracle_entropy(row) for row in table], rtol=0, atol=1e-15
+    )
 
 
 def test_conditional_entropy_cases():
-    assert abs(conditional_entropy(BELL_PSI, PauliAxis.Z)) < 1e-12
-    assert abs(conditional_entropy(MAX_MIXED, PauliAxis.Z) - LN2) < 1e-12
-    assert abs(conditional_entropy(NU_HALF, PauliAxis.Y) - LN2) < 1e-12
+    assert abs(conditional_entropy(BELL_PSI)[2]) < 1e-12
+    assert abs(conditional_entropy(MAX_MIXED)[2] - LN2) < 1e-12
+    assert abs(conditional_entropy(NU_HALF)[1] - LN2) < 1e-12
 
 
 def test_conditional_entropy_range():
     for seed in range(100):
         rho = from_x_params(random_x_state(seed))
-        for axis in PauliAxis:
-            h = conditional_entropy(rho, axis)
+        for h in conditional_entropy(rho):
             assert -LN2 - 1e-12 <= h <= LN2 + 1e-12
 
 
@@ -178,28 +191,25 @@ def test_joint_probabilities_from_coefficients():
         p = random_x_state(seed)
         c = x_coefficients(p)
         rho = from_x_params(p)
-        for row, axis in ((0, PauliAxis.X), (1, PauliAxis.Y)):
-            probs = joint_distribution(rho, axis)
+        table = joint_distribution(rho)
+        for row in (0, 1):
             expected = (1.0 + c.x[row]) / 4.0
-            np.testing.assert_allclose(probs[order], expected, atol=1e-12)
-        np.testing.assert_allclose(
-            joint_distribution(rho, PauliAxis.Z), (1.0 + c.x[2]) / 4.0, atol=1e-12
-        )
+            np.testing.assert_allclose(table[row][order], expected, atol=1e-12)
+        np.testing.assert_allclose(table[2], (1.0 + c.x[2]) / 4.0, atol=1e-12)
 
 
 def test_marginals_from_coefficients():
     for seed in range(50):
         p = random_x_state(seed)
-        rho_a = partial_trace_b(from_x_params(p))
+        rho = from_x_params(p)
+        rho_a = partial_trace(rho, keep=(0,))
         c = x_coefficients(p)
-        for axis in (PauliAxis.X, PauliAxis.Y):
-            np.testing.assert_allclose(
-                marginal_distribution(rho_a, axis), [0.5, 0.5], atol=1e-12
-            )
+        marginals = _marginal_table(rho)
+        for axis in (0, 1):
+            np.testing.assert_allclose(marginals[axis], [0.5, 0.5], atol=1e-12)
+            np.testing.assert_allclose(marginals[axis], _oracle_marginal(rho_a, axis), atol=1e-12)
         np.testing.assert_allclose(
-            marginal_distribution(rho_a, PauliAxis.Z),
-            [(1.0 + c.a[1]) / 2.0, (1.0 + c.a[0]) / 2.0],
-            atol=1e-12,
+            marginals[2], [(1.0 + c.a[1]) / 2.0, (1.0 + c.a[0]) / 2.0], atol=1e-12
         )
 
 
@@ -213,7 +223,7 @@ def test_steering_functional_entropy_identity():
     for seed in range(500):
         p = random_x_state(seed)
         rho = from_x_params(p)
-        total_h = sum(conditional_entropy(rho, ax) for ax in PauliAxis)
+        total_h = conditional_entropy(rho).sum()
         assert abs(steering_functional(p) - (SIX_LN2 - 2.0 * total_h)) < 1e-9
 
 
@@ -351,6 +361,23 @@ def test_full_report_accepts_non_x_states():
     rho = np.kron(plus, np.diag([1.0, 0.0]).astype(complex))
     rep = full_report(rho)
     assert rep.s == 0.0  # separable states never steer
+
+
+def test_full_report_accepts_complex_x_states():
+    # complex coherences keep the X shape; the x and y statistics see only their real parts
+    rng = np.random.default_rng(11)
+    cases = [(np.diag([0.4, 0.1, 0.1, 0.4]).astype(complex), 0.3 * np.exp(0.7j), 0.0)]
+    for seed in range(20):
+        p = random_x_state(seed)
+        phases = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 2))
+        cases.append((np.diag(p.diagonal).astype(complex), p.c14 * phases[0], p.c23 * phases[1]))
+    for rho, c14, c23 in cases:
+        rho[0, 3], rho[3, 0] = c14, np.conj(c14)
+        rho[1, 2], rho[2, 1] = c23, np.conj(c23)
+        rep = full_report(rho)
+        h = [_oracle_conditional_entropy(rho, axis) for axis in range(3)]
+        np.testing.assert_allclose(rep.h_cond, h, atol=1e-12)
+        assert abs(rep.i_ab - (SIX_LN2 - 2.0 * sum(h))) < 1e-12
 
 
 def test_full_report_path_disagreement_guard(monkeypatch):

@@ -175,7 +175,7 @@ def test_dephasing_coherence_values():
     assert abs(dephasing_coherence(0.1, 1.0) - 0.976104) < 1e-6
     assert dephasing_coherence(0.1, 500.0) < 1e-10
     # small g/gamma: the bracket tends to (g/gamma) tau^2 / 2
-    for r in (1e-12, 1e-300):
+    for r in (1e-12, 1e-300, 1e-320, 5e-324):
         for tau in (0.5, 5.0, 40.0):
             assert abs(dephasing_coherence(r, tau) - math.exp(-r * tau * tau / 4.0)) < 1e-14
 

@@ -12,7 +12,6 @@ from xsteer.qstate import (
     from_x_params,
     is_x_structured,
     partial_trace,
-    partial_trace_b,
     random_x_state,
     tensor,
     x_params_from_density,
@@ -92,18 +91,18 @@ def test_bell_states_conventions():
 
 def test_partial_trace_b_product_state():
     rho = from_x_params(XStateParams(1, 0, 0, 0, 0, 0))  # |00><00|
-    np.testing.assert_allclose(partial_trace_b(rho), np.diag([1.0, 0.0]), atol=1e-15)
+    np.testing.assert_allclose(partial_trace(rho, keep=(0,)), np.diag([1.0, 0.0]), atol=1e-15)
 
 
 def test_partial_trace_b_bell_mixture_is_maximally_mixed():
     for nu in np.linspace(0, 1, 7):
-        red = partial_trace_b(from_x_params(bell_mixture(nu)))
+        red = partial_trace(from_x_params(bell_mixture(nu)), keep=(0,))
         np.testing.assert_allclose(red, np.eye(2) / 2, atol=1e-15)
 
 
 def test_partial_trace_b_diagonal_pairs():
     rho = np.diag([0.4, 0.1, 0.3, 0.2]).astype(complex)
-    np.testing.assert_allclose(partial_trace_b(rho), np.diag([0.5, 0.5]), atol=1e-15)
+    np.testing.assert_allclose(partial_trace(rho, keep=(0,)), np.diag([0.5, 0.5]), atol=1e-15)
 
 
 def test_partial_trace_of_product_recovers_factor():

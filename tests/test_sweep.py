@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -5,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from xsteer.cli import EXIT_CONFIG, EXIT_INTERNAL, EXIT_IO, EXIT_OK, main
@@ -22,6 +24,10 @@ from xsteer.sweep import (
     run_sweep,
     write_csv,
 )
+
+
+# Preset CSVs frozen before any numeric refactor; the benchmark checks against them too.
+REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 
 def _cfg(tmp_path, **kw):
@@ -229,6 +235,17 @@ def test_presets_cover_every_mode(tmp_path):
         cfg.validate()
 
 
+def test_presets_match_reference_csvs(tmp_path):
+    # values, not bytes: a refactor may flip the 13th printed digit
+    presets = figure_presets(tmp_path)
+    assert set(presets) == {path.stem for path in REFERENCE_DIR.glob("*.csv")}
+    for name, cfg in presets.items():
+        run_sweep(cfg)
+        got = [dataclasses.astuple(r) for r in load_csv(cfg.out)]
+        want = [dataclasses.astuple(r) for r in load_csv(REFERENCE_DIR / f"{name}.csv")]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12, err_msg=name)
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -327,6 +344,29 @@ def test_cli_config_file_rejects_unknown_keys(tmp_path, capsys):
     conf.write_text(json.dumps({"mode": "nu", "out": "x.csv", "speed": 11}))
     assert main(["--config", str(conf)]) == EXIT_CONFIG
     assert "unknown keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("nu", None),
+        ("rb", None),
+        ("jobs", "two"),
+        ("jobs", 2.7),
+        ("nu", "abc"),
+        ("g_over_gamma", True),
+        ("rb", "fast"),
+    ],
+)
+def test_cli_config_file_rejects_bad_value_types(tmp_path, capsys, key, value):
+    conf = tmp_path / "sweep.json"
+    out = tmp_path / "x.csv"
+    conf.write_text(json.dumps({"mode": "nu", "grid": "0:1:3", "out": str(out), key: value}))
+    assert main(["--config", str(conf)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"sweep: invalid config: config: {key} must be")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_cli_swap_bell_flag(tmp_path):
