@@ -1,4 +1,5 @@
 import math
+from enum import Enum
 
 import numpy as np
 import pytest
@@ -27,6 +28,14 @@ from xsteer.qstate import (
 )
 
 SQ2 = math.sqrt(2.0)
+
+
+class PauliAxis(Enum):
+    """Labels for the rows of the joint table: the value is the row index."""
+
+    X = 0
+    Y = 1
+    Z = 2
 
 BELL_PSI = BellIndex.PSI_PLUS.projector
 MAX_MIXED = np.eye(4, dtype=complex) / 4
@@ -83,19 +92,21 @@ def test_joint_distribution_bell_z():
     np.testing.assert_allclose(joint_distribution(BELL_PSI)[2], [0.5, 0, 0, 0.5], atol=1e-14)
 
 
-def test_joint_distribution_maximally_mixed():
-    np.testing.assert_allclose(joint_distribution(MAX_MIXED), np.full((3, 4), 0.25), atol=1e-14)
+@pytest.mark.parametrize("axis", list(PauliAxis))
+def test_joint_distribution_maximally_mixed(axis):
+    np.testing.assert_allclose(joint_distribution(MAX_MIXED)[axis.value], [0.25] * 4, atol=1e-14)
 
 
 def test_joint_distribution_bell_y_anticorrelated():
     np.testing.assert_allclose(joint_distribution(BELL_PSI)[1], [0, 0.5, 0.5, 0], atol=1e-14)
 
 
-def test_joint_distribution_matches_oracle():
+@pytest.mark.parametrize("axis", list(PauliAxis))
+def test_joint_distribution_matches_oracle(axis):
     for seed in range(30):
         rho = from_x_params(random_x_state(seed))
         np.testing.assert_allclose(
-            joint_distribution(rho), [_oracle_joint(rho, axis) for axis in range(3)], atol=1e-12
+            joint_distribution(rho)[axis.value], _oracle_joint(rho, axis.value), atol=1e-12
         )
 
 
