@@ -1,7 +1,9 @@
 """Command-line front end for the sweep engine.
 
-Exit codes: 0 success, 2 invalid configuration, 3 I/O failure,
-4 internal consistency failure (dual-path disagreement inside a report).
+Exit codes: 0 success, 2 invalid configuration (including parameters that
+give an invalid state or channel), 3 I/O failure, 4 internal consistency
+failure (dual-path disagreement, a negative outcome probability, or a Bell
+outcome of zero probability).
 """
 
 from __future__ import annotations
@@ -10,8 +12,9 @@ import argparse
 import json
 import sys
 
-from .measures import PathDisagreementError
-from .qstate import R_MAX, BellIndex
+from .measures import NegativeProbabilityError, PathDisagreementError
+from .processes import ChannelParameterError, ZeroProbabilityOutcomeError
+from .qstate import R_MAX, BellIndex, InvalidStateError
 from .sweep import MODES, ConfigError, SweepConfig, run_sweep
 
 _DEFAULT_GRIDS = {
@@ -157,13 +160,13 @@ def main(argv=None) -> int:
     try:
         cfg = _build_config(args)
         records = run_sweep(cfg)
-    except ConfigError as exc:
+    except (ConfigError, InvalidStateError, ChannelParameterError) as exc:
         print(f"sweep: invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"sweep: I/O failure: {exc}", file=sys.stderr)
         return EXIT_IO
-    except PathDisagreementError as exc:
+    except (PathDisagreementError, NegativeProbabilityError, ZeroProbabilityOutcomeError) as exc:
         print(f"sweep: internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     print(f"wrote {cfg.out} ({len(records)} rows) and companion .gnuplot script")

@@ -9,6 +9,13 @@ Three families are implemented:
   dephasing), parameterized by the dimensionless pair (g/gamma, gamma*t),
 * entanglement swapping by projecting the middle pair of two entangled
   pairs onto a chosen Bell state.
+
+Every process maps X states to X states.  `accelerated_params`,
+`damped_params`, `dephased_params` and `swapped_params` give the output's
+X parameters in closed form, for one state or a batch (array fields); the
+sweeps run on them.  The matrix path (`accelerate_oracle`, the Kraus
+operators with `apply_local_channel`, `bell_project_swap`) builds the
+operators themselves and serves as the independent oracle.
 """
 
 from __future__ import annotations
@@ -24,13 +31,17 @@ from .qstate import (
     XStateParams,
     bell_mixture,
     check_density,
+    check_x_density,
+    failing_row,
     from_x_params,
     partial_trace,
+    row_value,
     tensor,
 )
 
 COMPLETENESS_TOL = 1e-12
 SWAP_PROBABILITY_FLOOR = 1e-12
+_SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
 
 class ChannelParameterError(ValueError):
@@ -51,19 +62,19 @@ def _check_acceleration(nu: float, r_a: float, r_b: float) -> None:
     DOMAINS["r"].check(r_b, "r_b", InvalidStateError)
 
 
-def accelerated_params(nu: float, r_a: float, r_b: float) -> XStateParams:
+def accelerated_params(nu, r_a, r_b) -> XStateParams:
     """Closed-form X parameters of the Bell mixture seen after acceleration.
 
     Re-derived by substituting the Rindler mode decomposition into the
     nu-mixture and tracing out the hidden-region factors; at r_a = r_b = 0
     it reduces exactly to bell_mixture(nu).  The populations sum to one
-    identically in (nu, r_a, r_b).
+    identically in (nu, r_a, r_b).  Arrays of any argument give a batch.
     """
     _check_acceleration(nu, r_a, r_b)
     w = (1.0 - nu) / 2.0
     v = nu / 2.0
-    ca, sa = math.cos(r_a), math.sin(r_a)
-    cb, sb = math.cos(r_b), math.sin(r_b)
+    ca, sa = np.cos(r_a), np.sin(r_a)
+    cb, sb = np.cos(r_b), np.sin(r_b)
     ca2, sa2, cb2, sb2 = ca * ca, sa * sa, cb * cb, sb * sb
     return XStateParams(
         d1=w * ca2 * cb2,
@@ -116,20 +127,21 @@ def _check_channel(g_over_gamma: float, gamma_t: float, rate: str) -> None:
     DOMAINS["gamma_t"].check(gamma_t, "gamma*t", ChannelParameterError)
 
 
-def ad_survival(g_over_gamma: float, gamma_t: float) -> float:
+def ad_survival(g_over_gamma, gamma_t):
     """Excited-state survival probability of the damped qubit.
 
     P(t) = e^{-g t} [cos(l t / 2) + (g / l) sin(l t / 2)]^2 with
     l = sqrt(g (2 gamma - g)), written in the dimensionless variables
     R = g/gamma and tau = gamma t.  P(0) = 1 and P <= 1 for all times;
-    R >= 2 makes l imaginary and is rejected.
+    R >= 2 makes l imaginary and is rejected.  An array of times gives one
+    P per time.
     """
     _check_channel(g_over_gamma, gamma_t, "g_over_gamma_ad")
     r = g_over_gamma
-    lam = math.sqrt(r * (2.0 - r))
+    lam = np.sqrt(r * (2.0 - r))
     half_phase = 0.5 * lam * gamma_t
-    amp = math.cos(half_phase) + (r / lam) * math.sin(half_phase)
-    return min(1.0, math.exp(-r * gamma_t) * amp * amp)
+    amp = np.cos(half_phase) + (r / lam) * np.sin(half_phase)
+    return np.minimum(1.0, np.exp(-r * gamma_t) * amp * amp)
 
 
 def amplitude_damping_kraus(g_over_gamma: float, gamma_t: float) -> list[np.ndarray]:
@@ -148,19 +160,22 @@ def amplitude_damping_kraus(g_over_gamma: float, gamma_t: float) -> list[np.ndar
     return [k1, k2]
 
 
-def dephasing_coherence(g_over_gamma: float, gamma_t: float) -> float:
+def dephasing_coherence(g_over_gamma, gamma_t):
     """Coherence retention factor of the pure-dephasing channel.
 
     P(t) = exp{-(gamma/2) (t + g^{-1} [e^{-g t} - 1])} in the same
     dimensionless variables; monotone from 1 toward 0.  With x = (g/gamma) tau
     the bracket is tau (1 + expm1(-x)/x): expm1 keeps it accurate for small
     g/gamma, where it tends to (g/gamma) tau^2 / 2, and dividing by x rather
-    than by g/gamma keeps it accurate when g/gamma is subnormal.
+    than by g/gamma keeps it accurate when g/gamma is subnormal.  An array of
+    times gives one P per time.
     """
     _check_channel(g_over_gamma, gamma_t, "g_over_gamma")
-    x = g_over_gamma * gamma_t
-    bracket = gamma_t * (1.0 + math.expm1(-x) / x) if x > 0.0 else 0.0
-    return min(1.0, math.exp(-0.5 * bracket))
+    # Below the smallest normal double expm1(-x) / x is exactly -1, so raising
+    # x to it changes nothing except at x = 0, where the bracket is 0.
+    x = np.maximum(g_over_gamma * gamma_t, _SMALLEST_NORMAL)
+    bracket = gamma_t * (1.0 + np.expm1(-x) / x)
+    return np.minimum(1.0, np.exp(-0.5 * bracket))
 
 
 def dephasing_kraus(g_over_gamma: float, gamma_t: float) -> list[np.ndarray]:
@@ -176,6 +191,35 @@ def dephasing_kraus(g_over_gamma: float, gamma_t: float) -> list[np.ndarray]:
     k1 = np.array([[1.0, 0.0], [0.0, p]], dtype=complex)
     k2 = np.array([[0.0, 0.0], [0.0, math.sqrt(1.0 - p * p)]], dtype=complex)
     return [k1, k2]
+
+
+def damped_params(p: XStateParams, survival) -> XStateParams:
+    """X parameters after amplitude damping with survival P on both qubits.
+
+    Each qubit's |1> population decays to |0> with probability Q = 1 - P,
+    so the populations move toward |00> and both coherences scale by
+    sqrt(P) per qubit, P in all.  This is `apply_local_channel` with
+    `amplitude_damping_kraus` on both qubits, in closed form.
+    """
+    q = 1.0 - survival
+    return XStateParams(
+        d1=p.d1 + q * p.d2 + q * p.d3 + q * q * p.d4,
+        d2=survival * (p.d2 + q * p.d4),
+        d3=survival * (p.d3 + q * p.d4),
+        d4=survival * survival * p.d4,
+        c14=survival * p.c14,
+        c23=survival * p.c23,
+    )
+
+
+def dephased_params(p: XStateParams, coherence) -> XStateParams:
+    """X parameters after pure dephasing with factor P on both qubits.
+
+    The populations stay; both coherences scale by P^2.  This is
+    `apply_local_channel` with `dephasing_kraus` on both qubits, in closed form.
+    """
+    scale = coherence * coherence
+    return XStateParams(p.d1, p.d2, p.d3, p.d4, c14=scale * p.c14, c23=scale * p.c23)
 
 
 def completeness_defect(kraus: list[np.ndarray]) -> float:
@@ -235,6 +279,41 @@ def bell_project_swap(
             f"Bell outcome {which.value} has probability {weight:.3e}"
         )
     return partial_trace(projected / weight, keep=(0, 3))
+
+
+def swapped_params(p12: XStateParams, p34: XStateParams, which: BellIndex) -> XStateParams:
+    """Closed form of `bell_project_swap` for two X states.
+
+    Projecting qubits 2, 3 onto psi+- (|00> +- |11>)/sqrt(2) leaves qubits 1, 4
+    in an X state: with a = p12 and b = p34, the outcome has probability
+    W = [(a1 + a3)(b1 + b2) + (a2 + a4)(b3 + b4)] / 2, and after dividing
+    by W the populations are (a1 b1 + a2 b3, a1 b2 + a2 b4, a3 b1 + a4 b3,
+    a3 b2 + a4 b4) / 2 and the coherences +-(a14 b14 + a23 b23) / 2 and
+    +-(a14 b23 + a23 b14) / 2.  The phi+- outcomes are the psi+- ones with
+    qubit 3 flipped, which swaps b's populations in pairs and its two
+    coherences.  Outcomes with W below 1e-12 are rejected.
+    """
+    check_x_density(p12, "rho12")
+    check_x_density(p34, "rho34")
+    a, b = p12, p34
+    if which in (BellIndex.PHI_PLUS, BellIndex.PHI_MINUS):
+        b = XStateParams(b.d3, b.d4, b.d1, b.d2, c14=b.c23, c23=b.c14)
+    weight = 0.5 * ((a.d1 + a.d3) * (b.d1 + b.d2) + (a.d2 + a.d4) * (b.d3 + b.d4))
+    row = failing_row(weight >= SWAP_PROBABILITY_FLOOR)
+    if row is not None:
+        raise ZeroProbabilityOutcomeError(
+            f"Bell outcome {which.value} has probability {row_value(weight, row):.3e}"
+        )
+    half = 0.5 / weight
+    signed = -half if which in (BellIndex.PSI_MINUS, BellIndex.PHI_MINUS) else half
+    return XStateParams(
+        d1=half * (a.d1 * b.d1 + a.d2 * b.d3),
+        d2=half * (a.d1 * b.d2 + a.d2 * b.d4),
+        d3=half * (a.d3 * b.d1 + a.d4 * b.d3),
+        d4=half * (a.d3 * b.d2 + a.d4 * b.d4),
+        c14=signed * (a.c14 * b.c14 + a.c23 * b.c23),
+        c23=signed * (a.c14 * b.c23 + a.c23 * b.c14),
+    )
 
 
 def swap_bell_mixtures(nu: float, which: BellIndex = BellIndex.PSI_PLUS) -> np.ndarray:

@@ -4,6 +4,9 @@ Everything downstream works on plain complex numpy arrays in the standard
 computational basis |00>, |01>, |10>, |11| with qubit A as the left Kronecker
 factor.  The compact six-parameter form of an X state (nonzero entries only on
 the main diagonal and anti-diagonal, all real) is carried by `XStateParams`.
+
+The parameter checks accept a batch as well as a single value: given arrays,
+they raise the error a single value would raise for the first failing row.
 """
 
 from __future__ import annotations
@@ -27,30 +30,55 @@ class InvalidStateError(ValueError):
     """A density operator or parameter set violates a state invariant."""
 
 
+def failing_row(ok) -> int | None:
+    """Where a check first fails: None when `ok` holds throughout.
+
+    `ok` is one bool for a single value, whose failure is row 0, or a bool
+    array with one entry per row of a batch.
+    """
+    if not isinstance(ok, np.ndarray):
+        return None if ok else 0
+    rows = np.flatnonzero(~ok)
+    return int(rows[0]) if rows.size else None
+
+
+def row_value(value, row: int):
+    """Entry `row` of a batch, or a single value itself."""
+    return value[row] if isinstance(value, np.ndarray) and value.ndim else value
+
+
 @dataclass(frozen=True)
 class Domain:
-    """An interval of finite reals; an open end excludes its bound."""
+    """An interval of finite reals; an open end excludes its bound.
+
+    An infinite bound must be open, so the two comparisons alone exclude
+    inf and nan.
+    """
 
     lo: float
     hi: float
     lo_open: bool = False
     hi_open: bool = False
 
+    def __post_init__(self) -> None:
+        if math.isinf(self.lo) and not self.lo_open or math.isinf(self.hi) and not self.hi_open:
+            raise ValueError(f"an infinite bound must be open: {self}")
+
     def __str__(self) -> str:
         hi = "pi/4" if self.hi == R_MAX else f"{self.hi:g}"
         return f"{'(' if self.lo_open else '['}{self.lo:g}, {hi}{')' if self.hi_open else ']'}"
 
-    def contains(self, x: float) -> bool:
-        if not math.isfinite(x):
-            return False
+    def contains(self, x):
+        """Whether x, or each entry of an array x, lies in the domain."""
         above = self.lo < x if self.lo_open else self.lo <= x
         below = x < self.hi if self.hi_open else x <= self.hi
-        return above and below
+        return above & below
 
-    def check(self, x: float, name: str, error: type[Exception]) -> None:
-        """Raise `error` naming the parameter unless x lies in the domain."""
-        if not self.contains(x):
-            raise error(f"{name} must lie in {self}, got {x}")
+    def check(self, x, name: str, error: type[Exception]) -> None:
+        """Raise `error` naming the parameter unless x (every entry) lies in the domain."""
+        row = failing_row(self.contains(x))
+        if row is not None:
+            raise error(f"{name} must lie in {self}, got {row_value(x, row)}")
 
 
 # The parameter domains every layer checks against: the Bell-mixture weight nu,
@@ -73,6 +101,8 @@ class XStateParams:
     d1..d4 are the diagonal entries (populations) in the order
     |00>, |01>, |10>, |11>;  c14 and c23 are the real anti-diagonal
     coherences sitting at positions (1,4) and (2,3) of the matrix.
+    For a batch of states each field is an array with one entry per row
+    (fields may be scalars where every row shares the value).
     """
 
     d1: float
@@ -89,24 +119,30 @@ class XStateParams:
     def validate(self) -> "XStateParams":
         """Check normalization and positivity of the two 2x2 blocks.
 
-        Raises InvalidStateError naming the offending field.
+        Raises InvalidStateError naming the offending field, for the first
+        failing row of a batch.
         """
         for name, value in zip(("d1", "d2", "d3", "d4"), self.diagonal):
-            if not 0.0 <= value <= 1.0:
-                raise InvalidStateError(f"{name} must lie in [0, 1], got {value}")
+            row = failing_row((0.0 <= value) & (value <= 1.0))
+            if row is not None:
+                raise InvalidStateError(f"{name} must lie in [0, 1], got {row_value(value, row)}")
         total = self.d1 + self.d2 + self.d3 + self.d4
-        if abs(total - 1.0) > TRACE_TOL:
-            raise InvalidStateError(f"diagonal entries must sum to 1, got {total!r}")
-        if self.c14 * self.c14 > self.d1 * self.d4 + 1e-12:
+        row = failing_row(abs(total - 1.0) <= TRACE_TOL)
+        if row is not None:
             raise InvalidStateError(
-                f"c14^2 = {self.c14 ** 2} exceeds d1*d4 = {self.d1 * self.d4}; "
-                "outer 2x2 block is not positive semidefinite"
+                f"diagonal entries must sum to 1, got {row_value(total, row)!r}"
             )
-        if self.c23 * self.c23 > self.d2 * self.d3 + 1e-12:
-            raise InvalidStateError(
-                f"c23^2 = {self.c23 ** 2} exceeds d2*d3 = {self.d2 * self.d3}; "
-                "inner 2x2 block is not positive semidefinite"
-            )
+        for c_name, c, d_names, da, db, block in (
+            ("c14", self.c14, "d1*d4", self.d1, self.d4, "outer"),
+            ("c23", self.c23, "d2*d3", self.d2, self.d3, "inner"),
+        ):
+            row = failing_row(c * c <= da * db + 1e-12)
+            if row is not None:
+                c, da, db = (row_value(v, row) for v in (c, da, db))
+                raise InvalidStateError(
+                    f"{c_name}^2 = {c ** 2} exceeds {d_names} = {da * db}; "
+                    f"{block} 2x2 block is not positive semidefinite"
+                )
         return self
 
 
@@ -160,6 +196,31 @@ def check_density(rho: np.ndarray, name: str = "state") -> np.ndarray:
     return rho
 
 
+def check_x_density(p: XStateParams, name: str = "state") -> XStateParams:
+    """`check_density`'s trace and eigenvalue checks on X parameters.
+
+    The spectrum of an X state is the union of the spectra of its outer
+    block [[d1, c14], [c14, d4]] and inner block [[d2, c23], [c23, d3]], so
+    the smallest eigenvalue is the smaller of the two lower block
+    eigenvalues. The matrix is real symmetric, hence Hermitian.  Returns
+    the input; for a batch it raises for the first failing row.
+    """
+    tr = p.d1 + p.d2 + p.d3 + p.d4
+    row = failing_row(abs(tr - 1.0) <= TRACE_TOL)
+    if row is not None:
+        raise InvalidStateError(f"{name} does not have unit trace (trace {row_value(tr, row)!r})")
+    lo = np.minimum(
+        0.5 * (p.d1 + p.d4) - np.hypot(0.5 * (p.d1 - p.d4), p.c14),
+        0.5 * (p.d2 + p.d3) - np.hypot(0.5 * (p.d2 - p.d3), p.c23),
+    )
+    row = failing_row(lo >= EIGENVALUE_TOL)
+    if row is not None:
+        raise InvalidStateError(
+            f"{name} is not positive semidefinite (min eigenvalue {row_value(lo, row):.3e})"
+        )
+    return p
+
+
 def from_x_params(p: XStateParams) -> np.ndarray:
     """Build the 4x4 density operator for a validated X-state parameter set."""
     p.validate()
@@ -170,24 +231,26 @@ def from_x_params(p: XStateParams) -> np.ndarray:
     return rho
 
 
+# Flat indices of the eight entries off both diagonals of a 4x4 matrix, and
+# of the X entries d1, d2, d3, d4, c14 and c23.
+_OFF_X = np.flatnonzero(~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]))
+_X_ENTRIES = np.array([0, 5, 10, 15, 3, 6])
+
+
 def is_x_structured(rho: np.ndarray, tol: float = X_STRUCTURE_TOL) -> bool:
     """True when every entry off the diagonal and anti-diagonal is negligible."""
-    mask = np.ones((4, 4), dtype=bool)
-    for i, j in ((0, 0), (1, 1), (2, 2), (3, 3), (0, 3), (3, 0), (1, 2), (2, 1)):
-        mask[i, j] = False
-    return float(np.max(np.abs(np.asarray(rho)[mask]))) <= tol
+    return float(np.abs(np.asarray(rho).reshape(16)[_OFF_X]).max()) <= tol
 
 
 def x_params_from_density(rho: np.ndarray, tol: float = X_STRUCTURE_TOL) -> XStateParams:
     """Read the six X-state parameters back out of a density matrix."""
-    rho = np.asarray(rho, dtype=complex)
+    rho = np.asarray(rho)
     if not is_x_structured(rho, tol):
         raise InvalidStateError("density matrix is not X structured")
-    picked = np.array([rho[0, 0], rho[1, 1], rho[2, 2], rho[3, 3], rho[0, 3], rho[1, 2]])
-    if np.max(np.abs(picked.imag)) > tol:
+    picked = rho.reshape(16)[_X_ENTRIES]
+    if float(np.abs(picked.imag).max()) > tol:
         raise InvalidStateError("X entries carry a non-negligible imaginary part")
-    d1, d2, d3, d4, c14, c23 = picked.real
-    return XStateParams(d1, d2, d3, d4, c14, c23)
+    return XStateParams(*picked.real.tolist())
 
 
 def bell_mixture(nu: float) -> XStateParams:
@@ -196,7 +259,7 @@ def bell_mixture(nu: float) -> XStateParams:
     At nu = 0 the state is (|00> + |11>)/sqrt(2), at nu = 1 it is
     (|01> + |10>)/sqrt(2); in between it stays an X state with diagonal
     ((1-nu)/2, nu/2, nu/2, (1-nu)/2) and coherences c14 = (1-nu)/2,
-    c23 = nu/2.
+    c23 = nu/2.  An array of nu gives a batch.
     """
     DOMAINS["nu"].check(nu, "mixing parameter nu", InvalidStateError)
     w = (1.0 - nu) / 2.0

@@ -8,15 +8,18 @@ Five modes are supported, one per physical scenario:
 * ``dephasing-channel``  - pure dephasing on both qubits versus gamma*t
 * ``swap``               - entanglement swapping of two identical pairs versus nu
 
-Each grid point yields one record (param, s, z, e_x, e_y, i_ab).  Points are
-independent; they may be evaluated in a process pool, and the emitted bytes
-are identical for any worker count because results are collected in grid
-order before anything is written.
+Each grid point yields one record (param, s, z, e_x, e_y, i_ab).  Every mode
+maps X states to X states, so `evaluate_grid` computes the six X parameters
+of every grid point in closed form and evaluates the whole grid in one
+vectorised pass.  With jobs > 1 the grid is split into contiguous chunks, one
+per worker, each evaluated by the same pass; every operation acts row by row,
+so the emitted bytes are identical for any worker count.  The CSV and its plot
+script are each written to a temporary file and moved into place.
 """
 
 from __future__ import annotations
 
-import math
+import contextlib
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -25,15 +28,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .measures import full_report
+from .measures import x_report
 from .processes import (
-    accelerate,
-    amplitude_damping_kraus,
-    apply_local_channel,
-    dephasing_kraus,
-    swap_bell_mixtures,
+    accelerated_params,
+    ad_survival,
+    damped_params,
+    dephased_params,
+    dephasing_coherence,
+    swapped_params,
 )
-from .qstate import DOMAINS, R_MAX, BellIndex, bell_mixture, from_x_params
+from .qstate import DOMAINS, R_MAX, BellIndex, XStateParams, bell_mixture
 
 # What each mode sweeps: its DOMAINS entry and its plot axis label.
 _SWEPT = {
@@ -46,7 +50,8 @@ _SWEPT = {
 MODES = tuple(_SWEPT)
 
 CSV_HEADER = "param,s,z,e_x,e_y,i_ab"
-_FIELD_FORMAT = "{:.12e}"
+# printf-style; gives the same digits as "{:.12e}".
+_ROW_FORMAT = ",".join(["%.12e"] * 6) + "\n"
 
 
 class ConfigError(ValueError):
@@ -62,20 +67,14 @@ class SweepRecord:
     e_y: float
     i_ab: float
 
-    def as_row(self) -> str:
-        values = (self.param, self.s, self.z, self.e_x, self.e_y, self.i_ab)
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError(f"non-finite sweep record: {self}")
-        return ",".join(_FIELD_FORMAT.format(v) for v in values)
-
 
 @dataclass(frozen=True)
 class SweepConfig:
     """One sweep: the mode, the grid, the fixed parameters, the output path.
 
     `r_b` is either a float in [0, pi/4] or the string "track", meaning
-    r_b follows the swept r_a.  `jobs` > 1 evaluates grid points in a
-    process pool.
+    r_b follows the swept r_a.  `jobs` > 1 evaluates contiguous chunks of
+    the grid in a process pool.
     """
 
     mode: str
@@ -122,51 +121,91 @@ class SweepConfig:
         return np.linspace(self.start, self.stop, self.points)
 
 
-def evaluate_point(cfg: SweepConfig, param: float) -> SweepRecord:
-    """The record of one grid point of the sweep `cfg`."""
-    param = float(param)
+def _x_params(cfg: SweepConfig, grid: np.ndarray) -> XStateParams:
+    """The X parameters of the swept state at every grid value."""
     if cfg.mode == "nu":
-        rho = from_x_params(bell_mixture(param))
-    elif cfg.mode == "acceleration":
-        rb = param if cfg.r_b == "track" else cfg.r_b
-        rho = accelerate(cfg.nu, param, rb)
-    elif cfg.mode in ("ad-channel", "dephasing-channel"):
-        kraus = amplitude_damping_kraus if cfg.mode == "ad-channel" else dephasing_kraus
-        ops = kraus(cfg.g_over_gamma, param)
-        rho = apply_local_channel(from_x_params(bell_mixture(cfg.nu)), ops, ops)
-    elif cfg.mode == "swap":
-        rho = swap_bell_mixtures(param, cfg.bell)
-    else:
-        raise ConfigError(f"unknown mode {cfg.mode!r}")
-    rep = full_report(rho)
-    return SweepRecord(param=param, s=rep.s, z=rep.z, e_x=rep.e_x, e_y=rep.e_y, i_ab=rep.i_ab)
+        return bell_mixture(grid)
+    if cfg.mode == "acceleration":
+        return accelerated_params(cfg.nu, grid, grid if cfg.r_b == "track" else cfg.r_b)
+    if cfg.mode == "ad-channel":
+        state = bell_mixture(cfg.nu).validate()
+        return damped_params(state, ad_survival(cfg.g_over_gamma, grid))
+    if cfg.mode == "dephasing-channel":
+        state = bell_mixture(cfg.nu).validate()
+        return dephased_params(state, dephasing_coherence(cfg.g_over_gamma, grid))
+    if cfg.mode == "swap":
+        pair = bell_mixture(grid).validate()
+        return swapped_params(pair, pair, cfg.bell)
+    raise ConfigError(f"unknown mode {cfg.mode!r}")
+
+
+def evaluate_grid(cfg: SweepConfig, grid) -> np.ndarray:
+    """Rows (param, s, z, e_x, e_y, i_ab) of the sweep `cfg` at the values `grid`.
+
+    One vectorised pass; every guard of the per-state path applies to each
+    row and raises its error for the first failing one.
+    """
+    grid = np.asarray(grid, dtype=float)
+    rep = x_report(_x_params(cfg, grid))
+    return np.column_stack([grid, rep.s, rep.z, rep.e_x, rep.e_y, rep.i_ab])
 
 
 def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     """Evaluate the grid, write the CSV and its plot script, return the records.
 
-    With jobs > 1 the points go to a process pool of at most one worker per
-    CPU, since the pool starts all its workers up front.
+    With jobs > 1 the grid goes to a process pool of at most one worker per
+    CPU, since the pool starts all its workers up front, in one contiguous
+    chunk per worker.  If the plot script cannot be written, the new CSV is
+    removed again, so no CSV is left without its script.
     """
     cfg.validate()
-    point = partial(evaluate_point, cfg)
+    grid = cfg.grid()
     if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=min(cfg.jobs, os.cpu_count() or 1)) as pool:
-            records = list(pool.map(point, cfg.grid(), chunksize=16))
+        workers = min(cfg.jobs, os.cpu_count() or 1)
+        chunks = np.array_split(grid, min(workers, grid.size))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            table = np.concatenate(list(pool.map(partial(evaluate_grid, cfg), chunks)))
     else:
-        records = [point(p) for p in cfg.grid()]
+        table = evaluate_grid(cfg, grid)
     csv_path = Path(cfg.out)
-    write_csv(records, csv_path)
-    emit_plot_script(csv_path, cfg.mode)
-    return records
+    write_csv(table, csv_path)
+    try:
+        emit_plot_script(csv_path, cfg.mode)
+    except BaseException:
+        csv_path.unlink(missing_ok=True)
+        raise
+    return [SweepRecord(*row) for row in table.tolist()]
 
 
-def write_csv(records: list[SweepRecord], path: Path | str) -> Path:
-    """UTF-8 CSV with LF endings and 12-significant-digit scientific fields."""
+def _write_text(path: Path, text: str) -> None:
+    """Write `text` to a temporary file beside `path`, then move it into place."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
+def write_csv(records, path: Path | str) -> Path:
+    """UTF-8 CSV with LF endings and 12-significant-digit scientific fields.
+
+    `records` is a sequence of SweepRecord or an (n, 6) array of their
+    fields in column order.  A non-finite value raises ValueError, naming
+    the first such row, before anything is written.
+    """
     path = Path(path)
-    body = "\n".join([CSV_HEADER] + [r.as_row() for r in records]) + "\n"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(body)
+    if not isinstance(records, np.ndarray):
+        records = [(r.param, r.s, r.z, r.e_x, r.e_y, r.i_ab) for r in records]
+    table = np.asarray(records, dtype=float).reshape(-1, 6)
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        row = int(np.flatnonzero(~finite)[0])
+        raise ValueError(f"non-finite sweep record in row {row}: {table[row].tolist()}")
+    _write_text(path, CSV_HEADER + "\n" + _ROW_FORMAT * len(table) % tuple(table.ravel().tolist()))
     return path
 
 
@@ -204,8 +243,7 @@ def emit_plot_script(csv_path: Path | str, mode: str) -> Path:
         ]
     ) + "\n"
     script_path = csv_path.with_suffix(".gnuplot")
-    with open(script_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(script)
+    _write_text(script_path, script)
     return script_path
 
 

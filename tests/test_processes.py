@@ -15,13 +15,17 @@ from xsteer.processes import (
     apply_local_channel,
     bell_project_swap,
     completeness_defect,
+    damped_params,
+    dephased_params,
     dephasing_coherence,
     dephasing_kraus,
     swap_bell_mixtures,
+    swapped_params,
 )
 from xsteer.qstate import (
     BellIndex,
     InvalidStateError,
+    XStateParams,
     bell_mixture,
     check_density,
     from_x_params,
@@ -32,6 +36,16 @@ from xsteer.qstate import (
 
 R_MAX = math.pi / 4.0
 INV_2SQ2 = 1.0 / (2.0 * math.sqrt(2.0))
+
+
+def _batch(params: list[XStateParams]) -> XStateParams:
+    fields = np.array([(p.d1, p.d2, p.d3, p.d4, p.c14, p.c23) for p in params])
+    return XStateParams(*fields.T)
+
+
+def _row(batch: XStateParams, i: int) -> XStateParams:
+    fields = (batch.d1, batch.d2, batch.d3, batch.d4, batch.c14, batch.c23)
+    return XStateParams(*(float(v[i]) for v in fields))
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +219,31 @@ def test_dephasing_scales_coherences_quadratically():
             assert abs(got.c23 - params.c23 * p * p) < 1e-14
 
 
+def test_channel_closed_forms_match_kraus_path():
+    # damped_params and dephased_params against the Kraus operators applied
+    # on both qubits, elementwise, for random states and channel parameters
+    rng = np.random.default_rng(7)
+    states = [random_x_state(seed) for seed in range(40)]
+    ratios = np.concatenate(
+        [[1e-12, 1.999999], np.exp(rng.uniform(math.log(1e-6), math.log(1.99), 38))]
+    )
+    times = rng.uniform(0.0, 100.0, 40)
+    survival = ad_survival(0.1, times)
+    coherence = dephasing_coherence(0.1, times)
+    damped = damped_params(_batch(states), survival)
+    dephased = dephased_params(_batch(states), coherence)
+    for i, (params, ratio, tau) in enumerate(zip(states, ratios, times)):
+        rho = from_x_params(params)
+        for closed, ops in (
+            (damped_params(params, ad_survival(ratio, tau)), amplitude_damping_kraus(ratio, tau)),
+            (dephased_params(params, dephasing_coherence(ratio, tau)), dephasing_kraus(ratio, tau)),
+            (_row(damped, i), amplitude_damping_kraus(0.1, tau)),
+            (_row(dephased, i), dephasing_kraus(0.1, tau)),
+        ):
+            expected = apply_local_channel(rho, ops, ops)
+            np.testing.assert_allclose(from_x_params(closed), expected, rtol=0, atol=1e-15)
+
+
 def test_dephasing_kills_coherences_at_long_times():
     ops = dephasing_kraus(0.1, 500.0)
     params = bell_mixture(0.3)
@@ -313,6 +352,19 @@ def test_swap_matches_bruteforce_oracle():
             np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
+def test_swapped_params_match_bell_project_swap():
+    # the closed-form swap of two X states against the 16x16 projection,
+    # elementwise, for all four outcomes, one pair at a time and as a batch
+    firsts = [random_x_state(2 * seed) for seed in range(200)]
+    seconds = [random_x_state(2 * seed + 1) for seed in range(200)]
+    for which in BellIndex:
+        batch = swapped_params(_batch(firsts), _batch(seconds), which)
+        for i, (p12, p34) in enumerate(zip(firsts, seconds)):
+            expected = bell_project_swap(from_x_params(p12), from_x_params(p34), which)
+            for closed in (swapped_params(p12, p34, which), _row(batch, i)):
+                np.testing.assert_allclose(from_x_params(closed), expected, rtol=0, atol=1e-12)
+
+
 def test_swap_outputs_valid_for_all_outcomes():
     for nu in np.linspace(0.0, 1.0, 9):
         pair = from_x_params(bell_mixture(nu))
@@ -325,3 +377,6 @@ def test_swap_zero_probability_outcome_rejected():
     ground = np.diag([1.0, 0, 0, 0]).astype(complex)
     with pytest.raises(ZeroProbabilityOutcomeError):
         bell_project_swap(ground, ground, BellIndex.PHI_PLUS)
+    with pytest.raises(ZeroProbabilityOutcomeError):
+        swapped_params(x_params_from_density(ground), x_params_from_density(ground),
+                       BellIndex.PHI_PLUS)

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from xsteer.qstate import (
+    DOMAINS,
     BellIndex,
+    Domain,
     InvalidStateError,
     XStateParams,
     bell_mixture,
     check_density,
+    check_x_density,
     from_x_params,
     is_x_structured,
     partial_trace,
@@ -189,3 +192,69 @@ def test_check_density_rejects_bad_operators():
         check_density(2.0 * good)
     with pytest.raises(InvalidStateError, match="positive semidefinite"):
         check_density(np.diag([0.7, 0.5, -0.1, -0.1]).astype(complex))
+
+
+def _x_matrix(p: XStateParams) -> np.ndarray:
+    # like from_x_params, but without validating the parameters
+    rho = np.diag(np.array(p.diagonal, dtype=complex))
+    rho[0, 3] = rho[3, 0] = p.c14
+    rho[1, 2] = rho[2, 1] = p.c23
+    return rho
+
+
+def _batch(rows: list[XStateParams]) -> XStateParams:
+    return XStateParams(*np.array([(p.d1, p.d2, p.d3, p.d4, p.c14, p.c23) for p in rows]).T)
+
+
+# c14^2 exceeds d1*d4 by 5e-13, which validate allows, but the smaller outer
+# eigenvalue is about -5e-10, which the density checks reject.
+_NEGATIVE_EIGENVALUE = XStateParams(
+    0.0005, 0.4995, 0.4995, 0.0005, math.sqrt(0.0005**2 + 5e-13), 0.0
+)
+
+
+@pytest.mark.parametrize(
+    "params, fragment",
+    [
+        (bell_mixture(0.3), None),
+        (random_x_state(4), None),
+        (XStateParams(0.5, 0.25, 0.25, 1e-9, 0.0, 0.0), "trace"),
+        (XStateParams(0.7, 0.5, -0.1, -0.1, 0.0, 0.0), "positive semidefinite"),
+        (_NEGATIVE_EIGENVALUE, "positive semidefinite"),
+    ],
+)
+def test_check_x_density_agrees_with_matrix_check(params, fragment):
+    rho = _x_matrix(params)
+    if fragment is None:
+        check_density(rho)
+        assert check_x_density(params) is params
+        return
+    for check, arg in ((check_density, rho), (check_x_density, params)):
+        with pytest.raises(InvalidStateError, match=fragment):
+            check(arg)
+
+
+def test_negative_eigenvalue_case_passes_validate():
+    _NEGATIVE_EIGENVALUE.validate()
+
+
+def test_batch_checks_report_the_first_failing_row():
+    rows = [random_x_state(seed) for seed in range(6)]
+    check_x_density(_batch(rows).validate())
+    rows[2] = XStateParams(0.5, 0.5, 0.0, 0.0, 0.6, 0.0)  # c14^2 > d1*d4
+    rows[4] = XStateParams(0.5, 0.5, 0.0, 0.0, 0.0, 0.1)  # c23^2 > d2*d3
+    with pytest.raises(InvalidStateError) as single:
+        rows[2].validate()
+    with pytest.raises(InvalidStateError) as batched:
+        _batch(rows).validate()
+    assert str(batched.value) == str(single.value)
+    with pytest.raises(InvalidStateError, match="must lie in .*got 1.5"):
+        bell_mixture(np.array([0.0, 0.5, 1.5, -1.0]))
+
+
+def test_domains_exclude_non_finite_values():
+    for name, domain in DOMAINS.items():
+        assert not np.any(domain.contains(np.array([math.nan, math.inf, -math.inf]))), name
+        assert not domain.contains(math.nan), name
+    with pytest.raises(ValueError, match="open"):
+        Domain(0.0, math.inf)

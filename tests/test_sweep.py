@@ -9,16 +9,35 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import xsteer.measures as measures
+import xsteer.sweep as sweep
 from xsteer.cli import EXIT_CONFIG, EXIT_INTERNAL, EXIT_IO, EXIT_OK, main
-from xsteer.measures import PathDisagreementError
-from xsteer.qstate import BellIndex
+from xsteer.measures import NegativeProbabilityError, PathDisagreementError, full_report
+from xsteer.processes import (
+    ChannelParameterError,
+    ZeroProbabilityOutcomeError,
+    accelerate,
+    amplitude_damping_kraus,
+    apply_local_channel,
+    dephasing_kraus,
+    swap_bell_mixtures,
+)
+from xsteer.qstate import (
+    DOMAINS,
+    R_MAX,
+    BellIndex,
+    InvalidStateError,
+    XStateParams,
+    bell_mixture,
+    from_x_params,
+)
 from xsteer.sweep import (
     CSV_HEADER,
     ConfigError,
     SweepConfig,
     SweepRecord,
     emit_plot_script,
-    evaluate_point,
+    evaluate_grid,
     figure_presets,
     load_csv,
     run_sweep,
@@ -28,6 +47,27 @@ from xsteer.sweep import (
 
 # Preset CSVs frozen before any numeric refactor; the benchmark checks against them too.
 REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+
+
+def _matrix_point(cfg: SweepConfig, param: float) -> SweepRecord:
+    """One grid point through the 4x4 and 16x16 matrix path: the oracle for evaluate_grid."""
+    param = float(param)
+    if cfg.mode == "nu":
+        rho = from_x_params(bell_mixture(param))
+    elif cfg.mode == "acceleration":
+        rho = accelerate(cfg.nu, param, param if cfg.r_b == "track" else cfg.r_b)
+    elif cfg.mode in ("ad-channel", "dephasing-channel"):
+        kraus = amplitude_damping_kraus if cfg.mode == "ad-channel" else dephasing_kraus
+        ops = kraus(cfg.g_over_gamma, param)
+        rho = apply_local_channel(from_x_params(bell_mixture(cfg.nu)), ops, ops)
+    else:
+        rho = swap_bell_mixtures(param, cfg.bell)
+    rep = full_report(rho)
+    return SweepRecord(param=param, s=rep.s, z=rep.z, e_x=rep.e_x, e_y=rep.e_y, i_ab=rep.i_ab)
+
+
+def _grid_records(cfg, grid) -> list[SweepRecord]:
+    return [SweepRecord(*row) for row in evaluate_grid(cfg, grid).tolist()]
 
 
 def _cfg(tmp_path, **kw):
@@ -116,10 +156,141 @@ def test_rows_are_in_ascending_param_order(tmp_path):
 
 def test_evaluate_point_tracks_rb(tmp_path):
     cfg = _cfg(tmp_path, mode="acceleration", start=0.0, stop=math.pi / 4, r_b="track")
-    rec_track = evaluate_point(cfg, 0.6)
+    [rec_track] = _grid_records(cfg, [0.6])
     cfg_fixed = _cfg(tmp_path, mode="acceleration", start=0.0, stop=math.pi / 4, r_b=0.6)
-    rec_fixed = evaluate_point(cfg_fixed, 0.6)
+    [rec_fixed] = _grid_records(cfg_fixed, [0.6])
     assert rec_track == rec_fixed
+
+
+def _random_configs(tmp_path, mode: str, rng: np.random.Generator) -> list[SweepConfig]:
+    """Seeded sweeps of one mode; channel rates log-uniform, with both ends."""
+    out = str(tmp_path / "x.csv")
+    if mode == "nu":
+        return [SweepConfig(mode, 0.0, 1.0, 2, out)]
+    if mode == "swap":
+        return [SweepConfig(mode, 0.0, 1.0, 2, out, bell=b) for b in BellIndex]
+    if mode == "acceleration":
+        return [
+            SweepConfig(mode, 0.0, R_MAX, 2, out, nu=float(nu), r_b="track" if k % 3 == 0 else rb)
+            for k, (nu, rb) in enumerate(zip(rng.uniform(0, 1, 6), rng.uniform(0, R_MAX, 6)))
+        ]
+    hi = 2.0 if mode == "ad-channel" else 1e3
+    ratios = [1e-300, 1e-12, math.nextafter(hi, 0) if mode == "ad-channel" else 1e3, 1.999]
+    ratios += list(np.exp(rng.uniform(math.log(1e-9), math.log(hi), 4)))
+    return [
+        SweepConfig(mode, 0.0, 100.0, 2, out, nu=float(rng.uniform(0, 1)), g_over_gamma=r)
+        for r in ratios
+    ]
+
+
+@pytest.mark.parametrize("mode", sweep.MODES)
+def test_batched_engine_matches_matrix_oracle(tmp_path, mode):
+    # every mode (swap: all four Bell outcomes) at seeded random grid values,
+    # against the 4x4 and 16x16 matrix path point by point
+    rng = np.random.default_rng(sweep.MODES.index(mode))
+    domain = DOMAINS[sweep._SWEPT[mode][0]]
+    for cfg in _random_configs(tmp_path, mode, rng):
+        hi = 100.0 if math.isinf(domain.hi) else domain.hi
+        grid = np.concatenate([[domain.lo, hi], rng.uniform(domain.lo, hi, 30)])
+        got = evaluate_grid(cfg, grid)
+        want = np.array([dataclasses.astuple(_matrix_point(cfg, x)) for x in grid])
+        np.testing.assert_array_equal(got[:, 0], grid)
+        np.testing.assert_allclose(got[:, 1:], want[:, 1:], rtol=0, atol=1e-12, err_msg=str(cfg))
+
+
+def test_chunked_evaluation_is_bit_identical(tmp_path):
+    # what the pool does for any worker count, without starting one
+    for cfg in figure_presets(tmp_path).values():
+        whole = evaluate_grid(cfg, cfg.grid())
+        for k in (2, 3, 7, 64):
+            chunks = np.array_split(cfg.grid(), k)
+            parts = np.concatenate([evaluate_grid(cfg, c) for c in chunks])
+            assert parts.tobytes() == whole.tobytes(), (cfg.out, k)
+
+
+# ---------------------------------------------------------------------------
+# the per-row guards, each fired from run_sweep
+# ---------------------------------------------------------------------------
+
+def _batch(rows) -> XStateParams:
+    return XStateParams(*np.array(rows, dtype=float).T)
+
+
+def _run_with_params(tmp_path, monkeypatch, rows, **kw):
+    """run_sweep over len(rows) points whose X parameters are `rows`."""
+    monkeypatch.setattr(sweep, "_x_params", lambda cfg, grid: _batch(rows))
+    return run_sweep(_cfg(tmp_path, points=len(rows), **kw))
+
+
+_PSI = (0.5, 0.0, 0.0, 0.5, 0.5, 0.0)
+_MIXED = (0.25, 0.25, 0.25, 0.25, 0.0, 0.0)
+
+
+def test_guard_domain_fires_for_first_bad_grid_value(tmp_path, monkeypatch):
+    monkeypatch.setattr(SweepConfig, "grid", lambda self: np.array([0.5, 1.5, 2.5]))
+    with pytest.raises(InvalidStateError, match="got 1.5"):
+        run_sweep(_cfg(tmp_path, points=3))
+    monkeypatch.setattr(SweepConfig, "grid", lambda self: np.array([0.0, -1.0, math.nan]))
+    with pytest.raises(ChannelParameterError, match="got -1.0"):
+        run_sweep(_cfg(tmp_path, mode="ad-channel", start=0.0, stop=1.0, points=3))
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "bad, fragment",
+    [
+        ((0.5, 0.25, 0.25, 1e-9, 0.0, 0.0), "unit trace"),
+        ((0.0005, 0.4995, 0.4995, 0.0005, math.sqrt(0.0005**2 + 5e-13), 0.0), "min eigenvalue"),
+        ((0.5, 0.0, 0.0, 0.5, 0.5 + 2e-12, 0.0), "c14\\^2"),
+        ((0.25, 0.25, 0.25, 0.25, 0.0, 0.25 + 1e-11), "c23\\^2"),
+    ],
+)
+def test_guard_state_checks_fire_per_row(tmp_path, monkeypatch, bad, fragment):
+    # check_density's trace and eigenvalue checks and validate's block rules
+    with pytest.raises(InvalidStateError, match=fragment):
+        _run_with_params(tmp_path, monkeypatch, [_PSI, _MIXED, bad, _MIXED])
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_guard_negative_probability_floor(tmp_path, monkeypatch):
+    # 1 - t = -2e-13 is clipped and renormalised: the row reads as psi+
+    tiny = (0.5, 0.0, 0.0, 0.5, 0.5 + 1e-13, 0.0)
+    rows = _run_with_params(tmp_path, monkeypatch, [_MIXED, tiny, _PSI])
+    assert abs(rows[1].s - rows[2].s) < 1e-12 and abs(rows[1].z - rows[2].z) < 1e-12
+    joint = measures._x_joint_distribution(_batch([tiny]))
+    assert joint.min() == 0.0
+    np.testing.assert_allclose(joint.sum(axis=-1), 1.0, rtol=0, atol=1e-15)
+    monkeypatch.setattr(measures, "NEGATIVE_PROBABILITY_TOL", 0.01)
+    with pytest.raises(NegativeProbabilityError):
+        _run_with_params(tmp_path, monkeypatch, [_MIXED, _PSI])
+
+
+def test_guard_path_disagreement(tmp_path, monkeypatch):
+    closed = measures.steering_functional
+    monkeypatch.setattr(measures, "steering_functional", lambda p: closed(p) + 2e-9)
+    with pytest.raises(PathDisagreementError):
+        run_sweep(_cfg(tmp_path, points=5))
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_guard_swap_weight_floor(tmp_path, monkeypatch):
+    ground = _batch([(1.0, 0.0, 0.0, 0.0, 0.0, 0.0)] * 3)
+    monkeypatch.setattr(sweep, "bell_mixture", lambda nu: ground)
+    with pytest.raises(ZeroProbabilityOutcomeError, match="phi"):
+        run_sweep(_cfg(tmp_path, mode="swap", points=3, bell=BellIndex.PHI_PLUS))
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_guard_non_finite_rows(tmp_path, monkeypatch):
+    def with_nan(cfg, grid):
+        table = np.zeros((len(grid), 6))
+        table[1, 2] = math.nan
+        return table
+
+    monkeypatch.setattr(sweep, "evaluate_grid", with_nan)
+    with pytest.raises(ValueError, match="non-finite sweep record in row 1"):
+        run_sweep(_cfg(tmp_path, points=3))
+    assert not list(tmp_path.iterdir())
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +362,20 @@ def test_load_csv_rejects_foreign_file(tmp_path):
         load_csv(path)
 
 
+def test_csv_row_template_matches_format_spec(tmp_path):
+    rng = np.random.default_rng(3)
+    values = np.concatenate(
+        [[0.0, -0.0, 1.0, -1.0, 5e-324, 1e308, 0.1, 1 / 3, 2.5e-13],
+         rng.normal(size=40) * 10.0 ** rng.integers(-300, 300, 40)]
+    )
+    table = np.resize(values, (len(values) // 6 * 6,)).reshape(-1, 6)
+    path = write_csv(table, tmp_path / "t.csv")
+    expected = [",".join("{:.12e}".format(v) for v in row) for row in table.tolist()]
+    assert path.read_text().splitlines()[1:] == expected
+    records = [SweepRecord(*row) for row in table.tolist()]
+    assert write_csv(records, tmp_path / "r.csv").read_bytes() == path.read_bytes()
+
+
 def test_write_csv_significant_digits(tmp_path):
     rec = SweepRecord(param=1 / 3, s=0.123456789012345, z=0.0, e_x=0.5, e_y=0.25, i_ab=2.0)
     path = write_csv([rec], tmp_path / "one.csv")
@@ -219,6 +404,31 @@ def test_plot_script_channel_axis_label(tmp_path):
     run_sweep(cfg)
     script = (tmp_path / "out.gnuplot").read_text(encoding="utf-8")
     assert "set xlabel 'γt'" in script
+
+
+def test_failed_plot_script_leaves_no_output(tmp_path, monkeypatch):
+    def broken(csv_path, mode):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(sweep, "emit_plot_script", broken)
+    with pytest.raises(OSError, match="disk full"):
+        run_sweep(_cfg(tmp_path, points=5))
+    assert not list(tmp_path.iterdir())
+    assert main(["--mode", "nu", "--grid", "0:1:5", "--out", str(tmp_path / "x.csv")]) == EXIT_IO
+    assert not list(tmp_path.iterdir())
+
+
+def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch):
+    run_sweep(_cfg(tmp_path, points=5))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def broken(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(sweep.os, "replace", broken)
+    with pytest.raises(OSError, match="rename failed"):
+        run_sweep(_cfg(tmp_path, points=9))
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_plot_script_requires_csv(tmp_path):
@@ -317,6 +527,27 @@ def test_cli_internal_failure_exit_code(tmp_path, monkeypatch, capsys):
     code = main(["--mode", "nu", "--grid", "0:1:5", "--out", str(tmp_path / "x.csv")])
     assert code == EXIT_INTERNAL
     assert "internal consistency" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (InvalidStateError, EXIT_CONFIG),
+        (ChannelParameterError, EXIT_CONFIG),
+        (NegativeProbabilityError, EXIT_INTERNAL),
+        (ZeroProbabilityOutcomeError, EXIT_INTERNAL),
+    ],
+)
+def test_cli_maps_library_errors_to_exit_codes(tmp_path, monkeypatch, capsys, error, code):
+    import xsteer.cli as cli
+
+    def boom(cfg):
+        raise error("forced")
+
+    monkeypatch.setattr(cli, "run_sweep", boom)
+    assert main(["--mode", "nu", "--grid", "0:1:5", "--out", str(tmp_path / "x.csv")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("sweep: ") and err.endswith("forced\n") and err.count("\n") == 1
 
 
 def test_cli_config_file_with_flag_override(tmp_path):
