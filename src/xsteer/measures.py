@@ -245,7 +245,7 @@ def full_report(rho: np.ndarray) -> SteeringReport:
     h = conditional_entropy(rho)
     try:
         # The x and y statistics read only the real parts of the coherences.
-        params = x_params_from_density(rho.real)
+        params = x_params_from_density(rho, real_parts=True)
     except InvalidStateError:  # not X structured: the entropy identity alone
         i_ab = SIX_LN2 - 2.0 * h.sum()
     else:
@@ -257,18 +257,18 @@ def full_report(rho: np.ndarray) -> SteeringReport:
     )
 
 
-def x_report(p: XStateParams) -> SteeringReport:
-    """`full_report` of a batch of X states, from their parameters.
+def x_report(p: XStateParams) -> np.ndarray:
+    """The `full_report` quantities of a batch of X states, from their parameters.
 
-    Applies `check_density`'s trace and eigenvalue checks, the
-    negative-probability floor and the dual-path I_AB check to every row,
-    raising for the first failing one.  Fields of `p` may be scalars shared
-    by every row.  Each field of the result holds an array with one entry
-    (h_cond and xi: one row of three) per state.
+    Returns one row (s, z, e_x, e_y, i_ab) per state, the column order of
+    a sweep record.  Applies `check_density`'s trace and eigenvalue checks,
+    the negative-probability floor and the dual-path I_AB check to every
+    row, raising for the first failing one.  Fields of `p` may be scalars
+    shared by every row.
     """
     p = XStateParams(*np.broadcast_arrays(p.d1, p.d2, p.d3, p.d4, p.c14, p.c23))
     check_x_density(p)
     h = _conditional_entropies(_x_joint_distribution(p))
     i_ab = _closed_i_ab(p, h)
-    s, xi, e_x, e_y, z = _derive(h, i_ab)
-    return SteeringReport(h_cond=h, i_ab=i_ab, s=s, xi=xi, e_x=e_x, e_y=e_y, z=z)
+    s, _, e_x, e_y, z = _derive(h, i_ab)
+    return np.column_stack([s, z, e_x, e_y, i_ab])

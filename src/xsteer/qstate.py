@@ -242,13 +242,20 @@ def is_x_structured(rho: np.ndarray, tol: float = X_STRUCTURE_TOL) -> bool:
     return float(np.abs(np.asarray(rho).reshape(16)[_OFF_X]).max()) <= tol
 
 
-def x_params_from_density(rho: np.ndarray, tol: float = X_STRUCTURE_TOL) -> XStateParams:
-    """Read the six X-state parameters back out of a density matrix."""
+def x_params_from_density(
+    rho: np.ndarray, tol: float = X_STRUCTURE_TOL, *, real_parts: bool = False
+) -> XStateParams:
+    """Read the six X-state parameters back out of a density matrix.
+
+    The X structure is checked on `rho` itself.  X entries with an imaginary
+    part above `tol` raise InvalidStateError unless `real_parts` is set,
+    which keeps their real parts instead.
+    """
     rho = np.asarray(rho)
     if not is_x_structured(rho, tol):
         raise InvalidStateError("density matrix is not X structured")
     picked = rho.reshape(16)[_X_ENTRIES]
-    if float(np.abs(picked.imag).max()) > tol:
+    if not real_parts and float(np.abs(picked.imag).max()) > tol:
         raise InvalidStateError("X entries carry a non-negligible imaginary part")
     return XStateParams(*picked.real.tolist())
 

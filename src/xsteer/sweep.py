@@ -14,13 +14,15 @@ of every grid point in closed form and evaluates the whole grid in one
 vectorised pass.  With jobs > 1 the grid is split into contiguous chunks, one
 per worker, each evaluated by the same pass; every operation acts row by row,
 so the emitted bytes are identical for any worker count.  The CSV and its plot
-script are each written to a temporary file and moved into place.
+script are written to a temporary directory beside the output and moved into
+place together.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -146,8 +148,7 @@ def evaluate_grid(cfg: SweepConfig, grid) -> np.ndarray:
     row and raises its error for the first failing one.
     """
     grid = np.asarray(grid, dtype=float)
-    rep = x_report(_x_params(cfg, grid))
-    return np.column_stack([grid, rep.s, rep.z, rep.e_x, rep.e_y, rep.i_ab])
+    return np.column_stack([grid, x_report(_x_params(cfg, grid))])
 
 
 def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
@@ -155,8 +156,9 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
 
     With jobs > 1 the grid goes to a process pool of at most one worker per
     CPU, since the pool starts all its workers up front, in one contiguous
-    chunk per worker.  If the plot script cannot be written, the new CSV is
-    removed again, so no CSV is left without its script.
+    chunk per worker.  The CSV and its script are first written to a
+    temporary directory beside the output and then renamed into place, CSV
+    first; if either write fails, any earlier pair is left as it was.
     """
     cfg.validate()
     grid = cfg.grid()
@@ -168,12 +170,11 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     else:
         table = evaluate_grid(cfg, grid)
     csv_path = Path(cfg.out)
-    write_csv(table, csv_path)
-    try:
-        emit_plot_script(csv_path, cfg.mode)
-    except BaseException:
-        csv_path.unlink(missing_ok=True)
-        raise
+    with tempfile.TemporaryDirectory(prefix=f".{csv_path.name}.", dir=csv_path.parent) as stage:
+        staged_csv = write_csv(table, Path(stage) / csv_path.name)
+        staged_script = emit_plot_script(staged_csv, cfg.mode)
+        os.replace(staged_csv, csv_path)
+        os.replace(staged_script, csv_path.with_suffix(".gnuplot"))
     return [SweepRecord(*row) for row in table.tolist()]
 
 

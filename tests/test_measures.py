@@ -372,6 +372,15 @@ def test_full_report_accepts_non_x_states():
     rho = np.kron(plus, np.diag([1.0, 0.0]).astype(complex))
     rep = full_report(rho)
     assert rep.s == 0.0  # separable states never steer
+    # |0><0| x (I + 0.4 sigma_y)/2: the off-X entries are purely imaginary, so
+    # the real part alone looks X structured but is a different state
+    y_polarised = np.array([[0.5, -0.2j], [0.2j, 0.5]])
+    for rho in (np.kron(np.diag([1.0, 0.0]), y_polarised), np.kron(y_polarised, plus)):
+        rep = full_report(rho)
+        h = [_oracle_conditional_entropy(rho, axis) for axis in range(3)]
+        np.testing.assert_allclose(rep.h_cond, h, atol=1e-12)
+        assert abs(rep.i_ab - (SIX_LN2 - 2.0 * sum(h))) < 1e-12
+        assert rep.s < 1e-12  # at the threshold 2 ln 2, up to rounding
 
 
 def test_full_report_accepts_complex_x_states():

@@ -179,6 +179,19 @@ def test_x_params_from_density_rejects_non_x():
     with pytest.raises(InvalidStateError, match="X structured"):
         x_params_from_density(rho)
     assert not is_x_structured(rho)
+    # the structure is read off the complex matrix, not its real part
+    rho = np.kron(np.diag([1.0, 0.0]), np.array([[0.5, -0.2j], [0.2j, 0.5]]))
+    for real_parts in (False, True):
+        with pytest.raises(InvalidStateError, match="X structured"):
+            x_params_from_density(rho, real_parts=real_parts)
+
+
+def test_x_params_from_density_imaginary_coherences():
+    rho = from_x_params(XStateParams(0.4, 0.1, 0.1, 0.4, 0.2, 0.05))
+    rho[0, 3], rho[3, 0] = 0.2j, -0.2j
+    with pytest.raises(InvalidStateError, match="imaginary"):
+        x_params_from_density(rho)
+    assert x_params_from_density(rho, real_parts=True) == XStateParams(0.4, 0.1, 0.1, 0.4, 0.0, 0.05)
 
 
 def test_check_density_rejects_bad_operators():

@@ -407,15 +407,24 @@ def test_plot_script_channel_axis_label(tmp_path):
 
 
 def test_failed_plot_script_leaves_no_output(tmp_path, monkeypatch):
+    fresh, kept = tmp_path / "fresh", tmp_path / "kept"
+    fresh.mkdir()
+    kept.mkdir()
+    run_sweep(_cfg(kept, points=5))
+    before = {p.name: p.read_bytes() for p in kept.iterdir()}
+    assert sorted(before) == ["out.csv", "out.gnuplot"]
+
     def broken(csv_path, mode):
         raise OSError("disk full")
 
     monkeypatch.setattr(sweep, "emit_plot_script", broken)
-    with pytest.raises(OSError, match="disk full"):
-        run_sweep(_cfg(tmp_path, points=5))
-    assert not list(tmp_path.iterdir())
-    assert main(["--mode", "nu", "--grid", "0:1:5", "--out", str(tmp_path / "x.csv")]) == EXIT_IO
-    assert not list(tmp_path.iterdir())
+    for outdir in (fresh, kept):
+        with pytest.raises(OSError, match="disk full"):
+            run_sweep(_cfg(outdir, points=9))
+        out = str(outdir / "out.csv")
+        assert main(["--mode", "nu", "--grid", "0:1:9", "--out", out]) == EXIT_IO
+    assert not list(fresh.iterdir())
+    assert {p.name: p.read_bytes() for p in kept.iterdir()} == before
 
 
 def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch):
