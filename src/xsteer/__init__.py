@@ -43,6 +43,7 @@ from .processes import (
 )
 from .sweep import (
     ConfigError,
+    NonFiniteRecordError,
     SweepConfig,
     SweepRecord,
     emit_plot_script,

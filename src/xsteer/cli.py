@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 2 invalid configuration (including parameters that
 give an invalid state or channel), 3 I/O failure, 4 internal consistency
-failure (dual-path disagreement, a negative outcome probability, or a Bell
-outcome of zero probability).
+failure (dual-path disagreement, a negative outcome probability, a Bell
+outcome of zero probability, or a non-finite value in a record to be written).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import sys
 from .measures import NegativeProbabilityError, PathDisagreementError
 from .processes import ChannelParameterError, ZeroProbabilityOutcomeError
 from .qstate import R_MAX, BellIndex, InvalidStateError
-from .sweep import MODES, ConfigError, SweepConfig, run_sweep
+from .sweep import MODES, ConfigError, NonFiniteRecordError, SweepConfig, run_sweep
 
 _DEFAULT_GRIDS = {
     "nu": "0:1:201",
@@ -139,7 +139,7 @@ def _build_config(args: argparse.Namespace) -> SweepConfig:
         bell = BellIndex(bell_name)
     except ValueError as exc:
         raise ConfigError(f"bell must be one of {[b.value for b in BellIndex]}") from exc
-    cfg = SweepConfig(
+    return SweepConfig(
         mode=mode,
         start=start,
         stop=stop,
@@ -151,7 +151,6 @@ def _build_config(args: argparse.Namespace) -> SweepConfig:
         bell=bell,
         jobs=int(pick(args.jobs, "jobs", 1)),
     )
-    return cfg.validate()
 
 
 def main(argv=None) -> int:
@@ -166,7 +165,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"sweep: I/O failure: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (PathDisagreementError, NegativeProbabilityError, ZeroProbabilityOutcomeError) as exc:
+    except (PathDisagreementError, NegativeProbabilityError, ZeroProbabilityOutcomeError,
+            NonFiniteRecordError) as exc:
         print(f"sweep: internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     print(f"wrote {cfg.out} ({len(records)} rows) and companion .gnuplot script")

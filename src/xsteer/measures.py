@@ -28,7 +28,6 @@ from .qstate import (
     InvalidStateError,
     XStateParams,
     check_density,
-    check_x_density,
     failing_row,
     row_value,
     x_params_from_density,
@@ -204,14 +203,13 @@ class SteeringReport:
     z: float
 
 
-def _closed_i_ab(p: XStateParams, h: np.ndarray):
-    """I_AB through the closed form, checked against the entropy identity.
+def _checked_i_ab(closed, h: np.ndarray):
+    """The closed-form I_AB `closed`, checked against the entropy identity.
 
     A disagreement beyond 1e-9 raises PathDisagreementError (for the first
     failing row of a batch) since it signals a formula transcription bug
     rather than bad input.
     """
-    closed = steering_functional(p)
     identity = SIX_LN2 - 2.0 * h.sum(axis=-1)
     row = failing_row(abs(closed - identity) <= PATH_AGREEMENT_TOL)
     if row is not None:
@@ -249,7 +247,7 @@ def full_report(rho: np.ndarray) -> SteeringReport:
     except InvalidStateError:  # not X structured: the entropy identity alone
         i_ab = SIX_LN2 - 2.0 * h.sum()
     else:
-        i_ab = _closed_i_ab(params, h)
+        i_ab = _checked_i_ab(steering_functional(params), h)
     s, xi, e_x, e_y, z = _derive(h, i_ab)
     return SteeringReport(
         h_cond=tuple(h.tolist()), i_ab=float(i_ab), s=float(s), xi=tuple(xi.tolist()),
@@ -261,14 +259,13 @@ def x_report(p: XStateParams) -> np.ndarray:
     """The `full_report` quantities of a batch of X states, from their parameters.
 
     Returns one row (s, z, e_x, e_y, i_ab) per state, the column order of
-    a sweep record.  Applies `check_density`'s trace and eigenvalue checks,
-    the negative-probability floor and the dual-path I_AB check to every
-    row, raising for the first failing one.  Fields of `p` may be scalars
-    shared by every row.
+    a sweep record.  Applies `XStateParams.validate`, the negative-probability
+    floor and the dual-path I_AB check to every row, raising for the first
+    failing one.  Fields of `p` may be scalars shared by every row.
     """
     p = XStateParams(*np.broadcast_arrays(p.d1, p.d2, p.d3, p.d4, p.c14, p.c23))
-    check_x_density(p)
+    closed = steering_functional(p)  # validates p, before anything else reads it
     h = _conditional_entropies(_x_joint_distribution(p))
-    i_ab = _closed_i_ab(p, h)
+    i_ab = _checked_i_ab(closed, h)
     s, _, e_x, e_y, z = _derive(h, i_ab)
     return np.column_stack([s, z, e_x, e_y, i_ab])

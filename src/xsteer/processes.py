@@ -31,7 +31,6 @@ from .qstate import (
     XStateParams,
     bell_mixture,
     check_density,
-    check_x_density,
     failing_row,
     from_x_params,
     partial_trace,
@@ -293,8 +292,8 @@ def swapped_params(p12: XStateParams, p34: XStateParams, which: BellIndex) -> XS
     qubit 3 flipped, which swaps b's populations in pairs and its two
     coherences.  Outcomes with W below 1e-12 are rejected.
     """
-    check_x_density(p12, "rho12")
-    check_x_density(p34, "rho34")
+    p12.validate("rho12")
+    p34.validate("rho34")
     a, b = p12, p34
     if which in (BellIndex.PHI_PLUS, BellIndex.PHI_MINUS):
         b = XStateParams(b.d3, b.d4, b.d1, b.d2, c14=b.c23, c23=b.c14)

@@ -21,6 +21,7 @@ import numpy as np
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIGENVALUE_TOL = -1e-10
+COHERENCE_TOL = 1e-12  # slack on c^2 <= d_a d_b in a 2x2 block of an X state
 X_STRUCTURE_TOL = 1e-10
 
 R_MAX = math.pi / 4.0
@@ -116,33 +117,47 @@ class XStateParams:
     def diagonal(self) -> tuple[float, float, float, float]:
         return (self.d1, self.d2, self.d3, self.d4)
 
-    def validate(self) -> "XStateParams":
-        """Check normalization and positivity of the two 2x2 blocks.
+    def validate(self, name: str = "state") -> "XStateParams":
+        """The one check of X parameters: are they a density matrix?
 
-        Raises InvalidStateError naming the offending field, for the first
-        failing row of a batch.
+        Unit trace within TRACE_TOL, each 2x2 block [[d_a, c], [c, d_b]]
+        positive semidefinite, and every population in [0, 1].  The block
+        clause is c^2 <= d_a d_b + min(1e-12, 1e-10 (d_a + d_b) + 1e-20): the
+        second term is `check_density`'s floor EIGENVALUE_TOL on the smaller
+        block eigenvalue (d_a + d_b)/2 - hypot((d_a - d_b)/2, c), squared
+        out.  Raises InvalidStateError naming `name` and the offending
+        field, for the first failing row of a batch; returns the input.
         """
-        for name, value in zip(("d1", "d2", "d3", "d4"), self.diagonal):
-            row = failing_row((0.0 <= value) & (value <= 1.0))
-            if row is not None:
-                raise InvalidStateError(f"{name} must lie in [0, 1], got {row_value(value, row)}")
-        total = self.d1 + self.d2 + self.d3 + self.d4
+        d1, d2, d3, d4 = diagonal = self.diagonal
+        total = d1 + d2 + d3 + d4
         row = failing_row(abs(total - 1.0) <= TRACE_TOL)
         if row is not None:
             raise InvalidStateError(
-                f"diagonal entries must sum to 1, got {row_value(total, row)!r}"
+                f"{name} does not have unit trace: diagonal entries must sum to 1, "
+                f"got {row_value(total, row)!r}"
             )
         for c_name, c, d_names, da, db, block in (
-            ("c14", self.c14, "d1*d4", self.d1, self.d4, "outer"),
-            ("c23", self.c23, "d2*d3", self.d2, self.d3, "inner"),
+            ("c14", self.c14, "d1*d4", d1, d4, "outer"),
+            ("c23", self.c23, "d2*d3", d2, d3, "inner"),
         ):
-            row = failing_row(c * c <= da * db + 1e-12)
+            cc, dd = c * c, da * db
+            ok = (cc <= dd + COHERENCE_TOL) & (cc <= dd - EIGENVALUE_TOL * (da + db - EIGENVALUE_TOL))
+            row = failing_row(ok)
             if row is not None:
                 c, da, db = (row_value(v, row) for v in (c, da, db))
+                lo = 0.5 * (da + db) - math.hypot(0.5 * (da - db), c)
                 raise InvalidStateError(
-                    f"{c_name}^2 = {c ** 2} exceeds {d_names} = {da * db}; "
-                    f"{block} 2x2 block is not positive semidefinite"
+                    f"{name} is not positive semidefinite (min eigenvalue {lo:.3e}): "
+                    f"in its {block} block {c_name}^2 = {c * c} exceeds {d_names} = {da * db}"
                 )
+        # Last, so a negative population reports its block's eigenvalue.
+        in_range = [(0.0 <= d) & (d <= 1.0) for d in diagonal]
+        row = failing_row(in_range[0] & in_range[1] & in_range[2] & in_range[3])
+        if row is not None:
+            field = next(i for i, ok in enumerate(in_range) if failing_row(ok) == row)
+            raise InvalidStateError(
+                f"{name}: d{field + 1} must lie in [0, 1], got {row_value(diagonal[field], row)}"
+            )
         return self
 
 
@@ -194,31 +209,6 @@ def check_density(rho: np.ndarray, name: str = "state") -> np.ndarray:
     if lo < EIGENVALUE_TOL:
         raise InvalidStateError(f"{name} is not positive semidefinite (min eigenvalue {lo:.3e})")
     return rho
-
-
-def check_x_density(p: XStateParams, name: str = "state") -> XStateParams:
-    """`check_density`'s trace and eigenvalue checks on X parameters.
-
-    The spectrum of an X state is the union of the spectra of its outer
-    block [[d1, c14], [c14, d4]] and inner block [[d2, c23], [c23, d3]], so
-    the smallest eigenvalue is the smaller of the two lower block
-    eigenvalues. The matrix is real symmetric, hence Hermitian.  Returns
-    the input; for a batch it raises for the first failing row.
-    """
-    tr = p.d1 + p.d2 + p.d3 + p.d4
-    row = failing_row(abs(tr - 1.0) <= TRACE_TOL)
-    if row is not None:
-        raise InvalidStateError(f"{name} does not have unit trace (trace {row_value(tr, row)!r})")
-    lo = np.minimum(
-        0.5 * (p.d1 + p.d4) - np.hypot(0.5 * (p.d1 - p.d4), p.c14),
-        0.5 * (p.d2 + p.d3) - np.hypot(0.5 * (p.d2 - p.d3), p.c23),
-    )
-    row = failing_row(lo >= EIGENVALUE_TOL)
-    if row is not None:
-        raise InvalidStateError(
-            f"{name} is not positive semidefinite (min eigenvalue {row_value(lo, row):.3e})"
-        )
-    return p
 
 
 def from_x_params(p: XStateParams) -> np.ndarray:

@@ -51,6 +51,10 @@ _SWEPT = {
 }
 MODES = tuple(_SWEPT)
 
+# Largest grid a sweep accepts.  Peak memory grows by about 0.5 kB per point
+# (50 MB at 10**5 points), so this bounds a sweep near 0.5 GB.
+MAX_POINTS = 10**6
+
 CSV_HEADER = "param,s,z,e_x,e_y,i_ab"
 # printf-style; gives the same digits as "{:.12e}".
 _ROW_FORMAT = ",".join(["%.12e"] * 6) + "\n"
@@ -58,6 +62,10 @@ _ROW_FORMAT = ",".join(["%.12e"] * 6) + "\n"
 
 class ConfigError(ValueError):
     """A sweep configuration field is missing or out of range."""
+
+
+class NonFiniteRecordError(ValueError):
+    """A sweep record to be written holds nan or inf."""
 
 
 @dataclass(frozen=True)
@@ -74,9 +82,9 @@ class SweepRecord:
 class SweepConfig:
     """One sweep: the mode, the grid, the fixed parameters, the output path.
 
-    `r_b` is either a float in [0, pi/4] or the string "track", meaning
-    r_b follows the swept r_a.  `jobs` > 1 evaluates contiguous chunks of
-    the grid in a process pool.
+    The grid has `points` values, from 2 to MAX_POINTS.  `r_b` is either a
+    float in [0, pi/4] or the string "track", meaning r_b follows the swept
+    r_a.  `jobs` > 1 evaluates contiguous chunks of the grid in a process pool.
     """
 
     mode: str
@@ -93,8 +101,8 @@ class SweepConfig:
     def validate(self) -> "SweepConfig":
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.points < 2:
-            raise ConfigError(f"points must be >= 2, got {self.points}")
+        if not 2 <= self.points <= MAX_POINTS:
+            raise ConfigError(f"points must lie in [2, {MAX_POINTS}], got {self.points}")
         if not self.start < self.stop:
             raise ConfigError(f"grid needs start < stop, got {self.start}:{self.stop}")
         if not self.out:
@@ -130,13 +138,11 @@ def _x_params(cfg: SweepConfig, grid: np.ndarray) -> XStateParams:
     if cfg.mode == "acceleration":
         return accelerated_params(cfg.nu, grid, grid if cfg.r_b == "track" else cfg.r_b)
     if cfg.mode == "ad-channel":
-        state = bell_mixture(cfg.nu).validate()
-        return damped_params(state, ad_survival(cfg.g_over_gamma, grid))
+        return damped_params(bell_mixture(cfg.nu), ad_survival(cfg.g_over_gamma, grid))
     if cfg.mode == "dephasing-channel":
-        state = bell_mixture(cfg.nu).validate()
-        return dephased_params(state, dephasing_coherence(cfg.g_over_gamma, grid))
+        return dephased_params(bell_mixture(cfg.nu), dephasing_coherence(cfg.g_over_gamma, grid))
     if cfg.mode == "swap":
-        pair = bell_mixture(grid).validate()
+        pair = bell_mixture(grid)
         return swapped_params(pair, pair, cfg.bell)
     raise ConfigError(f"unknown mode {cfg.mode!r}")
 
@@ -195,8 +201,8 @@ def write_csv(records, path: Path | str) -> Path:
     """UTF-8 CSV with LF endings and 12-significant-digit scientific fields.
 
     `records` is a sequence of SweepRecord or an (n, 6) array of their
-    fields in column order.  A non-finite value raises ValueError, naming
-    the first such row, before anything is written.
+    fields in column order.  A non-finite value raises NonFiniteRecordError,
+    naming the first such row, before anything is written.
     """
     path = Path(path)
     if not isinstance(records, np.ndarray):
@@ -205,7 +211,9 @@ def write_csv(records, path: Path | str) -> Path:
     finite = np.isfinite(table).all(axis=1)
     if not finite.all():
         row = int(np.flatnonzero(~finite)[0])
-        raise ValueError(f"non-finite sweep record in row {row}: {table[row].tolist()}")
+        raise NonFiniteRecordError(
+            f"non-finite sweep record in row {row}: {table[row].tolist()}"
+        )
     _write_text(path, CSV_HEADER + "\n" + _ROW_FORMAT * len(table) % tuple(table.ravel().tolist()))
     return path
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from xsteer.measures import steering_functional, x_coefficients
 from xsteer.qstate import (
     DOMAINS,
     BellIndex,
@@ -11,7 +12,6 @@ from xsteer.qstate import (
     XStateParams,
     bell_mixture,
     check_density,
-    check_x_density,
     from_x_params,
     is_x_structured,
     partial_trace,
@@ -63,11 +63,17 @@ def test_from_x_params_entry_positions():
         (XStateParams(-0.1, 0.4, 0.4, 0.3, 0, 0), "d1"),
         (XStateParams(0.5, 0.0, 0.0, 0.5, 0.6, 0.0), "c14"),
         (XStateParams(0.25, 0.25, 0.25, 0.25, 0.0, 0.3), "c23"),
+        # c14^2 = 1e-12 is within the 1e-12 coherence slack, but the outer
+        # block's smaller eigenvalue is -1e-6
+        (XStateParams(0.0, 0.5, 0.5, 0.0, 1e-6, 0.0), "min eigenvalue"),
+        # both blocks pass; the populations leave [0, 1]
+        (XStateParams(1.2, -0.1, -0.1, 0.0, 0.0, 0.0), "d1 must lie in"),
     ],
 )
 def test_from_x_params_rejects_invalid(params, fragment):
-    with pytest.raises(InvalidStateError, match=fragment):
-        from_x_params(params)
+    for entry in (from_x_params, x_coefficients, steering_functional):
+        with pytest.raises(InvalidStateError, match=fragment):
+            entry(params)
 
 
 def test_bell_mixture_cases():
@@ -219,8 +225,8 @@ def _batch(rows: list[XStateParams]) -> XStateParams:
     return XStateParams(*np.array([(p.d1, p.d2, p.d3, p.d4, p.c14, p.c23) for p in rows]).T)
 
 
-# c14^2 exceeds d1*d4 by 5e-13, which validate allows, but the smaller outer
-# eigenvalue is about -5e-10, which the density checks reject.
+# c14^2 exceeds d1*d4 by 5e-13, inside the 1e-12 slack, but the smaller
+# outer eigenvalue is about -5e-10, below the eigenvalue floor.
 _NEGATIVE_EIGENVALUE = XStateParams(
     0.0005, 0.4995, 0.4995, 0.0005, math.sqrt(0.0005**2 + 5e-13), 0.0
 )
@@ -237,23 +243,63 @@ _NEGATIVE_EIGENVALUE = XStateParams(
     ],
 )
 def test_check_x_density_agrees_with_matrix_check(params, fragment):
+    """The X-parameter check, `validate`, agrees with `check_density` on the matrix."""
     rho = _x_matrix(params)
     if fragment is None:
         check_density(rho)
-        assert check_x_density(params) is params
+        assert params.validate() is params
         return
-    for check, arg in ((check_density, rho), (check_x_density, params)):
+    for check, arg in ((check_density, rho), (XStateParams.validate, params)):
         with pytest.raises(InvalidStateError, match=fragment):
             check(arg)
 
 
-def test_negative_eigenvalue_case_passes_validate():
-    _NEGATIVE_EIGENVALUE.validate()
+def _separate_block_rules(da, db, c):
+    """The two block rules `validate` merges, each in its own closed form.
+
+    The coherence bound c^2 <= d_a d_b + 1e-12, and `check_density`'s floor
+    on the smaller block eigenvalue.
+    """
+    coherence_rule = c * c <= da * db + 1e-12
+    eigenvalue_rule = 0.5 * (da + db) - np.hypot(0.5 * (da - db), c) >= -1e-10
+    return coherence_rule & eigenvalue_rule
+
+
+def test_block_rule_accepts_what_both_separate_rules_accept():
+    # Blocks with d_a, d_b log-uniform down to 1e-22 (some exactly 0), and c
+    # set a relative 1e-7 to 1e-1 inside or outside one rule's boundary.
+    # Closer than about 1e-8 the eigenvalue form loses digits to the
+    # cancellation in (d_a + d_b)/2 - hypot, which the squared form avoids.
+    n = 100_000
+    rng = np.random.default_rng(2010)
+    da, db = np.exp(rng.uniform(math.log(1e-22), math.log(0.5), (2, n)))
+    da[rng.random(n) < 0.05] = 0.0
+    db[rng.random(n) < 0.05] = 0.0
+    boundary = np.where(rng.random(n) < 0.5, da * db + 1e-12, (da + 1e-10) * (db + 1e-10))
+    offset = rng.choice([-1.0, 1.0], n) * np.exp(rng.uniform(math.log(1e-7), math.log(0.1), n))
+    c = rng.choice([-1.0, 1.0], n) * np.sqrt(boundary) * (1.0 + offset)
+    accepted = _separate_block_rules(da, db, c)
+    assert 0.1 < accepted.mean() < 0.9
+    # even rows test the outer block, odd rows the inner one; the other
+    # block is diagonal and the trace is 1
+    rest, zero = 0.5 * (1.0 - da - db), np.zeros(n)
+    outer = np.arange(n) % 2 == 0
+    states = np.where(outer, [da, rest, rest, db, c, zero], [rest, da, db, rest, zero, c])
+    XStateParams(*states[:, accepted]).validate()
+    still_accepted = []
+    for row in states[:, ~accepted].T.tolist():
+        try:
+            XStateParams(*row).validate()
+        except InvalidStateError as exc:
+            assert "positive semidefinite" in str(exc)
+        else:
+            still_accepted.append(row)
+    assert still_accepted == []
 
 
 def test_batch_checks_report_the_first_failing_row():
     rows = [random_x_state(seed) for seed in range(6)]
-    check_x_density(_batch(rows).validate())
+    _batch(rows).validate()
     rows[2] = XStateParams(0.5, 0.5, 0.0, 0.0, 0.6, 0.0)  # c14^2 > d1*d4
     rows[4] = XStateParams(0.5, 0.5, 0.0, 0.0, 0.0, 0.1)  # c23^2 > d2*d3
     with pytest.raises(InvalidStateError) as single:

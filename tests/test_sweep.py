@@ -33,6 +33,7 @@ from xsteer.qstate import (
 )
 from xsteer.sweep import (
     CSV_HEADER,
+    MAX_POINTS,
     ConfigError,
     SweepConfig,
     SweepRecord,
@@ -100,6 +101,7 @@ def _cfg(tmp_path, **kw):
         (dict(mode="ad-channel", start=0.0, stop=math.inf), "inside"),
         (dict(mode="dephasing-channel", start=0.0, stop=10.0, g_over_gamma=math.inf),
          "g-over-gamma"),
+        (dict(points=MAX_POINTS + 1), "points"),
     ],
 )
 def test_config_validation_reports_offending_field(tmp_path, kw, fragment):
@@ -291,6 +293,24 @@ def test_guard_non_finite_rows(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match="non-finite sweep record in row 1"):
         run_sweep(_cfg(tmp_path, points=3))
     assert not list(tmp_path.iterdir())
+
+
+def test_each_state_is_validated_once(tmp_path, monkeypatch):
+    # one check of the swept batch per sweep; swap also checks its two inputs
+    calls = []
+    validate = XStateParams.validate
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return validate(self, *args, **kwargs)
+
+    monkeypatch.setattr(XStateParams, "validate", counted)
+    expected = {"nu": 1, "acceleration": 1, "ad-channel": 1, "dephasing-channel": 1, "swap": 3}
+    for mode, count in expected.items():
+        calls.clear()
+        stop = R_MAX if mode == "acceleration" else 1.0
+        run_sweep(_cfg(tmp_path, mode=mode, start=0.0, stop=stop, points=5))
+        assert len(calls) == count, mode
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +533,40 @@ def test_cli_rejects_out_of_domain_values_without_traceback(tmp_path):
         assert proc.stderr.startswith("sweep: invalid config:")
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_cli_caps_grid_points_before_building_a_grid(tmp_path, monkeypatch, capsys):
+    def no_grid(self):
+        raise AssertionError("grid built for an oversized sweep")
+
+    monkeypatch.setattr(SweepConfig, "grid", no_grid)
+    out = tmp_path / "x.csv"
+    conf = tmp_path / "sweep.json"
+    conf.write_text(json.dumps({"mode": "nu", "grid": "0:1:2000000000", "out": str(out)}))
+    for argv in (
+        ["--mode", "nu", "--grid", "0:1:2000000000", "--out", str(out)],
+        ["--config", str(conf)],
+    ):
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("sweep: invalid config: points must lie in [2, 1000000]")
+        assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cli_non_finite_record_is_internal_failure(tmp_path, monkeypatch, capsys):
+    def with_nan(cfg, grid):
+        table = np.zeros((len(grid), 6))
+        table[1, 2] = math.nan
+        return table
+
+    monkeypatch.setattr(sweep, "evaluate_grid", with_nan)
+    out = str(tmp_path / "x.csv")
+    assert main(["--mode", "nu", "--grid", "0:1:3", "--out", out]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err.startswith("sweep: internal consistency failure: non-finite sweep record in row 1")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_missing_mode_is_config_error(tmp_path):
