@@ -45,7 +45,6 @@ from .sweep import (
     ConfigError,
     NonFiniteRecordError,
     SweepConfig,
-    SweepRecord,
     emit_plot_script,
     figure_presets,
     load_csv,

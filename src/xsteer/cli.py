@@ -14,16 +14,8 @@ import sys
 
 from .measures import NegativeProbabilityError, PathDisagreementError
 from .processes import ChannelParameterError, ZeroProbabilityOutcomeError
-from .qstate import R_MAX, BellIndex, InvalidStateError
-from .sweep import MODES, ConfigError, NonFiniteRecordError, SweepConfig, run_sweep
-
-_DEFAULT_GRIDS = {
-    "nu": "0:1:201",
-    "swap": "0:1:201",
-    "acceleration": f"0:{R_MAX!r}:201",
-    "ad-channel": "0:100:201",
-    "dephasing-channel": "0:40:201",
-}
+from .qstate import BellIndex, InvalidStateError
+from .sweep import _SWEPT, MODES, ConfigError, NonFiniteRecordError, SweepConfig, run_sweep
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -69,8 +61,6 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
 
 
 def _parse_rb(value) -> float | str:
-    if isinstance(value, (int, float)):
-        return float(value)
     if value == "track":
         return "track"
     try:
@@ -116,41 +106,37 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
+def _parse_bell(value: str) -> BellIndex:
+    try:
+        return BellIndex(value)
+    except ValueError as exc:
+        raise ConfigError(f"bell must be one of {[b.value for b in BellIndex]}") from exc
+
+
+# Each optional setting's SweepConfig field and parser, in the order of their checks.
+_FIELDS = {
+    "bell": ("bell", _parse_bell),
+    "nu": ("nu", float),
+    "rb": ("r_b", _parse_rb),
+    "g_over_gamma": ("g_over_gamma", float),
+    "jobs": ("jobs", int),
+}
+
+
 def _build_config(args: argparse.Namespace) -> SweepConfig:
-    file_values = _load_config_file(args.config) if args.config else {}
-
-    def pick(flag_value, key, default=None):
-        if flag_value is not None:
-            return flag_value
-        return file_values.get(key, default)
-
-    mode = pick(args.mode, "mode")
+    """The sweep the flags and config file ask for; a flag wins over the file."""
+    values = _load_config_file(args.config) if args.config else {}
+    values.update((k, v) for k, v in vars(args).items() if v is not None and k != "config")
+    mode = values.get("mode")
     if mode is None:
         raise ConfigError("mode: required (flag --mode or config key 'mode')")
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    out = pick(args.out, "out")
-    if out is None:
+    if "out" not in values:
         raise ConfigError("out: required (flag --out or config key 'out')")
-    grid = pick(args.grid, "grid", _DEFAULT_GRIDS[mode])
-    start, stop, points = _parse_grid(str(grid))
-    bell_name = pick(args.bell, "bell", BellIndex.PSI_PLUS.value)
-    try:
-        bell = BellIndex(bell_name)
-    except ValueError as exc:
-        raise ConfigError(f"bell must be one of {[b.value for b in BellIndex]}") from exc
-    return SweepConfig(
-        mode=mode,
-        start=start,
-        stop=stop,
-        points=points,
-        out=str(out),
-        nu=float(pick(args.nu, "nu", 1.0)),
-        r_b=_parse_rb(pick(args.rb, "rb", 0.0)),
-        g_over_gamma=float(pick(args.g_over_gamma, "g_over_gamma", 0.1)),
-        bell=bell,
-        jobs=int(pick(args.jobs, "jobs", 1)),
-    )
+    start, stop, points = _parse_grid(values["grid"]) if "grid" in values else _SWEPT[mode][2]
+    fields = {field: parse(values[key]) for key, (field, parse) in _FIELDS.items() if key in values}
+    return SweepConfig(mode, start, stop, points, values["out"], **fields)
 
 
 def main(argv=None) -> int:

@@ -191,22 +191,23 @@ class BellIndex(Enum):
 
 
 def check_density(rho: np.ndarray, name: str = "state") -> np.ndarray:
-    """Validate Hermiticity, unit trace and positive semidefiniteness.
+    """Validate finiteness, Hermiticity, unit trace and positive semidefiniteness.
 
     Works for any 2^n x 2^n operator; returns the input unchanged so it can
-    be used inline.
+    be used inline.  Each comparison fails on nan, so a nan or inf entry
+    fails the Hermiticity check: it leaves a nan or inf defect.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise InvalidStateError(f"{name} must be a square matrix, got shape {rho.shape}")
     herm = np.max(np.abs(rho - rho.conj().T))
-    if herm > HERMITICITY_TOL:
-        raise InvalidStateError(f"{name} is not Hermitian (defect {herm:.3e})")
+    if not herm <= HERMITICITY_TOL:
+        raise InvalidStateError(f"{name} is not a finite Hermitian matrix (defect {herm:.3e})")
     tr = np.trace(rho)
-    if abs(tr - 1.0) > TRACE_TOL:
+    if not abs(tr - 1.0) <= TRACE_TOL:
         raise InvalidStateError(f"{name} does not have unit trace (trace {tr!r})")
     lo = float(np.min(np.linalg.eigvalsh(rho)))
-    if lo < EIGENVALUE_TOL:
+    if not lo >= EIGENVALUE_TOL:
         raise InvalidStateError(f"{name} is not positive semidefinite (min eigenvalue {lo:.3e})")
     return rho
 
@@ -227,25 +228,23 @@ _OFF_X = np.flatnonzero(~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]))
 _X_ENTRIES = np.array([0, 5, 10, 15, 3, 6])
 
 
-def is_x_structured(rho: np.ndarray, tol: float = X_STRUCTURE_TOL) -> bool:
-    """True when every entry off the diagonal and anti-diagonal is negligible."""
-    return float(np.abs(np.asarray(rho).reshape(16)[_OFF_X]).max()) <= tol
+def is_x_structured(rho: np.ndarray) -> bool:
+    """True when every entry off the diagonal and anti-diagonal is within X_STRUCTURE_TOL."""
+    return float(np.abs(np.asarray(rho).reshape(16)[_OFF_X]).max()) <= X_STRUCTURE_TOL
 
 
-def x_params_from_density(
-    rho: np.ndarray, tol: float = X_STRUCTURE_TOL, *, real_parts: bool = False
-) -> XStateParams:
+def x_params_from_density(rho: np.ndarray, *, real_parts: bool = False) -> XStateParams:
     """Read the six X-state parameters back out of a density matrix.
 
     The X structure is checked on `rho` itself.  X entries with an imaginary
-    part above `tol` raise InvalidStateError unless `real_parts` is set,
-    which keeps their real parts instead.
+    part above X_STRUCTURE_TOL raise InvalidStateError unless `real_parts`
+    is set, which keeps their real parts instead.
     """
     rho = np.asarray(rho)
-    if not is_x_structured(rho, tol):
+    if not is_x_structured(rho):
         raise InvalidStateError("density matrix is not X structured")
     picked = rho.reshape(16)[_X_ENTRIES]
-    if not real_parts and float(np.abs(picked.imag).max()) > tol:
+    if not real_parts and float(np.abs(picked.imag).max()) > X_STRUCTURE_TOL:
         raise InvalidStateError("X entries carry a non-negligible imaginary part")
     return XStateParams(*picked.real.tolist())
 

@@ -41,13 +41,14 @@ from .processes import (
 )
 from .qstate import DOMAINS, R_MAX, BellIndex, XStateParams, bell_mixture
 
-# What each mode sweeps: its DOMAINS entry and its plot axis label.
+# What each mode sweeps: its DOMAINS entry, its plot axis label and its
+# default grid (start, stop, points).
 _SWEPT = {
-    "nu": ("nu", "ν"),
-    "acceleration": ("r", "r"),
-    "ad-channel": ("gamma_t", "γt"),
-    "dephasing-channel": ("gamma_t", "γt"),
-    "swap": ("nu", "ν"),
+    "nu": ("nu", "ν", (0.0, 1.0, 201)),
+    "acceleration": ("r", "r", (0.0, R_MAX, 201)),
+    "ad-channel": ("gamma_t", "γt", (0.0, 100.0, 201)),
+    "dephasing-channel": ("gamma_t", "γt", (0.0, 40.0, 201)),
+    "swap": ("nu", "ν", (0.0, 1.0, 201)),
 }
 MODES = tuple(_SWEPT)
 
@@ -56,6 +57,8 @@ MODES = tuple(_SWEPT)
 MAX_POINTS = 10**6
 
 CSV_HEADER = "param,s,z,e_x,e_y,i_ab"
+# One sweep record, a float field per CSV column.
+RECORD = np.dtype([(name, float) for name in CSV_HEADER.split(",")])
 # printf-style; gives the same digits as "{:.12e}".
 _ROW_FORMAT = ",".join(["%.12e"] * 6) + "\n"
 
@@ -66,16 +69,6 @@ class ConfigError(ValueError):
 
 class NonFiniteRecordError(ValueError):
     """A sweep record to be written holds nan or inf."""
-
-
-@dataclass(frozen=True)
-class SweepRecord:
-    param: float
-    s: float
-    z: float
-    e_x: float
-    e_y: float
-    i_ab: float
 
 
 @dataclass(frozen=True)
@@ -107,6 +100,8 @@ class SweepConfig:
             raise ConfigError(f"grid needs start < stop, got {self.start}:{self.stop}")
         if not self.out:
             raise ConfigError("out: an output path is required")
+        if Path(self.out).suffix == ".gnuplot":
+            raise ConfigError(f"out must not end in .gnuplot, its plot script's suffix: {self.out}")
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
         swept = DOMAINS[_SWEPT[self.mode][0]]
@@ -157,7 +152,7 @@ def evaluate_grid(cfg: SweepConfig, grid) -> np.ndarray:
     return np.column_stack([grid, x_report(_x_params(cfg, grid))])
 
 
-def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
+def run_sweep(cfg: SweepConfig) -> np.recarray:
     """Evaluate the grid, write the CSV and its plot script, return the records.
 
     With jobs > 1 the grid goes to a process pool of at most one worker per
@@ -181,7 +176,14 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
         staged_script = emit_plot_script(staged_csv, cfg.mode)
         os.replace(staged_csv, csv_path)
         os.replace(staged_script, csv_path.with_suffix(".gnuplot"))
-    return [SweepRecord(*row) for row in table.tolist()]
+    return _read_only(table.view(RECORD)[:, 0])
+
+
+def _read_only(rows: np.ndarray) -> np.recarray:
+    """`rows` of dtype RECORD as a record array that rejects assignment."""
+    rows = rows.view(np.recarray)
+    rows.flags.writeable = False
+    return rows
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -197,17 +199,18 @@ def _write_text(path: Path, text: str) -> None:
         raise
 
 
-def write_csv(records, path: Path | str) -> Path:
+def write_csv(table, path: Path | str) -> Path:
     """UTF-8 CSV with LF endings and 12-significant-digit scientific fields.
 
-    `records` is a sequence of SweepRecord or an (n, 6) array of their
-    fields in column order.  A non-finite value raises NonFiniteRecordError,
-    naming the first such row, before anything is written.
+    `table` is an (n, 6) float array, one record per row in CSV_HEADER's
+    column order.  Any other shape raises ValueError and a non-finite value
+    raises NonFiniteRecordError, naming the first such row, before anything
+    is written.
     """
     path = Path(path)
-    if not isinstance(records, np.ndarray):
-        records = [(r.param, r.s, r.z, r.e_x, r.e_y, r.i_ab) for r in records]
-    table = np.asarray(records, dtype=float).reshape(-1, 6)
+    table = np.asarray(table, dtype=float)
+    if table.ndim != 2 or table.shape[1] != 6:
+        raise ValueError(f"write_csv needs an (n, 6) table, got shape {table.shape}")
     finite = np.isfinite(table).all(axis=1)
     if not finite.all():
         row = int(np.flatnonzero(~finite)[0])
@@ -218,16 +221,15 @@ def write_csv(records, path: Path | str) -> Path:
     return path
 
 
-def load_csv(path: Path | str) -> list[SweepRecord]:
-    """Parse a CSV produced by write_csv back into records."""
+def load_csv(path: Path | str) -> np.recarray:
+    """Parse a CSV produced by write_csv back into a read-only record array."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise ConfigError(f"{path}: not a sweep CSV (bad header)")
-    out = []
-    for line in lines[1:]:
-        param, s, z, e_x, e_y, i_ab = (float(tok) for tok in line.split(","))
-        out.append(SweepRecord(param, s, z, e_x, e_y, i_ab))
-    return out
+    body = lines[1:]
+    # loadtxt warns on empty input, so a header-only file skips it
+    rows = np.loadtxt(body, dtype=RECORD, delimiter=",", ndmin=1) if body else np.empty(0, RECORD)
+    return _read_only(rows)
 
 
 def emit_plot_script(csv_path: Path | str, mode: str) -> Path:

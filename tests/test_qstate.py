@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from xsteer.measures import steering_functional, x_coefficients
+from xsteer.measures import full_report, steering_functional, x_coefficients
+from xsteer.processes import bell_project_swap
 from xsteer.qstate import (
     DOMAINS,
     BellIndex,
@@ -211,6 +212,16 @@ def test_check_density_rejects_bad_operators():
         check_density(2.0 * good)
     with pytest.raises(InvalidStateError, match="positive semidefinite"):
         check_density(np.diag([0.7, 0.5, -0.1, -0.1]).astype(complex))
+    # nan passes no comparison: the first has unit trace apart from its nan
+    # entries, and eigvalsh raises LinAlgError on the second
+    for bad in (np.diag([math.nan, 0.5, 0.5, math.nan]), np.full((4, 4), math.nan)):
+        for call in (
+            lambda: check_density(bad),
+            lambda: full_report(bad),
+            lambda: bell_project_swap(bad, good, BellIndex.PSI_PLUS),
+        ):
+            with pytest.raises(InvalidStateError, match="finite Hermitian"):
+                call()
 
 
 def _x_matrix(p: XStateParams) -> np.ndarray:

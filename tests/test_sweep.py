@@ -1,9 +1,9 @@
-import dataclasses
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +36,6 @@ from xsteer.sweep import (
     MAX_POINTS,
     ConfigError,
     SweepConfig,
-    SweepRecord,
     emit_plot_script,
     evaluate_grid,
     figure_presets,
@@ -50,7 +49,7 @@ from xsteer.sweep import (
 REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 
-def _matrix_point(cfg: SweepConfig, param: float) -> SweepRecord:
+def _matrix_point(cfg: SweepConfig, param: float) -> tuple:
     """One grid point through the 4x4 and 16x16 matrix path: the oracle for evaluate_grid."""
     param = float(param)
     if cfg.mode == "nu":
@@ -64,11 +63,11 @@ def _matrix_point(cfg: SweepConfig, param: float) -> SweepRecord:
     else:
         rho = swap_bell_mixtures(param, cfg.bell)
     rep = full_report(rho)
-    return SweepRecord(param=param, s=rep.s, z=rep.z, e_x=rep.e_x, e_y=rep.e_y, i_ab=rep.i_ab)
+    return (param, rep.s, rep.z, rep.e_x, rep.e_y, rep.i_ab)
 
 
-def _grid_records(cfg, grid) -> list[SweepRecord]:
-    return [SweepRecord(*row) for row in evaluate_grid(cfg, grid).tolist()]
+def _grid_records(cfg, grid) -> list[list[float]]:
+    return evaluate_grid(cfg, grid).tolist()
 
 
 def _cfg(tmp_path, **kw):
@@ -102,6 +101,7 @@ def _cfg(tmp_path, **kw):
         (dict(mode="dephasing-channel", start=0.0, stop=10.0, g_over_gamma=math.inf),
          "g-over-gamma"),
         (dict(points=MAX_POINTS + 1), "points"),
+        (dict(out="fig.gnuplot"), "gnuplot"),
     ],
 )
 def test_config_validation_reports_offending_field(tmp_path, kw, fragment):
@@ -195,7 +195,7 @@ def test_batched_engine_matches_matrix_oracle(tmp_path, mode):
         hi = 100.0 if math.isinf(domain.hi) else domain.hi
         grid = np.concatenate([[domain.lo, hi], rng.uniform(domain.lo, hi, 30)])
         got = evaluate_grid(cfg, grid)
-        want = np.array([dataclasses.astuple(_matrix_point(cfg, x)) for x in grid])
+        want = np.array([_matrix_point(cfg, x) for x in grid])
         np.testing.assert_array_equal(got[:, 0], grid)
         np.testing.assert_allclose(got[:, 1:], want[:, 1:], rtol=0, atol=1e-12, err_msg=str(cfg))
 
@@ -375,6 +375,33 @@ def test_csv_round_trip_at_printed_precision(tmp_path):
             assert getattr(got, name) == float("{:.12e}".format(getattr(ref, name)))
 
 
+def test_sweep_records_are_read_only(tmp_path):
+    records = run_sweep(_cfg(tmp_path, points=5))
+    assert records.dtype.names == tuple(CSV_HEADER.split(","))
+    for row in (records, load_csv(tmp_path / "out.csv")):
+        with pytest.raises(ValueError, match="read-only"):
+            row.s[0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            row[1] = (0.0,) * 6
+
+
+def test_write_csv_rejects_other_shapes(tmp_path):
+    for table in (np.zeros((3, 4)), np.zeros(12)):
+        with pytest.raises(ValueError, match=r"\(n, 6\) table"):
+            write_csv(table, tmp_path / "bad.csv")
+    assert not list(tmp_path.iterdir())
+
+
+def test_header_only_csv_loads_as_empty_records(tmp_path):
+    path = write_csv(np.empty((0, 6)), tmp_path / "empty.csv")
+    assert path.read_text() == CSV_HEADER + "\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = load_csv(path)
+    assert rows.shape == (0,)
+    assert rows.dtype.names == tuple(CSV_HEADER.split(","))
+
+
 def test_load_csv_rejects_foreign_file(tmp_path):
     path = tmp_path / "junk.csv"
     path.write_text("time,value\n0,1\n")
@@ -392,12 +419,10 @@ def test_csv_row_template_matches_format_spec(tmp_path):
     path = write_csv(table, tmp_path / "t.csv")
     expected = [",".join("{:.12e}".format(v) for v in row) for row in table.tolist()]
     assert path.read_text().splitlines()[1:] == expected
-    records = [SweepRecord(*row) for row in table.tolist()]
-    assert write_csv(records, tmp_path / "r.csv").read_bytes() == path.read_bytes()
 
 
 def test_write_csv_significant_digits(tmp_path):
-    rec = SweepRecord(param=1 / 3, s=0.123456789012345, z=0.0, e_x=0.5, e_y=0.25, i_ab=2.0)
+    rec = (1 / 3, 0.123456789012345, 0.0, 0.5, 0.25, 2.0)
     path = write_csv([rec], tmp_path / "one.csv")
     row = path.read_text().splitlines()[1]
     assert row.split(",")[0] == "3.333333333333e-01"
@@ -480,8 +505,8 @@ def test_presets_match_reference_csvs(tmp_path):
     assert set(presets) == {path.stem for path in REFERENCE_DIR.glob("*.csv")}
     for name, cfg in presets.items():
         run_sweep(cfg)
-        got = [dataclasses.astuple(r) for r in load_csv(cfg.out)]
-        want = [dataclasses.astuple(r) for r in load_csv(REFERENCE_DIR / f"{name}.csv")]
+        got = load_csv(cfg.out).tolist()
+        want = load_csv(REFERENCE_DIR / f"{name}.csv").tolist()
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12, err_msg=name)
 
 
@@ -567,6 +592,20 @@ def test_cli_non_finite_record_is_internal_failure(tmp_path, monkeypatch, capsys
     assert err.startswith("sweep: internal consistency failure: non-finite sweep record in row 1")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not list(tmp_path.iterdir())
+
+
+def test_cli_rejects_out_named_like_the_plot_script(tmp_path, capsys):
+    # the CSV's own .gnuplot path would be both files of the pair
+    assert main(["--mode", "nu", "--grid", "0:1:5", "--out", str(tmp_path / "a.csv")]) == EXIT_OK
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    capsys.readouterr()
+    for name in ("a.gnuplot", "fig.gnuplot"):
+        out = str(tmp_path / name)
+        assert main(["--mode", "nu", "--grid", "0:1:5", "--out", out]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("sweep: invalid config: out must not end in .gnuplot")
+        assert err.count("\n") == 1
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_cli_missing_mode_is_config_error(tmp_path):
