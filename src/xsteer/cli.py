@@ -73,16 +73,24 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-# The JSON value each config key takes, as (description, test).
-_CONFIG_TYPES = {
-    "mode": ("a string", lambda v: isinstance(v, str)),
-    "grid": ("a string", lambda v: isinstance(v, str)),
-    "nu": ("a number", _is_number),
-    "rb": ('a number or "track"', lambda v: _is_number(v) or v == "track"),
-    "g_over_gamma": ("a number", _is_number),
-    "bell": ("a string", lambda v: isinstance(v, str)),
-    "out": ("a string", lambda v: isinstance(v, str)),
-    "jobs": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+def _parse_bell(value: str) -> BellIndex:
+    try:
+        return BellIndex(value)
+    except ValueError as exc:
+        raise ConfigError(f"bell must be one of {[b.value for b in BellIndex]}") from exc
+
+
+# Each config key: the JSON value it takes, as (description, test), then the
+# SweepConfig field and parser of each optional setting, in the order of their checks.
+_KEYS = {
+    "mode": ("a string", lambda v: isinstance(v, str), None, None),
+    "grid": ("a string", lambda v: isinstance(v, str), None, None),
+    "out": ("a string", lambda v: isinstance(v, str), None, None),
+    "bell": ("a string", lambda v: isinstance(v, str), "bell", _parse_bell),
+    "nu": ("a number", _is_number, "nu", float),
+    "rb": ('a number or "track"', lambda v: _is_number(v) or v == "track", "r_b", _parse_rb),
+    "g_over_gamma": ("a number", _is_number, "g_over_gamma", float),
+    "jobs": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool), "jobs", int),
 }
 
 
@@ -96,31 +104,14 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"config: {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config: {path} must hold a JSON object")
-    unknown = set(data) - set(_CONFIG_TYPES)
+    unknown = set(data) - set(_KEYS)
     if unknown:
         raise ConfigError(f"config: unknown keys {sorted(unknown)}")
     for key, value in data.items():
-        kind, accepts = _CONFIG_TYPES[key]
+        kind, accepts, _, _ = _KEYS[key]
         if not accepts(value):
             raise ConfigError(f"config: {key} must be {kind}, got {json.dumps(value)}")
     return data
-
-
-def _parse_bell(value: str) -> BellIndex:
-    try:
-        return BellIndex(value)
-    except ValueError as exc:
-        raise ConfigError(f"bell must be one of {[b.value for b in BellIndex]}") from exc
-
-
-# Each optional setting's SweepConfig field and parser, in the order of their checks.
-_FIELDS = {
-    "bell": ("bell", _parse_bell),
-    "nu": ("nu", float),
-    "rb": ("r_b", _parse_rb),
-    "g_over_gamma": ("g_over_gamma", float),
-    "jobs": ("jobs", int),
-}
 
 
 def _build_config(args: argparse.Namespace) -> SweepConfig:
@@ -135,7 +126,8 @@ def _build_config(args: argparse.Namespace) -> SweepConfig:
     if "out" not in values:
         raise ConfigError("out: required (flag --out or config key 'out')")
     start, stop, points = _parse_grid(values["grid"]) if "grid" in values else _SWEPT[mode][2]
-    fields = {field: parse(values[key]) for key, (field, parse) in _FIELDS.items() if key in values}
+    fields = {field: parse(values[key])
+              for key, (_, _, field, parse) in _KEYS.items() if field and key in values}
     return SweepConfig(mode, start, stop, points, values["out"], **fields)
 
 

@@ -200,7 +200,8 @@ def check_density(rho: np.ndarray, name: str = "state") -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise InvalidStateError(f"{name} must be a square matrix, got shape {rho.shape}")
-    herm = np.max(np.abs(rho - rho.conj().T))
+    with np.errstate(invalid="ignore"):  # inf - inf is nan, which fails below
+        herm = np.abs(rho - rho.conj().T).max()
     if not herm <= HERMITICITY_TOL:
         raise InvalidStateError(f"{name} is not a finite Hermitian matrix (defect {herm:.3e})")
     tr = np.trace(rho)

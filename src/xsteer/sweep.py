@@ -14,15 +14,14 @@ of every grid point in closed form and evaluates the whole grid in one
 vectorised pass.  With jobs > 1 the grid is split into contiguous chunks, one
 per worker, each evaluated by the same pass; every operation acts row by row,
 so the emitted bytes are identical for any worker count.  The CSV and its plot
-script are written to a temporary directory beside the output and moved into
-place together.
+script are rendered in memory, written to two temporary files beside the
+output and renamed into place, CSV first.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
-import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -157,9 +156,9 @@ def run_sweep(cfg: SweepConfig) -> np.recarray:
 
     With jobs > 1 the grid goes to a process pool of at most one worker per
     CPU, since the pool starts all its workers up front, in one contiguous
-    chunk per worker.  The CSV and its script are first written to a
-    temporary directory beside the output and then renamed into place, CSV
-    first; if either write fails, any earlier pair is left as it was.
+    chunk per worker.  Both files are first written in full to temporary
+    files beside the output and then renamed into place, CSV first; if
+    either write fails, any earlier pair is left as it was.
     """
     cfg.validate()
     grid = cfg.grid()
@@ -171,11 +170,10 @@ def run_sweep(cfg: SweepConfig) -> np.recarray:
     else:
         table = evaluate_grid(cfg, grid)
     csv_path = Path(cfg.out)
-    with tempfile.TemporaryDirectory(prefix=f".{csv_path.name}.", dir=csv_path.parent) as stage:
-        staged_csv = write_csv(table, Path(stage) / csv_path.name)
-        staged_script = emit_plot_script(staged_csv, cfg.mode)
-        os.replace(staged_csv, csv_path)
-        os.replace(staged_script, csv_path.with_suffix(".gnuplot"))
+    _write_texts({
+        csv_path: _csv_text(table),
+        csv_path.with_suffix(".gnuplot"): _plot_text(csv_path.name, cfg.mode),
+    })
     return _read_only(table.view(RECORD)[:, 0])
 
 
@@ -186,17 +184,39 @@ def _read_only(rows: np.ndarray) -> np.recarray:
     return rows
 
 
-def _write_text(path: Path, text: str) -> None:
-    """Write `text` to a temporary file beside `path`, then move it into place."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+def _write_texts(texts: dict[Path, str]) -> None:
+    """Write each text to a temporary file beside its path, then rename each into place.
+
+    Every temporary file is written in full before the first rename, and the
+    renames follow the dict's order.  On any failure the temporary files
+    still left are removed.
+    """
+    temps = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in texts}
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        for path, text in texts.items():
+            with open(temps[path], "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        for path, tmp in temps.items():
+            os.replace(tmp, path)
     except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
+        for tmp in temps.values():
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
         raise
+
+
+def _csv_text(table) -> str:
+    """The CSV text of an (n, 6) float table, one record per row; see write_csv."""
+    table = np.asarray(table, dtype=float)
+    if table.ndim != 2 or table.shape[1] != 6:
+        raise ValueError(f"write_csv needs an (n, 6) table, got shape {table.shape}")
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        row = int(np.flatnonzero(~finite)[0])
+        raise NonFiniteRecordError(
+            f"non-finite sweep record in row {row}: {table[row].tolist()}"
+        )
+    return CSV_HEADER + "\n" + _ROW_FORMAT * len(table) % tuple(table.ravel().tolist())
 
 
 def write_csv(table, path: Path | str) -> Path:
@@ -208,16 +228,7 @@ def write_csv(table, path: Path | str) -> Path:
     is written.
     """
     path = Path(path)
-    table = np.asarray(table, dtype=float)
-    if table.ndim != 2 or table.shape[1] != 6:
-        raise ValueError(f"write_csv needs an (n, 6) table, got shape {table.shape}")
-    finite = np.isfinite(table).all(axis=1)
-    if not finite.all():
-        row = int(np.flatnonzero(~finite)[0])
-        raise NonFiniteRecordError(
-            f"non-finite sweep record in row {row}: {table[row].tolist()}"
-        )
-    _write_text(path, CSV_HEADER + "\n" + _ROW_FORMAT * len(table) % tuple(table.ravel().tolist()))
+    _write_texts({path: _csv_text(table)})
     return path
 
 
@@ -232,30 +243,21 @@ def load_csv(path: Path | str) -> np.recarray:
     return _read_only(rows)
 
 
-def emit_plot_script(csv_path: Path | str, mode: str) -> Path:
-    """Write a gnuplot script next to the CSV: S solid, Z dashed."""
-    csv_path = Path(csv_path)
-    if not csv_path.exists():
-        raise FileNotFoundError(f"CSV not found: {csv_path}")
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    name = csv_path.name
-    label = _SWEPT[mode][1]
-    script = "\n".join(
+def _plot_text(csv_name: str, mode: str) -> str:
+    """The gnuplot script for the CSV `csv_name` beside it: S solid, Z dashed."""
+    name = "'" + csv_name.replace("'", "''") + "'"  # a gnuplot single-quoted string
+    return "\n".join(
         [
-            f"# render with: gnuplot -persist {csv_path.stem}.gnuplot",
+            f"# render with: gnuplot -persist {Path(csv_name).stem}.gnuplot",
             "set datafile separator ','",
-            f"set xlabel '{label}'",
+            f"set xlabel '{_SWEPT[mode][1]}'",
             "set ylabel 'steering / squeezing'",
             "set yrange [-0.02:1.05]",
             "set key top right",
-            f"plot '{name}' skip 1 using 1:2 with lines lw 2 dashtype 1 title 'S', \\",
-            f"     '{name}' skip 1 using 1:3 with lines lw 2 dashtype 2 title 'Z'",
+            f"plot {name} skip 1 using 1:2 with lines lw 2 dashtype 1 title 'S', \\",
+            f"     {name} skip 1 using 1:3 with lines lw 2 dashtype 2 title 'Z'",
         ]
     ) + "\n"
-    script_path = csv_path.with_suffix(".gnuplot")
-    _write_text(script_path, script)
-    return script_path
 
 
 def figure_presets(outdir: Path | str) -> dict[str, SweepConfig]:

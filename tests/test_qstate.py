@@ -213,8 +213,11 @@ def test_check_density_rejects_bad_operators():
     with pytest.raises(InvalidStateError, match="positive semidefinite"):
         check_density(np.diag([0.7, 0.5, -0.1, -0.1]).astype(complex))
     # nan passes no comparison: the first has unit trace apart from its nan
-    # entries, and eigvalsh raises LinAlgError on the second
-    for bad in (np.diag([math.nan, 0.5, 0.5, math.nan]), np.full((4, 4), math.nan)):
+    # entries, and eigvalsh raises LinAlgError on the second; inf - inf is nan
+    for bad in (
+        np.diag([math.nan, 0.5, 0.5, math.nan]), np.full((4, 4), math.nan),
+        np.diag([math.inf, 0, 0, 0]), np.diag([-math.inf, 1, 1, 0]),
+    ):
         for call in (
             lambda: check_density(bad),
             lambda: full_report(bad),

@@ -36,7 +36,6 @@ from xsteer.sweep import (
     MAX_POINTS,
     ConfigError,
     SweepConfig,
-    emit_plot_script,
     evaluate_grid,
     figure_presets,
     load_csv,
@@ -235,7 +234,7 @@ def test_guard_domain_fires_for_first_bad_grid_value(tmp_path, monkeypatch):
     monkeypatch.setattr(SweepConfig, "grid", lambda self: np.array([0.0, -1.0, math.nan]))
     with pytest.raises(ChannelParameterError, match="got -1.0"):
         run_sweep(_cfg(tmp_path, mode="ad-channel", start=0.0, stop=1.0, points=3))
-    assert not (tmp_path / "out.csv").exists()
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(
@@ -251,7 +250,7 @@ def test_guard_state_checks_fire_per_row(tmp_path, monkeypatch, bad, fragment):
     # check_density's trace and eigenvalue checks and validate's block rules
     with pytest.raises(InvalidStateError, match=fragment):
         _run_with_params(tmp_path, monkeypatch, [_PSI, _MIXED, bad, _MIXED])
-    assert not (tmp_path / "out.csv").exists()
+    assert not list(tmp_path.iterdir())
 
 
 def test_guard_negative_probability_floor(tmp_path, monkeypatch):
@@ -272,7 +271,7 @@ def test_guard_path_disagreement(tmp_path, monkeypatch):
     monkeypatch.setattr(measures, "steering_functional", lambda p: closed(p) + 2e-9)
     with pytest.raises(PathDisagreementError):
         run_sweep(_cfg(tmp_path, points=5))
-    assert not (tmp_path / "out.csv").exists()
+    assert not list(tmp_path.iterdir())
 
 
 def test_guard_swap_weight_floor(tmp_path, monkeypatch):
@@ -280,7 +279,7 @@ def test_guard_swap_weight_floor(tmp_path, monkeypatch):
     monkeypatch.setattr(sweep, "bell_mixture", lambda nu: ground)
     with pytest.raises(ZeroProbabilityOutcomeError, match="phi"):
         run_sweep(_cfg(tmp_path, mode="swap", points=3, bell=BellIndex.PHI_PLUS))
-    assert not (tmp_path / "out.csv").exists()
+    assert not list(tmp_path.iterdir())
 
 
 def test_guard_non_finite_rows(tmp_path, monkeypatch):
@@ -440,8 +439,16 @@ def test_plot_script_labels_and_determinism(tmp_path):
     assert "title 'S'" in script and "title 'Z'" in script
     assert "dashtype 1" in script and "dashtype 2" in script
     assert "out.csv" in script
-    again = emit_plot_script(tmp_path / "out.csv", "nu")
-    assert again.read_text(encoding="utf-8") == script
+    run_sweep(_cfg(tmp_path, points=5))
+    assert (tmp_path / "out.gnuplot").read_text(encoding="utf-8") == script
+
+
+def test_plot_script_quotes_csv_name(tmp_path):
+    run_sweep(_cfg(tmp_path, points=3, out=str(tmp_path / "it's.csv")))
+    # gnuplot reads '' inside a single-quoted string as one '
+    plot, more = (tmp_path / "it's.gnuplot").read_text(encoding="utf-8").splitlines()[-2:]
+    assert plot.startswith("plot 'it''s.csv' skip 1 using 1:2 ")
+    assert more.startswith("     'it''s.csv' skip 1 using 1:3 ")
 
 
 def test_plot_script_channel_axis_label(tmp_path):
@@ -458,16 +465,22 @@ def test_failed_plot_script_leaves_no_output(tmp_path, monkeypatch):
     run_sweep(_cfg(kept, points=5))
     before = {p.name: p.read_bytes() for p in kept.iterdir()}
     assert sorted(before) == ["out.csv", "out.gnuplot"]
+    opened = []
 
-    def broken(csv_path, mode):
-        raise OSError("disk full")
+    def script_disk_full(path, *args, **kwargs):
+        if Path(path).name.startswith(".out.gnuplot."):
+            raise OSError("disk full")
+        opened.append(Path(path))
+        return open(path, *args, **kwargs)
 
-    monkeypatch.setattr(sweep, "emit_plot_script", broken)
+    monkeypatch.setattr(sweep, "open", script_disk_full, raising=False)
     for outdir in (fresh, kept):
         with pytest.raises(OSError, match="disk full"):
             run_sweep(_cfg(outdir, points=9))
         out = str(outdir / "out.csv")
         assert main(["--mode", "nu", "--grid", "0:1:9", "--out", out]) == EXIT_IO
+    assert [p.name for p in opened] == [f".out.csv.{os.getpid()}.tmp"] * 4
+    assert not any(p.exists() for p in opened)
     assert not list(fresh.iterdir())
     assert {p.name: p.read_bytes() for p in kept.iterdir()} == before
 
@@ -485,9 +498,16 @@ def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch):
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
-def test_plot_script_requires_csv(tmp_path):
-    with pytest.raises(FileNotFoundError):
-        emit_plot_script(tmp_path / "absent.csv", "nu")
+def test_sweep_publishes_pair_with_two_renames(tmp_path, monkeypatch):
+    renamed, made = [], []
+    replace, mkdir = sweep.os.replace, sweep.os.mkdir
+    monkeypatch.setattr(
+        sweep.os, "replace", lambda src, dst: renamed.append(Path(dst).name) or replace(src, dst)
+    )
+    monkeypatch.setattr(sweep.os, "mkdir", lambda *a, **kw: made.append(a) or mkdir(*a, **kw))
+    run_sweep(_cfg(tmp_path, points=5))
+    assert renamed == ["out.csv", "out.gnuplot"] and not made
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.gnuplot"]
 
 
 def test_presets_cover_every_mode(tmp_path):
@@ -700,6 +720,13 @@ def test_cli_config_file_rejects_bad_value_types(tmp_path, capsys, key, value):
     assert err.startswith(f"sweep: invalid config: config: {key} must be")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+def test_cli_reports_bad_bell_before_bad_rb(tmp_path, capsys):
+    conf = tmp_path / "sweep.json"
+    conf.write_text(json.dumps({"mode": "nu", "out": str(tmp_path / "x.csv"), "bell": "chi"}))
+    assert main(["--config", str(conf), "--rb", "fast"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("sweep: invalid config: bell must be one of")
 
 
 def test_cli_swap_bell_flag(tmp_path):
