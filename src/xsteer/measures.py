@@ -27,9 +27,11 @@ import numpy as np
 from .qstate import (
     InvalidStateError,
     XStateParams,
+    as_square,
     check_density,
     failing_row,
     row_value,
+    tensor,
     x_params_from_density,
 )
 
@@ -49,12 +51,15 @@ _SQ2 = 1.0 / math.sqrt(2.0)
 # |n>_A |m>_B, with |0>, |1> the +1, -1 eigenvectors of sigma_i:
 # (|0> +- |1>)/sqrt(2) for x, (|0> +- i|1>)/sqrt(2) for y, |0>, |1> for z.
 # Probabilities are phase independent, so any consistent phase choice works.
-PRODUCT_BASES = np.stack([np.kron(b, b) for b in (
+PRODUCT_BASES = np.stack([tensor(b, b) for b in (
     np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex),
     np.array([[_SQ2, _SQ2], [1j * _SQ2, -1j * _SQ2]], dtype=complex),
     np.eye(2, dtype=complex),
 )])
-_PRODUCT_BRAS = PRODUCT_BASES.conj()
+# The same measurement as one linear map on the flattened matrix: row
+# 4a + i of _PROJECTION times rho.reshape(16) is <b_ai| rho |b_ai>, with
+# b_ai column i of PRODUCT_BASES[a].
+_PROJECTION = np.einsum("aji,aki->aijk", PRODUCT_BASES.conj(), PRODUCT_BASES).reshape(12, 16)
 
 
 class NegativeProbabilityError(ValueError):
@@ -81,8 +86,8 @@ def joint_distribution(rho: np.ndarray) -> np.ndarray:
     Rows are the axes x, y, z.  Column 2n + m holds outcome n of qubit A
     and m of qubit B, with 0 for +1 and 1 for -1: (+,+), (+,-), (-,+), (-,-).
     """
-    p = np.einsum("aji,jk,aki->ai", _PRODUCT_BRAS, np.asarray(rho, dtype=complex), PRODUCT_BASES)
-    return _clean_probabilities(p.real)
+    p = _PROJECTION @ as_square(rho, "state", 4).reshape(16)
+    return _clean_probabilities(p.real.reshape(3, 4))
 
 
 def _x_ln_x(x: np.ndarray) -> np.ndarray:
@@ -239,7 +244,7 @@ def full_report(rho: np.ndarray) -> SteeringReport:
     beyond 1e-9 raises PathDisagreementError since it signals a formula
     transcription bug rather than bad input.
     """
-    rho = check_density(rho)
+    rho = check_density(rho, dim=4)
     h = conditional_entropy(rho)
     try:
         # The x and y statistics read only the real parts of the coherences.

@@ -14,8 +14,12 @@ Every process maps X states to X states.  `accelerated_params`,
 `damped_params`, `dephased_params` and `swapped_params` give the output's
 X parameters in closed form, for one state or a batch (array fields); the
 sweeps run on them.  The matrix path (`accelerate_oracle`, the Kraus
-operators with `apply_local_channel`, `bell_project_swap`) builds the
-operators themselves and serves as the independent oracle.
+operators with `apply_local_channel`, `bell_project_swap`) works on the
+density matrices themselves and serves as the independent oracle.  Channels
+and swapping run as contractions over qubit indices that build no Kronecker
+product and no 16x16 operator; `accelerate_oracle` alone keeps an enlarged
+16-dimensional state, since building it is what makes that path independent
+of the closed form.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .qstate import (
     BellIndex,
     InvalidStateError,
     XStateParams,
+    as_square,
     bell_mixture,
     check_density,
     failing_row,
@@ -111,8 +116,8 @@ def accelerate_oracle(nu: float, r_a: float, r_b: float) -> np.ndarray:
     za, oa = _rindler_images(r_a)
     zb, ob = _rindler_images(r_b)
     s = 1.0 / math.sqrt(2.0)
-    psi = s * (np.kron(za, zb) + np.kron(oa, ob))   # from (|00> + |11>)/sqrt(2)
-    phi = s * (np.kron(za, ob) + np.kron(oa, zb))   # from (|01> + |10>)/sqrt(2)
+    psi = s * (tensor(za, zb) + tensor(oa, ob))   # from (|00> + |11>)/sqrt(2)
+    phi = s * (tensor(za, ob) + tensor(oa, zb))   # from (|01> + |10>)/sqrt(2)
     rho16 = nu * np.outer(phi, phi.conj()) + (1.0 - nu) * np.outer(psi, psi.conj())
     return partial_trace(rho16, keep=(0, 2))
 
@@ -222,12 +227,13 @@ def dephased_params(p: XStateParams, coherence) -> XStateParams:
 
 
 def completeness_defect(kraus: list[np.ndarray]) -> float:
-    """Max elementwise deviation of sum K^dag K from the identity."""
-    dim = kraus[0].shape[0]
-    acc = np.zeros((dim, dim), dtype=complex)
-    for k in kraus:
-        acc += k.conj().T @ k
-    return float(np.max(np.abs(acc - np.eye(dim))))
+    """Max elementwise deviation of sum K^dag K from the identity.
+
+    `kraus` is a list of equal-shape operators or their stack.
+    """
+    k = np.asarray(kraus, dtype=complex)
+    total = np.einsum("kji,kjl->il", k.conj(), k)
+    return float(np.abs(total - np.eye(k.shape[-1])).max())
 
 
 def apply_local_channel(
@@ -235,22 +241,26 @@ def apply_local_channel(
 ) -> np.ndarray:
     """Evolve rho0 under independent local channels on qubits A and B.
 
-    rho = sum_ij (K_i^A x K_j^B) rho0 (K_i^A x K_j^B)^dag.  Both operator
-    sets must satisfy the completeness relation.
+    rho = sum_ij (K_i^A x K_j^B) rho0 (K_i^A x K_j^B)^dag, formed as two
+    contractions on rho0 reshaped to (dA, dB, dA, dB): first each K_j^B on
+    B's indices, then each K_i^A on A's.  The dimensions come from the
+    operators; rho0 must be (dA dB) x (dA dB).  Both operator sets must
+    satisfy the completeness relation.
     """
-    for name, ops in (("A", kraus_a), ("B", kraus_b)):
+    ka = np.asarray(kraus_a, dtype=complex)
+    kb = np.asarray(kraus_b, dtype=complex)
+    for name, ops in (("A", ka), ("B", kb)):
         defect = completeness_defect(ops)
         if defect > COMPLETENESS_TOL:
             raise ChannelParameterError(
                 f"channel on qubit {name} is not trace preserving (defect {defect:.3e})"
             )
-    rho0 = np.asarray(rho0, dtype=complex)
-    out = np.zeros_like(rho0)
-    for ka in kraus_a:
-        for kb in kraus_b:
-            op = np.kron(ka, kb)
-            out += op @ rho0 @ op.conj().T
-    return out
+    da, db = ka.shape[-1], kb.shape[-1]
+    rho = as_square(rho0, "rho0", da * db).reshape(da, db, da, db)
+    rho = np.einsum("jyb,abAB,jYB->ayAY", kb, rho, kb.conj())
+    rho = np.einsum("ixa,ayAY,iXA->xyXY", ka, rho, ka.conj())
+    dim = ka.shape[-2] * kb.shape[-2]
+    return rho.reshape(dim, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -265,19 +275,21 @@ def bell_project_swap(
     The four-qubit input is rho12 x rho34 in qubit order 1, 2, 3, 4; the
     middle pair is projected onto the chosen Bell state and the outcome is
     renormalized by its probability (post-selection).  Outcomes with
-    probability below 1e-12 are rejected.
+    probability below 1e-12 are rejected.  The projection and the trace
+    over qubits 2, 3 are one contraction of <k| rho12 rho34 |k> over their
+    indices, with k the Bell ket; no four-qubit matrix is formed.
     """
-    rho12 = check_density(rho12, "rho12")
-    rho34 = check_density(rho34, "rho34")
-    rho = tensor(rho12, rho34)
-    m = np.kron(np.kron(np.eye(2, dtype=complex), which.projector), np.eye(2, dtype=complex))
-    projected = m @ rho @ m.conj().T
-    weight = float(np.trace(projected).real)
+    rho12 = check_density(rho12, "rho12", dim=4).reshape(2, 2, 2, 2)
+    rho34 = check_density(rho34, "rho34", dim=4).reshape(2, 2, 2, 2)
+    k = which.ket.reshape(2, 2)
+    # <k| on qubits 2, 3 from the left, |k> from the right, with qubits 1, 4 kept.
+    kept = np.einsum("bc,abAB,cdCD,BC->adAD", k.conj(), rho12, rho34, k).reshape(4, 4)
+    weight = float(np.trace(kept).real)
     if weight < SWAP_PROBABILITY_FLOOR:
         raise ZeroProbabilityOutcomeError(
             f"Bell outcome {which.value} has probability {weight:.3e}"
         )
-    return partial_trace(projected / weight, keep=(0, 3))
+    return kept / weight
 
 
 def swapped_params(p12: XStateParams, p34: XStateParams, which: BellIndex) -> XStateParams:

@@ -190,16 +190,28 @@ class BellIndex(Enum):
         return np.outer(k, k.conj())
 
 
-def check_density(rho: np.ndarray, name: str = "state") -> np.ndarray:
+def as_square(rho, name: str, dim: int | None = None) -> np.ndarray:
+    """`rho` as a complex square matrix, `dim` x `dim` when `dim` is given.
+
+    The one shape check of the matrix path: any other shape raises
+    InvalidStateError naming the shape expected and the shape received.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or dim is not None and rho.shape[0] != dim:
+        expected = "a square matrix" if dim is None else f"of shape ({dim}, {dim})"
+        raise InvalidStateError(f"{name} must be {expected}, got shape {rho.shape}")
+    return rho
+
+
+def check_density(rho: np.ndarray, name: str = "state", dim: int | None = None) -> np.ndarray:
     """Validate finiteness, Hermiticity, unit trace and positive semidefiniteness.
 
-    Works for any 2^n x 2^n operator; returns the input unchanged so it can
+    Works for any square operator, or only a `dim` x `dim` one when `dim` is
+    given (see `as_square`); returns the input as a complex array so it can
     be used inline.  Each comparison fails on nan, so a nan or inf entry
     fails the Hermiticity check: it leaves a nan or inf defect.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise InvalidStateError(f"{name} must be a square matrix, got shape {rho.shape}")
+    rho = as_square(rho, name, dim)
     with np.errstate(invalid="ignore"):  # inf - inf is nan, which fails below
         herm = np.abs(rho - rho.conj().T).max()
     if not herm <= HERMITICITY_TOL:
@@ -207,7 +219,7 @@ def check_density(rho: np.ndarray, name: str = "state") -> np.ndarray:
     tr = np.trace(rho)
     if not abs(tr - 1.0) <= TRACE_TOL:
         raise InvalidStateError(f"{name} does not have unit trace (trace {tr!r})")
-    lo = float(np.min(np.linalg.eigvalsh(rho)))
+    lo = float(np.linalg.eigvalsh(rho)[0])  # eigenvalues come in ascending order
     if not lo >= EIGENVALUE_TOL:
         raise InvalidStateError(f"{name} is not positive semidefinite (min eigenvalue {lo:.3e})")
     return rho
@@ -265,8 +277,20 @@ def bell_mixture(nu: float) -> XStateParams:
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, left factor first."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """Kronecker product of two vectors or two matrices, left factor first.
+
+    Formed as the broadcast outer product a_ij b_kl with its axes put in the
+    order (i, k, j, l) and merged, which gives the bytes `np.kron` gives at a
+    fraction of its call cost.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.ndim == b.ndim == 1:
+        return np.multiply.outer(a, b).reshape(a.size * b.size)
+    if a.ndim == b.ndim == 2:
+        rows, cols = a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
+        return np.multiply.outer(a, b).transpose(0, 2, 1, 3).reshape(rows, cols)
+    raise ValueError(f"tensor takes two vectors or two matrices, got {a.shape} and {b.shape}")
 
 
 def partial_trace(rho: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:

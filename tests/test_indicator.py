@@ -1,0 +1,88 @@
+"""Does the squeezing average Z indicate the steering degree S?
+
+One `x_report` pass over three sets of X states: 10^5 random states drawn as
+`random_x_state` draws them, every steerable one of those with its
+coherences scaled down onto the threshold I_AB = 2 ln 2 (approached from
+above, where Z is smallest), and a grid over the Bell-diagonal states.
+"""
+
+import numpy as np
+
+from xsteer.measures import TWO_LN2, steering_functional, x_report
+from xsteer.qstate import XStateParams
+
+
+def _random_x_states(rng: np.random.Generator, n: int) -> np.ndarray:
+    # random_x_state's construction, one row (d1, d2, d3, d4, c14, c23) per state
+    raw = rng.random((n, 4)) + 1e-9
+    d = raw / raw.sum(axis=1, keepdims=True)
+    c14 = rng.uniform(-1.0, 1.0, n) * np.sqrt(d[:, 0] * d[:, 3])
+    c23 = rng.uniform(-1.0, 1.0, n) * np.sqrt(d[:, 1] * d[:, 2])
+    return np.column_stack([d, c14, c23])
+
+
+def _scaled(rows: np.ndarray, scale: np.ndarray) -> XStateParams:
+    return XStateParams(*rows[:, :4].T, rows[:, 4] * scale, rows[:, 5] * scale)
+
+
+def _onto_threshold(rows: np.ndarray) -> np.ndarray:
+    # Bisect a coherence scale in [0, 1] per row.  At scale 1 a row steers;
+    # at 0 it is diagonal, where H_x = H_y = ln 2 leaves I_AB = 2 ln 2 - 2 H_z
+    # <= 2 ln 2.  The upper end keeps I_AB above the threshold throughout.
+    lo, hi = np.zeros(len(rows)), np.ones(len(rows))
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        above = steering_functional(_scaled(rows, mid)) > TWO_LN2
+        hi, lo = np.where(above, mid, hi), np.where(above, lo, mid)
+    out = rows.copy()
+    out[:, 4:] *= hi[:, None]
+    return out
+
+
+def _bell_diagonal(k: int = 40) -> np.ndarray:
+    # weights w of psi+, psi-, phi+, phi- on a simplex grid of step 1/k
+    w = np.array(
+        [(a, b, c, k - a - b - c) for a in range(k + 1)
+         for b in range(k + 1 - a) for c in range(k + 1 - a - b)]
+    ) / k
+    outer, inner = (w[:, 0] + w[:, 1]) / 2, (w[:, 2] + w[:, 3]) / 2
+    c14, c23 = (w[:, 0] - w[:, 1]) / 2, (w[:, 2] - w[:, 3]) / 2
+    return np.column_stack([outer, inner, inner, outer, c14, c23])
+
+
+def _concurrence(rows: np.ndarray) -> np.ndarray:
+    # Yu and Eberly: 2 max(0, |c14| - sqrt(d2 d3), |c23| - sqrt(d1 d4))
+    d, c14, c23 = rows[:, :4], np.abs(rows[:, 4]), np.abs(rows[:, 5])
+    return 2.0 * np.maximum(
+        0.0, np.maximum(c14 - np.sqrt(d[:, 1] * d[:, 2]), c23 - np.sqrt(d[:, 0] * d[:, 3]))
+    )
+
+
+def test_steering_implies_squeezing_but_not_conversely():
+    rng = np.random.default_rng(2026)
+    random_rows = _random_x_states(rng, 100_000)
+    steerable = random_rows[x_report(XStateParams(*random_rows.T))[:, 0] > 0.0]
+    sets = [random_rows, _onto_threshold(steerable), _bell_diagonal()]
+    rows = np.concatenate(sets)
+    report = x_report(XStateParams(*rows.T))
+    s, z = report[:, 0], report[:, 1]
+    concurrence = _concurrence(rows)
+    threshold = slice(len(sets[0]), len(sets[0]) + len(sets[1]))
+
+    assert len(steerable) > 1000
+    # S > 0 implies Z > 0, on every set, right down to the threshold
+    assert np.all(z[s > 0.0] > 0.0)
+    assert np.all(s[threshold] > 0.0)
+    assert np.all(s[threshold] < 1e-12)
+    assert np.all(z[threshold] > 0.0)
+    # steering implies entanglement: no steerable state has zero concurrence
+    assert np.all(concurrence[s > 0.0] > 0.0)
+    # The converse fails: Z > 0 with S = 0, even on separable states.
+    unsteered = (z > 0.0) & (s == 0.0)
+    assert np.count_nonzero(unsteered[: len(sets[0])]) > len(steerable)
+    assert np.any(unsteered & (concurrence == 0.0))
+    # On the Bell-diagonal grid too; the largest gap, (sqrt 2 - 1)/2, is the
+    # separable midpoint of the psi+ / phi+ mixture.
+    bell = slice(threshold.stop, None)
+    assert np.any(unsteered[bell])
+    assert abs(np.max(z[bell] - s[bell]) - (np.sqrt(2.0) - 1.0) / 2.0) < 1e-12

@@ -20,6 +20,7 @@ from xsteer.measures import (
 )
 from xsteer.qstate import (
     BellIndex,
+    InvalidStateError,
     XStateParams,
     bell_mixture,
     from_x_params,
@@ -398,6 +399,15 @@ def test_full_report_accepts_complex_x_states():
         h = [_oracle_conditional_entropy(rho, axis) for axis in range(3)]
         np.testing.assert_allclose(rep.h_cond, h, atol=1e-12)
         assert abs(rep.i_ab - (SIX_LN2 - 2.0 * sum(h))) < 1e-12
+
+
+@pytest.mark.parametrize("dim", [2, 8])
+@pytest.mark.parametrize("measure", [full_report, joint_distribution, conditional_entropy])
+def test_measures_reject_wrong_size_matrices(measure, dim):
+    # a valid one- or three-qubit state is not a two-qubit state
+    expected = rf"state must be of shape \(4, 4\), got shape \({dim}, {dim}\)"
+    with pytest.raises(InvalidStateError, match=expected):
+        measure(np.eye(dim, dtype=complex) / dim)
 
 
 def test_full_report_path_disagreement_guard(monkeypatch):

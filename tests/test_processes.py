@@ -30,6 +30,7 @@ from xsteer.qstate import (
     check_density,
     from_x_params,
     is_x_structured,
+    partial_trace,
     random_x_state,
     x_params_from_density,
 )
@@ -46,6 +47,20 @@ def _batch(params: list[XStateParams]) -> XStateParams:
 def _row(batch: XStateParams, i: int) -> XStateParams:
     fields = (batch.d1, batch.d2, batch.d3, batch.d4, batch.c14, batch.c23)
     return XStateParams(*(float(v[i]) for v in fields))
+
+
+def _random_density(rng: np.random.Generator, dim: int = 4) -> np.ndarray:
+    # G G^dag / tr for a complex Gaussian G: full rank and, for dim 4, not X structured
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho)
+
+
+def _random_kraus(rng: np.random.Generator, count: int) -> list[np.ndarray]:
+    # the 2x2 blocks of a random (2 count) x 2 isometry V: sum K^dag K = V^dag V = 1
+    g = rng.normal(size=(2 * count, 2)) + 1j * rng.normal(size=(2 * count, 2))
+    v = np.linalg.qr(g)[0]
+    return [v[2 * i:2 * i + 2] for i in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +289,43 @@ def test_full_damping_projects_everything_to_ground():
         np.testing.assert_allclose(apply_local_channel(rho, ops, ops), target, atol=1e-14)
 
 
+def test_completeness_defect_matches_loop():
+    rng = np.random.default_rng(3)
+    for count in range(1, 5):
+        exact = _random_kraus(rng, count)
+        for ops in (exact, [k * 1.01 for k in exact], [k + 1e-6j for k in exact]):
+            acc = np.zeros((2, 2), dtype=complex)
+            for k in ops:
+                acc += k.conj().T @ k
+            expected = np.abs(acc - np.eye(2)).max()
+            for given in (ops, np.stack(ops)):
+                assert abs(completeness_defect(given) - expected) <= 1e-15
+
+
+def test_apply_local_channel_matches_kron_loop():
+    # 1 to 4 Kraus operators per side, cut from random isometries, on
+    # full-rank non-X states, against sum_ij (K_i x K_j) rho (K_i x K_j)^dag
+    rng = np.random.default_rng(4)
+    for count_a in range(1, 5):
+        for count_b in range(1, 5):
+            kraus_a, kraus_b = _random_kraus(rng, count_a), _random_kraus(rng, count_b)
+            rho = _random_density(rng)
+            expected = np.zeros((4, 4), dtype=complex)
+            for ka in kraus_a:
+                for kb in kraus_b:
+                    op = np.kron(ka, kb)
+                    expected += op @ rho @ op.conj().T
+            got = apply_local_channel(rho, kraus_a, kraus_b)
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14)
+
+
+def test_apply_local_channel_rejects_wrong_size_state():
+    ops = amplitude_damping_kraus(0.5, 1.0)
+    expected = r"rho0 must be of shape \(4, 4\), got shape \(8, 8\)"
+    with pytest.raises(InvalidStateError, match=expected):
+        apply_local_channel(np.eye(8, dtype=complex) / 8, ops, ops)
+
+
 def test_apply_local_channel_rejects_incomplete_sets():
     broken = [np.array([[1.0, 0.0], [0.0, 0.5]], dtype=complex)]
     with pytest.raises(ChannelParameterError, match="trace preserving"):
@@ -352,8 +404,33 @@ def test_swap_matches_bruteforce_oracle():
             np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
+def test_bell_project_swap_matches_kron_reference():
+    # full-rank non-X inputs against the 16x16 route: project (1 x P x 1) on
+    # rho12 x rho34, renormalize, trace out qubits 2 and 3
+    rng = np.random.default_rng(5)
+    eye = np.eye(2, dtype=complex)
+    for _ in range(10):
+        rho12, rho34 = _random_density(rng), _random_density(rng)
+        for which in BellIndex:
+            m = np.kron(np.kron(eye, which.projector), eye)
+            projected = m @ np.kron(rho12, rho34) @ m.conj().T
+            expected = partial_trace(projected / np.trace(projected).real, keep=(0, 3))
+            got = bell_project_swap(rho12, rho34, which)
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("dim", [2, 8])
+def test_bell_project_swap_rejects_wrong_size_states(dim):
+    good = from_x_params(bell_mixture(0.3))
+    wrong = np.eye(dim, dtype=complex) / dim
+    for rho12, rho34, name in ((wrong, good, "rho12"), (good, wrong, "rho34")):
+        expected = rf"{name} must be of shape \(4, 4\), got shape \({dim}, {dim}\)"
+        with pytest.raises(InvalidStateError, match=expected):
+            bell_project_swap(rho12, rho34, BellIndex.PSI_PLUS)
+
+
 def test_swapped_params_match_bell_project_swap():
-    # the closed-form swap of two X states against the 16x16 projection,
+    # the closed-form swap of two X states against the matrix path,
     # elementwise, for all four outcomes, one pair at a time and as a batch
     firsts = [random_x_state(2 * seed) for seed in range(200)]
     seconds = [random_x_state(2 * seed + 1) for seed in range(200)]

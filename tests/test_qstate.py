@@ -140,6 +140,25 @@ def test_tensor_identities():
     np.testing.assert_allclose(prod, expected, atol=1e-15)
 
 
+def test_tensor_matches_kron_exactly():
+    # seeded complex factors, equal and unequal sizes: the same bytes as np.kron
+    rng = np.random.default_rng(9)
+
+    def draw(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    for a, b in (
+        (draw(2), draw(2)), (draw(2), draw(4)), (draw(4), draw(2)), (draw(4), draw(8)),
+        (draw(2, 2), draw(2, 2)), (draw(2, 2), draw(4, 4)), (draw(4, 4), draw(2, 2)),
+        (draw(4, 4), draw(4, 4)), (draw(2, 3), draw(3, 4)),
+    ):
+        got = tensor(a, b)
+        assert got.dtype == complex
+        assert got.tobytes() == np.kron(a, b).tobytes()
+    with pytest.raises(ValueError, match="two vectors or two matrices"):
+        tensor(draw(2), draw(2, 2))
+
+
 def test_tensor_trace_multiplicative():
     for seed in range(10):
         a = from_x_params(random_x_state(seed))
