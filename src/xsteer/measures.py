@@ -15,6 +15,13 @@ All entropies are in nats.  The steering threshold for a qubit pair is
 `full_report` projects a density matrix and is the library path; `x_report`
 evaluates a batch of X states from their six parameters in closed form and
 is what sweeps run.  Both derive S, Xi, E and Z through `_derive`.
+
+`full_report` evaluates one state in a single x ln x pass: the joint
+probabilities, qubit A's marginals and, for an X input, the closed form's
+offsets 1 + x_ij and 1 + a_k go into one vector, and fixed weight arrays
+read H_x, H_y, H_z and the closed-form I_AB off its x ln x terms.
+`conditional_entropy` and `steering_functional` compute the same
+quantities one at a time and stay the reference for that pass.
 """
 
 from __future__ import annotations
@@ -60,6 +67,16 @@ PRODUCT_BASES = np.stack([tensor(b, b) for b in (
 # 4a + i of _PROJECTION times rho.reshape(16) is <b_ai| rho |b_ai>, with
 # b_ai column i of PRODUCT_BASES[a].
 _PROJECTION = np.einsum("aji,aki->aijk", PRODUCT_BASES.conj(), PRODUCT_BASES).reshape(12, 16)
+# Weights of full_report's single x ln x pass.  Its vector holds the 12 joint
+# probabilities p_ij, then qubit A's 6 marginals m_in (both axis by axis),
+# then for an X input the 12 offsets 1 + x_ij and the 2 offsets 1 + a_k.
+# Row i < 3 gives H_i = -sum_j p_ij ln p_ij + sum_n m_in ln m_in; row 3 gives
+# the closed form of `steering_functional`.
+_ENTROPY_WEIGHTS = np.hstack([-np.repeat(np.eye(3), 4, axis=1), np.repeat(np.eye(3), 2, axis=1)])
+_REPORT_WEIGHTS = np.vstack([
+    np.hstack([_ENTROPY_WEIGHTS, np.zeros((3, 14))]),
+    np.concatenate([np.zeros(18), np.full(12, 0.5), [-1.0, -1.0]]),
+])
 
 
 class NegativeProbabilityError(ValueError):
@@ -91,7 +108,12 @@ def joint_distribution(rho: np.ndarray) -> np.ndarray:
 
 
 def _x_ln_x(x: np.ndarray) -> np.ndarray:
-    """x ln x elementwise, with 0 ln 0 = 0."""
+    """x ln x elementwise, with 0 ln 0 = 0 and 0 for every x < 0.
+
+    An offset 1 + x_ij of a state that passes `check_density` can round to
+    about -2e-12; clamping x at the smallest positive double instead would
+    turn that term into +1.4e-9, past the 1e-9 path check.
+    """
     return x * np.log(np.where(x > 0.0, x, 1.0))
 
 
@@ -219,8 +241,8 @@ def _checked_i_ab(closed, h: np.ndarray):
     row = failing_row(abs(closed - identity) <= PATH_AGREEMENT_TOL)
     if row is not None:
         raise PathDisagreementError(
-            f"I_AB closed form {row_value(closed, row)!r} "
-            f"vs entropy identity {row_value(identity, row)!r}"
+            f"I_AB closed form {row_value(closed, row)} "
+            f"vs entropy identity {row_value(identity, row)}"
         )
     return closed
 
@@ -243,16 +265,27 @@ def full_report(rho: np.ndarray) -> SteeringReport:
     and through the entropy identity 6 ln 2 - 2 sum H_i; a disagreement
     beyond 1e-9 raises PathDisagreementError since it signals a formula
     transcription bug rather than bad input.
+
+    Both come from one x ln x pass over a single vector: the joint
+    probabilities and qubit A's marginals give the H_i, and for an X input
+    the offsets of `x_coefficients` give the closed form.  The results equal
+    `conditional_entropy` and `steering_functional` up to summation order.
     """
     rho = check_density(rho, dim=4)
-    h = conditional_entropy(rho)
+    p = joint_distribution(rho).reshape(12)
+    terms = [p, p[0::2] + p[1::2]]  # A's outcome n sums B's outcomes of 2n + m
     try:
         # The x and y statistics read only the real parts of the coherences.
         params = x_params_from_density(rho, real_parts=True)
     except InvalidStateError:  # not X structured: the entropy identity alone
+        h = _ENTROPY_WEIGHTS @ _x_ln_x(np.concatenate(terms))
         i_ab = SIX_LN2 - 2.0 * h.sum()
     else:
-        i_ab = _checked_i_ab(steering_functional(params), h)
+        coeff = x_coefficients(params)
+        terms += [1.0 + coeff.x.reshape(12), 1.0 + coeff.a]
+        sums = _REPORT_WEIGHTS @ _x_ln_x(np.concatenate(terms))
+        h = sums[:3]
+        i_ab = _checked_i_ab(sums[3], h)
     s, xi, e_x, e_y, z = _derive(h, i_ab)
     return SteeringReport(
         h_cond=tuple(h.tolist()), i_ab=float(i_ab), s=float(s), xi=tuple(xi.tolist()),

@@ -16,10 +16,10 @@ X parameters in closed form, for one state or a batch (array fields); the
 sweeps run on them.  The matrix path (`accelerate_oracle`, the Kraus
 operators with `apply_local_channel`, `bell_project_swap`) works on the
 density matrices themselves and serves as the independent oracle.  Channels
-and swapping run as contractions over qubit indices that build no Kronecker
-product and no 16x16 operator; `accelerate_oracle` alone keeps an enlarged
-16-dimensional state, since building it is what makes that path independent
-of the closed form.
+run as contractions over qubit indices and swapping as two 4x4 matrix
+products; neither builds a 16x16 operator.  `accelerate_oracle` alone keeps
+an enlarged 16-dimensional state, since building it is what makes that path
+independent of the closed form.
 """
 
 from __future__ import annotations
@@ -267,6 +267,21 @@ def apply_local_channel(
 # Entanglement swapping
 # ---------------------------------------------------------------------------
 
+def _realign(m: np.ndarray) -> np.ndarray:
+    """Regroup a two-qubit matrix with entries (xy, XY) to entries (xX, yY).
+
+    The map is its own inverse.
+    """
+    return m.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+
+
+# The Bell projection of `bell_project_swap` as a 4x4 kernel per outcome:
+# entry (bB, cC) is conj(k_bc) k_BC, with k the Bell ket as a 2x2 array.
+_SWAP_KERNELS = {
+    which: tensor(which.ket.reshape(2, 2).conj(), which.ket.reshape(2, 2)) for which in BellIndex
+}
+
+
 def bell_project_swap(
     rho12: np.ndarray, rho34: np.ndarray, which: BellIndex
 ) -> np.ndarray:
@@ -276,14 +291,14 @@ def bell_project_swap(
     middle pair is projected onto the chosen Bell state and the outcome is
     renormalized by its probability (post-selection).  Outcomes with
     probability below 1e-12 are rejected.  The projection and the trace
-    over qubits 2, 3 are one contraction of <k| rho12 rho34 |k> over their
-    indices, with k the Bell ket; no four-qubit matrix is formed.
+    over qubits 2, 3 contract <k| rho12 rho34 |k> over their indices, with
+    k the Bell ket: with rho12 regrouped to rows (1, 1') and columns (2, 2'),
+    and rho34 to rows (3, 3') and columns (4, 4'), that is two 4x4 matrix
+    products around a fixed kernel.  No four-qubit matrix is formed.
     """
-    rho12 = check_density(rho12, "rho12", dim=4).reshape(2, 2, 2, 2)
-    rho34 = check_density(rho34, "rho34", dim=4).reshape(2, 2, 2, 2)
-    k = which.ket.reshape(2, 2)
-    # <k| on qubits 2, 3 from the left, |k> from the right, with qubits 1, 4 kept.
-    kept = np.einsum("bc,abAB,cdCD,BC->adAD", k.conj(), rho12, rho34, k).reshape(4, 4)
+    rho12 = check_density(rho12, "rho12", dim=4)
+    rho34 = check_density(rho34, "rho34", dim=4)
+    kept = _realign(_realign(rho12) @ _SWAP_KERNELS[which] @ _realign(rho34))
     weight = float(np.trace(kept).real)
     if weight < SWAP_PROBABILITY_FLOOR:
         raise ZeroProbabilityOutcomeError(

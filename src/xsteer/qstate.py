@@ -134,7 +134,7 @@ class XStateParams:
         if row is not None:
             raise InvalidStateError(
                 f"{name} does not have unit trace: diagonal entries must sum to 1, "
-                f"got {row_value(total, row)!r}"
+                f"got {row_value(total, row)}"
             )
         for c_name, c, d_names, da, db, block in (
             ("c14", self.c14, "d1*d4", d1, d4, "outer"),
@@ -216,9 +216,9 @@ def check_density(rho: np.ndarray, name: str = "state", dim: int | None = None) 
         herm = np.abs(rho - rho.conj().T).max()
     if not herm <= HERMITICITY_TOL:
         raise InvalidStateError(f"{name} is not a finite Hermitian matrix (defect {herm:.3e})")
-    tr = np.trace(rho)
+    tr = rho.trace()
     if not abs(tr - 1.0) <= TRACE_TOL:
-        raise InvalidStateError(f"{name} does not have unit trace (trace {tr!r})")
+        raise InvalidStateError(f"{name} does not have unit trace (trace {tr.real})")
     lo = float(np.linalg.eigvalsh(rho)[0])  # eigenvalues come in ascending order
     if not lo >= EIGENVALUE_TOL:
         raise InvalidStateError(f"{name} is not positive semidefinite (min eigenvalue {lo:.3e})")

@@ -10,6 +10,8 @@ from xsteer.measures import (
     TWO_LN2,
     NegativeProbabilityError,
     PathDisagreementError,
+    XCoefficients,
+    _checked_i_ab,
     conditional_entropy,
     full_report,
     joint_distribution,
@@ -23,9 +25,11 @@ from xsteer.qstate import (
     InvalidStateError,
     XStateParams,
     bell_mixture,
+    check_density,
     from_x_params,
     partial_trace,
     random_x_state,
+    x_params_from_density,
 )
 
 SQ2 = math.sqrt(2.0)
@@ -413,6 +417,50 @@ def test_measures_reject_wrong_size_matrices(measure, dim):
 def test_full_report_path_disagreement_guard(monkeypatch):
     import xsteer.measures as measures
 
-    monkeypatch.setattr(measures, "steering_functional", lambda p: 12.34)
+    # full_report reads the closed form off x_coefficients: with every offset
+    # 0 it gives I_AB = 0, against about 1.72 from the entropy identity
+    zero = XCoefficients(x=np.zeros((3, 4)), a=np.zeros(2))
+    monkeypatch.setattr(measures, "x_coefficients", lambda p: zero)
     with pytest.raises(PathDisagreementError):
         measures.full_report(from_x_params(bell_mixture(0.3)))
+
+
+def test_full_report_keeps_zero_offsets_at_zero():
+    # 1 - t = -2e-12 passes check_density; its x ln x term must count as 0,
+    # not as -2e-12 ln(tiny) = +1.4e-9, which would trip the 1e-9 path check
+    rep = full_report(from_x_params(XStateParams(0.5, 0.0, 0.0, 0.5, 0.5 + 1e-12, 0.0)))
+    bell = full_report(from_x_params(bell_mixture(0.0)))
+    assert abs(rep.s - bell.s) < 1e-11 and abs(rep.z - bell.z) < 1e-11
+
+
+def test_full_report_matches_per_quantity_functions():
+    # the single x ln x pass against the public functions it fuses, on X
+    # states and on copies rotated by R_y on qubit A, which are not X states
+    rng = np.random.default_rng(2027)
+    for seed in range(200):
+        p = random_x_state(seed)
+        rho = from_x_params(p)
+        rep = full_report(rho)
+        np.testing.assert_allclose(rep.h_cond, conditional_entropy(rho), rtol=0, atol=1e-14)
+        assert abs(rep.i_ab - steering_functional(p)) <= 1e-14
+        half = rng.uniform(0.05, math.pi / 2.0 - 0.05)
+        c, s = math.cos(half), math.sin(half)
+        u = np.kron(np.array([[c, -s], [s, c]]), np.eye(2))
+        rotated = u @ rho @ u.T
+        with pytest.raises(InvalidStateError):
+            x_params_from_density(rotated, real_parts=True)
+        rep = full_report(rotated)
+        np.testing.assert_allclose(rep.h_cond, conditional_entropy(rotated), rtol=0, atol=1e-14)
+
+
+def test_error_messages_print_plain_numbers():
+    h = conditional_entropy(from_x_params(bell_mixture(0.3)))
+    with pytest.raises(PathDisagreementError) as closed_form:
+        _checked_i_ab(np.float64(12.34), h)
+    with pytest.raises(InvalidStateError) as parameters:
+        XStateParams(np.array([0.5]), 0.1, 0.1, 0.5, 0.0, 0.0).validate()
+    with pytest.raises(InvalidStateError) as matrix:
+        check_density(np.eye(4, dtype=complex) / 2.0)
+    for error, number in ((closed_form, "12.34"), (parameters, "1.2"), (matrix, "2.0")):
+        message = str(error.value)
+        assert number in message and "np." not in message, message
