@@ -15,7 +15,16 @@ import sys
 from .measures import NegativeProbabilityError, PathDisagreementError
 from .processes import ChannelParameterError, ZeroProbabilityOutcomeError
 from .qstate import BellIndex, InvalidStateError
-from .sweep import _SWEPT, MODES, ConfigError, NonFiniteRecordError, SweepConfig, run_sweep
+from .sweep import (
+    _SWEPT,
+    MODES,
+    ConfigError,
+    NonFiniteRecordError,
+    SweepConfig,
+    _is_integer,
+    _is_real,
+    run_sweep,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -69,10 +78,6 @@ def _parse_rb(value) -> float | str:
         raise ConfigError(f"rb must be a number or 'track', got {value!r}") from exc
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _parse_bell(value: str) -> BellIndex:
     try:
         return BellIndex(value)
@@ -87,10 +92,10 @@ _KEYS = {
     "grid": ("a string", lambda v: isinstance(v, str), None, None),
     "out": ("a string", lambda v: isinstance(v, str), None, None),
     "bell": ("a string", lambda v: isinstance(v, str), "bell", _parse_bell),
-    "nu": ("a number", _is_number, "nu", float),
-    "rb": ('a number or "track"', lambda v: _is_number(v) or v == "track", "r_b", _parse_rb),
-    "g_over_gamma": ("a number", _is_number, "g_over_gamma", float),
-    "jobs": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool), "jobs", int),
+    "nu": ("a number", _is_real, "nu", float),
+    "rb": ('a number or "track"', lambda v: _is_real(v) or v == "track", "r_b", _parse_rb),
+    "g_over_gamma": ("a number", _is_real, "g_over_gamma", float),
+    "jobs": ("an integer", _is_integer, "jobs", int),
 }
 
 

@@ -14,7 +14,10 @@ All entropies are in nats.  The steering threshold for a qubit pair is
 
 `full_report` projects a density matrix and is the library path; `x_report`
 evaluates a batch of X states from their six parameters in closed form and
-is what sweeps run.  Both derive S, Xi, E and Z through `_derive`.
+is what sweeps run.  `x_report` derives S, Xi, E and Z through `_derive`,
+on arrays; `full_report` applies the same formulas to Python floats with
+`math`, since numpy's call overhead on one state's scalars costs more than
+the rest of its tail.
 
 `full_report` evaluates one state in a single x ln x pass: the joint
 probabilities, qubit A's marginals and, for an X input, the closed form's
@@ -42,8 +45,21 @@ from .qstate import (
     x_params_from_density,
 )
 
+
+def neur_bound(n: int) -> float:
+    """Entropic uncertainty bound (N/2) ln(N/2) + (1 + N/2) ln(1 + N/2).
+
+    Defined for an even number N >= 2 of measurement outcomes; N = 2 gives
+    the qubit threshold 2 ln 2.
+    """
+    if n < 2 or n % 2 != 0:
+        raise ValueError(f"bound is defined for even n >= 2, got {n}")
+    half = n / 2.0
+    return half * math.log(half) + (1.0 + half) * math.log(1.0 + half)
+
+
 LN2 = math.log(2.0)
-TWO_LN2 = 2.0 * LN2
+TWO_LN2 = neur_bound(2)  # the steering threshold; bit-identical to 2 ln 2
 SIX_LN2 = 6.0 * LN2
 
 # Raw measurement probabilities this far below zero indicate a broken input,
@@ -198,18 +214,6 @@ def steering_functional(p: XStateParams):
     return 0.5 * _x_ln_x(1.0 + coeff.x).sum(axis=(0, 1)) - _x_ln_x(1.0 + coeff.a).sum(axis=0)
 
 
-def neur_bound(n: int) -> float:
-    """Entropic uncertainty bound (N/2) ln(N/2) + (1 + N/2) ln(1 + N/2).
-
-    Defined for an even number N >= 2 of measurement outcomes; N = 2 gives
-    the qubit threshold 2 ln 2.
-    """
-    if n < 2 or n % 2 != 0:
-        raise ValueError(f"bound is defined for even n >= 2, got {n}")
-    half = n / 2.0
-    return half * math.log(half) + (1.0 + half) * math.log(1.0 + half)
-
-
 @dataclass(frozen=True)
 class SteeringReport:
     """Every derived quantity for one state.
@@ -286,10 +290,17 @@ def full_report(rho: np.ndarray) -> SteeringReport:
         sums = _REPORT_WEIGHTS @ _x_ln_x(np.concatenate(terms))
         h = sums[:3]
         i_ab = _checked_i_ab(sums[3], h)
-    s, xi, e_x, e_y, z = _derive(h, i_ab)
+    # _derive's formulas on floats; max(value, 0.0) lets a nan through, as
+    # np.maximum does.
+    h_cond = tuple(h.tolist())
+    i_ab = float(i_ab)
+    xi = tuple(map(math.exp, h_cond))
+    reference = 2.0 / math.sqrt(xi[2])
+    e_x = max(reference - xi[0], 0.0)
+    e_y = max(reference - xi[1], 0.0)
     return SteeringReport(
-        h_cond=tuple(h.tolist()), i_ab=float(i_ab), s=float(s), xi=tuple(xi.tolist()),
-        e_x=float(e_x), e_y=float(e_y), z=float(z),
+        h_cond=h_cond, i_ab=i_ab, s=max((i_ab - TWO_LN2) / (SIX_LN2 - TWO_LN2), 0.0), xi=xi,
+        e_x=e_x, e_y=e_y, z=max(0.5 * (e_x + e_y), 0.0),
     )
 
 

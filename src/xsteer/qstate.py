@@ -191,14 +191,15 @@ class BellIndex(Enum):
 
 
 def as_square(rho, name: str, dim: int | None = None) -> np.ndarray:
-    """`rho` as a complex square matrix, `dim` x `dim` when `dim` is given.
+    """`rho` as a non-empty complex square matrix, `dim` x `dim` when `dim` is given.
 
     The one shape check of the matrix path: any other shape raises
     InvalidStateError naming the shape expected and the shape received.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or dim is not None and rho.shape[0] != dim:
-        expected = "a square matrix" if dim is None else f"of shape ({dim}, {dim})"
+    n = rho.shape[0] if rho.ndim == 2 else -1
+    if rho.shape != (n, n) or n == 0 or dim is not None and n != dim:
+        expected = "a non-empty square matrix" if dim is None else f"of shape ({dim}, {dim})"
         raise InvalidStateError(f"{name} must be {expected}, got shape {rho.shape}")
     return rho
 
@@ -212,11 +213,13 @@ def check_density(rho: np.ndarray, name: str = "state", dim: int | None = None) 
     fails the Hermiticity check: it leaves a nan or inf defect.
     """
     rho = as_square(rho, name, dim)
-    with np.errstate(invalid="ignore"):  # inf - inf is nan, which fails below
+    # inf - inf is nan, and a trace of huge entries overflows to inf or nan;
+    # each fails its check below
+    with np.errstate(invalid="ignore", over="ignore"):
         herm = np.abs(rho - rho.conj().T).max()
+        tr = rho.trace()
     if not herm <= HERMITICITY_TOL:
         raise InvalidStateError(f"{name} is not a finite Hermitian matrix (defect {herm:.3e})")
-    tr = rho.trace()
     if not abs(tr - 1.0) <= TRACE_TOL:
         raise InvalidStateError(f"{name} does not have unit trace (trace {tr.real})")
     lo = float(np.linalg.eigvalsh(rho)[0])  # eigenvalues come in ascending order
@@ -242,19 +245,20 @@ _X_ENTRIES = np.array([0, 5, 10, 15, 3, 6])
 
 
 def is_x_structured(rho: np.ndarray) -> bool:
-    """True when every entry off the diagonal and anti-diagonal is within X_STRUCTURE_TOL."""
-    return float(np.abs(np.asarray(rho).reshape(16)[_OFF_X]).max()) <= X_STRUCTURE_TOL
+    """True when every entry of the 4x4 `rho` off both diagonals is within X_STRUCTURE_TOL."""
+    return float(np.abs(as_square(rho, "state", 4).reshape(16)[_OFF_X]).max()) <= X_STRUCTURE_TOL
 
 
 def x_params_from_density(rho: np.ndarray, *, real_parts: bool = False) -> XStateParams:
     """Read the six X-state parameters back out of a density matrix.
 
-    The X structure is checked on `rho` itself.  X entries with an imaginary
-    part above X_STRUCTURE_TOL raise InvalidStateError unless `real_parts`
-    is set, which keeps their real parts instead.
+    `rho` must be 4x4, and the X structure is checked on `rho` itself.  X
+    entries with an imaginary part above X_STRUCTURE_TOL raise
+    InvalidStateError unless `real_parts` is set, which keeps their real
+    parts instead.
     """
     rho = np.asarray(rho)
-    if not is_x_structured(rho):
+    if not is_x_structured(rho):  # also checks the shape
         raise InvalidStateError("density matrix is not X structured")
     picked = rho.reshape(16)[_X_ENTRIES]
     if not real_parts and float(np.abs(picked.imag).max()) > X_STRUCTURE_TOL:

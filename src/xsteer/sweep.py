@@ -21,6 +21,7 @@ output and renamed into place, CSV first.
 from __future__ import annotations
 
 import contextlib
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -62,6 +63,14 @@ RECORD = np.dtype([(name, float) for name in CSV_HEADER.split(",")])
 _ROW_FORMAT = ",".join(["%.12e"] * 6) + "\n"
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 class ConfigError(ValueError):
     """A sweep configuration field is missing or out of range."""
 
@@ -74,9 +83,11 @@ class NonFiniteRecordError(ValueError):
 class SweepConfig:
     """One sweep: the mode, the grid, the fixed parameters, the output path.
 
-    The grid has `points` values, from 2 to MAX_POINTS.  `r_b` is either a
-    float in [0, pi/4] or the string "track", meaning r_b follows the swept
-    r_a.  `jobs` > 1 evaluates contiguous chunks of the grid in a process pool.
+    The grid has `points` values, from 2 to MAX_POINTS.  `points` and `jobs`
+    are integers and the other numeric fields real numbers; a bool is
+    neither.  `r_b` is either a float in [0, pi/4] or the string "track",
+    meaning r_b follows the swept r_a.  `jobs` > 1 evaluates contiguous
+    chunks of the grid in a process pool.
     """
 
     mode: str
@@ -93,12 +104,20 @@ class SweepConfig:
     def validate(self) -> "SweepConfig":
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+        for name in ("points", "jobs"):
+            if not _is_integer(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("start", "stop", "nu", "g_over_gamma"):
+            if not _is_real(getattr(self, name)):
+                raise ConfigError(f"{name} must be a real number, got {getattr(self, name)!r}")
         if not 2 <= self.points <= MAX_POINTS:
             raise ConfigError(f"points must lie in [2, {MAX_POINTS}], got {self.points}")
         if not self.start < self.stop:
             raise ConfigError(f"grid needs start < stop, got {self.start}:{self.stop}")
         if not self.out:
             raise ConfigError("out: an output path is required")
+        if not isinstance(self.out, (str, os.PathLike)):
+            raise ConfigError(f"out must be a path, got {self.out!r}")
         if Path(self.out).suffix == ".gnuplot":
             raise ConfigError(f"out must not end in .gnuplot, its plot script's suffix: {self.out}")
         if self.jobs < 1:
@@ -106,12 +125,10 @@ class SweepConfig:
         swept = DOMAINS[_SWEPT[self.mode][0]]
         if not (swept.contains(self.start) and swept.contains(self.stop)):
             raise ConfigError(f"{self.mode} sweeps need a grid inside {swept}")
-        if self.mode == "acceleration":
-            if isinstance(self.r_b, str):
-                if self.r_b != "track":
-                    raise ConfigError(f"r_b must be a number or 'track', got {self.r_b!r}")
-            else:
-                DOMAINS["r"].check(self.r_b, "r_b", ConfigError)
+        if self.mode == "acceleration" and self.r_b != "track":
+            if not _is_real(self.r_b):
+                raise ConfigError(f"r_b must be a number or 'track', got {self.r_b!r}")
+            DOMAINS["r"].check(self.r_b, "r_b", ConfigError)
         if self.mode in ("acceleration", "ad-channel", "dephasing-channel"):
             DOMAINS["nu"].check(self.nu, "nu", ConfigError)
         if self.mode in ("ad-channel", "dephasing-channel"):

@@ -1,0 +1,8 @@
+import numpy as np
+
+from xsteer.qstate import XStateParams
+
+
+def _batch(rows: list[XStateParams]) -> XStateParams:
+    """One batch of X parameters, a row per state of `rows`."""
+    return XStateParams(*np.array([(p.d1, p.d2, p.d3, p.d4, p.c14, p.c23) for p in rows]).T)

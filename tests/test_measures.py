@@ -12,6 +12,7 @@ from xsteer.measures import (
     PathDisagreementError,
     XCoefficients,
     _checked_i_ab,
+    _derive,
     conditional_entropy,
     full_report,
     joint_distribution,
@@ -27,6 +28,7 @@ from xsteer.qstate import (
     bell_mixture,
     check_density,
     from_x_params,
+    is_x_structured,
     partial_trace,
     random_x_state,
     x_params_from_density,
@@ -244,7 +246,8 @@ def test_steering_functional_entropy_identity():
 
 
 def test_neur_bound():
-    assert abs(neur_bound(2) - TWO_LN2) < 1e-15
+    # the threshold the code runs is the paper's bound, bit for bit 2 ln 2
+    assert TWO_LN2 == neur_bound(2) == 2.0 * LN2
     assert abs(neur_bound(4) - (2 * LN2 + 3 * math.log(3))) < 1e-12
     assert abs(neur_bound(4) - 4.682131) < 1e-6
     assert abs(neur_bound(6) - (3 * math.log(3) + 4 * math.log(4))) < 1e-12
@@ -405,10 +408,13 @@ def test_full_report_accepts_complex_x_states():
         assert abs(rep.i_ab - (SIX_LN2 - 2.0 * sum(h))) < 1e-12
 
 
-@pytest.mark.parametrize("dim", [2, 8])
-@pytest.mark.parametrize("measure", [full_report, joint_distribution, conditional_entropy])
+@pytest.mark.parametrize("dim", [2, 3, 8])
+@pytest.mark.parametrize(
+    "measure",
+    [full_report, joint_distribution, conditional_entropy, x_params_from_density, is_x_structured],
+)
 def test_measures_reject_wrong_size_matrices(measure, dim):
-    # a valid one- or three-qubit state is not a two-qubit state
+    # a valid one-qubit, qutrit or three-qubit state is not a two-qubit state
     expected = rf"state must be of shape \(4, 4\), got shape \({dim}, {dim}\)"
     with pytest.raises(InvalidStateError, match=expected):
         measure(np.eye(dim, dtype=complex) / dim)
@@ -437,6 +443,7 @@ def test_full_report_matches_per_quantity_functions():
     # the single x ln x pass against the public functions it fuses, on X
     # states and on copies rotated by R_y on qubit A, which are not X states
     rng = np.random.default_rng(2027)
+    reports = []
     for seed in range(200):
         p = random_x_state(seed)
         rho = from_x_params(p)
@@ -449,8 +456,23 @@ def test_full_report_matches_per_quantity_functions():
         rotated = u @ rho @ u.T
         with pytest.raises(InvalidStateError):
             x_params_from_density(rotated, real_parts=True)
-        rep = full_report(rotated)
-        np.testing.assert_allclose(rep.h_cond, conditional_entropy(rotated), rtol=0, atol=1e-14)
+        rotated_rep = full_report(rotated)
+        np.testing.assert_allclose(
+            rotated_rep.h_cond, conditional_entropy(rotated), rtol=0, atol=1e-14
+        )
+        reports += [rep, rotated_rep]
+    # full_report's float tail against the batched _derive that x_report runs,
+    # also on a Bell state and on the maximally mixed state, a separable one
+    # where both E clamps fire: 2/sqrt(Xi_z) = sqrt(2) is below Xi_x = Xi_y = 2
+    bell, mixed = full_report(BELL_PSI), full_report(MAX_MIXED)
+    assert abs(bell.s - 1.0) < 1e-12 and abs(bell.z - 1.0) < 1e-12
+    assert all(2.0 / math.sqrt(mixed.xi[2]) < xi for xi in mixed.xi[:2])
+    assert mixed.e_x == mixed.e_y == mixed.z == 0.0
+    for rep in reports + [bell, mixed]:
+        s, xi, e_x, e_y, z = _derive(np.array(rep.h_cond), rep.i_ab)
+        np.testing.assert_allclose(
+            [rep.s, *rep.xi, rep.e_x, rep.e_y, rep.z], [s, *xi, e_x, e_y, z], rtol=0, atol=1e-15
+        )
 
 
 def test_error_messages_print_plain_numbers():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import _batch
 
 from xsteer.measures import full_report
 from xsteer.processes import (
@@ -37,11 +38,6 @@ from xsteer.qstate import (
 
 R_MAX = math.pi / 4.0
 INV_2SQ2 = 1.0 / (2.0 * math.sqrt(2.0))
-
-
-def _batch(params: list[XStateParams]) -> XStateParams:
-    fields = np.array([(p.d1, p.d2, p.d3, p.d4, p.c14, p.c23) for p in params])
-    return XStateParams(*fields.T)
 
 
 def _row(batch: XStateParams, i: int) -> XStateParams:

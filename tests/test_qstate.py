@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import _batch
 
 from xsteer.measures import full_report, steering_functional, x_coefficients
 from xsteer.processes import bell_project_swap
@@ -227,8 +228,13 @@ def test_check_density_rejects_bad_operators():
         bad = good.copy()
         bad[0, 1] = 0.1
         check_density(bad)
-    with pytest.raises(InvalidStateError, match="trace"):
-        check_density(2.0 * good)
+    # a trace that overflows to inf, or to nan through inf - inf, fails
+    # without a numpy warning
+    for bad in (2.0 * good, np.full((4, 4), 1e308), np.diag([1e308, 1e308, -1e308, -1e308])):
+        with pytest.raises(InvalidStateError, match="trace"):
+            check_density(bad)
+    with pytest.raises(InvalidStateError, match=r"non-empty square matrix, got shape \(0, 0\)"):
+        check_density(np.zeros((0, 0)))
     with pytest.raises(InvalidStateError, match="positive semidefinite"):
         check_density(np.diag([0.7, 0.5, -0.1, -0.1]).astype(complex))
     # nan passes no comparison: the first has unit trace apart from its nan
@@ -252,10 +258,6 @@ def _x_matrix(p: XStateParams) -> np.ndarray:
     rho[0, 3] = rho[3, 0] = p.c14
     rho[1, 2] = rho[2, 1] = p.c23
     return rho
-
-
-def _batch(rows: list[XStateParams]) -> XStateParams:
-    return XStateParams(*np.array([(p.d1, p.d2, p.d3, p.d4, p.c14, p.c23) for p in rows]).T)
 
 
 # c14^2 exceeds d1*d4 by 5e-13, inside the 1e-12 slack, but the smaller

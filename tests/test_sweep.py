@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import _batch
 
 import xsteer.measures as measures
 import xsteer.sweep as sweep
@@ -101,6 +102,17 @@ def _cfg(tmp_path, **kw):
          "g-over-gamma"),
         (dict(points=MAX_POINTS + 1), "points"),
         (dict(out="fig.gnuplot"), "gnuplot"),
+        (dict(points=5.5), "points"),
+        (dict(points=True), "points"),
+        (dict(jobs=1.5), "jobs"),
+        (dict(jobs=True), "jobs"),
+        (dict(start="0"), "start"),
+        (dict(stop=1j), "stop"),
+        (dict(nu="x"), "nu"),
+        (dict(g_over_gamma="x"), "g_over_gamma"),
+        (dict(mode="ad-channel", start=0.0, stop=10.0, nu=True), "nu"),
+        (dict(mode="acceleration", start=0.0, stop=0.5, r_b=0.1j), "r_b"),
+        (dict(out=123), "out"),
     ],
 )
 def test_config_validation_reports_offending_field(tmp_path, kw, fragment):
@@ -213,18 +225,14 @@ def test_chunked_evaluation_is_bit_identical(tmp_path):
 # the per-row guards, each fired from run_sweep
 # ---------------------------------------------------------------------------
 
-def _batch(rows) -> XStateParams:
-    return XStateParams(*np.array(rows, dtype=float).T)
-
-
 def _run_with_params(tmp_path, monkeypatch, rows, **kw):
     """run_sweep over len(rows) points whose X parameters are `rows`."""
     monkeypatch.setattr(sweep, "_x_params", lambda cfg, grid: _batch(rows))
     return run_sweep(_cfg(tmp_path, points=len(rows), **kw))
 
 
-_PSI = (0.5, 0.0, 0.0, 0.5, 0.5, 0.0)
-_MIXED = (0.25, 0.25, 0.25, 0.25, 0.0, 0.0)
+_PSI = XStateParams(0.5, 0.0, 0.0, 0.5, 0.5, 0.0)
+_MIXED = XStateParams(0.25, 0.25, 0.25, 0.25, 0.0, 0.0)
 
 
 def test_guard_domain_fires_for_first_bad_grid_value(tmp_path, monkeypatch):
@@ -249,13 +257,13 @@ def test_guard_domain_fires_for_first_bad_grid_value(tmp_path, monkeypatch):
 def test_guard_state_checks_fire_per_row(tmp_path, monkeypatch, bad, fragment):
     # check_density's trace and eigenvalue checks and validate's block rules
     with pytest.raises(InvalidStateError, match=fragment):
-        _run_with_params(tmp_path, monkeypatch, [_PSI, _MIXED, bad, _MIXED])
+        _run_with_params(tmp_path, monkeypatch, [_PSI, _MIXED, XStateParams(*bad), _MIXED])
     assert not list(tmp_path.iterdir())
 
 
 def test_guard_negative_probability_floor(tmp_path, monkeypatch):
     # 1 - t = -2e-13 is clipped and renormalised: the row reads as psi+
-    tiny = (0.5, 0.0, 0.0, 0.5, 0.5 + 1e-13, 0.0)
+    tiny = XStateParams(0.5, 0.0, 0.0, 0.5, 0.5 + 1e-13, 0.0)
     rows = _run_with_params(tmp_path, monkeypatch, [_MIXED, tiny, _PSI])
     assert abs(rows[1].s - rows[2].s) < 1e-12 and abs(rows[1].z - rows[2].z) < 1e-12
     joint = measures._x_joint_distribution(_batch([tiny]))
@@ -275,7 +283,7 @@ def test_guard_path_disagreement(tmp_path, monkeypatch):
 
 
 def test_guard_swap_weight_floor(tmp_path, monkeypatch):
-    ground = _batch([(1.0, 0.0, 0.0, 0.0, 0.0, 0.0)] * 3)
+    ground = _batch([XStateParams(1.0, 0.0, 0.0, 0.0, 0.0, 0.0)] * 3)
     monkeypatch.setattr(sweep, "bell_mixture", lambda nu: ground)
     with pytest.raises(ZeroProbabilityOutcomeError, match="phi"):
         run_sweep(_cfg(tmp_path, mode="swap", points=3, bell=BellIndex.PHI_PLUS))
