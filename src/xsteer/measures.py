@@ -19,10 +19,14 @@ on arrays; `full_report` applies the same formulas to Python floats with
 `math`, since numpy's call overhead on one state's scalars costs more than
 the rest of its tail.
 
-`full_report` evaluates one state in a single x ln x pass: the joint
-probabilities, qubit A's marginals and, for an X input, the closed form's
-offsets 1 + x_ij and 1 + a_k go into one vector, and fixed weight arrays
-read H_x, H_y, H_z and the closed-form I_AB off its x ln x terms.
+`full_report` reads its matrix once into Python numbers: `check_density`'s
+checks run on those rows (for an X matrix, with the smallest eigenvalue
+from its two 2x2 blocks in closed form), and the X structure and the six
+real X entries come off the same rows.  It then evaluates the state in a
+single x ln x pass: the joint probabilities, qubit A's marginals and, for an
+X input, the closed form's offsets 1 + x_ij and 1 + a_k go into one vector,
+and fixed weight arrays read H_x, H_y, H_z and the closed-form I_AB off its
+x ln x terms.
 `conditional_entropy` and `steering_functional` compute the same
 quantities one at a time and stay the reference for that pass.
 """
@@ -35,14 +39,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qstate import (
-    InvalidStateError,
     XStateParams,
+    _checked_rows,
+    _x_entries,
+    _x_structured,
     as_square,
-    check_density,
     failing_row,
     row_value,
     tensor,
-    x_params_from_density,
 )
 
 
@@ -274,18 +278,19 @@ def full_report(rho: np.ndarray) -> SteeringReport:
     probabilities and qubit A's marginals give the H_i, and for an X input
     the offsets of `x_coefficients` give the closed form.  The results equal
     `conditional_entropy` and `steering_functional` up to summation order.
+    The input gets `check_density`'s checks, and its X structure (within
+    X_STRUCTURE_TOL, as `is_x_structured`) and X entries are read off the
+    rows those checks read.
     """
-    rho = check_density(rho, dim=4)
+    rho, rows = _checked_rows(rho, "state", 4)
     p = joint_distribution(rho).reshape(12)
     terms = [p, p[0::2] + p[1::2]]  # A's outcome n sums B's outcomes of 2n + m
-    try:
-        # The x and y statistics read only the real parts of the coherences.
-        params = x_params_from_density(rho, real_parts=True)
-    except InvalidStateError:  # not X structured: the entropy identity alone
+    if not _x_structured(rows):  # the entropy identity alone
         h = _ENTROPY_WEIGHTS @ _x_ln_x(np.concatenate(terms))
         i_ab = SIX_LN2 - 2.0 * h.sum()
     else:
-        coeff = x_coefficients(params)
+        # The x and y statistics read only the real parts of the coherences.
+        coeff = x_coefficients(XStateParams(*(z.real for z in _x_entries(rows))))
         terms += [1.0 + coeff.x.reshape(12), 1.0 + coeff.a]
         sums = _REPORT_WEIGHTS @ _x_ln_x(np.concatenate(terms))
         h = sums[:3]

@@ -95,6 +95,16 @@ DOMAINS = {
 }
 
 
+def _smaller_block_eigenvalue(da, db, c) -> float:
+    """Smaller eigenvalue of the Hermitian 2x2 block [[d_a, c], [conj(c), d_b]].
+
+    (d_a + d_b)/2 - hypot((d_a - d_b)/2, |c|), with |c| taken inside the
+    hypot, which returns inf where abs of a complex past the largest double
+    raises OverflowError.
+    """
+    return 0.5 * (da + db) - math.hypot(0.5 * (da - db), c.real, c.imag)
+
+
 @dataclass(frozen=True)
 class XStateParams:
     """Six real parameters of a two-qubit X state.
@@ -124,9 +134,9 @@ class XStateParams:
         positive semidefinite, and every population in [0, 1].  The block
         clause is c^2 <= d_a d_b + min(1e-12, 1e-10 (d_a + d_b) + 1e-20): the
         second term is `check_density`'s floor EIGENVALUE_TOL on the smaller
-        block eigenvalue (d_a + d_b)/2 - hypot((d_a - d_b)/2, c), squared
-        out.  Raises InvalidStateError naming `name` and the offending
-        field, for the first failing row of a batch; returns the input.
+        block eigenvalue `_smaller_block_eigenvalue`, squared out.  Raises
+        InvalidStateError naming `name` and the offending field, for the
+        first failing row of a batch; returns the input.
         """
         d1, d2, d3, d4 = diagonal = self.diagonal
         total = d1 + d2 + d3 + d4
@@ -145,7 +155,7 @@ class XStateParams:
             row = failing_row(ok)
             if row is not None:
                 c, da, db = (row_value(v, row) for v in (c, da, db))
-                lo = 0.5 * (da + db) - math.hypot(0.5 * (da - db), c)
+                lo = _smaller_block_eigenvalue(da, db, c)
                 raise InvalidStateError(
                     f"{name} is not positive semidefinite (min eigenvalue {lo:.3e}): "
                     f"in its {block} block {c_name}^2 = {c * c} exceeds {d_names} = {da * db}"
@@ -184,11 +194,6 @@ class BellIndex(Enum):
         }[self]
         return np.array(vec, dtype=complex)
 
-    @property
-    def projector(self) -> np.ndarray:
-        k = self.ket
-        return np.outer(k, k.conj())
-
 
 def as_square(rho, name: str, dim: int | None = None) -> np.ndarray:
     """`rho` as a non-empty complex square matrix, `dim` x `dim` when `dim` is given.
@@ -211,21 +216,64 @@ def check_density(rho: np.ndarray, name: str = "state", dim: int | None = None) 
     given (see `as_square`); returns the input as a complex array so it can
     be used inline.  Each comparison fails on nan, so a nan or inf entry
     fails the Hermiticity check: it leaves a nan or inf defect.
+
+    The checks run on the entries as Python numbers.  The smallest
+    eigenvalue has two sources.  When the matrix is 4x4 and its eight
+    entries off both diagonals are exactly 0, its spectrum is exactly that
+    of its two 2x2 blocks, so the smaller block eigenvalue of each gives it
+    in closed form.  Any other matrix, however close to X structured, gets
+    `np.linalg.eigvalsh`.  Both read the lower triangle and the real part
+    of the diagonal.
+    """
+    return _checked_rows(rho, name, dim)[0]
+
+
+def _checked_rows(rho, name: str, dim: int | None) -> tuple[np.ndarray, list]:
+    """`check_density`'s checks; returns the complex array and its rows as Python numbers.
+
+    The Hermiticity defect is the largest |a_ij - conj(a_ji)| over every
+    pair i <= j, the diagonal included: a nan or inf real part on the
+    diagonal leaves a nan defect there.  For a 4x4 matrix, the size every
+    caller in the package passes, the sixteen entries are unpacked and the
+    ten defects written out: a loop over so few entries costs more than
+    their arithmetic.
     """
     rho = as_square(rho, name, dim)
-    # inf - inf is nan, and a trace of huge entries overflows to inf or nan;
-    # each fails its check below
-    with np.errstate(invalid="ignore", over="ignore"):
-        herm = np.abs(rho - rho.conj().T).max()
-        tr = rho.trace()
+    rows = rho.tolist()
+    n = len(rows)
+    try:
+        if n == 4:
+            (a00, a01, a02, a03), (a10, a11, a12, a13), (a20, a21, a22, a23), (a30, a31, a32, a33) = rows
+            tr = (a00 + a11) + (a22 + a33)  # numpy's pairing, so the same rounding
+            defects = [
+                abs(a00 - a00.conjugate()), abs(a11 - a11.conjugate()),
+                abs(a22 - a22.conjugate()), abs(a33 - a33.conjugate()),
+                abs(a01 - a10.conjugate()), abs(a02 - a20.conjugate()), abs(a03 - a30.conjugate()),
+                abs(a12 - a21.conjugate()), abs(a13 - a31.conjugate()), abs(a23 - a32.conjugate()),
+            ]
+        else:
+            tr = sum(rows[i][i] for i in range(n))
+            defects = [abs(rows[i][j] - rows[j][i].conjugate()) for i in range(n) for j in range(i, n)]
+    except OverflowError:  # abs of a finite complex past the largest double
+        defects = [math.inf]
+    # max skips a nan unless it comes first; a sum of terms >= 0 is nan only
+    # through a nan term.  A trace of huge entries overflows to inf, or to nan
+    # through inf - inf, and fails its check below.
+    herm = math.nan if math.isnan(sum(defects)) else max(defects)
     if not herm <= HERMITICITY_TOL:
         raise InvalidStateError(f"{name} is not a finite Hermitian matrix (defect {herm:.3e})")
     if not abs(tr - 1.0) <= TRACE_TOL:
         raise InvalidStateError(f"{name} does not have unit trace (trace {tr.real})")
-    lo = float(np.linalg.eigvalsh(rho)[0])  # eigenvalues come in ascending order
+    if n == 4 and not any(_off_x(rows)):
+        lo = min(
+            _smaller_block_eigenvalue(a00.real, a33.real, a30),
+            _smaller_block_eigenvalue(a11.real, a22.real, a21),
+        )
+    else:
+        lo = float(np.linalg.eigvalsh(rho)[0])  # eigenvalues come in ascending order
     if not lo >= EIGENVALUE_TOL:
         raise InvalidStateError(f"{name} is not positive semidefinite (min eigenvalue {lo:.3e})")
-    return rho
+    return rho, rows
 
 
 def from_x_params(p: XStateParams) -> np.ndarray:
@@ -238,32 +286,46 @@ def from_x_params(p: XStateParams) -> np.ndarray:
     return rho
 
 
-# Flat indices of the eight entries off both diagonals of a 4x4 matrix, and
-# of the X entries d1, d2, d3, d4, c14 and c23.
-_OFF_X = np.flatnonzero(~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]))
-_X_ENTRIES = np.array([0, 5, 10, 15, 3, 6])
+def _off_x(rows) -> tuple:
+    """The eight entries of a 4x4 matrix's rows off both diagonals."""
+    (_, a, b, _), (c, _, _, d), (e, _, _, f), (_, g, h, _) = rows
+    return a, b, c, d, e, f, g, h
+
+
+def _x_entries(rows) -> tuple:
+    """The entries d1, d2, d3, d4, c14 and c23 of a 4x4 matrix's rows."""
+    (d1, _, _, c14), (_, d2, c23, _), (_, _, d3, _), (_, _, _, d4) = rows
+    return d1, d2, d3, d4, c14, c23
+
+
+def _x_structured(rows) -> bool:
+    """`is_x_structured` on the rows of a 4x4 matrix; a nan entry fails it."""
+    off_x = _off_x(rows)
+    try:
+        return not any(off_x) or all(abs(z) <= X_STRUCTURE_TOL for z in off_x)
+    except OverflowError:  # abs of a finite complex past the largest double
+        return False
 
 
 def is_x_structured(rho: np.ndarray) -> bool:
     """True when every entry of the 4x4 `rho` off both diagonals is within X_STRUCTURE_TOL."""
-    return float(np.abs(as_square(rho, "state", 4).reshape(16)[_OFF_X]).max()) <= X_STRUCTURE_TOL
+    return _x_structured(as_square(rho, "state", 4).tolist())
 
 
-def x_params_from_density(rho: np.ndarray, *, real_parts: bool = False) -> XStateParams:
+def x_params_from_density(rho: np.ndarray) -> XStateParams:
     """Read the six X-state parameters back out of a density matrix.
 
     `rho` must be 4x4, and the X structure is checked on `rho` itself.  X
     entries with an imaginary part above X_STRUCTURE_TOL raise
-    InvalidStateError unless `real_parts` is set, which keeps their real
-    parts instead.
+    InvalidStateError.
     """
-    rho = np.asarray(rho)
-    if not is_x_structured(rho):  # also checks the shape
+    rows = as_square(rho, "state", 4).tolist()
+    if not _x_structured(rows):
         raise InvalidStateError("density matrix is not X structured")
-    picked = rho.reshape(16)[_X_ENTRIES]
-    if not real_parts and float(np.abs(picked.imag).max()) > X_STRUCTURE_TOL:
+    picked = _x_entries(rows)
+    if max(abs(z.imag) for z in picked) > X_STRUCTURE_TOL:
         raise InvalidStateError("X entries carry a non-negligible imaginary part")
-    return XStateParams(*picked.real.tolist())
+    return XStateParams(*(z.real for z in picked))
 
 
 def bell_mixture(nu: float) -> XStateParams:

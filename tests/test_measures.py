@@ -3,6 +3,7 @@ from enum import Enum
 
 import numpy as np
 import pytest
+from conftest import _projector
 
 from xsteer.measures import (
     LN2,
@@ -44,7 +45,7 @@ class PauliAxis(Enum):
     Y = 1
     Z = 2
 
-BELL_PSI = BellIndex.PSI_PLUS.projector
+BELL_PSI = _projector(BellIndex.PSI_PLUS)
 MAX_MIXED = np.eye(4, dtype=complex) / 4
 NU_HALF = from_x_params(bell_mixture(0.5))
 PURE_00 = np.diag([1.0, 0, 0, 0]).astype(complex)
@@ -408,6 +409,26 @@ def test_full_report_accepts_complex_x_states():
         assert abs(rep.i_ab - (SIX_LN2 - 2.0 * sum(h))) < 1e-12
 
 
+def test_full_report_reads_real_parts_of_imaginary_coherences(monkeypatch):
+    # an imaginary c14 keeps the X shape: the closed form gets the real parts
+    # of the X entries, and both paths agree with the brute-force oracle
+    import xsteer.measures as measures
+
+    rho = from_x_params(XStateParams(0.4, 0.1, 0.1, 0.4, 0.2, 0.05))
+    rho[0, 3], rho[3, 0] = 0.2j, -0.2j
+    seen = []
+    monkeypatch.setattr(
+        measures, "x_coefficients", lambda p: seen.append(p) or x_coefficients(p)
+    )
+    rep = full_report(rho)
+    real_parts = XStateParams(0.4, 0.1, 0.1, 0.4, 0.0, 0.05)
+    assert seen == [real_parts]
+    h = [_oracle_conditional_entropy(rho, axis) for axis in range(3)]
+    np.testing.assert_allclose(rep.h_cond, h, rtol=0, atol=1e-14)
+    assert abs(rep.i_ab - (SIX_LN2 - 2.0 * sum(h))) < 1e-14
+    assert abs(rep.i_ab - steering_functional(real_parts)) < 1e-14
+
+
 @pytest.mark.parametrize("dim", [2, 3, 8])
 @pytest.mark.parametrize(
     "measure",
@@ -454,8 +475,7 @@ def test_full_report_matches_per_quantity_functions():
         c, s = math.cos(half), math.sin(half)
         u = np.kron(np.array([[c, -s], [s, c]]), np.eye(2))
         rotated = u @ rho @ u.T
-        with pytest.raises(InvalidStateError):
-            x_params_from_density(rotated, real_parts=True)
+        assert not is_x_structured(rotated)
         rotated_rep = full_report(rotated)
         np.testing.assert_allclose(
             rotated_rep.h_cond, conditional_entropy(rotated), rtol=0, atol=1e-14

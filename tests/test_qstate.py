@@ -2,16 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from conftest import _batch
+from conftest import _batch, _projector
 
 from xsteer.measures import full_report, steering_functional, x_coefficients
 from xsteer.processes import bell_project_swap
 from xsteer.qstate import (
     DOMAINS,
+    EIGENVALUE_TOL,
     BellIndex,
     Domain,
     InvalidStateError,
     XStateParams,
+    _smaller_block_eigenvalue,
     bell_mixture,
     check_density,
     from_x_params,
@@ -35,13 +37,13 @@ def test_from_x_params_pure_basis_state():
 def test_from_x_params_bell_psi():
     # (d1,d4) = 1/2 with c14 = 1/2 is exactly (|00> + |11>)/sqrt(2)
     rho = from_x_params(XStateParams(0.5, 0, 0, 0.5, c14=0.5, c23=0))
-    np.testing.assert_allclose(rho, BellIndex.PSI_PLUS.projector, atol=1e-15)
+    np.testing.assert_allclose(rho, _projector(BellIndex.PSI_PLUS), atol=1e-15)
 
 
 def test_from_x_params_nu_half_mixture():
     # hand expansion of (phi+ + psi+)/2: uniform diagonal, both coherences 1/4
     rho = from_x_params(bell_mixture(0.5))
-    expected = 0.5 * BellIndex.PHI_PLUS.projector + 0.5 * BellIndex.PSI_PLUS.projector
+    expected = 0.5 * _projector(BellIndex.PHI_PLUS) + 0.5 * _projector(BellIndex.PSI_PLUS)
     np.testing.assert_allclose(rho, expected, atol=1e-15)
 
 
@@ -208,9 +210,14 @@ def test_x_params_from_density_rejects_non_x():
     assert not is_x_structured(rho)
     # the structure is read off the complex matrix, not its real part
     rho = np.kron(np.diag([1.0, 0.0]), np.array([[0.5, -0.2j], [0.2j, 0.5]]))
-    for real_parts in (False, True):
-        with pytest.raises(InvalidStateError, match="X structured"):
-            x_params_from_density(rho, real_parts=real_parts)
+    with pytest.raises(InvalidStateError, match="X structured"):
+        x_params_from_density(rho)
+    # an off-X entry whose abs overflows is not within the tolerance either
+    rho = np.eye(4, dtype=complex) / 4.0
+    rho[0, 1] = complex(1.5e308, 1.5e308)
+    assert not is_x_structured(rho)
+    with pytest.raises(InvalidStateError, match="X structured"):
+        x_params_from_density(rho)
 
 
 def test_x_params_from_density_imaginary_coherences():
@@ -218,7 +225,6 @@ def test_x_params_from_density_imaginary_coherences():
     rho[0, 3], rho[3, 0] = 0.2j, -0.2j
     with pytest.raises(InvalidStateError, match="imaginary"):
         x_params_from_density(rho)
-    assert x_params_from_density(rho, real_parts=True) == XStateParams(0.4, 0.1, 0.1, 0.4, 0.0, 0.05)
 
 
 def test_check_density_rejects_bad_operators():
@@ -237,11 +243,27 @@ def test_check_density_rejects_bad_operators():
         check_density(np.zeros((0, 0)))
     with pytest.raises(InvalidStateError, match="positive semidefinite"):
         check_density(np.diag([0.7, 0.5, -0.1, -0.1]).astype(complex))
+    # abs of a complex entry this size raises OverflowError in Python, and
+    # its Hermitian pair on the anti-diagonal feeds the closed-form block
+    # eigenvalue; each must fail cleanly, with no numpy warning
+    huge = complex(1.5e308, 1.5e308)
+    hermitian_pair = good.copy()
+    hermitian_pair[0, 3], hermitian_pair[3, 0] = huge, huge.conjugate()
+    with pytest.raises(InvalidStateError, match="positive semidefinite"):
+        check_density(hermitian_pair)
+    off_diagonal, diagonal = good.copy(), good.copy()
+    off_diagonal[0, 1] = huge
+    diagonal[0, 0] += 1.5e308j
+    late_nan = good.copy()
+    late_nan[2, 3] = math.nan
     # nan passes no comparison: the first has unit trace apart from its nan
-    # entries, and eigvalsh raises LinAlgError on the second; inf - inf is nan
+    # entries, and eigvalsh raises LinAlgError on the second; inf - inf is
+    # nan.  The last two hold their nan after finite entries, where a plain
+    # max over the defects would skip it.
     for bad in (
         np.diag([math.nan, 0.5, 0.5, math.nan]), np.full((4, 4), math.nan),
         np.diag([math.inf, 0, 0, 0]), np.diag([-math.inf, 1, 1, 0]),
+        off_diagonal, diagonal, np.diag([0.5, 0.5, 0.0, math.nan]), late_nan,
     ):
         for call in (
             lambda: check_density(bad),
@@ -250,6 +272,116 @@ def test_check_density_rejects_bad_operators():
         ):
             with pytest.raises(InvalidStateError, match="finite Hermitian"):
                 call()
+
+
+def _exact_x_matrices():
+    """Seeded exactly-X density candidates, real and complex, some at the eigenvalue floor.
+
+    The populations are a random point of the simplex, some of them exactly
+    0.  One block's coherence is set a relative 1e-6 to 1e-1 above or below
+    the modulus at which its smaller eigenvalue is EIGENVALUE_TOL, the other
+    is drawn inside its bound.  A relative offset delta moves that eigenvalue
+    by about 2 delta c^2 / (d_a + d_b); with both populations at least 1e-6
+    that is at least 1e-12, far above the 3e-16 either solver can err by.
+    With a zero population it is only 2 delta 1e-10, so those blocks keep
+    their offsets at 1e-3 and above, or a coherence of exactly 0.
+    """
+    rng = np.random.default_rng(1212)
+    for _ in range(2000):
+        d = rng.random(4)
+        zero = rng.random(4) < 0.15
+        d[zero] = 0.0
+        d = d / d.sum() if d.sum() else np.array([0.0, 0.0, 0.0, 1.0])
+        outer = bool(rng.random() < 0.5)
+        (a, b), (e, f) = ((0, 3), (1, 2)) if outer else ((1, 2), (0, 3))
+        if d[a] == 0.0 or d[b] == 0.0:
+            low = 1e-3 if rng.random() < 0.8 else None
+        else:
+            d[a], d[b] = np.maximum(d[[a, b]], 1e-6)
+            d /= d.sum()
+            low = 1e-6
+        if low is None:
+            modulus = 0.0
+        else:
+            modulus_at = math.sqrt((d[a] - EIGENVALUE_TOL) * (d[b] - EIGENVALUE_TOL))
+            offset = math.exp(rng.uniform(math.log(low), math.log(1e-1)))
+            modulus = modulus_at * (1.0 + rng.choice([-1.0, 1.0]) * offset)
+        other = rng.uniform(-1.0, 1.0) * math.sqrt(d[e] * d[f])
+        if rng.random() < 0.5:  # complex coherences
+            modulus = modulus * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+            other = other * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        rho = np.diag(d).astype(complex)
+        rho[a, b], rho[b, a] = modulus, np.conj(modulus)
+        rho[e, f], rho[f, e] = other, np.conj(other)
+        yield rho
+
+
+def test_check_density_exact_x_blocks_match_dense_solver(monkeypatch):
+    eigvalsh = np.linalg.eigvalsh
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+    verdicts = []
+    for rho in _exact_x_matrices():
+        dense = float(eigvalsh(rho)[0])
+        closed = min(
+            _smaller_block_eigenvalue(rho[0, 0].real, rho[3, 3].real, rho[3, 0]),
+            _smaller_block_eigenvalue(rho[1, 1].real, rho[2, 2].real, rho[2, 1]),
+        )
+        assert abs(closed - dense) <= 1e-15
+        try:
+            check_density(rho)
+        except InvalidStateError as exc:
+            assert "positive semidefinite" in str(exc)
+            verdicts.append((False, dense >= EIGENVALUE_TOL))
+        else:
+            verdicts.append((True, dense >= EIGENVALUE_TOL))
+    assert all(mine == dense for mine, dense in verdicts)
+    assert 0.2 < np.mean([mine for mine, _ in verdicts]) < 0.8
+    assert calls == []  # an exactly-X matrix never reaches the dense solver
+    # one off-X entry, however small, sends the matrix to eigvalsh
+    rho = from_x_params(bell_mixture(0.3))
+    rho[0, 1] = rho[1, 0] = 1e-300
+    check_density(rho)
+    assert len(calls) == 1
+    # each X block is diag(1/4, 1/4), but with all eight off-X entries 0.3
+    # the smallest eigenvalue is 1/4 - 0.6: the block values never see it
+    rho = np.eye(4, dtype=complex) / 4.0
+    for i, j in ((0, 1), (0, 2), (1, 3), (2, 3)):
+        rho[i, j] = rho[j, i] = 0.3
+    assert abs(eigvalsh(rho)[0] + 0.35) < 1e-15
+    with pytest.raises(InvalidStateError, match="positive semidefinite"):
+        check_density(rho)
+    assert len(calls) == 2
+
+
+def test_check_density_hermiticity_defect_matches_numpy():
+    # Seeded density matrices of sizes 1 to 5, exactly X ones among the 4x4,
+    # with one entry pushed off Hermitian by 0.5e-12 to 2e-12 (an imaginary
+    # part on the diagonal counts twice).  The verdict and the defect in
+    # the message must be numpy's largest |rho - rho^dagger| entry.
+    rng = np.random.default_rng(1213)
+    verdicts = []
+    for k in range(400):
+        n = 4 if k % 2 else int(rng.integers(1, 6))
+        if n == 4 and k % 4 == 1:
+            rho = from_x_params(random_x_state(k))
+        else:
+            m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            rho = m @ m.conj().T + 0.1 * np.eye(n)
+            rho /= np.trace(rho).real
+        i, j = rng.integers(n, size=2)
+        size = rng.uniform(0.5e-12, 2e-12)
+        rho[i, j] += 1j * size if i == j else size * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        defect = float(np.abs(rho - rho.conj().T).max())
+        try:
+            check_density(rho)
+        except InvalidStateError as exc:
+            assert f"finite Hermitian matrix (defect {defect:.3e})" in str(exc)
+            verdicts.append(False)
+        else:
+            assert defect <= 1e-12
+            verdicts.append(True)
+    assert 0.2 < np.mean(verdicts) < 0.8
 
 
 def _x_matrix(p: XStateParams) -> np.ndarray:
