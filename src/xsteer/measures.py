@@ -14,21 +14,18 @@ All entropies are in nats.  The steering threshold for a qubit pair is
 
 `full_report` projects a density matrix and is the library path; `x_report`
 evaluates a batch of X states from their six parameters in closed form and
-is what sweeps run.  `x_report` derives S, Xi, E and Z through `_derive`,
-on arrays; `full_report` applies the same formulas to Python floats with
-`math`, since numpy's call overhead on one state's scalars costs more than
-the rest of its tail.
-
-`full_report` reads its matrix once into Python numbers: `check_density`'s
-checks run on those rows (for an X matrix, with the smallest eigenvalue
-from its two 2x2 blocks in closed form), and the X structure and the six
-real X entries come off the same rows.  It then evaluates the state in a
-single x ln x pass: the joint probabilities, qubit A's marginals and, for an
-X input, the closed form's offsets 1 + x_ij and 1 + a_k go into one vector,
-and fixed weight arrays read H_x, H_y, H_z and the closed-form I_AB off its
-x ln x terms.
-`conditional_entropy` and `steering_functional` compute the same
-quantities one at a time and stay the reference for that pass.
+is what sweeps run.  `full_report` works on Python numbers, since numpy's
+call overhead on one state's few dozen numbers costs more than their
+arithmetic.  It reads its matrix once: `check_density`'s checks run on those
+rows (for an X matrix, with the smallest eigenvalue from its two 2x2 blocks
+in closed form), and the X structure and the six real X entries come off the
+same rows.  One matrix product projects the state onto the three Pauli
+product bases.  After it, everything runs on floats with `math`: the
+negative-probability floor, the clip and renormalisation, H_x, H_y, H_z,
+for an X input the closed-form I_AB from the offsets of `x_coefficients`,
+and S, Xi, E and Z.  `joint_distribution`, `conditional_entropy`,
+`steering_functional` and `_derive` compute the same quantities on arrays;
+`x_report` runs them, and they are the reference for `full_report`'s pass.
 """
 
 from __future__ import annotations
@@ -87,17 +84,6 @@ PRODUCT_BASES = np.stack([tensor(b, b) for b in (
 # 4a + i of _PROJECTION times rho.reshape(16) is <b_ai| rho |b_ai>, with
 # b_ai column i of PRODUCT_BASES[a].
 _PROJECTION = np.einsum("aji,aki->aijk", PRODUCT_BASES.conj(), PRODUCT_BASES).reshape(12, 16)
-# Weights of full_report's single x ln x pass.  Its vector holds the 12 joint
-# probabilities p_ij, then qubit A's 6 marginals m_in (both axis by axis),
-# then for an X input the 12 offsets 1 + x_ij and the 2 offsets 1 + a_k.
-# Row i < 3 gives H_i = -sum_j p_ij ln p_ij + sum_n m_in ln m_in; row 3 gives
-# the closed form of `steering_functional`.
-_ENTROPY_WEIGHTS = np.hstack([-np.repeat(np.eye(3), 4, axis=1), np.repeat(np.eye(3), 2, axis=1)])
-_REPORT_WEIGHTS = np.vstack([
-    np.hstack([_ENTROPY_WEIGHTS, np.zeros((3, 14))]),
-    np.concatenate([np.zeros(18), np.full(12, 0.5), [-1.0, -1.0]]),
-])
-
 
 class NegativeProbabilityError(ValueError):
     """A raw measurement probability fell below the rounding-noise floor."""
@@ -107,12 +93,16 @@ class PathDisagreementError(RuntimeError):
     """Closed-form and entropy-identity evaluations of I_AB disagree."""
 
 
-def _clean_probabilities(p: np.ndarray) -> np.ndarray:
-    lowest = float(p.min())
+def _check_floor(lowest: float) -> None:
+    """Raise NegativeProbabilityError when the smallest raw probability is below the floor."""
     if lowest < NEGATIVE_PROBABILITY_TOL:
         raise NegativeProbabilityError(
             f"raw probability {lowest:.3e} below {NEGATIVE_PROBABILITY_TOL:.0e}"
         )
+
+
+def _clean_probabilities(p: np.ndarray) -> np.ndarray:
+    _check_floor(float(p.min()))
     p = np.minimum(np.maximum(p, 0.0), 1.0)  # np.clip, at a third of its call cost
     return p / p.sum(axis=-1, keepdims=True)
 
@@ -238,14 +228,15 @@ class SteeringReport:
     z: float
 
 
-def _checked_i_ab(closed, h: np.ndarray):
+def _checked_i_ab(closed, h):
     """The closed-form I_AB `closed`, checked against the entropy identity.
 
-    A disagreement beyond 1e-9 raises PathDisagreementError (for the first
-    failing row of a batch) since it signals a formula transcription bug
-    rather than bad input.
+    `h` holds H_x, H_y and H_z along its first axis: three floats for one
+    state, or three rows of a batch's values.  A disagreement beyond 1e-9
+    raises PathDisagreementError (for the first failing row of a batch)
+    since it signals a formula transcription bug rather than bad input.
     """
-    identity = SIX_LN2 - 2.0 * h.sum(axis=-1)
+    identity = SIX_LN2 - 2.0 * (h[0] + h[1] + h[2])
     row = failing_row(abs(closed - identity) <= PATH_AGREEMENT_TOL)
     if row is not None:
         raise PathDisagreementError(
@@ -266,6 +257,43 @@ def _derive(h: np.ndarray, i_ab):
     return s, xi, e_x, e_y, z
 
 
+def _given_outcome(a: float, b: float) -> float:
+    """a ln(a/m) + b ln(b/m) with m = a + b, the joint terms of one outcome of qubit A.
+
+    A zero probability contributes nothing.  With m at most 1, a/m never
+    underflows to 0 for a > 0.
+    """
+    m = a + b
+    return (a * math.log(a / m) if a > 0.0 else 0.0) + (b * math.log(b / m) if b > 0.0 else 0.0)
+
+
+def _axis_entropy(p00: float, p01: float, p10: float, p11: float) -> float:
+    """H(sigma^B | sigma^A) of one axis from its four joint probabilities in [0, 1], on floats.
+
+    `_clean_probabilities`' renormalisation, then the conditional form
+    -sum_nm p_nm ln(p_nm / m_n), summed per outcome n of qubit A.  Exact
+    inputs keep exact outputs: on |00><00| the x outcomes are 1/4 each,
+    every term is -ln(2)/4 and the two pairs add up to ln 2 without
+    rounding, where -sum p ln p + sum m ln m lands an ulp below.
+    """
+    total = ((p00 + p01) + p10) + p11  # numpy's order for four entries
+    return -(_given_outcome(p00 / total, p01 / total) + _given_outcome(p10 / total, p11 / total))
+
+
+def _offset_x_ln_x(rows: list) -> float:
+    """The sum of (1 + x) ln(1 + x) over the offsets x in `rows`, a list of lists.
+
+    A term with 1 + x <= 0 counts 0, as in `_x_ln_x`.
+    """
+    total = 0.0
+    for row in rows:
+        for x in row:
+            x += 1.0
+            if x > 0.0:
+                total += x * math.log(x)
+    return total
+
+
 def full_report(rho: np.ndarray) -> SteeringReport:
     """Compute all steering and squeezing quantities for one state.
 
@@ -274,31 +302,33 @@ def full_report(rho: np.ndarray) -> SteeringReport:
     beyond 1e-9 raises PathDisagreementError since it signals a formula
     transcription bug rather than bad input.
 
-    Both come from one x ln x pass over a single vector: the joint
-    probabilities and qubit A's marginals give the H_i, and for an X input
-    the offsets of `x_coefficients` give the closed form.  The results equal
-    `conditional_entropy` and `steering_functional` up to summation order.
     The input gets `check_density`'s checks, and its X structure (within
     X_STRUCTURE_TOL, as `is_x_structured`) and X entries are read off the
-    rows those checks read.
+    rows those checks read.  One matrix product gives the 12 joint
+    probabilities; from there the pass runs on Python floats.  The
+    negative-probability floor, clip and renormalisation are
+    `joint_distribution`'s, the H_i are `conditional_entropy`'s in their
+    conditional form, and for an X input the closed form sums x ln x over
+    the offsets of `x_coefficients`, as `steering_functional` does.  The
+    results equal those functions' up to summation order.
     """
     rho, rows = _checked_rows(rho, "state", 4)
-    p = joint_distribution(rho).reshape(12)
-    terms = [p, p[0::2] + p[1::2]]  # A's outcome n sums B's outcomes of 2n + m
+    p = (_PROJECTION @ rho.reshape(16)).real.tolist()
+    lowest = min(p)
+    _check_floor(lowest)
+    if lowest < 0.0 or max(p) > 1.0:  # else the clip to [0, 1] changes nothing
+        p = [min(max(v, 0.0), 1.0) for v in p]
+    h_cond = (_axis_entropy(*p[0:4]), _axis_entropy(*p[4:8]), _axis_entropy(*p[8:12]))
     if not _x_structured(rows):  # the entropy identity alone
-        h = _ENTROPY_WEIGHTS @ _x_ln_x(np.concatenate(terms))
-        i_ab = SIX_LN2 - 2.0 * h.sum()
+        i_ab = SIX_LN2 - 2.0 * (h_cond[0] + h_cond[1] + h_cond[2])
     else:
         # The x and y statistics read only the real parts of the coherences.
-        coeff = x_coefficients(XStateParams(*(z.real for z in _x_entries(rows))))
-        terms += [1.0 + coeff.x.reshape(12), 1.0 + coeff.a]
-        sums = _REPORT_WEIGHTS @ _x_ln_x(np.concatenate(terms))
-        h = sums[:3]
-        i_ab = _checked_i_ab(sums[3], h)
+        d1, d2, d3, d4, c14, c23 = _x_entries(rows)
+        coeff = x_coefficients(XStateParams(d1.real, d2.real, d3.real, d4.real, c14.real, c23.real))
+        closed = 0.5 * _offset_x_ln_x(coeff.x.tolist()) - _offset_x_ln_x([coeff.a.tolist()])
+        i_ab = _checked_i_ab(closed, h_cond)
     # _derive's formulas on floats; max(value, 0.0) lets a nan through, as
     # np.maximum does.
-    h_cond = tuple(h.tolist())
-    i_ab = float(i_ab)
     xi = tuple(map(math.exp, h_cond))
     reference = 2.0 / math.sqrt(xi[2])
     e_x = max(reference - xi[0], 0.0)
@@ -320,6 +350,6 @@ def x_report(p: XStateParams) -> np.ndarray:
     p = XStateParams(*np.broadcast_arrays(p.d1, p.d2, p.d3, p.d4, p.c14, p.c23))
     closed = steering_functional(p)  # validates p, before anything else reads it
     h = _conditional_entropies(_x_joint_distribution(p))
-    i_ab = _checked_i_ab(closed, h)
+    i_ab = _checked_i_ab(closed, h.T)
     s, _, e_x, e_y, z = _derive(h, i_ab)
     return np.column_stack([s, z, e_x, e_y, i_ab])

@@ -27,6 +27,7 @@ contraction.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -236,11 +237,27 @@ def dephased_params(p: XStateParams, coherence) -> XStateParams:
 def completeness_defect(kraus: list[np.ndarray]) -> float:
     """Max elementwise deviation of sum K^dag K from the identity.
 
-    `kraus` is a list of equal-shape operators or their stack.
+    `kraus` is a non-empty list of equal-shape operators or their stack.
+    sum_k K_k^dag K_k is M^dag M for the operators stacked into one tall
+    matrix M, so entry (i, l) is the inner product of M's columns i and l;
+    it is Hermitian, so the pairs i <= l give every deviation.  The sums
+    run on Python complex numbers, which for a few 2x2 operators cost less
+    than numpy's calls.  A nan or inf entry gives a nan or inf defect, so
+    it fails every `defect <= tolerance` test.
     """
     k = np.asarray(kraus, dtype=complex)
-    total = np.einsum("kji,kjl->il", k.conj(), k)
-    return float(np.abs(total - np.eye(k.shape[-1])).max())
+    columns = list(zip(*k.reshape(-1, k.shape[-1]).tolist()))
+    defects = []
+    try:
+        for i, column in enumerate(columns):
+            conjugated = [a.conjugate() for a in column]
+            for l in range(i, len(columns)):
+                defects.append(abs(sum(map(operator.mul, conjugated, columns[l])) - (i == l)))
+    except OverflowError:  # abs of a finite complex past the largest double
+        return math.inf
+    # max skips a nan unless it comes first; the sum of terms >= 0 is nan
+    # only through a nan term.
+    return math.nan if math.isnan(sum(defects)) else max(defects)
 
 
 def apply_local_channel(
@@ -251,14 +268,17 @@ def apply_local_channel(
     rho = sum_ij (K_i^A x K_j^B) rho0 (K_i^A x K_j^B)^dag, formed as two
     contractions on rho0 reshaped to (dA, dB, dA, dB): first each K_j^B on
     B's indices, then each K_i^A on A's.  The dimensions come from the
-    operators; rho0 must be (dA dB) x (dA dB).  Both operator sets must
-    satisfy the completeness relation.
+    operators; rho0 must be (dA dB) x (dA dB).  Both operator sets must be
+    non-empty and satisfy the completeness relation within 1e-12, which a
+    nan or inf entry fails.
     """
     ka = np.asarray(kraus_a, dtype=complex)
     kb = np.asarray(kraus_b, dtype=complex)
     for name, ops in (("A", ka), ("B", kb)):
+        if not ops.size:
+            raise ChannelParameterError(f"channel on qubit {name} has no Kraus operators")
         defect = completeness_defect(ops)
-        if defect > COMPLETENESS_TOL:
+        if not defect <= COMPLETENESS_TOL:  # a nan defect fails too
             raise ChannelParameterError(
                 f"channel on qubit {name} is not trace preserving (defect {defect:.3e})"
             )

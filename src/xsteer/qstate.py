@@ -95,6 +95,12 @@ DOMAINS = {
 }
 
 
+def _block_ok(c, da, db):
+    """`XStateParams.validate`'s block clause on [[d_a, c], [c, d_b]], row by row for a batch."""
+    cc, dd = c * c, da * db
+    return (cc <= dd + COHERENCE_TOL) & (cc <= dd - EIGENVALUE_TOL * (da + db - EIGENVALUE_TOL))
+
+
 def _smaller_block_eigenvalue(da, db, c) -> float:
     """Smaller eigenvalue of the Hermitian 2x2 block [[d_a, c], [conj(c), d_b]].
 
@@ -136,39 +142,46 @@ class XStateParams:
         second term is `check_density`'s floor EIGENVALUE_TOL on the smaller
         block eigenvalue `_smaller_block_eigenvalue`, squared out.  Raises
         InvalidStateError naming `name` and the offending field, for the
-        first failing row of a batch; returns the input.
+        first failing row of a batch; returns the input.  Every condition is
+        evaluated once and one `failing_row` call accepts the input; only a
+        failure looks for which check failed, in the order trace, outer
+        block, inner block, populations.
         """
         d1, d2, d3, d4 = diagonal = self.diagonal
         total = d1 + d2 + d3 + d4
-        row = failing_row(abs(total - 1.0) <= TRACE_TOL)
-        if row is not None:
+        trace_ok = abs(total - 1.0) <= TRACE_TOL
+        outer_ok, inner_ok = _block_ok(self.c14, d1, d4), _block_ok(self.c23, d2, d3)
+        in_range = [(0.0 <= d) & (d <= 1.0) for d in diagonal]
+        row = failing_row(
+            trace_ok & outer_ok & inner_ok & in_range[0] & in_range[1] & in_range[2] & in_range[3]
+        )
+        if row is None:
+            return self
+        # Each check reports its own first failing row.
+        trace_row = failing_row(trace_ok)
+        if trace_row is not None:
             raise InvalidStateError(
                 f"{name} does not have unit trace: diagonal entries must sum to 1, "
-                f"got {row_value(total, row)}"
+                f"got {row_value(total, trace_row)}"
             )
-        for c_name, c, d_names, da, db, block in (
-            ("c14", self.c14, "d1*d4", d1, d4, "outer"),
-            ("c23", self.c23, "d2*d3", d2, d3, "inner"),
+        for c_name, c, d_names, da, db, block, ok in (
+            ("c14", self.c14, "d1*d4", d1, d4, "outer", outer_ok),
+            ("c23", self.c23, "d2*d3", d2, d3, "inner", inner_ok),
         ):
-            cc, dd = c * c, da * db
-            ok = (cc <= dd + COHERENCE_TOL) & (cc <= dd - EIGENVALUE_TOL * (da + db - EIGENVALUE_TOL))
-            row = failing_row(ok)
-            if row is not None:
-                c, da, db = (row_value(v, row) for v in (c, da, db))
+            block_row = failing_row(ok)
+            if block_row is not None:
+                c, da, db = (row_value(v, block_row) for v in (c, da, db))
                 lo = _smaller_block_eigenvalue(da, db, c)
                 raise InvalidStateError(
                     f"{name} is not positive semidefinite (min eigenvalue {lo:.3e}): "
                     f"in its {block} block {c_name}^2 = {c * c} exceeds {d_names} = {da * db}"
                 )
-        # Last, so a negative population reports its block's eigenvalue.
-        in_range = [(0.0 <= d) & (d <= 1.0) for d in diagonal]
-        row = failing_row(in_range[0] & in_range[1] & in_range[2] & in_range[3])
-        if row is not None:
-            field = next(i for i, ok in enumerate(in_range) if failing_row(ok) == row)
-            raise InvalidStateError(
-                f"{name}: d{field + 1} must lie in [0, 1], got {row_value(diagonal[field], row)}"
-            )
-        return self
+        # Last, so a negative population reports its block's eigenvalue.  Only
+        # the ranges fail now, so `row` is the first row where one does.
+        field = next(i for i, ok in enumerate(in_range) if failing_row(ok) == row)
+        raise InvalidStateError(
+            f"{name}: d{field + 1} must lie in [0, 1], got {row_value(diagonal[field], row)}"
+        )
 
 
 class BellIndex(Enum):

@@ -1,9 +1,10 @@
 import math
 from enum import Enum
+from itertools import cycle
 
 import numpy as np
 import pytest
-from conftest import _projector
+from conftest import _batch, _projector
 
 from xsteer.measures import (
     LN2,
@@ -21,6 +22,13 @@ from xsteer.measures import (
     shannon_entropy,
     steering_functional,
     x_coefficients,
+    x_report,
+)
+from xsteer.processes import (
+    amplitude_damping_kraus,
+    apply_local_channel,
+    bell_project_swap,
+    dephasing_kraus,
 )
 from xsteer.qstate import (
     BellIndex,
@@ -493,6 +501,48 @@ def test_full_report_matches_per_quantity_functions():
         np.testing.assert_allclose(
             [rep.s, *rep.xi, rep.e_x, rep.e_y, rep.z], [s, *xi, e_x, e_y, z], rtol=0, atol=1e-15
         )
+
+
+def test_full_report_float_pass_matches_x_report():
+    # full_report's pass on Python floats against x_report's on arrays, on
+    # 1,000 seeded X states and on the X states that the channels and Bell
+    # swapping make of them
+    rhos = [from_x_params(random_x_state(seed)) for seed in range(1000)]
+    kraus_a, kraus_b = amplitude_damping_kraus(0.1, 2.0), dephasing_kraus(0.5, 3.0)
+    damped = [apply_local_channel(rho, kraus_a, kraus_b) for rho in rhos[:200]]
+    swapped = [
+        bell_project_swap(rhos[i], rhos[i + 1], which) for i, which in zip(range(200), cycle(BellIndex))
+    ]
+    for states in (rhos, damped, swapped):
+        got = [[r.s, r.z, r.e_x, r.e_y, r.i_ab] for r in map(full_report, states)]
+        expected = x_report(_batch([x_params_from_density(rho) for rho in states]))
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
+
+
+def test_full_report_exact_edge_values():
+    # the float pass keeps exact values exact: with the conditional form of
+    # H_i, |00><00| has H_x = H_y = ln 2 to the bit, so Xi = 2 = 2/sqrt(Xi_z)
+    for rho in (PURE_00, MAX_MIXED):
+        rep = full_report(rho)
+        assert rep.s == rep.e_x == rep.e_y == rep.z == 0.0
+    bell = full_report(BELL_PSI)
+    assert abs(bell.s - 1.0) < 1e-12 and abs(bell.z - 1.0) < 1e-12
+    # at nu = 1/2 the closed form is exactly 2 ln 2, the threshold
+    half = full_report(NU_HALF)
+    assert half.i_ab == TWO_LN2 and half.s == 0.0
+
+
+def test_full_report_negative_probability_floor(monkeypatch):
+    import xsteer.measures as measures
+
+    # the x outcomes (1 - t)/4 of the nu = 0.3 mixture are 0; full_report
+    # reads the floor at call time, so raising it to 0.01 rejects the state
+    rho = from_x_params(bell_mixture(0.3))
+    full_report(rho)
+    monkeypatch.setattr(measures, "NEGATIVE_PROBABILITY_TOL", 0.01)
+    with pytest.raises(NegativeProbabilityError, match=r"raw probability .* below 1e-02"):
+        full_report(rho)
+    assert full_report(MAX_MIXED).s == 0.0  # every probability is 1/4
 
 
 def test_error_messages_print_plain_numbers():

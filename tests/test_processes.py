@@ -328,6 +328,33 @@ def test_apply_local_channel_rejects_incomplete_sets():
         apply_local_channel(np.eye(4, dtype=complex) / 4, broken, broken)
 
 
+@pytest.mark.parametrize("qubit", ["A", "B"])
+@pytest.mark.parametrize(
+    "broken, fragment",
+    [
+        # completeness_defect is nan for both; nan > tol is False, so a
+        # plain `defect > tol` guard let an all-nan state through
+        ([np.array([[math.inf, 0.0], [0.0, 1.0]], dtype=complex)], "is not trace preserving"),
+        ([np.array([[1.0, 0.0], [0.0, math.nan]], dtype=complex)], "is not trace preserving"),
+        ([], "has no Kraus operators"),
+    ],
+    ids=["inf", "nan", "empty"],
+)
+def test_apply_local_channel_rejects_non_finite_and_empty_sets(broken, fragment, qubit):
+    ops = amplitude_damping_kraus(0.5, 1.0)
+    kraus_a, kraus_b = (broken, ops) if qubit == "A" else (ops, broken)
+    with pytest.raises(ChannelParameterError, match=f"channel on qubit {qubit} {fragment}"):
+        apply_local_channel(np.eye(4, dtype=complex) / 4, kraus_a, kraus_b)
+
+
+def test_completeness_defect_of_non_finite_operators_fails_every_tolerance():
+    for bad in (math.inf, math.nan, -math.inf):
+        for ops in ([[[bad, 0.0], [0.0, 1.0]]], [[[1.0, 0.0], [0.0, 1.0]], [[0.0, bad], [0.0, 0.0]]]):
+            assert not completeness_defect(ops) <= 1e12
+    # |c| of a finite complex past the largest double is inf, not an OverflowError
+    assert completeness_defect([[[1e308 + 1e308j, 0.0], [0.0, 1.0]]]) == math.inf
+
+
 def test_channel_outputs_stay_valid_x_states():
     for seed in range(20):
         rho = from_x_params(random_x_state(seed))

@@ -478,6 +478,78 @@ def test_batch_checks_report_the_first_failing_row():
         bell_mixture(np.array([0.0, 0.5, 1.5, -1.0]))
 
 
+# Batches of six seeded valid states with bad rows put in: {row: state}, the
+# row whose error is reported, and its message.  `validate` reports the first
+# failing check in the order trace, outer block, inner block, populations,
+# each at its own first failing row.
+_DIAGNOSED = {
+    "trace wins over an earlier block error": (
+        {
+            1: XStateParams(0.5, 0.5, 0.0, 0.0, 0.6, 0.0),
+            3: XStateParams(0.5, 0.3, 0.2, 0.1, 0.0, 0.0),
+            5: XStateParams(0.6, 0.3, 0.2, 0.1, 0.0, 0.0),
+        },
+        3,
+        "state does not have unit trace: diagonal entries must sum to 1, got 1.1",
+    ),
+    "outer block": (
+        {4: XStateParams(0.25, 0.25, 0.25, 0.25, 0.3, 0.0)},
+        4,
+        "state is not positive semidefinite (min eigenvalue -5.000e-02): "
+        "in its outer block c14^2 = 0.09 exceeds d1*d4 = 0.0625",
+    ),
+    "outer block wins over an earlier inner one": (
+        {
+            0: XStateParams(0.25, 0.25, 0.25, 0.25, 0.0, 0.26),
+            5: XStateParams(0.4, 0.1, 0.1, 0.4, 0.45, 0.0),
+        },
+        5,
+        "state is not positive semidefinite (min eigenvalue -5.000e-02): "
+        "in its outer block c14^2 = 0.2025 exceeds d1*d4 = 0.16000000000000003",
+    ),
+    "inner block": (
+        {
+            2: XStateParams(0.4, 0.1, 0.1, 0.4, 0.0, 0.15),
+            4: XStateParams(0.25, 0.25, 0.25, 0.25, 0.0, 0.3),
+        },
+        2,
+        "state is not positive semidefinite (min eigenvalue -5.000e-02): "
+        "in its inner block c23^2 = 0.0225 exceeds d2*d3 = 0.010000000000000002",
+    ),
+    "negative population with a block error wins over a range error": (
+        {
+            1: XStateParams(1.2, -0.1, -0.1, 0.0, 0.0, 0.0),
+            4: XStateParams(0.7, 0.5, -0.1, -0.1, 0.0, 0.0),
+        },
+        4,
+        "state is not positive semidefinite (min eigenvalue -1.000e-01): "
+        "in its outer block c14^2 = 0.0 exceeds d1*d4 = -0.06999999999999999",
+    ),
+    "populations alone": (
+        {
+            2: XStateParams(0.0, -0.05, -0.05, 1.1, 0.0, 0.0),
+            4: XStateParams(1.2, -0.1, -0.1, 0.0, 0.0, 0.0),
+        },
+        2,
+        "state: d2 must lie in [0, 1], got -0.05",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_DIAGNOSED))
+def test_validate_diagnoses_the_first_failing_check(case):
+    bad, row, message = _DIAGNOSED[case]
+    rows = [random_x_state(seed) for seed in range(6)]
+    for i, params in bad.items():
+        rows[i] = params
+    with pytest.raises(InvalidStateError) as batched:
+        _batch(rows).validate()
+    assert str(batched.value) == message
+    with pytest.raises(InvalidStateError) as single:
+        rows[row].validate()
+    assert str(single.value) == message
+
+
 def test_domains_exclude_non_finite_values():
     for name, domain in DOMAINS.items():
         assert not np.any(domain.contains(np.array([math.nan, math.inf, -math.inf]))), name
