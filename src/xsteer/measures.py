@@ -22,10 +22,12 @@ in closed form), and the X structure and the six real X entries come off the
 same rows.  One matrix product projects the state onto the three Pauli
 product bases.  After it, everything runs on floats with `math`: the
 negative-probability floor, the clip and renormalisation, H_x, H_y, H_z,
-for an X input the closed-form I_AB from the offsets of `x_coefficients`,
-and S, Xi, E and Z.  `joint_distribution`, `conditional_entropy`,
-`steering_functional` and `_derive` compute the same quantities on arrays;
-`x_report` runs them, and they are the reference for `full_report`'s pass.
+for an X input the closed-form I_AB, and S, Xi, E and Z.  The closed form
+reads the offsets that `x_coefficients` wraps in arrays as the floats they
+are computed in, from the same helper.  `joint_distribution`,
+`conditional_entropy`, `steering_functional` and `_derive` compute the same
+quantities on arrays; `x_report` runs them, and they are the reference for
+`full_report`'s pass.
 """
 
 from __future__ import annotations
@@ -180,20 +182,28 @@ class XCoefficients:
     a: np.ndarray  # shape (2,)
 
 
-def x_coefficients(p: XStateParams) -> XCoefficients:
-    """The offsets of one X state, or of a batch along a trailing axis."""
+def _x_offsets(p: XStateParams) -> tuple[tuple, tuple]:
+    """`x_coefficients`' x and a as nested tuples of `p`'s own field type.
+
+    Validates `p` once.  For one state of floats the offsets are floats,
+    with no numpy call; for a batch each entry is an array over the rows.
+    """
     p.validate()
     t = 2.0 * (p.c14 + p.c23)
     u = 2.0 * (p.c23 - p.c14)
-    x = np.array(
-        [
-            [t, t, -t, -t],
-            [u, u, -u, -u],
-            [4.0 * p.d1 - 1.0, 4.0 * p.d2 - 1.0, 4.0 * p.d3 - 1.0, 4.0 * p.d4 - 1.0],
-        ]
+    x = (
+        (t, t, -t, -t),
+        (u, u, -u, -u),
+        (4.0 * p.d1 - 1.0, 4.0 * p.d2 - 1.0, 4.0 * p.d3 - 1.0, 4.0 * p.d4 - 1.0),
     )
     az = p.d1 + p.d2 - p.d3 - p.d4
-    return XCoefficients(x=x, a=np.array([-az, az]))
+    return x, (-az, az)
+
+
+def x_coefficients(p: XStateParams) -> XCoefficients:
+    """The offsets of one X state, or of a batch along a trailing axis."""
+    x, a = _x_offsets(p)
+    return XCoefficients(x=np.array(x), a=np.array(a))
 
 
 def steering_functional(p: XStateParams):
@@ -280,8 +290,8 @@ def _axis_entropy(p00: float, p01: float, p10: float, p11: float) -> float:
     return -(_given_outcome(p00 / total, p01 / total) + _given_outcome(p10 / total, p11 / total))
 
 
-def _offset_x_ln_x(rows: list) -> float:
-    """The sum of (1 + x) ln(1 + x) over the offsets x in `rows`, a list of lists.
+def _offset_x_ln_x(rows) -> float:
+    """The sum of (1 + x) ln(1 + x) over the float offsets x in `rows`, a sequence of sequences.
 
     A term with 1 + x <= 0 counts 0, as in `_x_ln_x`.
     """
@@ -309,8 +319,8 @@ def full_report(rho: np.ndarray) -> SteeringReport:
     negative-probability floor, clip and renormalisation are
     `joint_distribution`'s, the H_i are `conditional_entropy`'s in their
     conditional form, and for an X input the closed form sums x ln x over
-    the offsets of `x_coefficients`, as `steering_functional` does.  The
-    results equal those functions' up to summation order.
+    `x_coefficients`' offsets as floats, as `steering_functional` does over
+    its arrays.  The results equal those functions' up to summation order.
     """
     rho, rows = _checked_rows(rho, "state", 4)
     p = (_PROJECTION @ rho.reshape(16)).real.tolist()
@@ -324,8 +334,8 @@ def full_report(rho: np.ndarray) -> SteeringReport:
     else:
         # The x and y statistics read only the real parts of the coherences.
         d1, d2, d3, d4, c14, c23 = _x_entries(rows)
-        coeff = x_coefficients(XStateParams(d1.real, d2.real, d3.real, d4.real, c14.real, c23.real))
-        closed = 0.5 * _offset_x_ln_x(coeff.x.tolist()) - _offset_x_ln_x([coeff.a.tolist()])
+        x, a = _x_offsets(XStateParams(d1.real, d2.real, d3.real, d4.real, c14.real, c23.real))
+        closed = 0.5 * _offset_x_ln_x(x) - _offset_x_ln_x((a,))
         i_ab = _checked_i_ab(closed, h_cond)
     # _derive's formulas on floats; max(value, 0.0) lets a nan through, as
     # np.maximum does.
@@ -333,9 +343,10 @@ def full_report(rho: np.ndarray) -> SteeringReport:
     reference = 2.0 / math.sqrt(xi[2])
     e_x = max(reference - xi[0], 0.0)
     e_y = max(reference - xi[1], 0.0)
+    # Positional arguments: a frozen dataclass's __init__ binds keywords slower.
     return SteeringReport(
-        h_cond=h_cond, i_ab=i_ab, s=max((i_ab - TWO_LN2) / (SIX_LN2 - TWO_LN2), 0.0), xi=xi,
-        e_x=e_x, e_y=e_y, z=max(0.5 * (e_x + e_y), 0.0),
+        h_cond, i_ab, max((i_ab - TWO_LN2) / (SIX_LN2 - TWO_LN2), 0.0), xi,
+        e_x, e_y, max(0.5 * (e_x + e_y), 0.0),
     )
 
 

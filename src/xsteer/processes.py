@@ -97,12 +97,16 @@ def accelerate(nu: float, r_a: float, r_b: float) -> np.ndarray:
     return from_x_params(accelerated_params(nu, r_a, r_b))
 
 
+# The image of |1> in the (region I, region II) product space, indexed as
+# 2*i_I + i_II, for every r; read only, since every call shares it.
+_RINDLER_ONE = np.array([0.0, 0.0, 1.0, 0.0], dtype=complex)
+_RINDLER_ONE.flags.writeable = False
+
+
 def _rindler_images(r: float) -> tuple[np.ndarray, np.ndarray]:
-    # Images of |0> and |1> in the (region I, region II) product space,
-    # indexed as 2*i_I + i_II.
+    # Images of |0> and |1> in the (region I, region II) product space.
     zero = np.array([math.cos(r), 0.0, 0.0, math.sin(r)], dtype=complex)
-    one = np.array([0.0, 0.0, 1.0, 0.0], dtype=complex)
-    return zero, one
+    return zero, _RINDLER_ONE
 
 
 # The partial trace over A_II and B_II of a 16x16 matrix on the modes
@@ -126,7 +130,7 @@ def accelerate_oracle(nu: float, r_a: float, r_b: float) -> np.ndarray:
     outer = np.multiply.outer
     psi = s * (outer(za, zb) + outer(oa, ob)).reshape(16)   # from (|00> + |11>)/sqrt(2)
     phi = s * (outer(za, ob) + outer(oa, zb)).reshape(16)   # from (|01> + |10>)/sqrt(2)
-    rho16 = nu * np.outer(phi, phi.conj()) + (1.0 - nu) * np.outer(psi, psi.conj())
+    rho16 = nu * outer(phi, phi.conj()) + (1.0 - nu) * outer(psi, psi.conj())
     return np.einsum(_TRACE_REGION_II, rho16.reshape((2,) * 8)).reshape(4, 4)
 
 
@@ -260,6 +264,29 @@ def completeness_defect(kraus: list[np.ndarray]) -> float:
     return math.nan if math.isnan(sum(defects)) else max(defects)
 
 
+def _checked_kraus(kraus, name: str) -> np.ndarray:
+    """The Kraus operators of qubit `name`'s channel as one complex stack, checked.
+
+    Raises ChannelParameterError naming the qubit for operators that do not
+    stack (unequal shapes), an empty set, or a completeness defect above
+    COMPLETENESS_TOL, which a nan defect fails too.
+    """
+    try:
+        ops = np.asarray(kraus, dtype=complex)
+    except ValueError as exc:
+        raise ChannelParameterError(
+            f"channel on qubit {name} has Kraus operators that do not stack into one array"
+        ) from exc
+    if not ops.size:
+        raise ChannelParameterError(f"channel on qubit {name} has no Kraus operators")
+    defect = completeness_defect(ops)
+    if not defect <= COMPLETENESS_TOL:
+        raise ChannelParameterError(
+            f"channel on qubit {name} is not trace preserving (defect {defect:.3e})"
+        )
+    return ops
+
+
 def apply_local_channel(
     rho0: np.ndarray, kraus_a: list[np.ndarray], kraus_b: list[np.ndarray]
 ) -> np.ndarray:
@@ -269,19 +296,11 @@ def apply_local_channel(
     contractions on rho0 reshaped to (dA, dB, dA, dB): first each K_j^B on
     B's indices, then each K_i^A on A's.  The dimensions come from the
     operators; rho0 must be (dA dB) x (dA dB).  Both operator sets must be
-    non-empty and satisfy the completeness relation within 1e-12, which a
-    nan or inf entry fails.
+    non-empty, of one shape, and satisfy the completeness relation within
+    1e-12, which a nan or inf entry fails.
     """
-    ka = np.asarray(kraus_a, dtype=complex)
-    kb = np.asarray(kraus_b, dtype=complex)
-    for name, ops in (("A", ka), ("B", kb)):
-        if not ops.size:
-            raise ChannelParameterError(f"channel on qubit {name} has no Kraus operators")
-        defect = completeness_defect(ops)
-        if not defect <= COMPLETENESS_TOL:  # a nan defect fails too
-            raise ChannelParameterError(
-                f"channel on qubit {name} is not trace preserving (defect {defect:.3e})"
-            )
+    ka = _checked_kraus(kraus_a, "A")
+    kb = _checked_kraus(kraus_b, "B")
     da, db = ka.shape[-1], kb.shape[-1]
     rho = as_square(rho0, "rho0", da * db).reshape(da, db, da, db)
     rho = np.einsum("jyb,abAB,jYB->ayAY", kb, rho, kb.conj())
@@ -294,12 +313,17 @@ def apply_local_channel(
 # Entanglement swapping
 # ---------------------------------------------------------------------------
 
-def _realign(m: np.ndarray) -> np.ndarray:
-    """Regroup a two-qubit matrix with entries (xy, XY) to entries (xX, yY).
+# Entry (xX, yY) of a regrouped two-qubit matrix is flat entry
+# 4 (2x + y) + 2X + Y of the matrix with entries (xy, XY).
+_REALIGN = np.arange(16).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
 
-    The map is its own inverse.
+
+def _realign(m: np.ndarray) -> np.ndarray:
+    """Regroup a 4x4 two-qubit matrix with entries (xy, XY) to entries (xX, yY).
+
+    The map is its own inverse; one `take` gathers the permuted entries.
     """
-    return m.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+    return m.take(_REALIGN)
 
 
 # The Bell projection of `bell_project_swap` as a 4x4 kernel per outcome:
@@ -307,6 +331,13 @@ def _realign(m: np.ndarray) -> np.ndarray:
 _SWAP_KERNELS = {
     which: tensor(which.ket.reshape(2, 2).conj(), which.ket.reshape(2, 2)) for which in BellIndex
 }
+
+
+def _check_bell(which) -> None:
+    """Raise ValueError unless `which` is a BellIndex member; its value alone is not."""
+    if not isinstance(which, BellIndex):
+        members = ", ".join(f"BellIndex.{b.name}" for b in BellIndex)
+        raise ValueError(f"which must be one of {members}, got {which!r}")
 
 
 def bell_project_swap(
@@ -322,11 +353,14 @@ def bell_project_swap(
     k the Bell ket: with rho12 regrouped to rows (1, 1') and columns (2, 2'),
     and rho34 to rows (3, 3') and columns (4, 4'), that is two 4x4 matrix
     products around a fixed kernel.  No four-qubit matrix is formed.
+    `which` must be a BellIndex member.
     """
+    _check_bell(which)
     rho12 = check_density(rho12, "rho12", dim=4)
     rho34 = check_density(rho34, "rho34", dim=4)
     kept = _realign(_realign(rho12) @ _SWAP_KERNELS[which] @ _realign(rho34))
-    weight = float(np.trace(kept).real)
+    # ndarray.trace's pairing of the four diagonal entries, without its call
+    weight = ((kept[0, 0] + kept[1, 1]) + (kept[2, 2] + kept[3, 3])).real
     if weight < SWAP_PROBABILITY_FLOOR:
         raise ZeroProbabilityOutcomeError(
             f"Bell outcome {which.value} has probability {weight:.3e}"
@@ -344,8 +378,10 @@ def swapped_params(p12: XStateParams, p34: XStateParams, which: BellIndex) -> XS
     a3 b2 + a4 b4) / 2 and the coherences +-(a14 b14 + a23 b23) / 2 and
     +-(a14 b23 + a23 b14) / 2.  The phi+- outcomes are the psi+- ones with
     qubit 3 flipped, which swaps b's populations in pairs and its two
-    coherences.  Outcomes with W below 1e-12 are rejected.
+    coherences.  Outcomes with W below 1e-12 are rejected, and `which`
+    must be a BellIndex member.
     """
+    _check_bell(which)
     p12.validate("rho12")
     p34.validate("rho34")
     a, b = p12, p34

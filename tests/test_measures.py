@@ -12,9 +12,9 @@ from xsteer.measures import (
     TWO_LN2,
     NegativeProbabilityError,
     PathDisagreementError,
-    XCoefficients,
     _checked_i_ab,
     _derive,
+    _x_offsets,
     conditional_entropy,
     full_report,
     joint_distribution,
@@ -199,8 +199,20 @@ def test_x_coefficients_maximally_mixed_and_nu_half():
 
 
 def test_x_coefficients_sign_structure_and_bounds():
-    for seed in range(200):
-        c = x_coefficients(random_x_state(seed))
+    states = [random_x_state(seed) for seed in range(200)]
+    # the arrays are exactly the float offsets full_report reads, for one
+    # state and, along a trailing axis, for a batch
+    for p in (states[0], _batch(states)):
+        c = x_coefficients(p)
+        x, a = _x_offsets(p)
+        for got, want in ((c.x, x), (c.a, a)):
+            want = np.array(want)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+    x, a = _x_offsets(states[0])
+    assert {type(v) for v in (*x[0], *x[1], *x[2], *a)} == {float}
+    for p in states:
+        c = x_coefficients(p)
         for i in (0, 1):
             assert c.x[i][0] == c.x[i][1] == -c.x[i][2] == -c.x[i][3]
             assert np.max(np.abs(c.x[i])) <= 1 + 1e-12
@@ -425,9 +437,7 @@ def test_full_report_reads_real_parts_of_imaginary_coherences(monkeypatch):
     rho = from_x_params(XStateParams(0.4, 0.1, 0.1, 0.4, 0.2, 0.05))
     rho[0, 3], rho[3, 0] = 0.2j, -0.2j
     seen = []
-    monkeypatch.setattr(
-        measures, "x_coefficients", lambda p: seen.append(p) or x_coefficients(p)
-    )
+    monkeypatch.setattr(measures, "_x_offsets", lambda p: seen.append(p) or _x_offsets(p))
     rep = full_report(rho)
     real_parts = XStateParams(0.4, 0.1, 0.1, 0.4, 0.0, 0.05)
     assert seen == [real_parts]
@@ -452,10 +462,10 @@ def test_measures_reject_wrong_size_matrices(measure, dim):
 def test_full_report_path_disagreement_guard(monkeypatch):
     import xsteer.measures as measures
 
-    # full_report reads the closed form off x_coefficients: with every offset
+    # full_report reads the closed form off _x_offsets: with every offset
     # 0 it gives I_AB = 0, against about 1.72 from the entropy identity
-    zero = XCoefficients(x=np.zeros((3, 4)), a=np.zeros(2))
-    monkeypatch.setattr(measures, "x_coefficients", lambda p: zero)
+    zero = (((0.0,) * 4,) * 3, (0.0, 0.0))
+    monkeypatch.setattr(measures, "_x_offsets", lambda p: zero)
     with pytest.raises(PathDisagreementError):
         measures.full_report(from_x_params(bell_mixture(0.3)))
 

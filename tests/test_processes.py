@@ -337,8 +337,10 @@ def test_apply_local_channel_rejects_incomplete_sets():
         ([np.array([[math.inf, 0.0], [0.0, 1.0]], dtype=complex)], "is not trace preserving"),
         ([np.array([[1.0, 0.0], [0.0, math.nan]], dtype=complex)], "is not trace preserving"),
         ([], "has no Kraus operators"),
+        # numpy cannot stack a 2x2 and a 3x3 operator into one array
+        ([np.eye(2), np.eye(3)], "has Kraus operators that do not stack"),
     ],
-    ids=["inf", "nan", "empty"],
+    ids=["inf", "nan", "empty", "ragged"],
 )
 def test_apply_local_channel_rejects_non_finite_and_empty_sets(broken, fragment, qubit):
     ops = amplitude_damping_kraus(0.5, 1.0)
@@ -480,3 +482,18 @@ def test_swap_zero_probability_outcome_rejected():
     with pytest.raises(ZeroProbabilityOutcomeError):
         swapped_params(x_params_from_density(ground), x_params_from_density(ground),
                        BellIndex.PHI_PLUS)
+
+
+@pytest.mark.parametrize("which", ["phi", None], ids=["value-string", "none"])
+def test_swap_rejects_which_that_is_not_a_bell_index(which):
+    # "phi" is PHI_PLUS's value, yet swapped_params used to take it for the
+    # psi+ outcome and bell_project_swap raised a bare KeyError
+    expected = (
+        r"which must be one of BellIndex.PSI_PLUS, BellIndex.PHI_PLUS, "
+        rf"BellIndex.PSI_MINUS, BellIndex.PHI_MINUS, got {which!r}"
+    )
+    p = bell_mixture(0.3)
+    with pytest.raises(ValueError, match=expected):
+        swapped_params(p, p, which)
+    with pytest.raises(ValueError, match=expected):
+        bell_project_swap(from_x_params(p), from_x_params(p), which)
