@@ -13,9 +13,11 @@ maps X states to X states, so `evaluate_grid` computes the six X parameters
 of every grid point in closed form and evaluates the whole grid in one
 vectorised pass.  With jobs > 1 the grid is split into contiguous chunks, one
 per worker, each evaluated by the same pass; every operation acts row by row,
-so the emitted bytes are identical for any worker count.  The CSV and its plot
-script are rendered in memory, written to two temporary files beside the
-output and renamed into place, CSV first.
+so the emitted bytes are identical for any worker count.  The CSV text is
+rendered in memory in blocks of _BLOCK_ROWS rows, each in one numpy pass that
+yields the bytes "%.12e" gives (see _csv_text).  The CSV and its plot script
+are written to two temporary files beside the output and renamed into place,
+CSV first.
 """
 
 from __future__ import annotations
@@ -60,7 +62,27 @@ CSV_HEADER = "param,s,z,e_x,e_y,i_ab"
 # One sweep record, a float field per CSV column.
 RECORD = np.dtype([(name, float) for name in CSV_HEADER.split(",")])
 # printf-style; gives the same digits as "{:.12e}".
-_ROW_FORMAT = ",".join(["%.12e"] * 6) + "\n"
+_FIELD_FORMAT = "%.12e"
+_ROW_FORMAT = ",".join([_FIELD_FORMAT] * 6) + "\n"
+
+# _csv_text renders this many rows per numpy pass, which bounds its
+# temporaries near 10 MB whatever the grid size.
+_BLOCK_ROWS = 2**14
+# A row of non-negative fields with 2-digit exponents: six 18-character
+# fields "d.dddddddddddde+XX", each followed by its ',' or '\n'.
+_ROW_TEMPLATE = np.frombuffer((_ROW_FORMAT % ((0.0,) * 6)).encode(), np.uint8)
+_CELL = len(_ROW_TEMPLATE) // 6
+# 10**(12 - e) for the exponents e in [-98, 98], each the correctly rounded
+# double, as float() parses it.
+_SCALE = np.array([float(f"1e{12 - e}") for e in range(-98, 99)])
+# floor(m / _DIVISORS) for a 13-digit m: its first 1, 5, 9 and 13 digits.
+_DIVISORS = np.array([[1e12], [1e8], [1e4], [1.0]])
+# The 4-digit groups "0000".."9999" and the exponents "e-98".."e+98", each
+# as 4 ASCII bytes read as one uint32.
+_DIGIT_GROUPS = np.stack(
+    np.meshgrid(*[np.frombuffer(b"0123456789", np.uint8)] * 4, indexing="ij"), axis=-1
+).view(np.uint32).ravel()
+_EXPONENTS = np.frombuffer(b"".join(b"e%+03d" % e for e in range(-98, 99)), np.uint32)
 
 
 def _is_integer(value) -> bool:
@@ -223,26 +245,90 @@ def _write_texts(texts: dict[Path, str]) -> None:
 
 
 def _csv_text(table) -> str:
-    """The CSV text of an (n, 6) float table, one record per row; see write_csv."""
+    """The CSV text of an (n, 6) float table, one record per row; see write_csv.
+
+    `table` may also be an array of dtype RECORD.  The rows render in blocks
+    of _BLOCK_ROWS, so the renderer's temporaries stay small for any grid.
+    A block whose values are all non-negative renders in one numpy pass:
+    each value v is written as the 13 digits of m = rint(q), where
+    q = v * 10**(12 - e) and e = floor(log10 v), through tables of 4-digit
+    groups and of exponents; a zero renders with e = 0 and m = 0.  The scale
+    10**(12 - e) is a correctly rounded double and the product is rounded
+    once, so q lies within 0.0023 of the exact v * 10**(12 - e), and rint(q)
+    is its correct rounding unless q lies within 0.005 of a half-integer.
+    Exact ties, which "%.12e" rounds half to even, lie in that band.  A value
+    in the band, or whose q falls outside [1e12, 1e13 - 1) (log10 off by one
+    near a power of ten, or e outside [-98, 98]), is formatted on its own by
+    "%.12e" and spliced in.  A block with a negative value or a 3-digit
+    exponent renders through _ROW_FORMAT as a whole.  Either way the bytes
+    are those of _ROW_FORMAT.
+    """
+    table = np.asarray(table)
+    if table.dtype.names is not None:
+        if table.dtype != RECORD:
+            raise ValueError(
+                f"write_csv needs an (n, 6) table or records of dtype RECORD, got {table.dtype}"
+            )
+        table = np.ascontiguousarray(table).view(float).reshape(-1, 6)
     table = np.asarray(table, dtype=float)
     if table.ndim != 2 or table.shape[1] != 6:
         raise ValueError(f"write_csv needs an (n, 6) table, got shape {table.shape}")
-    finite = np.isfinite(table).all(axis=1)
-    if not finite.all():
-        row = int(np.flatnonzero(~finite)[0])
-        raise NonFiniteRecordError(
-            f"non-finite sweep record in row {row}: {table[row].tolist()}"
-        )
-    return CSV_HEADER + "\n" + _ROW_FORMAT * len(table) % tuple(table.ravel().tolist())
+    parts = [CSV_HEADER + "\n"]
+    for start in range(0, len(table), _BLOCK_ROWS):
+        block = table[start:start + _BLOCK_ROWS]
+        finite = np.isfinite(block).all(axis=1)
+        if not finite.all():
+            row = start + int(np.flatnonzero(~finite)[0])
+            raise NonFiniteRecordError(
+                f"non-finite sweep record in row {row}: {table[row].tolist()}"
+            )
+        parts.append(_block_text(block))
+    return "".join(parts)
+
+
+def _block_text(block: np.ndarray) -> str:
+    """The CSV rows of a finite (k, 6) block, as _ROW_FORMAT renders them."""
+    if np.signbit(block).any():
+        return _ROW_FORMAT * len(block) % tuple(block.ravel().tolist())
+    v = block.ravel()
+    zero = v == 0
+    # e + 98 for e = floor(log10 v); a zero gets e = 0 and q = m = 0.  take's
+    # clip mode clamps e to [-98, 98], which puts q outside [1e12, 1e13 - 1).
+    exponent = (np.log10(v + zero) + 98).astype(np.intp)
+    q = v * _SCALE.take(exponent, mode="clip")
+    m = np.rint(q)
+    # q < 1e12 holds for every zero, and ^ exempts them
+    slow = (np.abs(q - m) >= 0.495) | (q >= 1e13 - 1) | ((q < 1e12) ^ zero)
+    m[slow] = 0.0
+    # m's lead digit and three 4-digit groups.  m is an integer below 2**53,
+    # so each quotient m / 10**k is exact or at least 1e-12 from an integer,
+    # and its floor is exact.
+    quotients = np.floor(m / _DIVISORS)
+    groups = (quotients[1:] - quotients[:-1] * 1e4).astype(np.intp)
+    out = np.empty((len(block), len(_ROW_TEMPLATE)), np.uint8)
+    out[:] = _ROW_TEMPLATE
+    cells = out.reshape(-1, _CELL)
+    cells[:, 0] = quotients[0] + ord("0")
+    cells[:, 2:14].view(np.uint32).T[...] = _DIGIT_GROUPS[groups]
+    cells[:, 14:18].view(np.uint32)[:, 0] = _EXPONENTS.take(exponent, mode="clip")
+    slow = np.flatnonzero(slow)
+    if slow.size:
+        text = (_FIELD_FORMAT * slow.size % tuple(v[slow].tolist())).encode()
+        if len(text) != (_CELL - 1) * slow.size:  # a 3-digit exponent
+            return _ROW_FORMAT * len(block) % tuple(v.tolist())
+        cells[slow, :_CELL - 1] = np.frombuffer(text, np.uint8).reshape(-1, _CELL - 1)
+    return str(out, "ascii")
 
 
 def write_csv(table, path: Path | str) -> Path:
-    """UTF-8 CSV with LF endings and 12-significant-digit scientific fields.
+    """UTF-8 CSV with LF endings and 13-significant-digit scientific fields.
 
     `table` is an (n, 6) float array, one record per row in CSV_HEADER's
-    column order.  Any other shape raises ValueError and a non-finite value
-    raises NonFiniteRecordError, naming the first such row, before anything
-    is written.
+    column order, or an array of dtype RECORD such as run_sweep and load_csv
+    return, so write_csv(load_csv(p), q) copies p byte for byte.  Any other
+    shape or structured dtype raises ValueError and a non-finite value raises
+    NonFiniteRecordError, naming the first such row, before anything is
+    written.
     """
     path = Path(path)
     _write_texts({path: _csv_text(table)})

@@ -393,9 +393,28 @@ def test_sweep_records_are_read_only(tmp_path):
 
 
 def test_write_csv_rejects_other_shapes(tmp_path):
-    for table in (np.zeros((3, 4)), np.zeros(12)):
+    other_records = np.zeros(2, dtype=[(name, float) for name in "abcdef"])
+    for table in (np.zeros((3, 4)), np.zeros(12), np.zeros(3, dtype=[("s", float)]), other_records):
         with pytest.raises(ValueError, match=r"\(n, 6\) table"):
             write_csv(table, tmp_path / "bad.csv")
+    assert not list(tmp_path.iterdir())
+
+
+def test_write_csv_takes_records(tmp_path):
+    records = run_sweep(_cfg(tmp_path, points=17))
+    written = (tmp_path / "out.csv").read_bytes()
+    assert write_csv(records, tmp_path / "a.csv").read_bytes() == written
+    assert write_csv(load_csv(tmp_path / "out.csv"), tmp_path / "b.csv").read_bytes() == written
+    header, *lines = written.decode().splitlines(keepends=True)
+    assert write_csv(records[::2], tmp_path / "c.csv").read_text() == header + "".join(lines[::2])
+
+
+def test_non_finite_record_names_its_row_in_the_whole_table(tmp_path):
+    row = sweep._BLOCK_ROWS + 3
+    table = np.zeros((row + 10, 6))
+    table[row, 4] = math.inf
+    with pytest.raises(sweep.NonFiniteRecordError, match=rf"non-finite sweep record in row {row}: "):
+        write_csv(table, tmp_path / "inf.csv")
     assert not list(tmp_path.iterdir())
 
 
@@ -418,14 +437,37 @@ def test_load_csv_rejects_foreign_file(tmp_path):
 
 def test_csv_row_template_matches_format_spec(tmp_path):
     rng = np.random.default_rng(3)
-    values = np.concatenate(
-        [[0.0, -0.0, 1.0, -1.0, 5e-324, 1e308, 0.1, 1 / 3, 2.5e-13],
-         rng.normal(size=40) * 10.0 ** rng.integers(-300, 300, 40)]
-    )
-    table = np.resize(values, (len(values) // 6 * 6,)).reshape(-1, 6)
-    path = write_csv(table, tmp_path / "t.csv")
-    expected = [",".join("{:.12e}".format(v) for v in row) for row in table.tolist()]
-    assert path.read_text().splitlines()[1:] == expected
+    powers = np.array([float(f"1e{e}") for e in range(-99, 100)])
+    # odd t / 2**s with 14 significant digits, the last a 5: exact decimal ties
+    s = rng.integers(1, 14, 6000)
+    low = 2**s * 10 ** (13 - s)
+    ties = (rng.integers(low, 10 * low) | 1) / 2.0**s
+    mantissas = rng.integers(10**12, 10**13, 6000) + 0.5
+    non_negative = np.concatenate([
+        rng.integers(1, 10**7, 32000) / 10.0 ** rng.integers(0, 17, 32000),
+        np.linspace(0.0, 1.0, 4001),
+        np.linspace(0.0, 40.0, 4001),
+        np.concatenate([powers * (1.0 + k * 2.0**-52) for k in range(-4, 5)]),
+        ties,
+        mantissas * 10.0,
+        mantissas * 10.0 ** rng.integers(-12, 0, 6000),
+        10.0 ** rng.uniform(-99.0, 100.0, 42000),
+        [9.9999999999995, 9.99999999999949, 0.0, 1.5e98, 9.87e-98, 4.2e99, 6.1e-99, 1 / 3],
+    ])
+    non_negative = rng.permutation(np.resize(non_negative, (len(non_negative) // 6 * 6,)))
+    big = non_negative.reshape(-1, 6)
+    assert len(big) > sweep._BLOCK_ROWS and non_negative.size > 10**5
+    # negatives, -0.0 and 3-digit exponents send their block through _ROW_FORMAT whole
+    special = np.concatenate([
+        [0.0, -0.0, 1.0, -1.0, 5e-324, 1e-310, 1e308, 0.1, 2.5e-13, -7.5e98],
+        [1e100, 9.99999999999951e99, 3.3e-100, 1e-100, 2.0e-99, -4.2e-99],
+        rng.normal(size=38) * 10.0 ** rng.integers(-300, 300, 38),
+    ]).reshape(-1, 6)
+    tables = [big, np.concatenate([big, special]), special, big[:1], big[:0]]
+    for i, table in enumerate(tables):
+        path = write_csv(table, tmp_path / f"t{i}.csv")
+        expected = [",".join("{:.12e}".format(v) for v in row) for row in table.tolist()]
+        assert path.read_text().splitlines()[1:] == expected
 
 
 def test_write_csv_significant_digits(tmp_path):
