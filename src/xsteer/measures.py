@@ -24,9 +24,16 @@ product bases.  After it, everything runs on floats with `math`: the
 negative-probability floor, the clip and renormalisation, H_x, H_y, H_z,
 for an X input the closed-form I_AB, and S, Xi, E and Z.  The closed form
 reads the offsets that `x_coefficients` wraps in arrays as the floats they
-are computed in, from the same helper.  `joint_distribution`,
-`conditional_entropy`, `steering_functional` and `_derive` compute the same
-quantities on arrays; `x_report` runs them, and they are the reference for
+are computed in, from the same helper.
+
+`x_report` evaluates a batch in one stacked pass: `_x_terms` fills one
+(32, n) array with the 14 closed-form terms 1 + x, the 12 cleaned joint
+probabilities and qubit A's 6 marginals, one x ln x pass covers all 32 rows,
+and row sums give the closed form and H_x, H_y, H_z before `_checked_i_ab`
+and `_derive`.  `steering_functional` reads its closed form from the same
+pass.  `joint_distribution` and `conditional_entropy` compute the
+measurement statistics by projecting a density matrix on arrays; with
+`steering_functional` and `_derive` they are the reference for
 `full_report`'s pass.
 """
 
@@ -134,39 +141,15 @@ def shannon_entropy(p) -> np.ndarray | float:
     return -_x_ln_x(np.asarray(p, dtype=float)).sum(axis=-1)
 
 
-def _x_joint_distribution(p: XStateParams) -> np.ndarray:
-    """`joint_distribution` of a batch of X states in closed form, shape (n, 3, 4).
-
-    With t = 2(c14 + c23) = <sigma_x sigma_x> and u = 2(c23 - c14) =
-    <sigma_y sigma_y>, the x row is (1 + t, 1 - t, 1 - t, 1 + t)/4 and the
-    y row the same in u; the z row is the populations.
-    """
-    t = 2.0 * (p.c14 + p.c23)
-    u = 2.0 * (p.c23 - p.c14)
-    x_same, x_differ = (1.0 + t) / 4.0, (1.0 - t) / 4.0
-    y_same, y_differ = (1.0 + u) / 4.0, (1.0 - u) / 4.0
-    table = np.stack(
-        [x_same, x_differ, x_differ, x_same, y_same, y_differ, y_differ, y_same,
-         p.d1, p.d2, p.d3, p.d4],
-        axis=-1,
-    )
-    return _clean_probabilities(table.reshape(-1, 3, 4))
-
-
-def _conditional_entropies(joint: np.ndarray) -> np.ndarray:
-    # Entropy of each joint row minus that of qubit A's outcomes, which are
-    # the row summed over B's outcomes.
-    marginal = joint.reshape(joint.shape[:-1] + (2, 2)).sum(axis=-1)
-    return shannon_entropy(joint) - shannon_entropy(marginal)
-
-
 def conditional_entropy(rho: np.ndarray) -> np.ndarray:
     """H(sigma_i^B | sigma_i^A) for i = x, y, z, in nats.
 
     Each is the entropy of the joint outcomes minus that of qubit A's
     outcomes, which are the joint row summed over B's outcomes.
     """
-    return _conditional_entropies(joint_distribution(rho))
+    joint = joint_distribution(rho)
+    marginal = joint.reshape(3, 2, 2).sum(axis=-1)
+    return shannon_entropy(joint) - shannon_entropy(marginal)
 
 
 @dataclass(frozen=True)
@@ -206,16 +189,71 @@ def x_coefficients(p: XStateParams) -> XCoefficients:
     return XCoefficients(x=np.array(x), a=np.array(a))
 
 
+# Rows of the stack `_x_terms` builds for a batch of X states: the 14
+# closed-form terms 1 + x (the twelve 1 + x_ij, then 1 + a_1 and 1 + a_2), the
+# 12 cleaned joint probabilities (rows x, y, z of `joint_distribution`, four
+# each) and qubit A's 6 marginals (two per axis, each a pair of joint entries).
+_OFFSET_ROWS, _A_ROWS, _JOINT_ROWS, _MARGINAL_ROWS = (
+    slice(0, 12), slice(12, 14), slice(14, 26), slice(26, 32)
+)
+# The rows 1 + t, 1 - t, 1 + u, 1 - u that make the raw joint x and y rows
+# (1 + t, 1 - t, 1 - t, 1 + t)/4 and the same in u; 1 + (-t) is 1 - t exactly.
+_RAW_XY_SOURCES = np.array([0, 2, 2, 0, 4, 6, 6, 4])
+
+
+def _x_terms(p: XStateParams) -> np.ndarray:
+    """The 32 rows above for the X states `p`, one column per state.
+
+    `_x_offsets` validates `p` and gives the offsets.  With t = 2(c14 + c23)
+    and u = 2(c23 - c14), the raw joint x row is (1 + t, 1 - t, 1 - t,
+    1 + t)/4, the y row the same in u, and the z row the populations; these
+    get `_clean_probabilities`' floor check, clip and renormalisation in
+    place, and the marginals are sums of the cleaned pairs.  A batch keeps
+    its rows along the trailing axis; fields may be scalars shared by every
+    row.
+    """
+    (x, y, z), a = _x_offsets(p)
+    terms = np.empty((32,) + np.broadcast(p.d1, p.d2, p.d3, p.d4, p.c14, p.c23).shape)
+    # Row by row, since a field may be a scalar: broadcast_arrays costs more.
+    for row, offset in enumerate((*x, *y, *z, *a)):
+        terms[row] = offset
+    terms[:14] += 1.0
+    joint = terms[_JOINT_ROWS]
+    terms.take(_RAW_XY_SOURCES, axis=0, out=joint[:8], mode="clip")
+    joint[:8] *= 0.25
+    for row, population in enumerate(p.diagonal, 8):
+        joint[row] = population
+    lowest = float(np.minimum.reduce(joint, axis=None))
+    _check_floor(lowest)
+    # `_clean_probabilities`' clip to [0, 1]: validate keeps every population
+    # in [0, 1] and |t|, |u| below 1 + 1e-5, so no raw probability exceeds 1.
+    if lowest < 0.0:
+        np.maximum(joint, 0.0, out=joint)
+    axes = joint.reshape((3, 4) + joint.shape[1:])
+    axes /= np.add.reduce(axes, axis=1, keepdims=True)
+    np.add(joint[0::2], joint[1::2], out=terms[_MARGINAL_ROWS])
+    return terms
+
+
+def _closed_form(xlnx: np.ndarray):
+    """The closed-form I_AB from `xlnx`, x ln x of the `_x_terms` rows.
+
+    I_AB = sum_ij (1 + x_ij)/2 ln(1 + x_ij) - sum_k (1 + a_k) ln(1 + a_k).
+    """
+    return 0.5 * np.add.reduce(xlnx[_OFFSET_ROWS]) - np.add.reduce(xlnx[_A_ROWS])
+
+
 def steering_functional(p: XStateParams):
     """Closed-form steering functional I_AB of an X state, in nats.
 
     I_AB = sum_ij (1 + x_ij)/2 ln(1 + x_ij) - sum_k (1 + a_k) ln(1 + a_k),
     where terms with 1 + x = 0 contribute nothing.  For every valid state it
     equals 6 ln 2 - 2 (H_x + H_y + H_z); values above 2 ln 2 certify
-    steering from A to B.  A batch gives one value per row.
+    steering from A to B.  A batch gives one value per row.  This is
+    `x_report`'s closed form, from the same pass and with the same
+    validation and negative-probability floor.
     """
-    coeff = x_coefficients(p)
-    return 0.5 * _x_ln_x(1.0 + coeff.x).sum(axis=(0, 1)) - _x_ln_x(1.0 + coeff.a).sum(axis=0)
+    return _closed_form(_x_ln_x(_x_terms(p)))
 
 
 @dataclass(frozen=True)
@@ -357,10 +395,19 @@ def x_report(p: XStateParams) -> np.ndarray:
     a sweep record.  Applies `XStateParams.validate`, the negative-probability
     floor and the dual-path I_AB check to every row, raising for the first
     failing one.  Fields of `p` may be scalars shared by every row.
+
+    One stacked pass: `_x_terms` puts the closed-form terms, the joint
+    probabilities and A's marginals in one (32, n) array, one x ln x pass
+    covers all of them, and row sums give the closed form and H_x, H_y, H_z.
     """
-    p = XStateParams(*np.broadcast_arrays(p.d1, p.d2, p.d3, p.d4, p.c14, p.c23))
-    closed = steering_functional(p)  # validates p, before anything else reads it
-    h = _conditional_entropies(_x_joint_distribution(p))
-    i_ab = _checked_i_ab(closed, h.T)
-    s, _, e_x, e_y, z = _derive(h, i_ab)
-    return np.column_stack([s, z, e_x, e_y, i_ab])
+    xlnx = _x_ln_x(_x_terms(p))
+    batch = xlnx.shape[1:]
+    joint = np.add.reduce(xlnx[_JOINT_ROWS].reshape((3, 4) + batch), axis=1)
+    marginal = np.add.reduce(xlnx[_MARGINAL_ROWS].reshape((3, 2) + batch), axis=1)
+    h = marginal - joint  # -sum p ln p of the joint rows minus that of A's outcomes
+    i_ab = _checked_i_ab(_closed_form(xlnx), h)
+    s, _, e_x, e_y, z = _derive(h.T, i_ab)
+    rows = np.empty((i_ab.size, 5))
+    for column, value in enumerate((s, z, e_x, e_y, i_ab)):  # np.column_stack costs more
+        rows[:, column] = value
+    return rows

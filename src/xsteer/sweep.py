@@ -10,21 +10,25 @@ Five modes are supported, one per physical scenario:
 
 Each grid point yields one record (param, s, z, e_x, e_y, i_ab).  Every mode
 maps X states to X states, so `evaluate_grid` computes the six X parameters
-of every grid point in closed form and evaluates the whole grid in one
-vectorised pass.  With jobs > 1 the grid is split into contiguous chunks, one
-per worker, each evaluated by the same pass; every operation acts row by row,
-so the emitted bytes are identical for any worker count.  The CSV text is
-rendered in memory in blocks of _BLOCK_ROWS rows, each in one numpy pass that
-yields the bytes "%.12e" gives (see _csv_text).  The CSV and its plot script
-are written to two temporary files beside the output and renamed into place,
-CSV first.
+of the grid points in closed form and fills one preallocated (n, 6) table in
+blocks of _BLOCK_ROWS rows, one stacked `x_report` pass per block, so its
+temporaries stay near 15 MB whatever the grid size.  With jobs > 1 the grid is
+split into contiguous chunks, one per worker, each evaluated the same way;
+every operation acts row by row, so the emitted bytes are identical for any
+worker count and block size.  The CSV is rendered in the same blocks, each
+in one numpy pass that yields the ASCII bytes "%.12e" gives (see
+_csv_chunks), and each block is written to a temporary file beside the
+output as it is rendered, next to one for the plot script; the two are then
+renamed into place, CSV first.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import numbers
 import os
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -54,19 +58,24 @@ _SWEPT = {
 }
 MODES = tuple(_SWEPT)
 
-# Largest grid a sweep accepts.  Peak memory grows by about 0.5 kB per point
-# (50 MB at 10**5 points), so this bounds a sweep near 0.5 GB.
+# Largest grid a sweep accepts.  Peak memory grows by 56 bytes per point, the
+# grid and the (n, 6) table, since evaluation and rendering run in blocks whose
+# temporaries stay near 15 MB: a 10**6-point sweep peaks near 100 MB, 70 MB
+# above the interpreter with numpy loaded.
 MAX_POINTS = 10**6
 
 CSV_HEADER = "param,s,z,e_x,e_y,i_ab"
 # One sweep record, a float field per CSV column.
 RECORD = np.dtype([(name, float) for name in CSV_HEADER.split(",")])
+# RECORD as np.recarray holds it; viewing rows with it spares the recarray
+# view its own conversion.
+_RECORD_ROWS = np.dtype((np.record, RECORD))
 # printf-style; gives the same digits as "{:.12e}".
 _FIELD_FORMAT = "%.12e"
 _ROW_FORMAT = ",".join([_FIELD_FORMAT] * 6) + "\n"
 
-# _csv_text renders this many rows per numpy pass, which bounds its
-# temporaries near 10 MB whatever the grid size.
+# evaluate_grid and _csv_chunks take this many rows per numpy pass, which
+# bounds their temporaries near 15 MB whatever the grid size.
 _BLOCK_ROWS = 2**14
 # A row of non-negative fields with 2-digit exponents: six 18-character
 # fields "d.dddddddddddde+XX", each followed by its ',' or '\n'.
@@ -183,11 +192,18 @@ def _x_params(cfg: SweepConfig, grid: np.ndarray) -> XStateParams:
 def evaluate_grid(cfg: SweepConfig, grid) -> np.ndarray:
     """Rows (param, s, z, e_x, e_y, i_ab) of the sweep `cfg` at the values `grid`.
 
-    One vectorised pass; every guard of the per-state path applies to each
-    row and raises its error for the first failing one.
+    The (n, 6) table is filled in blocks of _BLOCK_ROWS rows, one stacked
+    `x_report` pass per block, so the temporaries stay small for any grid.
+    Every guard of the per-state path applies to each row and raises its
+    error for the first failing one, block by block.
     """
     grid = np.asarray(grid, dtype=float)
-    return np.column_stack([grid, x_report(_x_params(cfg, grid))])
+    table = np.empty((len(grid), 6))
+    table[:, 0] = grid
+    for start in range(0, len(grid), _BLOCK_ROWS):
+        block = grid[start:start + _BLOCK_ROWS]
+        table[start:start + len(block), 1:] = x_report(_x_params(cfg, block))
+    return table
 
 
 def run_sweep(cfg: SweepConfig) -> np.recarray:
@@ -209,32 +225,40 @@ def run_sweep(cfg: SweepConfig) -> np.recarray:
     else:
         table = evaluate_grid(cfg, grid)
     csv_path = Path(cfg.out)
-    _write_texts({
-        csv_path: _csv_text(table),
-        csv_path.with_suffix(".gnuplot"): _plot_text(csv_path.name, cfg.mode),
+    _write_files({
+        csv_path: _csv_chunks(table),
+        csv_path.with_suffix(".gnuplot"): (_plot_text(csv_path.name, cfg.mode).encode(),),
     })
     return _read_only(table.view(RECORD)[:, 0])
 
 
 def _read_only(rows: np.ndarray) -> np.recarray:
     """`rows` of dtype RECORD as a record array that rejects assignment."""
-    rows = rows.view(np.recarray)
+    rows = rows.view(_RECORD_ROWS).view(np.recarray)
     rows.flags.writeable = False
     return rows
 
 
-def _write_texts(texts: dict[Path, str]) -> None:
-    """Write each text to a temporary file beside its path, then rename each into place.
+def _write_files(contents: dict[Path, Iterable]) -> None:
+    """Write each file's chunks to a temporary file beside it, then rename each into place.
 
-    Every temporary file is written in full before the first rename, and the
-    renames follow the dict's order.  On any failure the temporary files
-    still left are removed.
+    `contents` maps each path to an iterable of bytes-like chunks, written
+    with os.write as they come.  Every temporary file is written in full
+    before the first rename, and the renames follow the dict's order.  On any
+    failure, including one raised while a chunk is produced, the temporary
+    files still left are removed.
     """
-    temps = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in texts}
+    temps = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in contents}
     try:
-        for path, text in texts.items():
-            with open(temps[path], "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+        for path, chunks in contents.items():
+            fd = os.open(temps[path], os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+            try:
+                for chunk in chunks:
+                    view = memoryview(chunk).cast("B")
+                    while view:
+                        view = view[os.write(fd, view):]
+            finally:
+                os.close(fd)
         for path, tmp in temps.items():
             os.replace(tmp, path)
     except BaseException:
@@ -244,11 +268,15 @@ def _write_texts(texts: dict[Path, str]) -> None:
         raise
 
 
-def _csv_text(table) -> str:
-    """The CSV text of an (n, 6) float table, one record per row; see write_csv.
+def _csv_chunks(table) -> Iterator:
+    """The CSV of an (n, 6) float table, one record per row, as bytes-like chunks; see write_csv.
 
-    `table` may also be an array of dtype RECORD.  The rows render in blocks
-    of _BLOCK_ROWS, so the renderer's temporaries stay small for any grid.
+    `table` may also be an array of dtype RECORD.  The shape, dtype and
+    finiteness checks run before this returns, so a bad table raises before
+    any file is opened; the chunks are then the header and the rows in
+    blocks of _BLOCK_ROWS, each rendered when it is asked for, so the
+    renderer's temporaries stay small for any grid.
+
     A block whose values are all non-negative renders in one numpy pass:
     each value v is written as the 13 digits of m = rint(q), where
     q = v * 10**(12 - e) and e = floor(log10 v), through tables of 4-digit
@@ -273,23 +301,18 @@ def _csv_text(table) -> str:
     table = np.asarray(table, dtype=float)
     if table.ndim != 2 or table.shape[1] != 6:
         raise ValueError(f"write_csv needs an (n, 6) table, got shape {table.shape}")
-    parts = [CSV_HEADER + "\n"]
-    for start in range(0, len(table), _BLOCK_ROWS):
-        block = table[start:start + _BLOCK_ROWS]
-        finite = np.isfinite(block).all(axis=1)
-        if not finite.all():
-            row = start + int(np.flatnonzero(~finite)[0])
-            raise NonFiniteRecordError(
-                f"non-finite sweep record in row {row}: {table[row].tolist()}"
-            )
-        parts.append(_block_text(block))
-    return "".join(parts)
+    finite = np.isfinite(table)
+    if not finite.all():
+        row = int(np.flatnonzero(~finite.all(axis=1))[0])
+        raise NonFiniteRecordError(f"non-finite sweep record in row {row}: {table[row].tolist()}")
+    blocks = (table[start:start + _BLOCK_ROWS] for start in range(0, len(table), _BLOCK_ROWS))
+    return itertools.chain([(CSV_HEADER + "\n").encode()], map(_block_bytes, blocks))
 
 
-def _block_text(block: np.ndarray) -> str:
-    """The CSV rows of a finite (k, 6) block, as _ROW_FORMAT renders them."""
+def _block_bytes(block: np.ndarray):
+    """The CSV rows of a finite (k, 6) block as bytes-like ASCII, as _ROW_FORMAT renders them."""
     if np.signbit(block).any():
-        return _ROW_FORMAT * len(block) % tuple(block.ravel().tolist())
+        return (_ROW_FORMAT * len(block) % tuple(block.ravel().tolist())).encode()
     v = block.ravel()
     zero = v == 0
     # e + 98 for e = floor(log10 v); a zero gets e = 0 and q = m = 0.  take's
@@ -315,9 +338,9 @@ def _block_text(block: np.ndarray) -> str:
     if slow.size:
         text = (_FIELD_FORMAT * slow.size % tuple(v[slow].tolist())).encode()
         if len(text) != (_CELL - 1) * slow.size:  # a 3-digit exponent
-            return _ROW_FORMAT * len(block) % tuple(v.tolist())
+            return (_ROW_FORMAT * len(block) % tuple(v.tolist())).encode()
         cells[slow, :_CELL - 1] = np.frombuffer(text, np.uint8).reshape(-1, _CELL - 1)
-    return str(out, "ascii")
+    return out.data
 
 
 def write_csv(table, path: Path | str) -> Path:
@@ -331,7 +354,7 @@ def write_csv(table, path: Path | str) -> Path:
     written.
     """
     path = Path(path)
-    _write_texts({path: _csv_text(table)})
+    _write_files({path: _csv_chunks(table)})
     return path
 
 

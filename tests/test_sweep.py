@@ -219,6 +219,17 @@ def test_chunked_evaluation_is_bit_identical(tmp_path):
             chunks = np.array_split(cfg.grid(), k)
             parts = np.concatenate([evaluate_grid(cfg, c) for c in chunks])
             assert parts.tobytes() == whole.tobytes(), (cfg.out, k)
+    # three evaluation blocks, the last of 3 rows: chunks that cross the block
+    # edges and one unblocked x_report pass give the same bits in every mode
+    points = 2 * sweep._BLOCK_ROWS + 3
+    for mode, (_, _, (start, stop, _)) in sweep._SWEPT.items():
+        cfg = SweepConfig(mode, start, stop, points, str(tmp_path / "x.csv"))
+        whole = evaluate_grid(cfg, cfg.grid())
+        unblocked = measures.x_report(sweep._x_params(cfg, cfg.grid()))
+        assert whole[:, 1:].tobytes() == unblocked.tobytes(), mode
+        chunks = np.array_split(cfg.grid(), 3)
+        parts = np.concatenate([evaluate_grid(cfg, c) for c in chunks])
+        assert parts.tobytes() == whole.tobytes(), mode
 
 
 # ---------------------------------------------------------------------------
@@ -266,17 +277,17 @@ def test_guard_negative_probability_floor(tmp_path, monkeypatch):
     tiny = XStateParams(0.5, 0.0, 0.0, 0.5, 0.5 + 1e-13, 0.0)
     rows = _run_with_params(tmp_path, monkeypatch, [_MIXED, tiny, _PSI])
     assert abs(rows[1].s - rows[2].s) < 1e-12 and abs(rows[1].z - rows[2].z) < 1e-12
-    joint = measures._x_joint_distribution(_batch([tiny]))
+    joint = measures._x_terms(_batch([tiny]))[measures._JOINT_ROWS].reshape(3, 4, -1)
     assert joint.min() == 0.0
-    np.testing.assert_allclose(joint.sum(axis=-1), 1.0, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(joint.sum(axis=1), 1.0, rtol=0, atol=1e-15)
     monkeypatch.setattr(measures, "NEGATIVE_PROBABILITY_TOL", 0.01)
     with pytest.raises(NegativeProbabilityError):
         _run_with_params(tmp_path, monkeypatch, [_MIXED, _PSI])
 
 
 def test_guard_path_disagreement(tmp_path, monkeypatch):
-    closed = measures.steering_functional
-    monkeypatch.setattr(measures, "steering_functional", lambda p: closed(p) + 2e-9)
+    closed = measures._closed_form
+    monkeypatch.setattr(measures, "_closed_form", lambda xlnx: closed(xlnx) + 2e-9)
     with pytest.raises(PathDisagreementError):
         run_sweep(_cfg(tmp_path, points=5))
     assert not list(tmp_path.iterdir())
@@ -299,6 +310,35 @@ def test_guard_non_finite_rows(tmp_path, monkeypatch):
     monkeypatch.setattr(sweep, "evaluate_grid", with_nan)
     with pytest.raises(ValueError, match="non-finite sweep record in row 1"):
         run_sweep(_cfg(tmp_path, points=3))
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "bad, tolerance, error",
+    [
+        ((0.5, 0.25, 0.25, 1e-9, 0.0, 0.0), None, InvalidStateError),
+        ((0.5, 0.0, 0.0, 0.5, 0.5 + 2e-12, 0.0), None, InvalidStateError),
+        ((0.5, 0.0, 0.0, 0.5, 0.5, 0.0), 0.01, NegativeProbabilityError),
+    ],
+)
+def test_guard_fires_for_one_bad_row_past_the_first_block(
+    tmp_path, monkeypatch, bad, tolerance, error
+):
+    # one bad row in the second evaluation block raises what it raises alone
+    points, row = 2 * sweep._BLOCK_ROWS, sweep._BLOCK_ROWS + 1
+    params = np.tile([0.25, 0.25, 0.25, 0.25, 0.0, 0.0], (points, 1))
+    params[row] = bad
+    if tolerance is not None:
+        monkeypatch.setattr(measures, "NEGATIVE_PROBABILITY_TOL", tolerance)
+    with pytest.raises(error) as alone:
+        measures.x_report(XStateParams(*params[row:row + 1].T))
+    monkeypatch.setattr(SweepConfig, "grid", lambda self: np.arange(float(points)))
+    monkeypatch.setattr(
+        sweep, "_x_params", lambda cfg, grid: XStateParams(*params[grid.astype(int)].T)
+    )
+    with pytest.raises(error) as swept:
+        run_sweep(_cfg(tmp_path, points=points))
+    assert str(swept.value) == str(alone.value)
     assert not list(tmp_path.iterdir())
 
 
@@ -516,14 +556,15 @@ def test_failed_plot_script_leaves_no_output(tmp_path, monkeypatch):
     before = {p.name: p.read_bytes() for p in kept.iterdir()}
     assert sorted(before) == ["out.csv", "out.gnuplot"]
     opened = []
+    os_open = sweep.os.open
 
     def script_disk_full(path, *args, **kwargs):
         if Path(path).name.startswith(".out.gnuplot."):
             raise OSError("disk full")
         opened.append(Path(path))
-        return open(path, *args, **kwargs)
+        return os_open(path, *args, **kwargs)
 
-    monkeypatch.setattr(sweep, "open", script_disk_full, raising=False)
+    monkeypatch.setattr(sweep.os, "open", script_disk_full)
     for outdir in (fresh, kept):
         with pytest.raises(OSError, match="disk full"):
             run_sweep(_cfg(outdir, points=9))
@@ -546,6 +587,31 @@ def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="rename failed"):
         run_sweep(_cfg(tmp_path, points=9))
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_failure_while_streaming_the_csv_leaves_no_output(tmp_path, monkeypatch):
+    # a block that fails to render after the temporary CSV is open
+    run_sweep(_cfg(tmp_path, points=5))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def unrenderable(block):
+        raise RuntimeError("render failed")
+
+    monkeypatch.setattr(sweep, "_block_bytes", unrenderable)
+    with pytest.raises(RuntimeError, match="render failed"):
+        run_sweep(_cfg(tmp_path, points=9))
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_short_writes_are_resumed(tmp_path, monkeypatch):
+    whole = run_sweep(_cfg(tmp_path, out=str(tmp_path / "whole.csv"), points=41))
+    write = sweep.os.write
+    monkeypatch.setattr(sweep.os, "write", lambda fd, data: write(fd, bytes(data)[:1000]))
+    short = run_sweep(_cfg(tmp_path, out=str(tmp_path / "short.csv"), points=41))
+    assert short.tobytes() == whole.tobytes()
+    assert (tmp_path / "short.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    script = (tmp_path / "short.gnuplot").read_text()
+    assert script == (tmp_path / "whole.gnuplot").read_text().replace("whole", "short")
 
 
 def test_sweep_publishes_pair_with_two_renames(tmp_path, monkeypatch):
