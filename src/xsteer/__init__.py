@@ -17,14 +17,12 @@ from .measures import (
     NegativeProbabilityError,
     PathDisagreementError,
     SteeringReport,
-    XCoefficients,
     conditional_entropy,
     full_report,
     joint_distribution,
     neur_bound,
     shannon_entropy,
     steering_functional,
-    x_coefficients,
 )
 from .processes import (
     ChannelParameterError,

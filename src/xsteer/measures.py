@@ -12,29 +12,29 @@ three Pauli measurements applied to both qubits:
 All entropies are in nats.  The steering threshold for a qubit pair is
 2 ln 2 and the maximum of the functional, reached on Bell states, is 6 ln 2.
 
-`full_report` projects a density matrix and is the library path; `x_report`
-evaluates a batch of X states from their six parameters in closed form and
-is what sweeps run.  `full_report` works on Python numbers, since numpy's
-call overhead on one state's few dozen numbers costs more than their
-arithmetic.  It reads its matrix once: `check_density`'s checks run on those
-rows (for an X matrix, with the smallest eigenvalue from its two 2x2 blocks
-in closed form), and the X structure and the six real X entries come off the
-same rows.  One matrix product projects the state onto the three Pauli
-product bases.  After it, everything runs on floats with `math`: the
-negative-probability floor, the clip and renormalisation, H_x, H_y, H_z,
-for an X input the closed-form I_AB, and S, Xi, E and Z.  The closed form
-reads the offsets that `x_coefficients` wraps in arrays as the floats they
-are computed in, from the same helper.
+For an X state qubit A's x and y outcomes are uniform, so H_x = ln 2 - D_x
+and H_y = ln 2 - D_y, with the entropy deficits D_x = g(t), D_y = g(u) of
+t = 2(c14 + c23), u = 2(c23 - c14), g(t) = [(1 + t) ln(1 + t) +
+(1 - t) ln(1 - t)]/2.  With H_z from the populations, I_AB - 2 ln 2 =
+2 (D_x + D_y - H_z) and E_i = 2 e^(-D_i) expm1(D_i - H_z/2): S > 0 exactly
+when D_x + D_y > H_z, E_i > 0 exactly when D_i > H_z/2, so S > 0 forces
+Z > 0.  S and E are read off the deficits, never as differences of nearly
+equal numbers, so their signs stay exact at the threshold.  The dual-path
+check compares this closed form with the entropy identity
+I_AB = 6 ln 2 - 2 (H_x + H_y + H_z) of the cleaned joint probabilities.
 
-`x_report` evaluates a batch in one stacked pass: `_x_terms` fills one
-(32, n) array with the 14 closed-form terms 1 + x, the 12 cleaned joint
-probabilities and qubit A's 6 marginals, one x ln x pass covers all 32 rows,
-and row sums give the closed form and H_x, H_y, H_z before `_checked_i_ab`
-and `_derive`.  `steering_functional` reads its closed form from the same
-pass.  `joint_distribution` and `conditional_entropy` compute the
-measurement statistics by projecting a density matrix on arrays; with
-`steering_functional` and `_derive` they are the reference for
-`full_report`'s pass.
+`full_report` projects a density matrix and is the library path; `x_report`
+evaluates a batch of X states from their six parameters and is what sweeps
+run.  `full_report` reads its matrix once, runs `check_density`'s checks
+on those rows and takes the X structure and entries off them; after one
+matrix product for the projection everything runs on Python floats, where
+numpy's call overhead would outweigh the arithmetic.  `x_report` runs one
+stacked pass: `_x_terms` fills a (24, n) array with the cleaned joint
+probabilities, the raw populations and A's outcomes, one x ln x pass and
+row sums give the identity's H_i and the closed form's H_z, `_g` gives the
+deficits and `_derive` the rest; `steering_functional` reads the same pass.
+`joint_distribution` and `conditional_entropy` project a density matrix on
+arrays and are, with `steering_functional`, the reference for both.
 """
 
 from __future__ import annotations
@@ -129,9 +129,8 @@ def joint_distribution(rho: np.ndarray) -> np.ndarray:
 def _x_ln_x(x: np.ndarray) -> np.ndarray:
     """x ln x elementwise, with 0 ln 0 = 0 and 0 for every x < 0.
 
-    An offset 1 + x_ij of a state that passes `check_density` can round to
-    about -2e-12; clamping x at the smallest positive double instead would
-    turn that term into +1.4e-9, past the 1e-9 path check.
+    Only `shannon_entropy`'s caller can pass an x < 0: the package clips its
+    joint rows and clamps |t| to 1 first.
     """
     return x * np.log(np.where(x > 0.0, x, 1.0))
 
@@ -152,108 +151,108 @@ def conditional_entropy(rho: np.ndarray) -> np.ndarray:
     return shannon_entropy(joint) - shannon_entropy(marginal)
 
 
-@dataclass(frozen=True)
-class XCoefficients:
-    """Probability offsets of an X state.
+def _g(t):
+    """The entropy deficit g(t) = [(1 + t) ln(1 + t) + (1 - t) ln(1 - t)]/2 of each entry of `t`.
 
-    x[i][j] shifts the j-th joint outcome of axis i: the joint probabilities
-    along x and y are (1 + x_ij)/4 and along z they are the populations
-    (1 + x_3j)/4.  a[k] shifts the z marginal of qubit A.
+    |t| is clamped to 1, where g = ln 2.  Below |t| = 1/2 it is
+    |t| atanh|t| + log1p(-t^2)/2, since the pair form's two terms, each
+    about t, cancel to t^2 there; from 1/2 on it is the pair form, with
+    log1p(-|t|) as the log of the exact 1 - |t|, since t^2 rounds badly as
+    |t| -> 1.  `_g_float` is the same on one float.
     """
+    a = np.minimum(np.abs(t), 1.0)
+    s = np.minimum(a, 0.5)  # the atanh form everywhere, then the pair form from 1/2 on
+    g = s * np.arctanh(s)
+    g += 0.5 * np.log1p(-s * s)
+    large = a >= 0.5
+    a = a[large]
+    g[large] = 0.5 * ((1.0 + a) * np.log1p(a) + _x_ln_x(1.0 - a))
+    return g
 
-    x: np.ndarray  # shape (3, 4)
-    a: np.ndarray  # shape (2,)
+
+def _g_float(t: float) -> float:
+    """`_g` on one float, with `math`."""
+    a = min(abs(t), 1.0)
+    if a < 0.5:
+        return a * math.atanh(a) + 0.5 * math.log1p(-a * a)
+    c = 1.0 - a
+    return 0.5 * ((1.0 + a) * math.log1p(a) + (c * math.log(c) if c > 0.0 else 0.0))
 
 
-def _x_offsets(p: XStateParams) -> tuple[tuple, tuple]:
-    """`x_coefficients`' x and a as nested tuples of `p`'s own field type.
+# Rows of the stack `_x_terms` builds: four tables of four entries, the
+# cleaned joint x, y and z rows of `joint_distribution`, then the raw
+# populations; then A's two outcomes per table, each a pair of its entries.
+_JOINT_ROWS, _TABLE_ROWS, _MARGINAL_ROWS = slice(0, 12), slice(0, 16), slice(16, 24)
 
-    Validates `p` once.  For one state of floats the offsets are floats,
-    with no numpy call; for a batch each entry is an array over the rows.
+
+def _x_terms(p: XStateParams) -> tuple[np.ndarray, np.ndarray]:
+    """t and u along the first axis, and the 24 rows above, for the X states `p`.
+
+    Validates `p` once.  With t = 2(c14 + c23) and u = 2(c23 - c14), the raw
+    joint x row is (1 + t, 1 - t, 1 - t, 1 + t)/4, the y row the same in u,
+    and the z row the populations; these get `_clean_probabilities`' floor
+    check, clip and renormalisation in place, while rows 12-15 keep the
+    populations raw for the closed form's H_z.  A batch keeps its rows along
+    the trailing axis; fields may be scalars shared by every row.
     """
     p.validate()
-    t = 2.0 * (p.c14 + p.c23)
-    u = 2.0 * (p.c23 - p.c14)
-    x = (
-        (t, t, -t, -t),
-        (u, u, -u, -u),
-        (4.0 * p.d1 - 1.0, 4.0 * p.d2 - 1.0, 4.0 * p.d3 - 1.0, 4.0 * p.d4 - 1.0),
-    )
-    az = p.d1 + p.d2 - p.d3 - p.d4
-    return x, (-az, az)
-
-
-def x_coefficients(p: XStateParams) -> XCoefficients:
-    """The offsets of one X state, or of a batch along a trailing axis."""
-    x, a = _x_offsets(p)
-    return XCoefficients(x=np.array(x), a=np.array(a))
-
-
-# Rows of the stack `_x_terms` builds for a batch of X states: the 14
-# closed-form terms 1 + x (the twelve 1 + x_ij, then 1 + a_1 and 1 + a_2), the
-# 12 cleaned joint probabilities (rows x, y, z of `joint_distribution`, four
-# each) and qubit A's 6 marginals (two per axis, each a pair of joint entries).
-_OFFSET_ROWS, _A_ROWS, _JOINT_ROWS, _MARGINAL_ROWS = (
-    slice(0, 12), slice(12, 14), slice(14, 26), slice(26, 32)
-)
-# The rows 1 + t, 1 - t, 1 + u, 1 - u that make the raw joint x and y rows
-# (1 + t, 1 - t, 1 - t, 1 + t)/4 and the same in u; 1 + (-t) is 1 - t exactly.
-_RAW_XY_SOURCES = np.array([0, 2, 2, 0, 4, 6, 6, 4])
-
-
-def _x_terms(p: XStateParams) -> np.ndarray:
-    """The 32 rows above for the X states `p`, one column per state.
-
-    `_x_offsets` validates `p` and gives the offsets.  With t = 2(c14 + c23)
-    and u = 2(c23 - c14), the raw joint x row is (1 + t, 1 - t, 1 - t,
-    1 + t)/4, the y row the same in u, and the z row the populations; these
-    get `_clean_probabilities`' floor check, clip and renormalisation in
-    place, and the marginals are sums of the cleaned pairs.  A batch keeps
-    its rows along the trailing axis; fields may be scalars shared by every
-    row.
-    """
-    (x, y, z), a = _x_offsets(p)
-    terms = np.empty((32,) + np.broadcast(p.d1, p.d2, p.d3, p.d4, p.c14, p.c23).shape)
-    # Row by row, since a field may be a scalar: broadcast_arrays costs more.
-    for row, offset in enumerate((*x, *y, *z, *a)):
-        terms[row] = offset
-    terms[:14] += 1.0
+    shape = np.broadcast(p.d1, p.d2, p.d3, p.d4, p.c14, p.c23).shape
+    tu = np.empty((2,) + shape)
+    np.add(p.c14, p.c23, out=tu[0, ...])  # a view even for one state
+    np.subtract(p.c23, p.c14, out=tu[1, ...])
+    tu *= 2.0
+    terms = np.empty((24,) + shape)
+    # (1 + t, 1 - t, 1 - t, 1 + t)/4 into the x row and the same in u into
+    # the y row, each ufunc writing two entries of both
+    xy = terms[:8].reshape((2, 4) + shape)
+    np.add(1.0, tu[:, None], out=xy[:, 0::3])
+    np.subtract(1.0, tu[:, None], out=xy[:, 1:3])
+    xy *= 0.25
+    # Each population into its joint z entry and its raw row at once; row by
+    # row, since a field may be a scalar: broadcast_arrays costs more.
+    z = terms[8:16].reshape((2, 4) + shape)
+    for column, population in enumerate(p.diagonal):
+        z[:, column] = population
     joint = terms[_JOINT_ROWS]
-    terms.take(_RAW_XY_SOURCES, axis=0, out=joint[:8], mode="clip")
-    joint[:8] *= 0.25
-    for row, population in enumerate(p.diagonal, 8):
-        joint[row] = population
     lowest = float(np.minimum.reduce(joint, axis=None))
     _check_floor(lowest)
     # `_clean_probabilities`' clip to [0, 1]: validate keeps every population
     # in [0, 1] and |t|, |u| below 1 + 1e-5, so no raw probability exceeds 1.
     if lowest < 0.0:
         np.maximum(joint, 0.0, out=joint)
-    axes = joint.reshape((3, 4) + joint.shape[1:])
+    axes = joint.reshape((3, 4) + shape)
     axes /= np.add.reduce(axes, axis=1, keepdims=True)
-    np.add(joint[0::2], joint[1::2], out=terms[_MARGINAL_ROWS])
-    return terms
+    np.add(terms[0:16:2], terms[1:16:2], out=terms[_MARGINAL_ROWS])
+    return tu, terms
 
 
-def _closed_form(xlnx: np.ndarray):
-    """The closed-form I_AB from `xlnx`, x ln x of the `_x_terms` rows.
+def _x_sides(p: XStateParams):
+    """Both sides of the I_AB check for the X states `p`, from one x ln x pass.
 
-    I_AB = sum_ij (1 + x_ij)/2 ln(1 + x_ij) - sum_k (1 + a_k) ln(1 + a_k).
+    Returns the closed form's deficits D_x, D_y (along the first axis of an
+    array) and its H_z from the raw populations, then the entropy
+    identity's H_x, H_y and H_z from the cleaned joint rows.  Each H is
+    -sum p ln p of its table minus that of A's outcomes.
     """
-    return 0.5 * np.add.reduce(xlnx[_OFFSET_ROWS]) - np.add.reduce(xlnx[_A_ROWS])
+    tu, terms = _x_terms(p)
+    xlnx = _x_ln_x(terms)
+    batch = xlnx.shape[1:]
+    tables = np.add.reduce(xlnx[_TABLE_ROWS].reshape((4, 4) + batch), axis=1)
+    outcomes = np.add.reduce(xlnx[_MARGINAL_ROWS].reshape((4, 2) + batch), axis=1)
+    h = outcomes - tables
+    return _g(tu), h[3], h[:3]
 
 
 def steering_functional(p: XStateParams):
-    """Closed-form steering functional I_AB of an X state, in nats.
+    """Closed-form steering functional I_AB = 2 ln 2 + 2 (D_x + D_y - H_z) of an X state, in nats.
 
-    I_AB = sum_ij (1 + x_ij)/2 ln(1 + x_ij) - sum_k (1 + a_k) ln(1 + a_k),
-    where terms with 1 + x = 0 contribute nothing.  For every valid state it
-    equals 6 ln 2 - 2 (H_x + H_y + H_z); values above 2 ln 2 certify
+    It equals 6 ln 2 - 2 (H_x + H_y + H_z); values above 2 ln 2 certify
     steering from A to B.  A batch gives one value per row.  This is
-    `x_report`'s closed form, from the same pass and with the same
-    validation and negative-probability floor.
+    `x_report`'s closed form, from the same pass, validation and
+    negative-probability floor.
     """
-    return _closed_form(_x_ln_x(_x_terms(p)))
+    d, hz, _ = _x_sides(p)
+    return _derive(d, hz)[0]
 
 
 @dataclass(frozen=True)
@@ -261,10 +260,12 @@ class SteeringReport:
     """Every derived quantity for one state.
 
     h_cond and xi are ordered (x, y, z); entropies are in nats.  With
-    Xi_i = exp(H_i): S = max{0, (I_AB - 2 ln 2) / (4 ln 2)}, the squeezing
-    quadratures are E_i = max{0, 2/sqrt(Xi_z) - Xi_i} for i in {x, y}, and
-    Z is their average.  Positive E_i certifies squeezing of quadrature i
-    relative to the z reference; S, E_x, E_y and Z all reach 1 on Bell states.
+    D_i = ln 2 - H_i: S = max{0, (D_x + D_y - H_z) / (2 ln 2)}, which is
+    (I_AB - 2 ln 2) / (4 ln 2); Xi_i = exp(H_i), 2 e^(-D_i) for i in {x, y};
+    E_i = max{0, 2/sqrt(Xi_z) - Xi_i} = max{0, 2 e^(-D_i) expm1(D_i - H_z/2)}
+    and Z their average.  Positive E_i certifies squeezing of quadrature i
+    relative to the z reference; S, E_x, E_y and Z all reach 1 on Bell
+    states.  For an X state every field comes from the closed form.
     """
 
     h_cond: tuple[float, float, float]
@@ -294,15 +295,18 @@ def _checked_i_ab(closed, h):
     return closed
 
 
-def _derive(h: np.ndarray, i_ab):
-    """S, Xi, E_x, E_y and Z from H_i (last axis x, y, z) and I_AB."""
-    s = np.maximum(0.0, (i_ab - TWO_LN2) / (SIX_LN2 - TWO_LN2))
-    xi = np.exp(h)
-    reference = 2.0 / np.sqrt(xi[..., 2])
-    e_x = np.maximum(0.0, reference - xi[..., 0])
-    e_y = np.maximum(0.0, reference - xi[..., 1])
-    z = np.maximum(0.0, 0.5 * (e_x + e_y))
-    return s, xi, e_x, e_y, z
+def _derive(d: np.ndarray, hz):
+    """I_AB, S, (E_x, E_y) and Z from D_x, D_y (first axis of `d`) and H_z, on arrays.
+
+    `full_report` computes the same formulas on floats.  Here half of each
+    E is formed first: doubling is exact, so E = 2 w and Z = w_x + w_y are
+    the bits that E = max{0, 2 e^(-D) expm1(D - H_z/2)} and their average give.
+    """
+    delta = np.add.reduce(d) - hz
+    w = np.exp(-d)
+    w *= np.expm1(d - 0.5 * hz)
+    np.maximum(0.0, w, out=w)
+    return TWO_LN2 + 2.0 * delta, np.maximum(0.0, delta / TWO_LN2), 2.0 * w, np.add.reduce(w)
 
 
 def _given_outcome(a: float, b: float) -> float:
@@ -328,37 +332,23 @@ def _axis_entropy(p00: float, p01: float, p10: float, p11: float) -> float:
     return -(_given_outcome(p00 / total, p01 / total) + _given_outcome(p10 / total, p11 / total))
 
 
-def _offset_x_ln_x(rows) -> float:
-    """The sum of (1 + x) ln(1 + x) over the float offsets x in `rows`, a sequence of sequences.
-
-    A term with 1 + x <= 0 counts 0, as in `_x_ln_x`.
-    """
-    total = 0.0
-    for row in rows:
-        for x in row:
-            x += 1.0
-            if x > 0.0:
-                total += x * math.log(x)
-    return total
-
-
 def full_report(rho: np.ndarray) -> SteeringReport:
     """Compute all steering and squeezing quantities for one state.
-
-    For X-structured inputs I_AB is evaluated both through the closed form
-    and through the entropy identity 6 ln 2 - 2 sum H_i; a disagreement
-    beyond 1e-9 raises PathDisagreementError since it signals a formula
-    transcription bug rather than bad input.
 
     The input gets `check_density`'s checks, and its X structure (within
     X_STRUCTURE_TOL, as `is_x_structured`) and X entries are read off the
     rows those checks read.  One matrix product gives the 12 joint
     probabilities; from there the pass runs on Python floats.  The
     negative-probability floor, clip and renormalisation are
-    `joint_distribution`'s, the H_i are `conditional_entropy`'s in their
-    conditional form, and for an X input the closed form sums x ln x over
-    `x_coefficients`' offsets as floats, as `steering_functional` does over
-    its arrays.  The results equal those functions' up to summation order.
+    `joint_distribution`'s, and the H_i are `conditional_entropy`'s in their
+    conditional form.
+
+    For an X input the closed form reads D_x = g(t), D_y = g(u) off the
+    real parts of the coherences and H_z off the populations, and its I_AB
+    is checked against the entropy identity 6 ln 2 - 2 sum H_i: a
+    disagreement beyond 1e-9 raises PathDisagreementError, since it signals
+    a formula transcription bug rather than bad input.  Any other input
+    takes D_i = ln 2 - H_i, and the same tail derives S, Xi, E and Z.
     """
     rho, rows = _checked_rows(rho, "state", 4)
     p = (_PROJECTION @ rho.reshape(16)).real.tolist()
@@ -366,25 +356,28 @@ def full_report(rho: np.ndarray) -> SteeringReport:
     _check_floor(lowest)
     if lowest < 0.0 or max(p) > 1.0:  # else the clip to [0, 1] changes nothing
         p = [min(max(v, 0.0), 1.0) for v in p]
-    h_cond = (_axis_entropy(*p[0:4]), _axis_entropy(*p[4:8]), _axis_entropy(*p[8:12]))
-    if not _x_structured(rows):  # the entropy identity alone
-        i_ab = SIX_LN2 - 2.0 * (h_cond[0] + h_cond[1] + h_cond[2])
-    else:
+    h = (_axis_entropy(*p[0:4]), _axis_entropy(*p[4:8]), _axis_entropy(*p[8:12]))
+    if _x_structured(rows):
         # The x and y statistics read only the real parts of the coherences.
-        d1, d2, d3, d4, c14, c23 = _x_entries(rows)
-        x, a = _x_offsets(XStateParams(d1.real, d2.real, d3.real, d4.real, c14.real, c23.real))
-        closed = 0.5 * _offset_x_ln_x(x) - _offset_x_ln_x((a,))
-        i_ab = _checked_i_ab(closed, h_cond)
+        d1, d2, d3, d4, c14, c23 = (v.real for v in _x_entries(rows))
+        XStateParams(d1, d2, d3, d4, c14, c23).validate()
+        dx, dy = _g_float(2.0 * (c14 + c23)), _g_float(2.0 * (c23 - c14))
+        hz = -(_given_outcome(d1, d2) + _given_outcome(d3, d4))
+        h_cond = (LN2 - dx, LN2 - dy, hz)
+    else:
+        h_cond = h
+        dx, dy, hz = LN2 - h[0], LN2 - h[1], h[2]
     # _derive's formulas on floats; max(value, 0.0) lets a nan through, as
-    # np.maximum does.
-    xi = tuple(map(math.exp, h_cond))
-    reference = 2.0 / math.sqrt(xi[2])
-    e_x = max(reference - xi[0], 0.0)
-    e_y = max(reference - xi[1], 0.0)
+    # np.maximum does.  For a non-X input both sides of the check are the
+    # entropy identity.
+    delta = (dx + dy) - hz
+    i_ab = _checked_i_ab(TWO_LN2 + 2.0 * delta, h)
+    xi = (2.0 * math.exp(-dx), 2.0 * math.exp(-dy), math.exp(hz))
+    e_x = max(xi[0] * math.expm1(dx - 0.5 * hz), 0.0)
+    e_y = max(xi[1] * math.expm1(dy - 0.5 * hz), 0.0)
     # Positional arguments: a frozen dataclass's __init__ binds keywords slower.
     return SteeringReport(
-        h_cond, i_ab, max((i_ab - TWO_LN2) / (SIX_LN2 - TWO_LN2), 0.0), xi,
-        e_x, e_y, max(0.5 * (e_x + e_y), 0.0),
+        h_cond, i_ab, max(delta / TWO_LN2, 0.0), xi, e_x, e_y, 0.5 * (e_x + e_y)
     )
 
 
@@ -396,18 +389,14 @@ def x_report(p: XStateParams) -> np.ndarray:
     floor and the dual-path I_AB check to every row, raising for the first
     failing one.  Fields of `p` may be scalars shared by every row.
 
-    One stacked pass: `_x_terms` puts the closed-form terms, the joint
-    probabilities and A's marginals in one (32, n) array, one x ln x pass
-    covers all of them, and row sums give the closed form and H_x, H_y, H_z.
+    One stacked pass: `_x_sides` gives the closed form's deficits and H_z
+    and the entropy identity's H_i, `_derive` reads I_AB, S, E and Z off the
+    closed side, and that I_AB is checked against the identity.
     """
-    xlnx = _x_ln_x(_x_terms(p))
-    batch = xlnx.shape[1:]
-    joint = np.add.reduce(xlnx[_JOINT_ROWS].reshape((3, 4) + batch), axis=1)
-    marginal = np.add.reduce(xlnx[_MARGINAL_ROWS].reshape((3, 2) + batch), axis=1)
-    h = marginal - joint  # -sum p ln p of the joint rows minus that of A's outcomes
-    i_ab = _checked_i_ab(_closed_form(xlnx), h)
-    s, _, e_x, e_y, z = _derive(h.T, i_ab)
+    d, hz, h = _x_sides(p)
+    i_ab, s, e, z = _derive(d, hz)
+    _checked_i_ab(i_ab, h)
     rows = np.empty((i_ab.size, 5))
-    for column, value in enumerate((s, z, e_x, e_y, i_ab)):  # np.column_stack costs more
+    for column, value in enumerate((s, z, e[0], e[1], i_ab)):  # np.column_stack costs more
         rows[:, column] = value
     return rows

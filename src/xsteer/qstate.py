@@ -39,8 +39,10 @@ def failing_row(ok) -> int | None:
     """
     if not isinstance(ok, np.ndarray):
         return None if ok else 0
-    rows = np.flatnonzero(~ok)
-    return int(rows[0]) if rows.size else None
+    if not ok.size:
+        return None
+    row = int(ok.argmin())  # the first False, or 0 when every entry holds
+    return None if ok.flat[row] else row
 
 
 def row_value(value, row: int):

@@ -25,6 +25,7 @@ renamed into place, CSV first.
 from __future__ import annotations
 
 import contextlib
+import errno
 import itertools
 import numbers
 import os
@@ -246,8 +247,12 @@ def _write_files(contents: dict[Path, Iterable]) -> None:
     with os.write as they come.  Every temporary file is written in full
     before the first rename, and the renames follow the dict's order.  On any
     failure, including one raised while a chunk is produced, the temporary
-    files still left are removed.
+    files still left are removed.  A path that is a directory, which no
+    rename can replace, raises IsADirectoryError before anything is written.
     """
+    for path in contents:
+        if os.path.isdir(path) and not os.path.islink(path):  # cheaper than Path.is_dir
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     temps = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in contents}
     try:
         for path, chunks in contents.items():

@@ -8,8 +8,9 @@ above, where Z is smallest), and a grid over the Bell-diagonal states.
 
 import numpy as np
 
-from xsteer.measures import TWO_LN2, steering_functional, x_report
+from xsteer.measures import TWO_LN2, _x_sides, steering_functional, x_report
 from xsteer.qstate import XStateParams
+from xsteer.sweep import evaluate_grid, figure_presets
 
 
 def _random_x_states(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -86,3 +87,23 @@ def test_steering_implies_squeezing_but_not_conversely():
     bell = slice(threshold.stop, None)
     assert np.any(unsteered[bell])
     assert abs(np.max(z[bell] - s[bell]) - (np.sqrt(2.0) - 1.0) / 2.0) < 1e-12
+
+
+def test_steering_forces_a_deficit_above_half_h_z():
+    # S > 0 means D_x + D_y > H_z, so one deficit exceeds H_z / 2, which is
+    # the sign of its E
+    rows = _random_x_states(np.random.default_rng(18), 20_000)
+    states = XStateParams(*rows.T)
+    report = x_report(states)
+    d, hz, _ = _x_sides(states)
+    steering = report[:, 0] > 0.0
+    assert np.count_nonzero(steering) > 100
+    assert np.all(np.max(d, axis=0)[steering] > 0.5 * hz[steering])
+    assert np.all(report[steering, 1] > 0.0)
+
+
+def test_no_preset_row_steers_without_squeezing(tmp_path):
+    for name, cfg in figure_presets(tmp_path).items():
+        table = evaluate_grid(cfg, cfg.grid())
+        s, z = table[:, 1], table[:, 2]
+        assert not np.any((s > 0.0) & (z == 0.0)), name

@@ -12,16 +12,20 @@ from xsteer.measures import (
     TWO_LN2,
     NegativeProbabilityError,
     PathDisagreementError,
+    _JOINT_ROWS,
+    _MARGINAL_ROWS,
     _checked_i_ab,
     _derive,
-    _x_offsets,
+    _g,
+    _g_float,
+    _x_sides,
+    _x_terms,
     conditional_entropy,
     full_report,
     joint_distribution,
     neur_bound,
     shannon_entropy,
     steering_functional,
-    x_coefficients,
     x_report,
 )
 from xsteer.processes import (
@@ -176,80 +180,131 @@ def test_conditional_entropy_range():
 
 
 # ---------------------------------------------------------------------------
-# coefficients and the steering functional
+# the closed form: t, u, the populations and the deficits g
 # ---------------------------------------------------------------------------
 
-def test_x_coefficients_bell_values():
-    c = x_coefficients(bell_mixture(0.0))
-    np.testing.assert_allclose(c.x[0], [1, 1, -1, -1], atol=1e-15)
-    np.testing.assert_allclose(c.x[1], [-1, -1, 1, 1], atol=1e-15)
-    np.testing.assert_allclose(c.x[2], [1, -1, -1, 1], atol=1e-15)
-    np.testing.assert_allclose(c.a, [0, 0], atol=1e-15)
+def _t_u(p):
+    """The x and y correlations t = 2(c14 + c23) and u = 2(c23 - c14) of an X state."""
+    return 2.0 * (p.c14 + p.c23), 2.0 * (p.c23 - p.c14)
 
 
-def test_x_coefficients_maximally_mixed_and_nu_half():
-    mixed = x_coefficients(XStateParams(0.25, 0.25, 0.25, 0.25, 0.0, 0.0))
-    np.testing.assert_allclose(mixed.x, np.zeros((3, 4)), atol=1e-15)
-    np.testing.assert_allclose(mixed.a, [0, 0], atol=1e-15)
-    # nu = 0.5 state keeps only the first row
-    c = x_coefficients(bell_mixture(0.5))
-    np.testing.assert_allclose(c.x[0], [1, 1, -1, -1], atol=1e-15)
-    np.testing.assert_allclose(c.x[1], np.zeros(4), atol=1e-15)
-    np.testing.assert_allclose(c.x[2], np.zeros(4), atol=1e-15)
+def test_deficits_bell_values():
+    tu, terms = _x_terms(bell_mixture(0.0))
+    np.testing.assert_allclose(tu, [1, -1], atol=1e-15)
+    np.testing.assert_allclose(terms[12:16], [0.5, 0, 0, 0.5], atol=1e-15)
+    d, hz, _ = _x_sides(bell_mixture(0.0))
+    np.testing.assert_allclose(d, [LN2, LN2], atol=1e-15)
+    assert abs(hz) < 1e-15
 
 
-def test_x_coefficients_sign_structure_and_bounds():
+def test_deficits_maximally_mixed_and_nu_half():
+    mixed = XStateParams(0.25, 0.25, 0.25, 0.25, 0.0, 0.0)
+    np.testing.assert_allclose(_x_terms(mixed)[0], [0, 0], atol=1e-15)
+    d, hz, _ = _x_sides(mixed)
+    np.testing.assert_allclose([*d, hz], [0, 0, LN2], atol=1e-15)
+    # the nu = 0.5 state keeps only the x correlation
+    np.testing.assert_allclose(_x_terms(bell_mixture(0.5))[0], [1, 0], atol=1e-15)
+    d, hz, _ = _x_sides(bell_mixture(0.5))
+    np.testing.assert_allclose([*d, hz], [LN2, 0, LN2], atol=1e-15)
+
+
+def test_deficits_sign_structure_and_bounds():
     states = [random_x_state(seed) for seed in range(200)]
-    # the arrays are exactly the float offsets full_report reads, for one
-    # state and, along a trailing axis, for a batch
-    for p in (states[0], _batch(states)):
-        c = x_coefficients(p)
-        x, a = _x_offsets(p)
-        for got, want in ((c.x, x), (c.a, a)):
-            want = np.array(want)
-            assert got.shape == want.shape and got.dtype == want.dtype
-            np.testing.assert_array_equal(got, want)
-    x, a = _x_offsets(states[0])
-    assert {type(v) for v in (*x[0], *x[1], *x[2], *a)} == {float}
-    for p in states:
-        c = x_coefficients(p)
-        for i in (0, 1):
-            assert c.x[i][0] == c.x[i][1] == -c.x[i][2] == -c.x[i][3]
-            assert np.max(np.abs(c.x[i])) <= 1 + 1e-12
-        assert c.a[0] == -c.a[1]
-        assert np.max(np.abs(c.a)) <= 1 + 1e-12
-        # populations bound the z row: 1 + x_3j = 4 d_j in [0, 4]
-        assert np.all(1.0 + c.x[2] >= -1e-12)
-        assert np.all(1.0 + c.x[2] <= 4 + 1e-12)
+    tu, terms = _x_terms(_batch(states))
+    d, hz, h = _x_sides(_batch(states))
+    # one state at a time gives the batch's columns
+    for i in (0, 99, 199):
+        one_tu, one_terms = _x_terms(states[i])
+        np.testing.assert_allclose(one_tu, tu[:, i], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(one_terms, terms[:, i], rtol=0, atol=1e-15)
+        one_d, one_hz, one_h = _x_sides(states[i])
+        np.testing.assert_allclose(
+            [*one_d, one_hz, *one_h], [*d[:, i], hz[i], *h[:, i]], rtol=0, atol=1e-15
+        )
+    np.testing.assert_array_equal(tu, np.array([_t_u(p) for p in states]).T)
+    assert np.max(np.abs(tu)) <= 1 + 1e-12
+    # the raw populations and A's raw z outcomes are probabilities
+    populations, outcomes = terms[12:16], terms[_MARGINAL_ROWS][6:]
+    assert np.all(populations >= 0.0) and np.all(populations <= 1.0)
+    np.testing.assert_allclose(outcomes, [populations[0] + populations[1], populations[2:].sum(0)])
+    np.testing.assert_allclose(outcomes.sum(axis=0), 1.0, atol=1e-12)
+    # deficits and entropies stay in [0, ln 2]
+    for values in (d, hz, h):
+        assert np.all(values >= -1e-15) and np.all(values <= LN2 + 1e-15)
 
 
 def test_joint_probabilities_from_coefficients():
-    # joint outcomes (+,+), (-,-), (+,-), (-,+) carry offsets x_i1, x_i2, x_i3, x_i4
-    order = [0, 3, 1, 2]
+    # the x row is (1 + t, 1 - t, 1 - t, 1 + t)/4 in the columns (+,+), (+,-),
+    # (-,+), (-,-), the y row the same in u, the z row the populations
     for seed in range(50):
         p = random_x_state(seed)
-        c = x_coefficients(p)
-        rho = from_x_params(p)
-        table = joint_distribution(rho)
-        for row in (0, 1):
-            expected = (1.0 + c.x[row]) / 4.0
-            np.testing.assert_allclose(table[row][order], expected, atol=1e-12)
-        np.testing.assert_allclose(table[2], (1.0 + c.x[2]) / 4.0, atol=1e-12)
+        table = joint_distribution(from_x_params(p))
+        for row, c in zip((0, 1), _t_u(p)):
+            expected = np.array([1 + c, 1 - c, 1 - c, 1 + c]) / 4
+            np.testing.assert_allclose(table[row], expected, atol=1e-12)
+        np.testing.assert_allclose(table[2], p.diagonal, atol=1e-12)
+        np.testing.assert_allclose(_x_terms(p)[1][_JOINT_ROWS].reshape(3, 4), table, atol=1e-12)
 
 
 def test_marginals_from_coefficients():
+    # A's x and y outcomes are uniform whatever t and u; its z outcomes are
+    # d1 + d2 and d3 + d4
     for seed in range(50):
         p = random_x_state(seed)
         rho = from_x_params(p)
         rho_a = partial_trace(rho, keep=(0,))
-        c = x_coefficients(p)
         marginals = _marginal_table(rho)
         for axis in (0, 1):
             np.testing.assert_allclose(marginals[axis], [0.5, 0.5], atol=1e-12)
             np.testing.assert_allclose(marginals[axis], _oracle_marginal(rho_a, axis), atol=1e-12)
+        np.testing.assert_allclose(marginals[2], [p.d1 + p.d2, p.d3 + p.d4], atol=1e-12)
         np.testing.assert_allclose(
-            marginals[2], [(1.0 + c.a[1]) / 2.0, (1.0 + c.a[0]) / 2.0], atol=1e-12
+            _x_terms(p)[1][_MARGINAL_ROWS].reshape(4, 2), [*marginals, marginals[2]], atol=1e-12
         )
+
+
+def _both_g(t):
+    """g at every entry of `t` through the array function and through its float twin."""
+    t = np.asarray(t, dtype=float)
+    return _g(t), np.array([_g_float(v) for v in t.tolist()])
+
+
+def test_g_series_at_small_t():
+    # g(t) = t^2/2 + t^4/12 + t^6/30 + ...; the next term is below 1e-16 relative here
+    t = np.concatenate([np.logspace(-15, -2.5, 60), -np.logspace(-12, -3, 10)])
+    series = t**2 / 2 + t**4 / 12 + t**6 / 30
+    for got in _both_g(t):
+        np.testing.assert_allclose(got, series, rtol=1e-15, atol=0)
+
+
+def test_g_exact_values():
+    half = 0.75 * math.log(1.5) - 0.25 * LN2
+    for got in _both_g([0.0, -0.0, 1.0, -1.0, 1.0 + 1e-12, -1.0 - 1e-12, 0.5, -0.5]):
+        assert got[0] == got[1] == 0.0
+        assert np.all(got[2:6] == LN2)  # |t| is clamped to 1
+        np.testing.assert_allclose(got[6:], half, rtol=1e-15, atol=0)
+
+
+def test_g_both_sides_of_the_branch_switch():
+    # atanh form below 1/2, pair form from 1/2 on; g'(t) = atanh(t) across the switch
+    half = 0.75 * math.log(1.5) - 0.25 * LN2
+    below, above = np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0)
+    t = np.array([below - 1e-12, below, 0.5, above, 0.5 + 1e-12])
+    t = np.concatenate([t, -t])
+    for got in _both_g(t):
+        expected = half + math.atanh(0.5) * (np.abs(t) - 0.5)
+        np.testing.assert_allclose(got, expected, rtol=1e-15, atol=0)
+
+
+def test_g_float_and_array_twins_agree():
+    rng = np.random.default_rng(18)
+    t = np.concatenate([
+        rng.uniform(-1.0, 1.0, 2000), 1.0 - np.logspace(-16, -1, 60), np.logspace(-300, 0, 60),
+        [0.0, 0.5, 1.0, 1.0 + 1e-9],
+    ])
+    array, floats = _both_g(t)
+    np.testing.assert_allclose(floats, array, rtol=1e-15, atol=0)
+    assert np.all(array >= 0.0) and np.all(array <= LN2)
 
 
 def test_steering_functional_values():
@@ -298,16 +353,14 @@ def test_s_symmetric_in_nu():
 
 def test_base2_rescaling_leaves_s_invariant():
     # same formulas in bits: threshold 2, maximum 6
+    def x_log2_x(values):
+        return sum(v * math.log2(v) for v in values if v > 0)
+
     def s_base2(p):
-        c = x_coefficients(p)
-        total = 0.0
-        for row in c.x:
-            for v in row:
-                if 1.0 + v > 0:
-                    total += 0.5 * (1.0 + v) * math.log2(1.0 + v)
-        for a in c.a:
-            if 1.0 + a > 0:
-                total -= (1.0 + a) * math.log2(1.0 + a)
+        t, u = _t_u(p)
+        deficits = 0.5 * x_log2_x([1.0 + t, 1.0 - t, 1.0 + u, 1.0 - u])
+        h_z = x_log2_x([p.d1 + p.d2, p.d3 + p.d4]) - x_log2_x(p.diagonal)
+        total = 2.0 + 2.0 * (deficits - h_z)
         return max(0.0, (total - 2.0) / 4.0)
 
     for seed in range(100):
@@ -437,7 +490,12 @@ def test_full_report_reads_real_parts_of_imaginary_coherences(monkeypatch):
     rho = from_x_params(XStateParams(0.4, 0.1, 0.1, 0.4, 0.2, 0.05))
     rho[0, 3], rho[3, 0] = 0.2j, -0.2j
     seen = []
-    monkeypatch.setattr(measures, "_x_offsets", lambda p: seen.append(p) or _x_offsets(p))
+    validate = XStateParams.validate
+    monkeypatch.setattr(
+        measures.XStateParams,
+        "validate",
+        lambda p, name="state": seen.append(p) or validate(p, name),
+    )
     rep = full_report(rho)
     real_parts = XStateParams(0.4, 0.1, 0.1, 0.4, 0.0, 0.05)
     assert seen == [real_parts]
@@ -462,17 +520,46 @@ def test_measures_reject_wrong_size_matrices(measure, dim):
 def test_full_report_path_disagreement_guard(monkeypatch):
     import xsteer.measures as measures
 
-    # full_report reads the closed form off _x_offsets: with every offset
-    # 0 it gives I_AB = 0, against about 1.72 from the entropy identity
-    zero = (((0.0,) * 4,) * 3, (0.0, 0.0))
-    monkeypatch.setattr(measures, "_x_offsets", lambda p: zero)
+    # full_report reads the closed form's deficits off _g_float: with both 0
+    # it gives I_AB = 2 ln 2 - 2 H_z, about 0.16, against about 1.72 from the
+    # entropy identity
+    monkeypatch.setattr(measures, "_g_float", lambda t: 0.0)
     with pytest.raises(PathDisagreementError):
         measures.full_report(from_x_params(bell_mixture(0.3)))
 
 
+@pytest.mark.parametrize("side", ["closed form", "entropy identity"])
+def test_either_side_of_the_path_check_off_by_2e_9_raises(monkeypatch, side):
+    import xsteer.measures as measures
+
+    # the closed form through its two deficits, 5e-10 each, the identity
+    # through its three H_i; either moves its I_AB by 2e-9
+    g, g_float, axis_entropy, x_sides = (
+        measures._g, measures._g_float, measures._axis_entropy, measures._x_sides
+    )
+
+    def identity_shifted(p):
+        d, hz, h = x_sides(p)
+        return d, hz, h - 1e-9 / 3
+
+    if side == "closed form":
+        monkeypatch.setattr(measures, "_g", lambda t: g(t) + 5e-10)
+        monkeypatch.setattr(measures, "_g_float", lambda t: g_float(t) + 5e-10)
+    else:
+        monkeypatch.setattr(measures, "_x_sides", identity_shifted)
+        monkeypatch.setattr(measures, "_axis_entropy", lambda *p: axis_entropy(*p) - 1e-9 / 3)
+    states = [random_x_state(seed) for seed in range(5)]
+    with pytest.raises(PathDisagreementError):
+        x_report(_batch(states))
+    for p in states:
+        with pytest.raises(PathDisagreementError):
+            full_report(from_x_params(p))
+
+
 def test_full_report_keeps_zero_offsets_at_zero():
-    # 1 - t = -2e-12 passes check_density; its x ln x term must count as 0,
-    # not as -2e-12 ln(tiny) = +1.4e-9, which would trip the 1e-9 path check
+    # 1 - t = -2e-12 passes check_density; g clamps |t| to 1 and the clipped
+    # joint probability counts 0, where -2e-12 ln(tiny) = +1.4e-9 would trip
+    # the 1e-9 path check
     rep = full_report(from_x_params(XStateParams(0.5, 0.0, 0.0, 0.5, 0.5 + 1e-12, 0.0)))
     bell = full_report(from_x_params(bell_mixture(0.0)))
     assert abs(rep.s - bell.s) < 1e-11 and abs(rep.z - bell.z) < 1e-11
@@ -500,6 +587,7 @@ def test_full_report_matches_per_quantity_functions():
         )
         reports += [rep, rotated_rep]
     # full_report's float tail against the batched _derive that x_report runs,
+    # fed the deficits D_i = ln 2 - H_i of the measured entropies,
     # also on a Bell state and on the maximally mixed state, a separable one
     # where both E clamps fire: 2/sqrt(Xi_z) = sqrt(2) is below Xi_x = Xi_y = 2
     bell, mixed = full_report(BELL_PSI), full_report(MAX_MIXED)
@@ -507,7 +595,9 @@ def test_full_report_matches_per_quantity_functions():
     assert all(2.0 / math.sqrt(mixed.xi[2]) < xi for xi in mixed.xi[:2])
     assert mixed.e_x == mixed.e_y == mixed.z == 0.0
     for rep in reports + [bell, mixed]:
-        s, xi, e_x, e_y, z = _derive(np.array(rep.h_cond), rep.i_ab)
+        h = rep.h_cond
+        _, s, (e_x, e_y), z = _derive(np.array([LN2 - h[0], LN2 - h[1]]), h[2])
+        xi = np.exp(h)
         np.testing.assert_allclose(
             [rep.s, *rep.xi, rep.e_x, rep.e_y, rep.z], [s, *xi, e_x, e_y, z], rtol=0, atol=1e-15
         )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import _batch, _projector
 
-from xsteer.measures import full_report, steering_functional, x_coefficients
+from xsteer.measures import full_report, steering_functional
 from xsteer.processes import bell_project_swap
 from xsteer.qstate import (
     DOMAINS,
@@ -75,7 +75,7 @@ def test_from_x_params_entry_positions():
     ],
 )
 def test_from_x_params_rejects_invalid(params, fragment):
-    for entry in (from_x_params, x_coefficients, steering_functional):
+    for entry in (from_x_params, steering_functional):
         with pytest.raises(InvalidStateError, match=fragment):
             entry(params)
 

@@ -277,7 +277,7 @@ def test_guard_negative_probability_floor(tmp_path, monkeypatch):
     tiny = XStateParams(0.5, 0.0, 0.0, 0.5, 0.5 + 1e-13, 0.0)
     rows = _run_with_params(tmp_path, monkeypatch, [_MIXED, tiny, _PSI])
     assert abs(rows[1].s - rows[2].s) < 1e-12 and abs(rows[1].z - rows[2].z) < 1e-12
-    joint = measures._x_terms(_batch([tiny]))[measures._JOINT_ROWS].reshape(3, 4, -1)
+    joint = measures._x_terms(_batch([tiny]))[1][measures._JOINT_ROWS].reshape(3, 4, -1)
     assert joint.min() == 0.0
     np.testing.assert_allclose(joint.sum(axis=1), 1.0, rtol=0, atol=1e-15)
     monkeypatch.setattr(measures, "NEGATIVE_PROBABILITY_TOL", 0.01)
@@ -286,8 +286,9 @@ def test_guard_negative_probability_floor(tmp_path, monkeypatch):
 
 
 def test_guard_path_disagreement(tmp_path, monkeypatch):
-    closed = measures._closed_form
-    monkeypatch.setattr(measures, "_closed_form", lambda xlnx: closed(xlnx) + 2e-9)
+    # each deficit 5e-10 high puts the closed form's I_AB 2e-9 above the identity
+    g = measures._g
+    monkeypatch.setattr(measures, "_g", lambda t: g(t) + 5e-10)
     with pytest.raises(PathDisagreementError):
         run_sweep(_cfg(tmp_path, points=5))
     assert not list(tmp_path.iterdir())
@@ -601,6 +602,25 @@ def test_failure_while_streaming_the_csv_leaves_no_output(tmp_path, monkeypatch)
     with pytest.raises(RuntimeError, match="render failed"):
         run_sweep(_cfg(tmp_path, points=9))
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("name", ["out.gnuplot", "out.csv"])
+def test_directory_target_fails_before_any_write(tmp_path, name):
+    # a directory where the CSV or its plot script goes: exit 3 with the old
+    # pair's other file and the directory as they were, and no temporaries
+    run_sweep(_cfg(tmp_path, points=5))
+    (tmp_path / name).unlink()
+    (tmp_path / name).mkdir()
+
+    def snapshot():
+        return {p.name: p.read_bytes() if p.is_file() else None for p in tmp_path.iterdir()}
+
+    before = snapshot()
+    out = str(tmp_path / "out.csv")
+    assert main(["--mode", "nu", "--grid", "0:1:9", "--out", out]) == EXIT_IO
+    with pytest.raises(IsADirectoryError, match=name):
+        run_sweep(_cfg(tmp_path, points=9))
+    assert snapshot() == before
 
 
 def test_short_writes_are_resumed(tmp_path, monkeypatch):
