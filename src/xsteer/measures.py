@@ -214,7 +214,8 @@ def _x_terms(p: XStateParams) -> tuple[np.ndarray, np.ndarray]:
     for column, population in enumerate(p.diagonal):
         z[:, column] = population
     joint = terms[_JOINT_ROWS]
-    lowest = float(np.minimum.reduce(joint, axis=None))
+    # initial=inf lets an empty batch through: it has no probability to check
+    lowest = float(np.minimum.reduce(joint, axis=None, initial=np.inf))
     _check_floor(lowest)
     # `_clean_probabilities`' clip to [0, 1]: validate keeps every population
     # in [0, 1] and |t|, |u| below 1 + 1e-5, so no raw probability exceeds 1.

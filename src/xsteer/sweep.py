@@ -19,16 +19,19 @@ worker count and block size.  The CSV is rendered in the same blocks, each
 in one numpy pass that yields the ASCII bytes "%.12e" gives (see
 _csv_chunks), and each block is written to a temporary file beside the
 output as it is rendered, next to one for the plot script; the two are then
-renamed into place, CSV first.
+renamed into place, CSV first.  As each block is written it is compared with
+the file already at the output, so a file whose bytes would not change is
+left as it was, with its inode, mtime and permissions, and only its
+temporary is removed (see _write_files).
 """
 
 from __future__ import annotations
 
 import contextlib
 import errno
-import itertools
 import numbers
 import os
+import stat
 from collections.abc import Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -214,7 +217,10 @@ def run_sweep(cfg: SweepConfig) -> np.recarray:
     CPU, since the pool starts all its workers up front, in one contiguous
     chunk per worker.  Both files are first written in full to temporary
     files beside the output and then renamed into place, CSV first; if
-    either write fails, any earlier pair is left as it was.
+    either write fails, any earlier pair is left as it was.  A file whose
+    old bytes equal the new ones is not renamed over: an identical rerun
+    leaves both files as they were, with the same inode, mtime and
+    permissions, and a changed file is replaced exactly as on a first run.
     """
     cfg.validate()
     grid = cfg.grid()
@@ -241,31 +247,31 @@ def _read_only(rows: np.ndarray) -> np.recarray:
 
 
 def _write_files(contents: dict[Path, Iterable]) -> None:
-    """Write each file's chunks to a temporary file beside it, then rename each into place.
+    """Write each file's chunks to a temporary file beside it, then publish each that changed.
 
     `contents` maps each path to an iterable of bytes-like chunks, written
-    with os.write as they come.  Every temporary file is written in full
-    before the first rename, and the renames follow the dict's order.  On any
-    failure, including one raised while a chunk is produced, the temporary
-    files still left are removed.  A path that is a directory, which no
-    rename can replace, raises IsADirectoryError before anything is written.
+    with os.write as they come.  Each chunk is also compared with the next
+    bytes of the file already at the path, if that is a regular file (see
+    _write_temp).  Every temporary file is written in full before the first
+    rename; then, in the dict's order, each is renamed over its path, unless
+    the old file held exactly the new bytes: that temporary is removed and
+    the old file left as it was, with its inode, mtime and permissions.  On
+    any failure, including one raised while a chunk is produced, the
+    temporary files still left are removed.  A path that is a directory,
+    which no rename can replace, raises IsADirectoryError before anything is
+    written.
     """
     for path in contents:
         if os.path.isdir(path) and not os.path.islink(path):  # cheaper than Path.is_dir
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     temps = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in contents}
     try:
-        for path, chunks in contents.items():
-            fd = os.open(temps[path], os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
-            try:
-                for chunk in chunks:
-                    view = memoryview(chunk).cast("B")
-                    while view:
-                        view = view[os.write(fd, view):]
-            finally:
-                os.close(fd)
-        for path, tmp in temps.items():
-            os.replace(tmp, path)
+        unchanged = [_write_temp(temps[path], chunks, path) for path, chunks in contents.items()]
+        for (path, tmp), same in zip(temps.items(), unchanged):
+            if same:
+                os.unlink(tmp)
+            else:
+                os.replace(tmp, path)
     except BaseException:
         for tmp in temps.values():
             with contextlib.suppress(OSError):
@@ -273,14 +279,62 @@ def _write_files(contents: dict[Path, Iterable]) -> None:
         raise
 
 
+def _write_temp(tmp: Path, chunks: Iterable, path: Path) -> bool:
+    """Write `chunks` to the new file `tmp`; return whether `path` already holds those bytes.
+
+    `path` counts only if it is a regular file when opened, which follows no
+    symlink and never blocks on a FIFO.  Its bytes are read one chunk at a
+    time, as each chunk is written, and none once a chunk differs or runs
+    past the old file's size, so memory stays bounded by the largest chunk.
+    """
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        old, left = _open_regular(path)
+        try:
+            same = old is not None
+            for chunk in chunks:
+                view = memoryview(chunk).cast("B")
+                left -= len(view)
+                same = same and left >= 0 and _holds(old, view)
+                while view:
+                    view = view[os.write(fd, view):]
+            return same and left == 0
+        finally:
+            if old is not None:
+                os.close(old)
+    finally:
+        os.close(fd)
+
+
+def _open_regular(path: Path) -> tuple[int | None, int]:
+    """A read-only descriptor of `path` and its size if it is a regular file, else (None, 0)."""
+    try:
+        fd = os.open(path, os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK)
+    except OSError:  # absent, a symlink, unreadable: nothing to compare with
+        return None, 0
+    info = os.fstat(fd)
+    if stat.S_ISREG(info.st_mode):
+        return fd, info.st_size
+    os.close(fd)
+    return None, 0
+
+
+def _holds(fd: int, view: memoryview) -> bool:
+    """Whether the next len(view) bytes read from `fd` equal `view`."""
+    # bytearray == memoryview is one memcmp; memoryview == bytes compares
+    # element by element, far slower
+    held = bytearray(len(view))
+    return os.readv(fd, [held]) == len(view) and held == view
+
+
 def _csv_chunks(table) -> Iterator:
     """The CSV of an (n, 6) float table, one record per row, as bytes-like chunks; see write_csv.
 
     `table` may also be an array of dtype RECORD.  The shape, dtype and
     finiteness checks run before this returns, so a bad table raises before
-    any file is opened; the chunks are then the header and the rows in
-    blocks of _BLOCK_ROWS, each rendered when it is asked for, so the
-    renderer's temporaries stay small for any grid.
+    any file is opened; the chunks are then the rows in blocks of
+    _BLOCK_ROWS, the first led by the header, each rendered when it is asked
+    for, so the renderer's temporaries stay small for any grid.
 
     A block whose values are all non-negative renders in one numpy pass:
     each value v is written as the 13 digits of m = rint(q), where
@@ -311,7 +365,13 @@ def _csv_chunks(table) -> Iterator:
         row = int(np.flatnonzero(~finite.all(axis=1))[0])
         raise NonFiniteRecordError(f"non-finite sweep record in row {row}: {table[row].tolist()}")
     blocks = (table[start:start + _BLOCK_ROWS] for start in range(0, len(table), _BLOCK_ROWS))
-    return itertools.chain([(CSV_HEADER + "\n").encode()], map(_block_bytes, blocks))
+    return _head_joined((CSV_HEADER + "\n").encode(), map(_block_bytes, blocks))
+
+
+def _head_joined(head: bytes, chunks: Iterator) -> Iterator:
+    """`chunks` with `head` joined to the first, so the two take one write and one read."""
+    yield head + next(chunks, b"")
+    yield from chunks
 
 
 def _block_bytes(block: np.ndarray):
@@ -356,7 +416,10 @@ def write_csv(table, path: Path | str) -> Path:
     return, so write_csv(load_csv(p), q) copies p byte for byte.  Any other
     shape or structured dtype raises ValueError and a non-finite value raises
     NonFiniteRecordError, naming the first such row, before anything is
-    written.
+    written.  The file goes to a temporary beside `path` and is renamed into
+    place, unless `path` is a regular file that already holds exactly these
+    bytes: it is then left as it was, with the same inode, mtime and
+    permissions.
     """
     path = Path(path)
     _write_files({path: _csv_chunks(table)})

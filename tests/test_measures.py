@@ -321,6 +321,12 @@ def test_steering_functional_entropy_identity():
         assert abs(steering_functional(p) - (SIX_LN2 - 2.0 * total_h)) < 1e-9
 
 
+def test_empty_batch_gives_empty_results():
+    empty = XStateParams(*[np.empty(0)] * 6)
+    assert x_report(empty).shape == (0, 5)
+    assert steering_functional(empty).shape == (0,)
+
+
 def test_neur_bound():
     # the threshold the code runs is the paper's bound, bit for bit 2 ln 2
     assert TWO_LN2 == neur_bound(2) == 2.0 * LN2

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import warnings
@@ -553,17 +554,20 @@ def test_failed_plot_script_leaves_no_output(tmp_path, monkeypatch):
     fresh, kept = tmp_path / "fresh", tmp_path / "kept"
     fresh.mkdir()
     kept.mkdir()
-    run_sweep(_cfg(kept, points=5))
+    # an acceleration sweep's script (x label r) differs from the nu sweep's
+    # below, so both of the kept pair would be replaced
+    run_sweep(_cfg(kept, mode="acceleration", start=0.0, stop=0.5, points=5))
     before = {p.name: p.read_bytes() for p in kept.iterdir()}
     assert sorted(before) == ["out.csv", "out.gnuplot"]
     opened = []
     os_open = sweep.os.open
 
-    def script_disk_full(path, *args, **kwargs):
+    def script_disk_full(path, flags, *args, **kwargs):
         if Path(path).name.startswith(".out.gnuplot."):
             raise OSError("disk full")
-        opened.append(Path(path))
-        return os_open(path, *args, **kwargs)
+        if flags & (os.O_WRONLY | os.O_RDWR):  # not the old files' read-only opens
+            opened.append(Path(path))
+        return os_open(path, flags, *args, **kwargs)
 
     monkeypatch.setattr(sweep.os, "open", script_disk_full)
     for outdir in (fresh, kept):
@@ -634,15 +638,157 @@ def test_short_writes_are_resumed(tmp_path, monkeypatch):
     assert script == (tmp_path / "whole.gnuplot").read_text().replace("whole", "short")
 
 
-def test_sweep_publishes_pair_with_two_renames(tmp_path, monkeypatch):
-    renamed, made = [], []
-    replace, mkdir = sweep.os.replace, sweep.os.mkdir
+def _record_renames(monkeypatch) -> list:
+    renamed = []
+    replace = sweep.os.replace
     monkeypatch.setattr(
         sweep.os, "replace", lambda src, dst: renamed.append(Path(dst).name) or replace(src, dst)
     )
+    return renamed
+
+
+def _identity(path: Path) -> tuple:
+    st = path.stat()
+    return st.st_ino, st.st_mtime_ns, st.st_mode, path.read_bytes()
+
+
+def test_sweep_publishes_pair_with_two_renames(tmp_path, monkeypatch):
+    renamed, made = _record_renames(monkeypatch), []
+    mkdir = sweep.os.mkdir
     monkeypatch.setattr(sweep.os, "mkdir", lambda *a, **kw: made.append(a) or mkdir(*a, **kw))
     run_sweep(_cfg(tmp_path, points=5))
     assert renamed == ["out.csv", "out.gnuplot"] and not made
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.gnuplot"]
+
+
+def test_identical_rerun_leaves_the_pair_in_place(tmp_path, monkeypatch):
+    run_sweep(_cfg(tmp_path, points=9))
+    (tmp_path / "out.csv").chmod(0o600)
+    pair = [tmp_path / "out.csv", tmp_path / "out.gnuplot"]
+    before = [_identity(p) for p in pair]
+    renamed = _record_renames(monkeypatch)
+    run_sweep(_cfg(tmp_path, points=9))
+    assert renamed == []
+    assert [_identity(p) for p in pair] == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.gnuplot"]
+
+
+def test_rerun_replaces_only_the_file_that_changed(tmp_path, monkeypatch):
+    run_sweep(_cfg(tmp_path, points=5))
+    script = _identity(tmp_path / "out.gnuplot")
+    renamed = _record_renames(monkeypatch)
+    run_sweep(_cfg(tmp_path, points=9))
+    assert renamed == ["out.csv"]
+    assert _identity(tmp_path / "out.gnuplot") == script
+    assert len(load_csv(tmp_path / "out.csv")) == 9
+
+
+def test_rewrite_differing_in_the_last_block_gives_fresh_bytes(tmp_path):
+    table = np.random.default_rng(19).random((sweep._BLOCK_ROWS + 3, 6))
+    old = table.copy()
+    old[-1, 2] = 0.5
+    path = write_csv(old, tmp_path / "t.csv")
+    fresh = write_csv(table, tmp_path / "fresh.csv").read_bytes()
+    assert path.read_bytes() != fresh
+    assert write_csv(table, path).read_bytes() == fresh
+
+
+@pytest.mark.parametrize("edit", ["one byte more", "the last row less"])
+def test_old_file_one_byte_or_one_row_off_is_replaced(tmp_path, monkeypatch, edit):
+    table = np.random.default_rng(20).random((4, 6))
+    fresh = write_csv(table, tmp_path / "fresh.csv").read_bytes()
+    if edit == "one byte more":
+        old = fresh + b"\n"
+    else:
+        old = fresh[:fresh.rindex(b"\n", 0, -1) + 1]
+        assert len(old.splitlines()) == len(fresh.splitlines()) - 1
+    path = tmp_path / "t.csv"
+    path.write_bytes(old)
+    renamed = _record_renames(monkeypatch)
+    assert write_csv(table, path).read_bytes() == fresh
+    assert renamed == ["t.csv"]
+
+
+def test_old_file_is_read_one_block_at_a_time_and_no_further(tmp_path, monkeypatch):
+    table = np.random.default_rng(22).random((sweep._BLOCK_ROWS + 3, 6))
+    path = write_csv(table, tmp_path / "t.csv")
+    first = len(CSV_HEADER) + 1 + memoryview(sweep._block_bytes(table[:sweep._BLOCK_ROWS])).nbytes
+    reads = []
+    readv = sweep.os.readv
+    monkeypatch.setattr(
+        sweep.os, "readv", lambda fd, buffers: reads.append(len(buffers[0])) or readv(fd, buffers)
+    )
+    renamed = _record_renames(monkeypatch)
+    # the header joins the first block, and the old file's size ends the
+    # comparison: no read past its last byte
+    write_csv(table, path)
+    assert reads == [first, path.stat().st_size - first] and renamed == []
+    # an old file shorter than the first chunk is never read
+    path.write_bytes(b"param\n")
+    reads.clear()
+    write_csv(table, path)
+    assert reads == [] and renamed == ["t.csv"]
+
+
+def test_symlink_to_identical_bytes_is_replaced_by_a_file(tmp_path):
+    table = np.random.default_rng(21).random((4, 6))
+    target = write_csv(table, tmp_path / "target.csv")
+    kept = _identity(target)
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    write_csv(table, link)
+    assert not link.is_symlink() and link.read_bytes() == target.read_bytes()
+    assert _identity(target) == kept
+
+
+@pytest.mark.parametrize("fed", [False, True])
+def test_fifo_at_the_output_path_is_replaced_without_blocking(tmp_path, fed):
+    table = np.zeros((2, 6))
+    fresh = write_csv(table, tmp_path / "fresh.csv").read_bytes()
+    path = tmp_path / "fifo.csv"
+    os.mkfifo(path)
+    # with no writer, a blocking open would wait for one; fed, a writer holds
+    # the new bytes in the pipe, so the FIFO reads as them
+    ends = []
+    if fed:
+        ends = [os.open(path, os.O_RDONLY | os.O_NONBLOCK), os.open(path, os.O_WRONLY)]
+        os.write(ends[1], fresh)
+
+    def stuck(signum, frame):
+        raise RuntimeError("blocked on the FIFO")  # not an OSError, which opens may absorb
+
+    handler = signal.signal(signal.SIGALRM, stuck)
+    signal.alarm(5)
+    try:
+        write_csv(table, path)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+        for fd in ends:
+            os.close(fd)
+    assert path.is_file() and path.read_bytes() == fresh
+
+
+def test_render_failure_after_a_matching_prefix_keeps_the_pair(tmp_path, monkeypatch):
+    # the rerun matches the old CSV through its first block, then fails
+    cfg = _cfg(tmp_path, points=sweep._BLOCK_ROWS + 5)
+    run_sweep(cfg)
+    pair = [tmp_path / "out.csv", tmp_path / "out.gnuplot"]
+    before = [_identity(p) for p in pair]
+    rendered = []
+    block_bytes = sweep._block_bytes
+
+    def second_block_fails(block):
+        rendered.append(len(block))
+        if len(rendered) == 2:
+            raise RuntimeError("render failed")
+        return block_bytes(block)
+
+    monkeypatch.setattr(sweep, "_block_bytes", second_block_fails)
+    with pytest.raises(RuntimeError, match="render failed"):
+        run_sweep(cfg)
+    assert rendered == [sweep._BLOCK_ROWS, 5]
+    assert [_identity(p) for p in pair] == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.gnuplot"]
 
 
