@@ -3,11 +3,13 @@
     sweep --mode dephasing-channel --grid 0:40:40001 --out dp.csv
     python .github/check_cli_csv.py dp.csv dephasing-channel 0:40:40001
 
-The sweep must use the default --nu, --g-over-gamma and --bell.  Exits
-non-zero unless the file holds exactly the header and, per row of
+The sweep must use the default --nu, --rb, --g-over-gamma and --bell.
+Exits non-zero unless the file holds exactly the header and, per row of
 evaluate_grid's table for the same grid, the six values as "{:.12e}", and
 unless that table's values lie within 1e-12 of the closed forms in
-perfbench/oracle.py, which share no code with xsteer's measures.
+perfbench/oracle.py, which share no code with xsteer's measures.  For
+acceleration the oracle reads the states off xsteer's enlarged-space
+`accelerate_oracle`, as the benchmark's grid-parallel check does.
 """
 
 import sys
@@ -15,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from xsteer.processes import accelerate_oracle
 from xsteer.sweep import CSV_HEADER, SweepConfig, evaluate_grid
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -34,6 +37,10 @@ x = np.linspace(cfg.start, cfg.stop, cfg.points)
 d, c14, c23 = oracle.mixture(np.full_like(x, cfg.nu))
 if mode == "nu":
     expected = oracle.x_report(*oracle.mixture(x))
+elif mode == "acceleration":
+    track = cfg.r_b == "track"
+    rhos = np.array([accelerate_oracle(cfg.nu, r, r if track else cfg.r_b) for r in x.tolist()])
+    expected = oracle.x_report(*oracle.x_parts(rhos))
 elif mode == "ad-channel":
     p = oracle.ad_survival(cfg.g_over_gamma, x)
     expected = oracle.x_report(*oracle.damp_both(d, c14, c23, p))
@@ -44,7 +51,7 @@ elif mode == "swap":
     pair = oracle.x_matrix(*oracle.mixture(x))
     expected = oracle.density_report(oracle.swap(pair, pair, oracle.BELL_KETS[cfg.bell.value]))
 else:
-    sys.exit(f"no oracle for mode {mode!r}; use nu, ad-channel, dephasing-channel or swap")
+    sys.exit(f"no oracle for mode {mode!r}")
 gap = float(np.abs(table[:, 1:] - expected).max())
 if not np.array_equal(table[:, 0], x) or gap > 1e-12:
     sys.exit(f"{path}: evaluate_grid is {gap:.1e} from the oracle, beyond 1e-12")

@@ -7,10 +7,7 @@ from .qstate import (
     bell_mixture,
     check_density,
     from_x_params,
-    is_x_structured,
-    partial_trace,
     random_x_state,
-    tensor,
     x_params_from_density,
 )
 from .measures import (
@@ -21,7 +18,6 @@ from .measures import (
     full_report,
     joint_distribution,
     neur_bound,
-    shannon_entropy,
     steering_functional,
 )
 from .processes import (

@@ -52,7 +52,6 @@ from .qstate import (
     as_square,
     failing_row,
     row_value,
-    tensor,
 )
 
 
@@ -84,7 +83,7 @@ _SQ2 = 1.0 / math.sqrt(2.0)
 # |n>_A |m>_B, with |0>, |1> the +1, -1 eigenvectors of sigma_i:
 # (|0> +- |1>)/sqrt(2) for x, (|0> +- i|1>)/sqrt(2) for y, |0>, |1> for z.
 # Probabilities are phase independent, so any consistent phase choice works.
-PRODUCT_BASES = np.stack([tensor(b, b) for b in (
+PRODUCT_BASES = np.stack([np.kron(b, b) for b in (
     np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex),
     np.array([[_SQ2, _SQ2], [1j * _SQ2, -1j * _SQ2]], dtype=complex),
     np.eye(2, dtype=complex),
@@ -122,7 +121,7 @@ def joint_distribution(rho: np.ndarray) -> np.ndarray:
     Rows are the axes x, y, z.  Column 2n + m holds outcome n of qubit A
     and m of qubit B, with 0 for +1 and 1 for -1: (+,+), (+,-), (-,+), (-,-).
     """
-    p = _PROJECTION @ as_square(rho, "state", 4).reshape(16)
+    p = _PROJECTION @ as_square(rho, "state").reshape(16)
     return _clean_probabilities(p.real.reshape(3, 4))
 
 
@@ -351,7 +350,7 @@ def full_report(rho: np.ndarray) -> SteeringReport:
     a formula transcription bug rather than bad input.  Any other input
     takes D_i = ln 2 - H_i, and the same tail derives S, Xi, E and Z.
     """
-    rho, rows = _checked_rows(rho, "state", 4)
+    rho, rows = _checked_rows(rho, "state")
     p = (_PROJECTION @ rho.reshape(16)).real.tolist()
     lowest = min(p)
     _check_floor(lowest)

@@ -42,7 +42,6 @@ from .qstate import (
     failing_row,
     from_x_params,
     row_value,
-    tensor,
 )
 
 COMPLETENESS_TOL = 1e-12
@@ -143,6 +142,20 @@ def _check_channel(g_over_gamma: float, gamma_t: float, rate: str) -> None:
     DOMAINS["gamma_t"].check(gamma_t, "gamma*t", ChannelParameterError)
 
 
+def _product(a, b):
+    """a * b, inf past the largest double, without numpy's overflow warning.
+
+    Both callers read such an inf as its limit: `ad_survival`'s exp(-inf)
+    is 0, and in `dephasing_coherence` expm1(-x)/x tends to 0.  Python
+    floats overflow to inf silently, so two of them skip np.errstate, which
+    costs more than a Kraus builder's arithmetic.
+    """
+    if type(a) is float and type(b) is float:
+        return a * b
+    with np.errstate(over="ignore"):
+        return a * b
+
+
 def ad_survival(g_over_gamma, gamma_t):
     """Excited-state survival probability of the damped qubit.
 
@@ -157,7 +170,7 @@ def ad_survival(g_over_gamma, gamma_t):
     lam = np.sqrt(r * (2.0 - r))
     half_phase = 0.5 * lam * gamma_t
     amp = np.cos(half_phase) + (r / lam) * np.sin(half_phase)
-    return np.minimum(1.0, np.exp(-r * gamma_t) * amp * amp)
+    return np.minimum(1.0, np.exp(_product(-r, gamma_t)) * amp * amp)
 
 
 def amplitude_damping_kraus(g_over_gamma: float, gamma_t: float) -> list[np.ndarray]:
@@ -189,7 +202,7 @@ def dephasing_coherence(g_over_gamma, gamma_t):
     _check_channel(g_over_gamma, gamma_t, "g_over_gamma")
     # Below the smallest normal double expm1(-x) / x is exactly -1, so raising
     # x to it changes nothing except at x = 0, where the bracket is 0.
-    x = np.maximum(g_over_gamma * gamma_t, _SMALLEST_NORMAL)
+    x = np.maximum(_product(g_over_gamma, gamma_t), _SMALLEST_NORMAL)
     bracket = gamma_t * (1.0 + np.expm1(-x) / x)
     return np.minimum(1.0, np.exp(-0.5 * bracket))
 
@@ -268,8 +281,8 @@ def _checked_kraus(kraus, name: str) -> np.ndarray:
     """The Kraus operators of qubit `name`'s channel as one complex stack, checked.
 
     Raises ChannelParameterError naming the qubit for operators that do not
-    stack (unequal shapes), an empty set, or a completeness defect above
-    COMPLETENESS_TOL, which a nan defect fails too.
+    stack (unequal shapes), an empty set, operators that are not 2x2, or a
+    completeness defect above COMPLETENESS_TOL, which a nan defect fails too.
     """
     try:
         ops = np.asarray(kraus, dtype=complex)
@@ -279,6 +292,10 @@ def _checked_kraus(kraus, name: str) -> np.ndarray:
         ) from exc
     if not ops.size:
         raise ChannelParameterError(f"channel on qubit {name} has no Kraus operators")
+    if ops.shape[1:] != (2, 2):
+        raise ChannelParameterError(
+            f"channel on qubit {name} needs a list of 2x2 Kraus operators, got shape {ops.shape}"
+        )
     defect = completeness_defect(ops)
     if not defect <= COMPLETENESS_TOL:
         raise ChannelParameterError(
@@ -290,23 +307,20 @@ def _checked_kraus(kraus, name: str) -> np.ndarray:
 def apply_local_channel(
     rho0: np.ndarray, kraus_a: list[np.ndarray], kraus_b: list[np.ndarray]
 ) -> np.ndarray:
-    """Evolve rho0 under independent local channels on qubits A and B.
+    """Evolve the 4x4 rho0 under independent local channels on qubits A and B.
 
     rho = sum_ij (K_i^A x K_j^B) rho0 (K_i^A x K_j^B)^dag, formed as two
-    contractions on rho0 reshaped to (dA, dB, dA, dB): first each K_j^B on
-    B's indices, then each K_i^A on A's.  The dimensions come from the
-    operators; rho0 must be (dA dB) x (dA dB).  Both operator sets must be
-    non-empty, of one shape, and satisfy the completeness relation within
+    contractions on rho0 reshaped to (2, 2, 2, 2): first each K_j^B on B's
+    indices, then each K_i^A on A's.  Both operator sets must be non-empty
+    lists of 2x2 operators that satisfy the completeness relation within
     1e-12, which a nan or inf entry fails.
     """
     ka = _checked_kraus(kraus_a, "A")
     kb = _checked_kraus(kraus_b, "B")
-    da, db = ka.shape[-1], kb.shape[-1]
-    rho = as_square(rho0, "rho0", da * db).reshape(da, db, da, db)
+    rho = as_square(rho0, "rho0").reshape(2, 2, 2, 2)
     rho = np.einsum("jyb,abAB,jYB->ayAY", kb, rho, kb.conj())
     rho = np.einsum("ixa,ayAY,iXA->xyXY", ka, rho, ka.conj())
-    dim = ka.shape[-2] * kb.shape[-2]
-    return rho.reshape(dim, dim)
+    return rho.reshape(4, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +343,7 @@ def _realign(m: np.ndarray) -> np.ndarray:
 # The Bell projection of `bell_project_swap` as a 4x4 kernel per outcome:
 # entry (bB, cC) is conj(k_bc) k_BC, with k the Bell ket as a 2x2 array.
 _SWAP_KERNELS = {
-    which: tensor(which.ket.reshape(2, 2).conj(), which.ket.reshape(2, 2)) for which in BellIndex
+    which: np.kron(which.ket.reshape(2, 2).conj(), which.ket.reshape(2, 2)) for which in BellIndex
 }
 
 
@@ -356,8 +370,8 @@ def bell_project_swap(
     `which` must be a BellIndex member.
     """
     _check_bell(which)
-    rho12 = check_density(rho12, "rho12", dim=4)
-    rho34 = check_density(rho34, "rho34", dim=4)
+    rho12 = check_density(rho12, "rho12")
+    rho34 = check_density(rho34, "rho34")
     kept = _realign(_realign(rho12) @ _SWAP_KERNELS[which] @ _realign(rho34))
     # ndarray.trace's pairing of the four diagonal entries, without its call
     weight = ((kept[0, 0] + kept[1, 1]) + (kept[2, 2] + kept[3, 3])).real

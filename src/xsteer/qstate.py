@@ -1,4 +1,4 @@
-"""Construction and algebra of one- and two-qubit density operators.
+"""Construction and checks of two-qubit density operators.
 
 Everything downstream works on plain complex numpy arrays in the standard
 computational basis |00>, |01>, |10>, |11| with qubit A as the left Kronecker
@@ -210,65 +210,55 @@ class BellIndex(Enum):
         return np.array(vec, dtype=complex)
 
 
-def as_square(rho, name: str, dim: int | None = None) -> np.ndarray:
-    """`rho` as a non-empty complex square matrix, `dim` x `dim` when `dim` is given.
+def as_square(rho, name: str) -> np.ndarray:
+    """`rho` as a complex 4x4 matrix, the one shape the matrix path takes.
 
-    The one shape check of the matrix path: any other shape raises
-    InvalidStateError naming the shape expected and the shape received.
+    Any other shape raises InvalidStateError naming the shape received.
     """
     rho = np.asarray(rho, dtype=complex)
-    n = rho.shape[0] if rho.ndim == 2 else -1
-    if rho.shape != (n, n) or n == 0 or dim is not None and n != dim:
-        expected = "a non-empty square matrix" if dim is None else f"of shape ({dim}, {dim})"
-        raise InvalidStateError(f"{name} must be {expected}, got shape {rho.shape}")
+    if rho.shape != (4, 4):
+        raise InvalidStateError(f"{name} must be of shape (4, 4), got shape {rho.shape}")
     return rho
 
 
-def check_density(rho: np.ndarray, name: str = "state", dim: int | None = None) -> np.ndarray:
+def check_density(rho: np.ndarray, name: str = "state") -> np.ndarray:
     """Validate finiteness, Hermiticity, unit trace and positive semidefiniteness.
 
-    Works for any square operator, or only a `dim` x `dim` one when `dim` is
-    given (see `as_square`); returns the input as a complex array so it can
-    be used inline.  Each comparison fails on nan, so a nan or inf entry
-    fails the Hermiticity check: it leaves a nan or inf defect.
+    `rho` must be a two-qubit operator, 4x4 (see `as_square`); returns it
+    as a complex array so it can be used inline.  Each comparison fails on
+    nan, so a nan or inf entry fails the Hermiticity check: it leaves a nan
+    or inf defect.
 
     The checks run on the entries as Python numbers.  The smallest
-    eigenvalue has two sources.  When the matrix is 4x4 and its eight
-    entries off both diagonals are exactly 0, its spectrum is exactly that
-    of its two 2x2 blocks, so the smaller block eigenvalue of each gives it
-    in closed form.  Any other matrix, however close to X structured, gets
-    `np.linalg.eigvalsh`.  Both read the lower triangle and the real part
-    of the diagonal.
+    eigenvalue has two sources.  When the eight entries off both diagonals
+    are exactly 0, the spectrum is exactly that of the two 2x2 blocks, so
+    the smaller block eigenvalue of each gives it in closed form.  Any other
+    matrix, however close to X structured, gets `np.linalg.eigvalsh`.  Both
+    read the lower triangle and the real part of the diagonal.
     """
-    return _checked_rows(rho, name, dim)[0]
+    return _checked_rows(rho, name)[0]
 
 
-def _checked_rows(rho, name: str, dim: int | None) -> tuple[np.ndarray, list]:
+def _checked_rows(rho, name: str) -> tuple[np.ndarray, list]:
     """`check_density`'s checks; returns the complex array and its rows as Python numbers.
 
     The Hermiticity defect is the largest |a_ij - conj(a_ji)| over every
     pair i <= j, the diagonal included: a nan or inf real part on the
-    diagonal leaves a nan defect there.  For a 4x4 matrix, the size every
-    caller in the package passes, the sixteen entries are unpacked and the
-    ten defects written out: a loop over so few entries costs more than
-    their arithmetic.
+    diagonal leaves a nan defect there.  The sixteen entries are unpacked
+    and the ten defects written out: a loop over so few entries costs more
+    than their arithmetic.
     """
-    rho = as_square(rho, name, dim)
+    rho = as_square(rho, name)
     rows = rho.tolist()
-    n = len(rows)
+    (a00, a01, a02, a03), (a10, a11, a12, a13), (a20, a21, a22, a23), (a30, a31, a32, a33) = rows
+    tr = (a00 + a11) + (a22 + a33)  # numpy's pairing, so the same rounding
     try:
-        if n == 4:
-            (a00, a01, a02, a03), (a10, a11, a12, a13), (a20, a21, a22, a23), (a30, a31, a32, a33) = rows
-            tr = (a00 + a11) + (a22 + a33)  # numpy's pairing, so the same rounding
-            defects = [
-                abs(a00 - a00.conjugate()), abs(a11 - a11.conjugate()),
-                abs(a22 - a22.conjugate()), abs(a33 - a33.conjugate()),
-                abs(a01 - a10.conjugate()), abs(a02 - a20.conjugate()), abs(a03 - a30.conjugate()),
-                abs(a12 - a21.conjugate()), abs(a13 - a31.conjugate()), abs(a23 - a32.conjugate()),
-            ]
-        else:
-            tr = sum(rows[i][i] for i in range(n))
-            defects = [abs(rows[i][j] - rows[j][i].conjugate()) for i in range(n) for j in range(i, n)]
+        defects = [
+            abs(a00 - a00.conjugate()), abs(a11 - a11.conjugate()),
+            abs(a22 - a22.conjugate()), abs(a33 - a33.conjugate()),
+            abs(a01 - a10.conjugate()), abs(a02 - a20.conjugate()), abs(a03 - a30.conjugate()),
+            abs(a12 - a21.conjugate()), abs(a13 - a31.conjugate()), abs(a23 - a32.conjugate()),
+        ]
     except OverflowError:  # abs of a finite complex past the largest double
         defects = [math.inf]
     # max skips a nan unless it comes first; a sum of terms >= 0 is nan only
@@ -279,7 +269,7 @@ def _checked_rows(rho, name: str, dim: int | None) -> tuple[np.ndarray, list]:
         raise InvalidStateError(f"{name} is not a finite Hermitian matrix (defect {herm:.3e})")
     if not abs(tr - 1.0) <= TRACE_TOL:
         raise InvalidStateError(f"{name} does not have unit trace (trace {tr.real})")
-    if n == 4 and not any(_off_x(rows)):
+    if not any(_off_x(rows)):
         lo = min(
             _smaller_block_eigenvalue(a00.real, a33.real, a30),
             _smaller_block_eigenvalue(a11.real, a22.real, a21),
@@ -324,7 +314,7 @@ def _x_structured(rows) -> bool:
 
 def is_x_structured(rho: np.ndarray) -> bool:
     """True when every entry of the 4x4 `rho` off both diagonals is within X_STRUCTURE_TOL."""
-    return _x_structured(as_square(rho, "state", 4).tolist())
+    return _x_structured(as_square(rho, "state").tolist())
 
 
 def x_params_from_density(rho: np.ndarray) -> XStateParams:
@@ -334,7 +324,7 @@ def x_params_from_density(rho: np.ndarray) -> XStateParams:
     entries with an imaginary part above X_STRUCTURE_TOL raise
     InvalidStateError.
     """
-    rows = as_square(rho, "state", 4).tolist()
+    rows = as_square(rho, "state").tolist()
     if not _x_structured(rows):
         raise InvalidStateError("density matrix is not X structured")
     picked = _x_entries(rows)
@@ -355,45 +345,6 @@ def bell_mixture(nu: float) -> XStateParams:
     w = (1.0 - nu) / 2.0
     v = nu / 2.0
     return XStateParams(w, v, v, w, c14=w, c23=v)
-
-
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two vectors or two matrices, left factor first.
-
-    Formed as the broadcast outer product a_ij b_kl with its axes put in the
-    order (i, k, j, l) and merged, which gives the bytes `np.kron` gives at a
-    fraction of its call cost.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim == b.ndim == 1:
-        return np.multiply.outer(a, b).reshape(a.size * b.size)
-    if a.ndim == b.ndim == 2:
-        rows, cols = a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
-        return np.multiply.outer(a, b).transpose(0, 2, 1, 3).reshape(rows, cols)
-    raise ValueError(f"tensor takes two vectors or two matrices, got {a.shape} and {b.shape}")
-
-
-def partial_trace(rho: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
-    """Trace out all qubits not listed in `keep` (indices from the left).
-
-    The kept qubits stay in their original relative order.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    n = rho.shape[0].bit_length() - 1
-    if rho.shape != (2 ** n, 2 ** n):
-        raise InvalidStateError(f"expected a 2^n x 2^n matrix, got shape {rho.shape}")
-    keep = tuple(keep)
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    row = list(letters[:n])
-    col = list(letters[n:2 * n])
-    for q in range(n):
-        if q not in keep:
-            col[q] = row[q]
-    out = "".join(row[q] for q in keep) + "".join(col[q] for q in keep)
-    reduced = np.einsum("".join(row + col) + "->" + out, rho.reshape((2,) * (2 * n)))
-    dim = 2 ** len(keep)
-    return reduced.reshape(dim, dim)
 
 
 def random_x_state(seed: int) -> XStateParams:

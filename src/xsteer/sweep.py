@@ -217,10 +217,12 @@ def run_sweep(cfg: SweepConfig) -> np.recarray:
     CPU, since the pool starts all its workers up front, in one contiguous
     chunk per worker.  Both files are first written in full to temporary
     files beside the output and then renamed into place, CSV first; if
-    either write fails, any earlier pair is left as it was.  A file whose
-    old bytes equal the new ones is not renamed over: an identical rerun
-    leaves both files as they were, with the same inode, mtime and
-    permissions, and a changed file is replaced exactly as on a first run.
+    either write fails, any earlier pair is left as it was.  An entry
+    already at a temporary file's name raises FileExistsError and is left
+    alone (see _write_files).  A file whose old bytes equal the new ones is
+    not renamed over: an identical rerun leaves both files as they were,
+    with the same inode, mtime and permissions, and a changed file is
+    replaced exactly as on a first run.
     """
     cfg.validate()
     grid = cfg.grid()
@@ -250,44 +252,52 @@ def _write_files(contents: dict[Path, Iterable]) -> None:
     """Write each file's chunks to a temporary file beside it, then publish each that changed.
 
     `contents` maps each path to an iterable of bytes-like chunks, written
-    with os.write as they come.  Each chunk is also compared with the next
-    bytes of the file already at the path, if that is a regular file (see
-    _write_temp).  Every temporary file is written in full before the first
-    rename; then, in the dict's order, each is renamed over its path, unless
-    the old file held exactly the new bytes: that temporary is removed and
-    the old file left as it was, with its inode, mtime and permissions.  On
-    any failure, including one raised while a chunk is produced, the
-    temporary files still left are removed.  A path that is a directory,
-    which no rename can replace, raises IsADirectoryError before anything is
+    with os.write as they come.  Each temporary is `.<name>.<pid>.tmp`,
+    created with O_EXCL: if any entry, a symlink included, already has that
+    name, FileExistsError is raised and the entry left as it is.  Each chunk
+    is also compared with the next bytes of the file already at the path,
+    if that is a regular file (see _write_temp).  Every temporary file is
+    written in full before the first rename; then, in the dict's order,
+    each is renamed over its path, unless the old file held exactly the new
+    bytes: that temporary is removed and the old file left as it was, with
+    its inode, mtime and permissions.  On any failure, including one raised
+    while a chunk is produced, the temporary files this call created and
+    has not yet published are removed.  A path that is a directory, which
+    no rename can replace, raises IsADirectoryError before anything is
     written.
     """
     for path in contents:
         if os.path.isdir(path) and not os.path.islink(path):  # cheaper than Path.is_dir
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     temps = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in contents}
+    created = []
     try:
-        unchanged = [_write_temp(temps[path], chunks, path) for path, chunks in contents.items()]
+        unchanged = []
+        for path, chunks in contents.items():
+            fd = os.open(temps[path], os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            created.append(temps[path])
+            unchanged.append(_write_temp(fd, chunks, path))
         for (path, tmp), same in zip(temps.items(), unchanged):
             if same:
                 os.unlink(tmp)
             else:
                 os.replace(tmp, path)
+            created.remove(tmp)
     except BaseException:
-        for tmp in temps.values():
+        for tmp in created:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
         raise
 
 
-def _write_temp(tmp: Path, chunks: Iterable, path: Path) -> bool:
-    """Write `chunks` to the new file `tmp`; return whether `path` already holds those bytes.
+def _write_temp(fd: int, chunks: Iterable, path: Path) -> bool:
+    """Write `chunks` to the new file open at `fd` and close it; return whether `path` holds them.
 
     `path` counts only if it is a regular file when opened, which follows no
     symlink and never blocks on a FIFO.  Its bytes are read one chunk at a
     time, as each chunk is written, and none once a chunk differs or runs
     past the old file's size, so memory stays bounded by the largest chunk.
     """
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
     try:
         old, left = _open_regular(path)
         try:

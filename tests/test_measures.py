@@ -4,7 +4,7 @@ from itertools import cycle
 
 import numpy as np
 import pytest
-from conftest import _batch, _projector
+from conftest import _batch, _projector, partial_trace
 
 from xsteer.measures import (
     LN2,
@@ -42,7 +42,6 @@ from xsteer.qstate import (
     check_density,
     from_x_params,
     is_x_structured,
-    partial_trace,
     random_x_state,
     x_params_from_density,
 )

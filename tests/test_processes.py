@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from conftest import _batch, _projector
+from conftest import _batch, _projector, partial_trace
 
 from xsteer.measures import full_report
 from xsteer.processes import (
@@ -31,7 +32,6 @@ from xsteer.qstate import (
     check_density,
     from_x_params,
     is_x_structured,
-    partial_trace,
     random_x_state,
     x_params_from_density,
 )
@@ -166,6 +166,26 @@ def test_ad_rejects_overdamped_rate():
         amplitude_damping_kraus(-0.1, 1.0)
     with pytest.raises(ChannelParameterError):
         amplitude_damping_kraus(0.1, -1.0)
+
+
+@pytest.mark.parametrize(
+    "gamma_t",
+    [1.7e308, np.float64(1.7e308), np.array([0.0, 1.7e308])],
+    ids=["float", "np", "array"],
+)
+def test_channel_factors_overflow_to_their_limit_without_a_warning(gamma_t):
+    # g/gamma * gamma*t past the largest double is inf, read as its limit
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        survival = ad_survival(1.5, gamma_t)
+        coherence = dephasing_coherence(10.0, gamma_t)
+    expected = [1.0, 0.0] if np.ndim(gamma_t) else 0.0
+    np.testing.assert_array_equal(survival, expected)
+    np.testing.assert_array_equal(coherence, expected)
+    # with gamma*t = 2 the bracket tends to gamma*t, so P tends to e^-1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dephasing_coherence(np.float64(1.7e308), np.float64(2.0)) == np.exp(-1.0)
 
 
 def test_ad_kraus_identity_at_zero_time():
@@ -339,8 +359,17 @@ def test_apply_local_channel_rejects_incomplete_sets():
         ([], "has no Kraus operators"),
         # numpy cannot stack a 2x2 and a 3x3 operator into one array
         ([np.eye(2), np.eye(3)], "has Kraus operators that do not stack"),
+        # complete sets that stack, but not into a list of qubit operators
+        ([np.eye(3)], r"needs a list of 2x2 Kraus operators, got shape \(1, 3, 3\)"),
+        ([np.eye(4) / math.sqrt(2.0)] * 2, "needs a list of 2x2 Kraus operators"),
+        ([np.eye(3, 2)], "needs a list of 2x2 Kraus operators"),
+        ([np.ones((1, 1))], "needs a list of 2x2 Kraus operators"),
+        (np.eye(2), r"needs a list of 2x2 Kraus operators, got shape \(2, 2\)"),
     ],
-    ids=["inf", "nan", "empty", "ragged"],
+    ids=[
+        "inf", "nan", "empty", "ragged",
+        "qutrit", "two-qubit", "qubit-to-qutrit", "one-dimensional", "bare-operator",
+    ],
 )
 def test_apply_local_channel_rejects_non_finite_and_empty_sets(broken, fragment, qubit):
     ops = amplitude_damping_kraus(0.5, 1.0)

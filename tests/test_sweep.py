@@ -9,29 +9,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import _batch
+from conftest import _batch, _matrix_point
 
 import xsteer.measures as measures
 import xsteer.sweep as sweep
 from xsteer.cli import EXIT_CONFIG, EXIT_INTERNAL, EXIT_IO, EXIT_OK, main
-from xsteer.measures import NegativeProbabilityError, PathDisagreementError, full_report
-from xsteer.processes import (
-    ChannelParameterError,
-    ZeroProbabilityOutcomeError,
-    accelerate,
-    amplitude_damping_kraus,
-    apply_local_channel,
-    dephasing_kraus,
-    swap_bell_mixtures,
-)
+from xsteer.measures import NegativeProbabilityError, PathDisagreementError
+from xsteer.processes import ChannelParameterError, ZeroProbabilityOutcomeError
 from xsteer.qstate import (
     DOMAINS,
     R_MAX,
     BellIndex,
     InvalidStateError,
     XStateParams,
-    bell_mixture,
-    from_x_params,
 )
 from xsteer.sweep import (
     CSV_HEADER,
@@ -48,23 +38,6 @@ from xsteer.sweep import (
 
 # Preset CSVs frozen before any numeric refactor; the benchmark checks against them too.
 REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
-
-
-def _matrix_point(cfg: SweepConfig, param: float) -> tuple:
-    """One grid point through the 4x4 and 16x16 matrix path: the oracle for evaluate_grid."""
-    param = float(param)
-    if cfg.mode == "nu":
-        rho = from_x_params(bell_mixture(param))
-    elif cfg.mode == "acceleration":
-        rho = accelerate(cfg.nu, param, param if cfg.r_b == "track" else cfg.r_b)
-    elif cfg.mode in ("ad-channel", "dephasing-channel"):
-        kraus = amplitude_damping_kraus if cfg.mode == "ad-channel" else dephasing_kraus
-        ops = kraus(cfg.g_over_gamma, param)
-        rho = apply_local_channel(from_x_params(bell_mixture(cfg.nu)), ops, ops)
-    else:
-        rho = swap_bell_mixtures(param, cfg.bell)
-    rep = full_report(rho)
-    return (param, rep.s, rep.z, rep.e_x, rep.e_y, rep.i_ab)
 
 
 def _grid_records(cfg, grid) -> list[list[float]]:
@@ -739,6 +712,52 @@ def test_symlink_to_identical_bytes_is_replaced_by_a_file(tmp_path):
     write_csv(table, link)
     assert not link.is_symlink() and link.read_bytes() == target.read_bytes()
     assert _identity(target) == kept
+
+
+@pytest.mark.parametrize("kind", ["symlink", "file"])
+@pytest.mark.parametrize("name", ["out.csv", "out.gnuplot"])
+def test_entry_at_a_temporary_path_is_left_alone(tmp_path, capsys, name, kind):
+    # a planted link at a predictable temporary name must not redirect the
+    # write, and a file already there is not shared or taken over
+    victim = tmp_path / "victim.txt"
+    victim.write_bytes(b"keep me\n")
+    planted = tmp_path / f".{name}.{os.getpid()}.tmp"
+    if kind == "symlink":
+        planted.symlink_to(victim)
+    else:
+        planted.write_bytes(b"another writer\n")
+    before = {p.name: (p.is_symlink(), p.read_bytes()) for p in tmp_path.iterdir()}
+    cfg = _cfg(tmp_path, out=str(tmp_path / "out.csv"))
+    with pytest.raises(FileExistsError):
+        run_sweep(cfg)
+    assert main(["--mode", "nu", "--grid", "0:1:11", "--out", cfg.out]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("sweep: I/O failure: ") and err.count("\n") == 1
+    assert {p.name: (p.is_symlink(), p.read_bytes()) for p in tmp_path.iterdir()} == before
+    if kind == "symlink":
+        assert os.readlink(planted) == str(victim)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--mode", "dephasing-channel", "--g-over-gamma", "10"],
+        ["--mode", "ad-channel", "--g-over-gamma", "1.5"],
+    ],
+    ids=["dephasing", "ad"],
+)
+def test_cli_sweep_to_the_largest_times_prints_no_warning(tmp_path, flags):
+    # g/gamma * gamma*t overflows past 1.7e308 / (g/gamma): the factor is 0, silently
+    import xsteer
+
+    env = dict(os.environ, PYTHONPATH=str(Path(xsteer.__file__).parents[1]))
+    out = tmp_path / "x.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "xsteer", *flags, "--grid", "0:1.7e308:5", "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == EXIT_OK and proc.stderr == ""
+    assert np.isfinite(load_csv(out).tolist()).all()
 
 
 @pytest.mark.parametrize("fed", [False, True])
