@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable, NamedTuple
 
 from .measures import NegativeProbabilityError, PathDisagreementError
 from .processes import ChannelParameterError, ZeroProbabilityOutcomeError
@@ -32,90 +33,109 @@ EXIT_IO = 3
 EXIT_INTERNAL = 4
 
 
+class _Setting(NamedTuple):
+    """One sweep setting, given as a flag or as a JSON config key."""
+
+    field: str  # its SweepConfig field; "grid" fills start, stop and points
+    kind: str  # the values it takes, in words, for its error messages
+    json_type: Callable[[object], bool]  # whether a JSON value has the right type
+    convert: Callable  # the flag's text or the JSON value to the field's value
+    help: str
+
+
+def _mode(value: str) -> str:
+    if value not in MODES:
+        raise ValueError(value)
+    return value
+
+
+def _grid(text: str) -> tuple[float, float, int]:
+    start, stop, points = text.split(":")
+    return float(start), float(stop), int(points)
+
+
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+_MODES_TEXT = ", ".join(MODES)
+_BELLS_TEXT = ", ".join(b.value for b in BellIndex)
+
+# In the order their values are converted, so the first bad one is reported.
+# Range rules live in SweepConfig.validate, not here.
+_SETTINGS = {
+    "mode": _Setting("mode", f"one of {_MODES_TEXT}", _is_str, _mode,
+                     f"which parameter sweep to run: {_MODES_TEXT}"),
+    "grid": _Setting("grid", "start:stop:points", _is_str, _grid,
+                     "grid as start:stop:points (defaults per mode)"),
+    "bell": _Setting("bell", f"one of {_BELLS_TEXT}", _is_str, BellIndex,
+                     f"Bell outcome for swap mode: {_BELLS_TEXT} (default psi)"),
+    "nu": _Setting("nu", "a number", _is_real, float, "fixed mixing parameter (default 1.0)"),
+    "rb": _Setting("r_b", 'a number or "track"', lambda v: _is_real(v) or v == "track",
+                   lambda v: "track" if v == "track" else float(v),
+                   "acceleration of qubit B: a number in [0, pi/4] or 'track' (default 0)"),
+    "g_over_gamma": _Setting("g_over_gamma", "a number", _is_real, float,
+                             "decay-rate ratio g/gamma for channel modes (default 0.1)"),
+    "out": _Setting("out", "a string", _is_str, str, "output CSV path"),
+    "jobs": _Setting("jobs", "an integer", _is_integer, int, "parallel workers (default 1)"),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Splits argv into each flag's text; every rejection is a ConfigError."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        # every flag but --help takes a value, so "--flag value" is read as
+        # "--flag=value" and a value that starts with "-", such as -1e-3, is
+        # not taken for a flag; argparse still resolves abbreviations
+        args = list(sys.argv[1:] if args is None else args)
+        joined = []
+        while args:
+            arg = args.pop(0)
+            if arg.startswith("--") and "=" not in arg and not "--help".startswith(arg) and args:
+                arg = f"{arg}={args.pop(0)}"
+            joined.append(arg)
+        return super().parse_known_args(joined, namespace)
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sweep",
         description="Sweep steering (S) and entropy-squeezing (Z) measures over "
         "a state or process parameter, writing a CSV and a gnuplot script.",
     )
-    parser.add_argument("--mode", choices=MODES, help="which parameter sweep to run")
-    parser.add_argument("--grid", help="grid as start:stop:points (defaults per mode)")
-    parser.add_argument("--nu", type=float, help="fixed mixing parameter (default 1.0)")
-    parser.add_argument(
-        "--rb", help="acceleration of qubit B: a number in [0, pi/4] or 'track' (default 0)"
-    )
-    parser.add_argument(
-        "--g-over-gamma", type=float, dest="g_over_gamma",
-        help="decay-rate ratio g/gamma for channel modes (default 0.1)",
-    )
-    parser.add_argument(
-        "--bell", choices=[b.value for b in BellIndex],
-        help="Bell outcome for swap mode (default psi)",
-    )
-    parser.add_argument("--out", help="output CSV path")
+    for key, setting in _SETTINGS.items():
+        parser.add_argument(f"--{key.replace('_', '-')}", dest=key, help=setting.help)
     parser.add_argument("--config", help="JSON config file; explicit flags win on conflict")
-    parser.add_argument("--jobs", type=int, help="parallel workers (default 1)")
     return parser
-
-
-def _parse_grid(text: str) -> tuple[float, float, int]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"grid must be start:stop:points, got {text!r}")
-    try:
-        start, stop, points = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError as exc:
-        raise ConfigError(f"grid must be start:stop:points, got {text!r}") from exc
-    return start, stop, points
-
-
-def _parse_rb(value) -> float | str:
-    if value == "track":
-        return "track"
-    try:
-        return float(value)
-    except ValueError as exc:
-        raise ConfigError(f"rb must be a number or 'track', got {value!r}") from exc
-
-
-def _parse_bell(value: str) -> BellIndex:
-    try:
-        return BellIndex(value)
-    except ValueError as exc:
-        raise ConfigError(f"bell must be one of {[b.value for b in BellIndex]}") from exc
-
-
-# Each config key: the JSON value it takes, as (description, test), then the
-# SweepConfig field and parser of each optional setting, in the order of their checks.
-_KEYS = {
-    "mode": ("a string", lambda v: isinstance(v, str), None, None),
-    "grid": ("a string", lambda v: isinstance(v, str), None, None),
-    "out": ("a string", lambda v: isinstance(v, str), None, None),
-    "bell": ("a string", lambda v: isinstance(v, str), "bell", _parse_bell),
-    "nu": ("a number", _is_real, "nu", float),
-    "rb": ('a number or "track"', lambda v: _is_real(v) or v == "track", "r_b", _parse_rb),
-    "g_over_gamma": ("a number", _is_real, "g_over_gamma", float),
-    "jobs": ("an integer", _is_integer, "jobs", int),
-}
 
 
 def _load_config_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config: {path} is not UTF-8: {exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise ConfigError(f"config: cannot read {path}: {exc}") from exc
+    try:
+        data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ConfigError(f"config: {path} must hold a JSON object")
+        unknown = set(data) - set(_SETTINGS)
+        if unknown:
+            raise ConfigError(f"config: unknown keys {sorted(unknown)}")
+        for key, value in data.items():
+            if not _SETTINGS[key].json_type(value):
+                kind = _SETTINGS[key].kind
+                raise ConfigError(f"config: {key} must be {kind}, got {json.dumps(value)}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config: {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"config: {path} must hold a JSON object")
-    unknown = set(data) - set(_KEYS)
-    if unknown:
-        raise ConfigError(f"config: unknown keys {sorted(unknown)}")
-    for key, value in data.items():
-        kind, accepts, _, _ = _KEYS[key]
-        if not accepts(value):
-            raise ConfigError(f"config: {key} must be {kind}, got {json.dumps(value)}")
+    except RecursionError as exc:  # raised by json.loads or json.dumps
+        raise ConfigError(f"config: {path} nests too deep: {exc}") from exc
     return data
 
 
@@ -123,24 +143,23 @@ def _build_config(args: argparse.Namespace) -> SweepConfig:
     """The sweep the flags and config file ask for; a flag wins over the file."""
     values = _load_config_file(args.config) if args.config else {}
     values.update((k, v) for k, v in vars(args).items() if v is not None and k != "config")
-    mode = values.get("mode")
-    if mode is None:
-        raise ConfigError("mode: required (flag --mode or config key 'mode')")
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    if "out" not in values:
-        raise ConfigError("out: required (flag --out or config key 'out')")
-    start, stop, points = _parse_grid(values["grid"]) if "grid" in values else _SWEPT[mode][2]
-    fields = {field: parse(values[key])
-              for key, (_, _, field, parse) in _KEYS.items() if field and key in values}
-    return SweepConfig(mode, start, stop, points, values["out"], **fields)
+    for key in ("mode", "out"):
+        if key not in values:
+            raise ConfigError(f"{key}: required (flag --{key} or config key '{key}')")
+    fields = {}
+    for key, setting in _SETTINGS.items():
+        if key in values:
+            try:
+                fields[setting.field] = setting.convert(values[key])
+            except ValueError as exc:
+                raise ConfigError(f"{key} must be {setting.kind}, got {values[key]!r}") from exc
+    start, stop, points = fields.pop("grid", _SWEPT[fields["mode"]][2])
+    return SweepConfig(start=start, stop=stop, points=points, **fields)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        cfg = _build_config(args)
+        cfg = _build_config(build_parser().parse_args(argv))
         records = run_sweep(cfg)
     except (ConfigError, InvalidStateError, ChannelParameterError) as exc:
         print(f"sweep: invalid config: {exc}", file=sys.stderr)

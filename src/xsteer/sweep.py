@@ -153,6 +153,8 @@ class SweepConfig:
             raise ConfigError("out: an output path is required")
         if not isinstance(self.out, (str, os.PathLike)):
             raise ConfigError(f"out must be a path, got {self.out!r}")
+        if "\0" in str(self.out):
+            raise ConfigError(f"out must not hold a NUL byte, got {str(self.out)!r}")
         if Path(self.out).suffix == ".gnuplot":
             raise ConfigError(f"out must not end in .gnuplot, its plot script's suffix: {self.out}")
         if self.jobs < 1:

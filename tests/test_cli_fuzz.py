@@ -3,14 +3,17 @@
 Each draw combines flags and JSON config keys, a flag winning over the file,
 with values at and just past the ends of each domain, subnormal and huge
 numbers, non-finite and mistyped values, and output paths the CLI must
-refuse.  Whatever the draw, the run keeps the CLI's contract: exit code 0, 2,
-3 or 4 with no traceback and no warning; on success an empty stderr and a
-CSV of finite values whose sampled rows match the matrix oracle; on failure
-one `sweep:` line on stderr and no output file.
+refuse.  Each flag is written as `--key value` or as `--key=value`, so a
+value that starts with "-" must reach its flag either way.  Whatever the
+draw, the run keeps the CLI's contract: exit code 0, 2, 3 or 4 with no
+traceback and no warning; on success an empty stderr and a CSV of finite
+values whose sampled rows match the matrix oracle; on failure one `sweep:`
+line on stderr and no output file.
 """
 
 import json
 import math
+import os
 import warnings
 
 import numpy as np
@@ -60,8 +63,12 @@ def _value(rng, domain: str) -> float:
     return _pick(rng, _OUTSIDE[domain] if rng.random() < 0.1 else _INSIDE[domain])
 
 
-def _draw(rng, k: int, tmp_path):
-    """One draw: the flags, the config file's contents (or None) and the CSV path."""
+def _draw(rng, k: int, tmp_path, read_only: bool):
+    """One draw: the flags, the config file's contents (or None) and the CSV path.
+
+    `read_only` says whether tmp_path/"ro", a directory without write permission,
+    is unwritable for this process; root may write it anyway.
+    """
     values = {}
     mode = _pick(rng, MODES)
     values["mode"] = mode if rng.random() < 0.97 else _pick(rng, ["sideways", None])
@@ -78,14 +85,21 @@ def _draw(rng, k: int, tmp_path):
         values["g_over_gamma"] = _value(rng, "g_over_gamma")
         if mode == "ad-channel" and values["g_over_gamma"] > BELOW_2 and rng.random() < 0.8:
             values["g_over_gamma"] = BELOW_2  # mostly the largest rate damping accepts
-    if mode == "swap":
-        values["bell"] = list(BellIndex)[k % 4].value  # every outcome, in turn
+    if mode == "swap":  # every outcome, in turn, or one that does not exist
+        values["bell"] = list(BellIndex)[k % 4].value if rng.random() < 0.95 else "chi"
     if k in POOL_DRAWS:
         values["jobs"] = 2
     elif rng.random() < 0.05:
         values["jobs"] = _pick(rng, [1, 0, -1])
     where = rng.random()
-    csv = tmp_path / (f"missing/{k}.csv" if where < 0.08 else f"{k}.csv")
+    if where < 0.08:
+        csv = tmp_path / f"missing/{k}.csv"
+    elif 0.12 <= where < 0.15:
+        csv = tmp_path / f"file/{k}.csv"  # under a regular file: ENOTDIR
+    elif 0.15 <= where < 0.18 and read_only:
+        csv = tmp_path / f"ro/{k}.csv"
+    else:
+        csv = tmp_path / f"{k}.csv"
     values["out"] = str(tmp_path / f"{k}.gnuplot") if 0.08 <= where < 0.12 else str(csv)
     if rng.random() < 0.02:
         del values["out"]
@@ -94,11 +108,10 @@ def _draw(rng, k: int, tmp_path):
     for key, value in values.items():
         if value is None:
             continue
-        # a mode argparse would reject goes to the file, where the CLI's own check sees it
-        source = rng.random() if key != "mode" or value in MODES else 0.5
+        source = rng.random()
         if source < 0.4 or source >= 0.9:  # a flag; from 0.9 on, over a config value too
-            # --key=value, since argparse reads "-5e-324" after a space as a flag
-            flags.append(f"--{key.replace('_', '-')}={value}")
+            flag = f"--{key.replace('_', '-')}"
+            flags += [f"{flag}={value}"] if rng.random() < 0.5 else [flag, str(value)]
         if source >= 0.4:
             config[key] = value
     if config and rng.random() < 0.05:
@@ -117,9 +130,12 @@ def test_cli_contract_fuzz(tmp_path, capsys, monkeypatch):
         return runs[-1][1]
 
     monkeypatch.setattr(cli, "run_sweep", recorded)
+    (tmp_path / "file").write_text("")
+    (tmp_path / "ro").mkdir(mode=0o555)
+    read_only = not os.access(tmp_path / "ro", os.W_OK)
     codes, bells = [], set()
     for k in range(DRAWS):
-        flags, config, csv = _draw(rng, k, tmp_path)
+        flags, config, csv = _draw(rng, k, tmp_path, read_only)
         argv = list(flags)
         if config is not None:
             path = tmp_path / f"{k}.json"

@@ -87,6 +87,7 @@ def _cfg(tmp_path, **kw):
         (dict(mode="ad-channel", start=0.0, stop=10.0, nu=True), "nu"),
         (dict(mode="acceleration", start=0.0, stop=0.5, r_b=0.1j), "r_b"),
         (dict(out=123), "out"),
+        (dict(out="x\0.csv"), "NUL"),
     ],
 )
 def test_config_validation_reports_offending_field(tmp_path, kw, fragment):
@@ -850,10 +851,79 @@ def test_cli_uses_mode_default_grid(tmp_path):
     assert len(load_csv(out)) == 201
 
 
-def test_cli_rejects_unknown_mode():
-    with pytest.raises(SystemExit) as err:
-        main(["--mode", "sideways", "--out", "x.csv"])
-    assert err.value.code == 2
+def test_cli_rejects_unknown_mode(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["--mode", "sideways", "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("sweep: invalid config: mode must be one of") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, code",
+    [
+        ("--mode dephasing-channel --g-over-gamma -1e-3 --out {out}", EXIT_CONFIG),
+        ("--mode nu --grid -0.0:1:3 --out {out}", EXIT_OK),
+        ("--mode nu --nu abc --out {out}", EXIT_CONFIG),
+        ("--mode sideways --out {out}", EXIT_CONFIG),
+        ("--mode swap --bell chi --out {out}", EXIT_CONFIG),
+        ("--mode nu --jobs 1.5 --out {out}", EXIT_CONFIG),
+        ("--mode nu --out {out} --bogus 1", EXIT_CONFIG),
+        ("--mode nu --out {out} --g 0.1", EXIT_CONFIG),  # --grid or --g-over-gamma
+        ("--mode acceleration --nu -1e-3 --out {out}", EXIT_CONFIG),
+        ("--mode acceleration --rb -1e-3 --out {out}", EXIT_CONFIG),
+        ("--mode ad-channel --nu -5e-324 --out {out}", EXIT_CONFIG),
+        ("--mode nu --nu -5e-324 --grid 0:1:3 --out {out}", EXIT_OK),  # nu is unused here
+    ],
+)
+def test_cli_flag_values_and_rejections(tmp_path, capsys, command, code):
+    # a value starting with "-" reaches its flag, and argparse's own rejections
+    # print the same one line as every other invalid configuration
+    out = tmp_path / "x.csv"
+    assert main([str(out) if word == "{out}" else word for word in command.split()]) == code
+    err = capsys.readouterr().err
+    if code == EXIT_OK:
+        assert err == "" and len(load_csv(out)) == 3
+    else:
+        assert err.startswith("sweep: invalid config: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
+
+def test_cli_help_exits_0_with_usage_on_stdout(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["--help"])
+    assert exit_.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: sweep") and err == ""
+    unwrapped = "".join(out.split())  # argparse wraps lines after a "-"
+    for name in [*sweep.MODES, *(b.value for b in BellIndex)]:
+        assert name in unwrapped
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["--config", "latin1.json"], "config: latin1.json is not UTF-8"),
+        (["--config", "deep.json"], "config: deep.json nests too deep"),
+        (["--config", "nul.json"], "out must not hold a NUL byte"),
+        (["--mode", "nu", "--out", "x\0.csv"], "out must not hold a NUL byte"),
+        (["--config", "sweep\0.json"], "config: cannot read sweep\0.json"),
+    ],
+    ids=["not-utf8", "too-deep", "nul-in-config-out", "nul-in-out-flag", "nul-in-config-path"],
+)
+def test_cli_rejects_unreadable_config_and_nul_paths(tmp_path, monkeypatch, capsys, argv, fragment):
+    monkeypatch.chdir(tmp_path)
+    files = {
+        "latin1.json": b"\xff",
+        "deep.json": b"[" * 100_000,
+        "nul.json": b'{"mode": "nu", "grid": "0:1:3", "out": "x\\u0000.csv"}',
+    }
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"sweep: invalid config: {fragment}") and err.count("\n") == 1, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
 
 
 def test_cli_invalid_grid_is_config_error(tmp_path, capsys):
