@@ -17,12 +17,13 @@ split into contiguous chunks, one per worker, each evaluated the same way;
 every operation acts row by row, so the emitted bytes are identical for any
 worker count and block size.  The CSV is rendered in the same blocks, each
 in one numpy pass that yields the ASCII bytes "%.12e" gives (see
-_csv_chunks), and each block is written to a temporary file beside the
-output as it is rendered, next to one for the plot script; the two are then
-renamed into place, CSV first.  As each block is written it is compared with
-the file already at the output, so a file whose bytes would not change is
-left as it was, with its inode, mtime and permissions, and only its
-temporary is removed (see _write_files).
+_csv_chunks), and each block is compared, as it is rendered, with the next
+bytes of the file already at the output.  A temporary file beside the
+output is created only at the first block that differs: a file whose bytes
+would not change creates no temporary and is left as it was, with its
+inode, mtime and permissions.  The temporaries of the CSV and of the plot
+script are written in full and then renamed into place, CSV first (see
+_write_files).
 """
 
 from __future__ import annotations
@@ -155,6 +156,10 @@ class SweepConfig:
             raise ConfigError(f"out must be a path, got {self.out!r}")
         if "\0" in str(self.out):
             raise ConfigError(f"out must not hold a NUL byte, got {str(self.out)!r}")
+        try:
+            str(self.out).encode()  # the plot script names the CSV in UTF-8
+        except UnicodeEncodeError:
+            raise ConfigError(f"out must be valid UTF-8, got {str(self.out)!r}") from None
         if Path(self.out).suffix == ".gnuplot":
             raise ConfigError(f"out must not end in .gnuplot, its plot script's suffix: {self.out}")
         if self.jobs < 1:
@@ -217,14 +222,15 @@ def run_sweep(cfg: SweepConfig) -> np.recarray:
 
     With jobs > 1 the grid goes to a process pool of at most one worker per
     CPU, since the pool starts all its workers up front, in one contiguous
-    chunk per worker.  Both files are first written in full to temporary
-    files beside the output and then renamed into place, CSV first; if
-    either write fails, any earlier pair is left as it was.  An entry
-    already at a temporary file's name raises FileExistsError and is left
-    alone (see _write_files).  A file whose old bytes equal the new ones is
-    not renamed over: an identical rerun leaves both files as they were,
-    with the same inode, mtime and permissions, and a changed file is
-    replaced exactly as on a first run.
+    chunk per worker.  Each file whose bytes change is first written in
+    full to a temporary file beside the output, and the temporaries are
+    then renamed into place, CSV first; if either write fails, any earlier
+    pair is left as it was.  A file whose old bytes equal the new ones gets
+    no temporary: an identical rerun creates, writes and renames nothing,
+    and leaves both files as they were, with the same inode, mtime and
+    permissions; a changed file is replaced exactly as on a first run.  An
+    entry already at the temporary name of a file that changes raises
+    FileExistsError and is left alone (see _write_files).
     """
     cfg.validate()
     grid = cfg.grid()
@@ -251,84 +257,119 @@ def _read_only(rows: np.ndarray) -> np.recarray:
 
 
 def _write_files(contents: dict[Path, Iterable]) -> None:
-    """Write each file's chunks to a temporary file beside it, then publish each that changed.
+    """Publish each file whose bytes would change: write it to a temporary beside it, then rename.
 
-    `contents` maps each path to an iterable of bytes-like chunks, written
-    with os.write as they come.  Each temporary is `.<name>.<pid>.tmp`,
-    created with O_EXCL: if any entry, a symlink included, already has that
-    name, FileExistsError is raised and the entry left as it is.  Each chunk
-    is also compared with the next bytes of the file already at the path,
-    if that is a regular file (see _write_temp).  Every temporary file is
-    written in full before the first rename; then, in the dict's order,
-    each is renamed over its path, unless the old file held exactly the new
-    bytes: that temporary is removed and the old file left as it was, with
-    its inode, mtime and permissions.  On any failure, including one raised
-    while a chunk is produced, the temporary files this call created and
-    has not yet published are removed.  A path that is a directory, which
-    no rename can replace, raises IsADirectoryError before anything is
-    written.
+    `contents` maps each path to an iterable of bytes-like chunks.  The file
+    already at each path is opened once, before anything is written (see
+    _open_old); a path that is a directory, which no rename can replace,
+    raises IsADirectoryError there.  Each chunk is then compared with the
+    old file's next bytes, and the temporary `.<name>.<pid>.tmp` is created
+    only at the first difference (see _write_changed): a file whose bytes
+    would not change creates, writes and renames nothing, and is left as it
+    was, with its inode, mtime and permissions.  A temporary is created with
+    O_EXCL: if any entry, a symlink included, already has its name,
+    FileExistsError is raised and the entry left as it is.  Every temporary
+    is written in full before the first rename; then, in the dict's order,
+    each is renamed over its path.  On any failure, including one raised
+    while a chunk is produced, the temporary files this call created and has
+    not yet published are removed.
     """
-    for path in contents:
-        if os.path.isdir(path) and not os.path.islink(path):  # cheaper than Path.is_dir
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-    temps = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in contents}
-    created = []
+    old = []
+    created = {}
     try:
-        unchanged = []
-        for path, chunks in contents.items():
-            fd = os.open(temps[path], os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-            created.append(temps[path])
-            unchanged.append(_write_temp(fd, chunks, path))
-        for (path, tmp), same in zip(temps.items(), unchanged):
-            if same:
-                os.unlink(tmp)
-            else:
-                os.replace(tmp, path)
-            created.remove(tmp)
+        for path in contents:
+            old.append(_open_old(path))
+        for (path, chunks), (fd, size) in zip(contents.items(), old):
+            _write_changed(path, chunks, fd, size, created)
+        for tmp, path in list(created.items()):
+            os.replace(tmp, path)
+            del created[tmp]
     except BaseException:
         for tmp in created:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
         raise
+    finally:
+        for fd, _ in old:
+            if fd is not None:
+                os.close(fd)
 
 
-def _write_temp(fd: int, chunks: Iterable, path: Path) -> bool:
-    """Write `chunks` to the new file open at `fd` and close it; return whether `path` holds them.
+def _write_changed(path: Path, chunks: Iterable, old: int | None, size: int, created: dict) -> None:
+    """Write `chunks` to a temporary for `path`, unless the old file at `old` holds exactly them.
 
-    `path` counts only if it is a regular file when opened, which follows no
-    symlink and never blocks on a FIFO.  Its bytes are read one chunk at a
-    time, as each chunk is written, and none once a chunk differs or runs
-    past the old file's size, so memory stays bounded by the largest chunk.
+    Each chunk is compared with the next bytes of the old file, `size`
+    bytes open at `old` (None: no old file), read one chunk at a time and
+    not at all once a chunk runs past `size`.  The first difference is the
+    first chunk that differs or runs past `size`, or the end of the chunks
+    short of `size`.  There the temporary is created and entered in
+    `created`, which maps each temporary to its path; the prefix that
+    matched is copied from `old` in reads of at most one chunk, and the
+    chunks from the first difference on are written after it.
     """
+    chunks = iter(chunks)
+    matched = step = 0
+    differing = None
+    for chunk in chunks:
+        view = memoryview(chunk).cast("B")
+        if old is None or matched + len(view) > size or not _holds(old, view):
+            differing = view
+            break
+        matched += len(view)
+        step = max(step, len(view))
+    if old is not None and differing is None and matched == size:
+        return
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    created[tmp] = path
     try:
-        old, left = _open_regular(path)
-        try:
-            same = old is not None
-            for chunk in chunks:
-                view = memoryview(chunk).cast("B")
-                left -= len(view)
-                same = same and left >= 0 and _holds(old, view)
-                while view:
-                    view = view[os.write(fd, view):]
-            return same and left == 0
-        finally:
-            if old is not None:
-                os.close(old)
+        copied = 0
+        while copied < matched:
+            data = os.pread(old, min(step, matched - copied), copied)
+            if not data:
+                raise OSError(errno.EIO, f"{path} shrank while it was compared")
+            _write_all(fd, data)
+            copied += len(data)
+        if differing is not None:
+            _write_all(fd, differing)
+        for chunk in chunks:
+            _write_all(fd, chunk)
     finally:
         os.close(fd)
 
 
-def _open_regular(path: Path) -> tuple[int | None, int]:
-    """A read-only descriptor of `path` and its size if it is a regular file, else (None, 0)."""
+def _write_all(fd: int, chunk) -> None:
+    """Write the bytes-like `chunk` to `fd`, resuming short writes."""
+    view = memoryview(chunk).cast("B")
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _open_old(path: Path) -> tuple[int | None, int]:
+    """A read-only descriptor of the regular file at `path` and its size, else (None, 0).
+
+    The open follows no symlink and never blocks on a FIFO.  A directory at
+    `path`, readable or not, raises IsADirectoryError.
+    """
     try:
         fd = os.open(path, os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK)
-    except OSError:  # absent, a symlink, unreadable: nothing to compare with
+    except FileNotFoundError:
+        return None, 0
+    except OSError:  # a symlink, or unreadable: nothing to compare with
+        _refuse_directory(path, os.lstat(path).st_mode)
         return None, 0
     info = os.fstat(fd)
     if stat.S_ISREG(info.st_mode):
         return fd, info.st_size
     os.close(fd)
+    _refuse_directory(path, info.st_mode)
     return None, 0
+
+
+def _refuse_directory(path: Path, mode: int) -> None:
+    """Raise IsADirectoryError for `path` if `mode` is a directory's."""
+    if stat.S_ISDIR(mode):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
 
 
 def _holds(fd: int, view: memoryview) -> bool:
@@ -428,10 +469,11 @@ def write_csv(table, path: Path | str) -> Path:
     return, so write_csv(load_csv(p), q) copies p byte for byte.  Any other
     shape or structured dtype raises ValueError and a non-finite value raises
     NonFiniteRecordError, naming the first such row, before anything is
-    written.  The file goes to a temporary beside `path` and is renamed into
-    place, unless `path` is a regular file that already holds exactly these
-    bytes: it is then left as it was, with the same inode, mtime and
-    permissions.
+    written.  Unless `path` is a regular file that already holds exactly
+    these bytes, the file goes to a temporary beside `path`, created at the
+    first block that differs, and is renamed into place.  A file that holds
+    them is left as it was, with the same inode, mtime and permissions, and
+    no temporary is created.
     """
     path = Path(path)
     _write_files({path: _csv_chunks(table)})

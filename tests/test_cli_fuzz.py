@@ -8,13 +8,17 @@ value that starts with "-" must reach its flag either way.  Whatever the
 draw, the run keeps the CLI's contract: exit code 0, 2, 3 or 4 with no
 traceback and no warning; on success an empty stderr and a CSV of finite
 values whose sampled rows match the matrix oracle; on failure one `sweep:`
-line on stderr and no output file.
+line on stderr and no output file.  A second seeded generator, which leaves
+the draws above as they are, reruns about one successful draw in ten with
+the same argv, which must leave the pair as it was, and replaces the output
+of a few draws with a name that is not valid UTF-8, which must exit 2.
 """
 
 import json
 import math
 import os
 import warnings
+from pathlib import Path
 
 import numpy as np
 from conftest import _matrix_point
@@ -122,8 +126,14 @@ def _draw(rng, k: int, tmp_path, read_only: bool):
     return flags, config, csv
 
 
+def _identity(path) -> tuple[int, int]:
+    st = path.stat()
+    return st.st_ino, st.st_mtime_ns
+
+
 def test_cli_contract_fuzz(tmp_path, capsys, monkeypatch):
     rng = np.random.default_rng(20)
+    extra = np.random.default_rng(21)  # reruns and non-UTF-8 outputs
     runs = []
     def recorded(cfg):
         runs.append((cfg, run_sweep(cfg)))
@@ -133,7 +143,7 @@ def test_cli_contract_fuzz(tmp_path, capsys, monkeypatch):
     (tmp_path / "file").write_text("")
     (tmp_path / "ro").mkdir(mode=0o555)
     read_only = not os.access(tmp_path / "ro", os.W_OK)
-    codes, bells = [], set()
+    codes, bells, reruns, not_utf8_draws = [], set(), 0, 0
     for k in range(DRAWS):
         flags, config, csv = _draw(rng, k, tmp_path, read_only)
         argv = list(flags)
@@ -141,6 +151,15 @@ def test_cli_contract_fuzz(tmp_path, capsys, monkeypatch):
             path = tmp_path / f"{k}.json"
             path.write_text(json.dumps(config))
             argv.append(f"--config={path}")
+        if extra.random() < 0.03:
+            # the draw once more, its output named by a file name holding the
+            # byte 0xff as os.fsdecode gives it; the flag wins over the config
+            not_utf8 = tmp_path / f"{k}\udcff.csv"
+            assert cli.main([*argv, f"--out={not_utf8}"]) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("sweep: invalid config: ") and err.count("\n") == 1, (argv, err)
+            assert not not_utf8.exists() and not not_utf8.with_suffix(".gnuplot").exists()
+            not_utf8_draws += 1
         runs.clear()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -164,7 +183,17 @@ def test_cli_contract_fuzz(tmp_path, capsys, monkeypatch):
             np.testing.assert_allclose(table[row], want, rtol=0, atol=1e-12, err_msg=str(argv))
         if cfg.mode == "swap":
             bells.add(cfg.bell)
-    # the draws reach success, bad configs and I/O failures, and every swap outcome
+        if extra.random() < 0.1:  # an identical rerun leaves the pair as it was
+            pair = [Path(cfg.out), Path(cfg.out).with_suffix(".gnuplot")]
+            before = [_identity(p) for p in pair]
+            assert cli.main(argv) == 0, argv
+            assert capsys.readouterr().err == "", argv
+            assert [_identity(p) for p in pair] == before, argv
+            assert not list(tmp_path.glob(".*.tmp")), argv
+            reruns += 1
+    # the draws reach success, bad configs and I/O failures, and every swap
+    # outcome; some are rerun and some name a non-UTF-8 output
     assert {0, 2, 3} <= set(codes)
     assert bells == set(BellIndex)
+    assert reruns and not_utf8_draws
     assert not list(tmp_path.glob(".*.tmp"))

@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -93,6 +94,14 @@ def _cfg(tmp_path, **kw):
 def test_config_validation_reports_offending_field(tmp_path, kw, fragment):
     with pytest.raises(ConfigError, match=fragment):
         _cfg(tmp_path, **kw).validate()
+
+
+def test_out_that_is_not_utf8_is_rejected_before_any_write(tmp_path):
+    # os.fsdecode turns the byte 0xff of a file name into the lone surrogate
+    # U+DCFF, which the plot script, written in UTF-8, could not name
+    with pytest.raises(ConfigError, match="out must be valid UTF-8"):
+        run_sweep(_cfg(tmp_path, out=str(tmp_path / "\udcff.csv")))
+    assert not list(tmp_path.iterdir())
 
 
 def test_valid_configs_pass(tmp_path):
@@ -812,6 +821,104 @@ def test_render_failure_after_a_matching_prefix_keeps_the_pair(tmp_path, monkeyp
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.gnuplot"]
 
 
+def test_identical_rerun_creates_no_file(tmp_path, monkeypatch):
+    run_sweep(_cfg(tmp_path, points=9))
+    calls = []
+    os_open, unlink, replace = sweep.os.open, sweep.os.unlink, sweep.os.replace
+
+    def opened(path, flags, *args, **kwargs):
+        if flags & (os.O_WRONLY | os.O_RDWR | os.O_CREAT):
+            calls.append(("open", Path(path).name))
+        return os_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(sweep.os, "open", opened)
+    monkeypatch.setattr(sweep.os, "unlink", lambda p: calls.append(("unlink", p)) or unlink(p))
+    monkeypatch.setattr(
+        sweep.os, "replace", lambda src, dst: calls.append(("replace", Path(dst).name))
+        or replace(src, dst)
+    )
+    run_sweep(_cfg(tmp_path, points=9))
+    assert calls == []
+    # a rerun that changes only the CSV creates and renames that one temporary
+    run_sweep(_cfg(tmp_path, points=5))
+    assert calls == [("open", f".out.csv.{os.getpid()}.tmp"), ("replace", "out.csv")]
+
+
+def test_entry_at_a_temporary_path_fails_only_a_run_that_writes_that_file(tmp_path, capsys):
+    cfg = _cfg(tmp_path)
+    run_sweep(cfg)
+    planted = tmp_path / f".out.csv.{os.getpid()}.tmp"
+    planted.write_bytes(b"another writer\n")
+    before = {p.name: _identity(p) for p in tmp_path.iterdir()}
+    assert main(["--mode", "nu", "--grid", "0:1:11", "--out", cfg.out]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert {p.name: _identity(p) for p in tmp_path.iterdir()} == before
+    with pytest.raises(FileExistsError):
+        run_sweep(_cfg(tmp_path, points=9))
+    assert {p.name: _identity(p) for p in tmp_path.iterdir()} == before
+
+
+def test_changed_last_block_copies_the_matched_prefix_a_block_at_a_time(tmp_path, monkeypatch):
+    rows = sweep._BLOCK_ROWS
+    table = np.random.default_rng(23).random((2 * rows + 3, 6))
+    old = table.copy()
+    old[-1, 2] = 0.5
+    path = write_csv(old, tmp_path / "t.csv")
+    fresh = write_csv(table, tmp_path / "fresh.csv").read_bytes()
+    first = len(CSV_HEADER) + 1 + memoryview(sweep._block_bytes(table[:rows])).nbytes
+    last = memoryview(sweep._block_bytes(table[2 * rows:])).nbytes
+    reads, copied = [], []
+    readv, pread = sweep.os.readv, sweep.os.pread
+    monkeypatch.setattr(
+        sweep.os, "readv", lambda fd, buffers: reads.append(len(buffers[0])) or readv(fd, buffers)
+    )
+    monkeypatch.setattr(
+        sweep.os, "pread", lambda fd, n, offset: copied.append(n) or pread(fd, n, offset)
+    )
+    renamed = _record_renames(monkeypatch)
+    assert write_csv(table, path).read_bytes() == fresh
+    assert renamed == ["t.csv"]
+    assert max(reads + copied) <= first and sum(copied) == len(fresh) - last
+
+
+def test_unreadable_directory_target_fails_before_any_write(tmp_path, monkeypatch):
+    # a directory that cannot be opened is still found before anything is written
+    run_sweep(_cfg(tmp_path, points=5))
+    (tmp_path / "out.gnuplot").unlink()
+    (tmp_path / "out.gnuplot").mkdir()
+    before = {p.name: p.read_bytes() if p.is_file() else None for p in tmp_path.iterdir()}
+    os_open = sweep.os.open
+
+    def unreadable(path, flags, *args, **kwargs):
+        if Path(path).name == "out.gnuplot":
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+        return os_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(sweep.os, "open", unreadable)
+    with pytest.raises(IsADirectoryError, match="out.gnuplot"):
+        run_sweep(_cfg(tmp_path, points=9))
+    assert {p.name: p.read_bytes() if p.is_file() else None for p in tmp_path.iterdir()} == before
+
+
+def test_identical_rerun_into_a_read_only_directory_succeeds(tmp_path):
+    outdir = tmp_path / "ro"
+    outdir.mkdir()
+    out = str(outdir / "out.csv")
+    assert main(["--mode", "nu", "--grid", "0:1:11", "--out", out]) == EXIT_OK
+    pair = [outdir / "out.csv", outdir / "out.gnuplot"]
+    before = [_identity(p) for p in pair]
+    outdir.chmod(0o555)
+    try:
+        if os.access(outdir, os.W_OK):
+            pytest.skip("this process may write a directory without write permission")
+        assert main(["--mode", "nu", "--grid", "0:1:11", "--out", out]) == EXIT_OK
+        assert [_identity(p) for p in pair] == before
+        assert main(["--mode", "nu", "--grid", "0:1:9", "--out", out]) == EXIT_IO
+        assert [_identity(p) for p in pair] == before
+    finally:
+        outdir.chmod(0o755)
+
+
 def test_presets_cover_every_mode(tmp_path):
     presets = figure_presets(tmp_path)
     assert len(presets) == 10
@@ -908,8 +1015,13 @@ def test_cli_help_exits_0_with_usage_on_stdout(capsys):
         (["--config", "nul.json"], "out must not hold a NUL byte"),
         (["--mode", "nu", "--out", "x\0.csv"], "out must not hold a NUL byte"),
         (["--config", "sweep\0.json"], "config: cannot read sweep\0.json"),
+        (["--mode", "nu", "--out", "\udcff.csv"], "out must be valid UTF-8"),
+        (["--config", "surrogate.json"], "out must be valid UTF-8"),
     ],
-    ids=["not-utf8", "too-deep", "nul-in-config-out", "nul-in-out-flag", "nul-in-config-path"],
+    ids=[
+        "not-utf8", "too-deep", "nul-in-config-out", "nul-in-out-flag", "nul-in-config-path",
+        "non-utf8-out-flag", "non-utf8-config-out",
+    ],
 )
 def test_cli_rejects_unreadable_config_and_nul_paths(tmp_path, monkeypatch, capsys, argv, fragment):
     monkeypatch.chdir(tmp_path)
@@ -917,6 +1029,7 @@ def test_cli_rejects_unreadable_config_and_nul_paths(tmp_path, monkeypatch, caps
         "latin1.json": b"\xff",
         "deep.json": b"[" * 100_000,
         "nul.json": b'{"mode": "nu", "grid": "0:1:3", "out": "x\\u0000.csv"}',
+        "surrogate.json": b'{"mode": "nu", "grid": "0:1:3", "out": "\\udcff.csv"}',
     }
     for name, data in files.items():
         (tmp_path / name).write_bytes(data)
