@@ -19,9 +19,10 @@ t = 2(c14 + c23), u = 2(c23 - c14), g(t) = [(1 + t) ln(1 + t) +
 2 (D_x + D_y - H_z) and E_i = 2 e^(-D_i) expm1(D_i - H_z/2): S > 0 exactly
 when D_x + D_y > H_z, E_i > 0 exactly when D_i > H_z/2, so S > 0 forces
 Z > 0.  S and E are read off the deficits, never as differences of nearly
-equal numbers, so their signs stay exact at the threshold.  The dual-path
-check compares this closed form with the entropy identity
-I_AB = 6 ln 2 - 2 (H_x + H_y + H_z) of the cleaned joint probabilities.
+equal numbers, so their signs stay exact at the threshold wherever
+D_x + D_y and H_z are not both near ln 2.  The dual-path check compares
+this closed form with the entropy identity I_AB = 6 ln 2 - 2 (H_x + H_y +
+H_z) of the cleaned joint probabilities.
 
 `full_report` projects a density matrix and is the library path; `x_report`
 evaluates a batch of X states from their six parameters and is what sweeps
@@ -29,12 +30,14 @@ run.  `full_report` reads its matrix once, runs `check_density`'s checks
 on those rows and takes the X structure and entries off them; after one
 matrix product for the projection everything runs on Python floats, where
 numpy's call overhead would outweigh the arithmetic.  `x_report` runs one
-stacked pass: `_x_terms` fills a (24, n) array with the cleaned joint
-probabilities, the raw populations and A's outcomes, one x ln x pass and
-row sums give the identity's H_i and the closed form's H_z, `_g` gives the
-deficits and `_derive` the rest; `steering_functional` reads the same pass.
-`joint_distribution` and `conditional_entropy` project a density matrix on
-arrays and are, with `steering_functional`, the reference for both.
+stacked pass: `_x_sides` fills a (4, 4, n) array with the x, y and z joint
+tables and the raw populations, cleans the joint tables with
+`joint_distribution`'s rule and takes all four tables' H(B|A) with
+`conditional_entropy`'s, which gives the identity's H_i and the closed
+form's H_z; `_g` gives the deficits and `_derive` the rest.
+`steering_functional` reads the same pass.  `joint_distribution` and
+`conditional_entropy` project a density matrix on arrays and are, with
+`steering_functional`, the reference for both.
 """
 
 from __future__ import annotations
@@ -110,9 +113,19 @@ def _check_floor(lowest: float) -> None:
 
 
 def _clean_probabilities(p: np.ndarray) -> np.ndarray:
-    _check_floor(float(p.min()))
-    p = np.minimum(np.maximum(p, 0.0), 1.0)  # np.clip, at a third of its call cost
-    return p / p.sum(axis=-1, keepdims=True)
+    """Floor-check, clip to [0, 1] and renormalise joint tables in place; returns `p`.
+
+    The four entries of each table lie along axis 1: the (3, 4) table of
+    `joint_distribution` or a (3, 4, n) batch.  An empty batch has no
+    probability to check.  The clip runs only when a value lies outside
+    [0, 1], since otherwise it changes nothing.
+    """
+    lowest = float(np.minimum.reduce(p, axis=None, initial=np.inf))
+    _check_floor(lowest)
+    if lowest < 0.0 or np.maximum.reduce(p, axis=None, initial=-np.inf) > 1.0:
+        np.minimum(np.maximum(p, 0.0, out=p), 1.0, out=p)  # np.clip, at a third of its call cost
+    p /= np.add.reduce(p, axis=1, keepdims=True)
+    return p
 
 
 def joint_distribution(rho: np.ndarray) -> np.ndarray:
@@ -128,15 +141,24 @@ def joint_distribution(rho: np.ndarray) -> np.ndarray:
 def _x_ln_x(x: np.ndarray) -> np.ndarray:
     """x ln x elementwise, with 0 ln 0 = 0 and 0 for every x < 0.
 
-    Only `shannon_entropy`'s caller can pass an x < 0: the package clips its
-    joint rows and clamps |t| to 1 first.
+    The package passes no x < 0: it clips its joint tables, `validate`
+    keeps every population in [0, 1], and `_g` clamps |t| to 1 first.
     """
-    return x * np.log(np.where(x > 0.0, x, 1.0))
+    y = np.where(x > 0.0, x, 1.0)
+    np.log(y, out=y)  # in place: two temporaries fewer, measurable at sweep sizes
+    y *= x
+    return y
 
 
-def shannon_entropy(p) -> np.ndarray | float:
-    """- sum p ln p over the last axis in nats, with the 0 ln 0 = 0 convention."""
-    return -_x_ln_x(np.asarray(p, dtype=float)).sum(axis=-1)
+def _conditional_entropies(tables: np.ndarray) -> np.ndarray:
+    """H(B|A) in nats of each joint table, its four entries along axis 1.
+
+    Entries 2n and 2n + 1 share qubit A's outcome n.  H(B|A) is the sum of
+    x ln x over A's two outcome probabilities minus that over the table's
+    four entries.  A (k, 4) stack gives k values, a (k, 4, n) batch (k, n).
+    """
+    outcomes = tables[:, 0::2] + tables[:, 1::2]
+    return np.add.reduce(_x_ln_x(outcomes), axis=1) - np.add.reduce(_x_ln_x(tables), axis=1)
 
 
 def conditional_entropy(rho: np.ndarray) -> np.ndarray:
@@ -145,9 +167,7 @@ def conditional_entropy(rho: np.ndarray) -> np.ndarray:
     Each is the entropy of the joint outcomes minus that of qubit A's
     outcomes, which are the joint row summed over B's outcomes.
     """
-    joint = joint_distribution(rho)
-    marginal = joint.reshape(3, 2, 2).sum(axis=-1)
-    return shannon_entropy(joint) - shannon_entropy(marginal)
+    return _conditional_entropies(joint_distribution(rho))
 
 
 def _g(t):
@@ -178,21 +198,17 @@ def _g_float(t: float) -> float:
     return 0.5 * ((1.0 + a) * math.log1p(a) + (c * math.log(c) if c > 0.0 else 0.0))
 
 
-# Rows of the stack `_x_terms` builds: four tables of four entries, the
-# cleaned joint x, y and z rows of `joint_distribution`, then the raw
-# populations; then A's two outcomes per table, each a pair of its entries.
-_JOINT_ROWS, _TABLE_ROWS, _MARGINAL_ROWS = slice(0, 12), slice(0, 16), slice(16, 24)
+def _x_sides(p: XStateParams):
+    """Both sides of the I_AB check for the X states `p`, from one entropy pass.
 
-
-def _x_terms(p: XStateParams) -> tuple[np.ndarray, np.ndarray]:
-    """t and u along the first axis, and the 24 rows above, for the X states `p`.
-
-    Validates `p` once.  With t = 2(c14 + c23) and u = 2(c23 - c14), the raw
-    joint x row is (1 + t, 1 - t, 1 - t, 1 + t)/4, the y row the same in u,
-    and the z row the populations; these get `_clean_probabilities`' floor
-    check, clip and renormalisation in place, while rows 12-15 keep the
-    populations raw for the closed form's H_z.  A batch keeps its rows along
-    the trailing axis; fields may be scalars shared by every row.
+    Validates `p` once.  Returns the closed form's deficits D_x, D_y (along
+    the first axis of an array) and its H_z from the raw populations, then
+    the entropy identity's H_x, H_y and H_z from the cleaned joint tables.
+    With t = 2(c14 + c23) and u = 2(c23 - c14), the joint x table is
+    (1 + t, 1 - t, 1 - t, 1 + t)/4 in `joint_distribution`'s columns, the y
+    table the same in u and the z table the populations; a fourth table
+    keeps the populations raw.  A batch keeps its rows along the trailing
+    axis; fields may be scalars shared by every row.
     """
     p.validate()
     shape = np.broadcast(p.d1, p.d2, p.d3, p.d4, p.c14, p.c23).shape
@@ -200,46 +216,19 @@ def _x_terms(p: XStateParams) -> tuple[np.ndarray, np.ndarray]:
     np.add(p.c14, p.c23, out=tu[0, ...])  # a view even for one state
     np.subtract(p.c23, p.c14, out=tu[1, ...])
     tu *= 2.0
-    terms = np.empty((24,) + shape)
-    # (1 + t, 1 - t, 1 - t, 1 + t)/4 into the x row and the same in u into
-    # the y row, each ufunc writing two entries of both
-    xy = terms[:8].reshape((2, 4) + shape)
+    tables = np.empty((4, 4) + shape)
+    # (1 + t, 1 - t, 1 - t, 1 + t)/4 into the x table and the same in u into
+    # the y table, each ufunc writing two entries of both
+    xy = tables[:2]
     np.add(1.0, tu[:, None], out=xy[:, 0::3])
     np.subtract(1.0, tu[:, None], out=xy[:, 1:3])
     xy *= 0.25
-    # Each population into its joint z entry and its raw row at once; row by
-    # row, since a field may be a scalar: broadcast_arrays costs more.
-    z = terms[8:16].reshape((2, 4) + shape)
+    # Each population into its joint z entry and its raw table at once; entry
+    # by entry, since a field may be a scalar: broadcast_arrays costs more.
     for column, population in enumerate(p.diagonal):
-        z[:, column] = population
-    joint = terms[_JOINT_ROWS]
-    # initial=inf lets an empty batch through: it has no probability to check
-    lowest = float(np.minimum.reduce(joint, axis=None, initial=np.inf))
-    _check_floor(lowest)
-    # `_clean_probabilities`' clip to [0, 1]: validate keeps every population
-    # in [0, 1] and |t|, |u| below 1 + 1e-5, so no raw probability exceeds 1.
-    if lowest < 0.0:
-        np.maximum(joint, 0.0, out=joint)
-    axes = joint.reshape((3, 4) + shape)
-    axes /= np.add.reduce(axes, axis=1, keepdims=True)
-    np.add(terms[0:16:2], terms[1:16:2], out=terms[_MARGINAL_ROWS])
-    return tu, terms
-
-
-def _x_sides(p: XStateParams):
-    """Both sides of the I_AB check for the X states `p`, from one x ln x pass.
-
-    Returns the closed form's deficits D_x, D_y (along the first axis of an
-    array) and its H_z from the raw populations, then the entropy
-    identity's H_x, H_y and H_z from the cleaned joint rows.  Each H is
-    -sum p ln p of its table minus that of A's outcomes.
-    """
-    tu, terms = _x_terms(p)
-    xlnx = _x_ln_x(terms)
-    batch = xlnx.shape[1:]
-    tables = np.add.reduce(xlnx[_TABLE_ROWS].reshape((4, 4) + batch), axis=1)
-    outcomes = np.add.reduce(xlnx[_MARGINAL_ROWS].reshape((4, 2) + batch), axis=1)
-    h = outcomes - tables
+        tables[2:, column] = population
+    _clean_probabilities(tables[:3])
+    h = _conditional_entropies(tables)
     return _g(tu), h[3], h[:3]
 
 

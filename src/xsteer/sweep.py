@@ -156,6 +156,8 @@ class SweepConfig:
             raise ConfigError(f"out must be a path, got {self.out!r}")
         if "\0" in str(self.out):
             raise ConfigError(f"out must not hold a NUL byte, got {str(self.out)!r}")
+        if "\n" in str(self.out):  # the plot script would run the rest as gnuplot commands
+            raise ConfigError(f"out must not hold a line break, got {str(self.out)!r}")
         try:
             str(self.out).encode()  # the plot script names the CSV in UTF-8
         except UnicodeEncodeError:

@@ -1,8 +1,10 @@
 import numpy as np
+import pytest
 
+from xsteer import measures
 from xsteer.measures import full_report
 from xsteer.processes import (
-    accelerate,
+    accelerate_oracle,
     amplitude_damping_kraus,
     apply_local_channel,
     dephasing_kraus,
@@ -15,6 +17,30 @@ from xsteer.sweep import SweepConfig
 def _batch(rows: list[XStateParams]) -> XStateParams:
     """One batch of X parameters, a row per state of `rows`."""
     return XStateParams(*np.array([(p.d1, p.d2, p.d3, p.d4, p.c14, p.c23) for p in rows]).T)
+
+
+def _x_layout(p):
+    """What `_x_sides` passes on for the X states `p`, and what it returns.
+
+    That is (t, u) as `_g` gets it, and the (4, 4, ...) tables `_conditional_entropies`
+    gets: the cleaned joint x, y and z tables, then the raw populations.
+    """
+    seen = {}
+    g, entropies = measures._g, measures._conditional_entropies
+
+    def g_spy(tu):
+        seen["tu"] = tu.copy()
+        return g(tu)
+
+    def entropies_spy(tables):
+        seen["tables"] = tables.copy()
+        return entropies(tables)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(measures, "_g", g_spy)
+        patch.setattr(measures, "_conditional_entropies", entropies_spy)
+        sides = measures._x_sides(p)
+    return seen["tu"], seen["tables"], sides
 
 
 def partial_trace(rho: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
@@ -51,7 +77,7 @@ def _matrix_point(cfg: SweepConfig, param: float) -> tuple:
     if cfg.mode == "nu":
         rho = from_x_params(bell_mixture(param))
     elif cfg.mode == "acceleration":
-        rho = accelerate(cfg.nu, param, param if cfg.r_b == "track" else cfg.r_b)
+        rho = accelerate_oracle(cfg.nu, param, param if cfg.r_b == "track" else cfg.r_b)
     elif cfg.mode in ("ad-channel", "dephasing-channel"):
         kraus = amplitude_damping_kraus if cfg.mode == "ad-channel" else dephasing_kraus
         ops = kraus(cfg.g_over_gamma, param)

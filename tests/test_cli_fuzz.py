@@ -11,7 +11,8 @@ values whose sampled rows match the matrix oracle; on failure one `sweep:`
 line on stderr and no output file.  A second seeded generator, which leaves
 the draws above as they are, reruns about one successful draw in ten with
 the same argv, which must leave the pair as it was, and replaces the output
-of a few draws with a name that is not valid UTF-8, which must exit 2.
+of a few draws with a name that is not valid UTF-8 or that holds a line
+break, which must exit 2.
 """
 
 import json
@@ -56,6 +57,9 @@ _MISTYPED = {
     "g_over_gamma": [[0.1], "inf"], "jobs": [1.5, True, "2"],
 }
 _BAD_GRIDS = ["0:1", "a:b:c", "0:1:2.5", "0:1:3:4", ""]
+# Output names the CLI must refuse, in turn: one holding the byte 0xff as
+# os.fsdecode gives it, and one whose plot script would run a shell command.
+_REFUSED_OUTS = ["{}\udcff.csv", '{}\nsystem "touch pwned"\n#.csv']
 
 
 def _pick(rng, values):
@@ -133,7 +137,7 @@ def _identity(path) -> tuple[int, int]:
 
 def test_cli_contract_fuzz(tmp_path, capsys, monkeypatch):
     rng = np.random.default_rng(20)
-    extra = np.random.default_rng(21)  # reruns and non-UTF-8 outputs
+    extra = np.random.default_rng(21)  # reruns and refused output names
     runs = []
     def recorded(cfg):
         runs.append((cfg, run_sweep(cfg)))
@@ -143,7 +147,7 @@ def test_cli_contract_fuzz(tmp_path, capsys, monkeypatch):
     (tmp_path / "file").write_text("")
     (tmp_path / "ro").mkdir(mode=0o555)
     read_only = not os.access(tmp_path / "ro", os.W_OK)
-    codes, bells, reruns, not_utf8_draws = [], set(), 0, 0
+    codes, bells, reruns, refused_draws = [], set(), 0, 0
     for k in range(DRAWS):
         flags, config, csv = _draw(rng, k, tmp_path, read_only)
         argv = list(flags)
@@ -152,14 +156,14 @@ def test_cli_contract_fuzz(tmp_path, capsys, monkeypatch):
             path.write_text(json.dumps(config))
             argv.append(f"--config={path}")
         if extra.random() < 0.03:
-            # the draw once more, its output named by a file name holding the
-            # byte 0xff as os.fsdecode gives it; the flag wins over the config
-            not_utf8 = tmp_path / f"{k}\udcff.csv"
-            assert cli.main([*argv, f"--out={not_utf8}"]) == 2, argv
+            # the draw once more, its output named by a refused name; the flag
+            # wins over the config
+            refused = tmp_path / _REFUSED_OUTS[refused_draws % 2].format(k)
+            assert cli.main([*argv, f"--out={refused}"]) == 2, argv
             err = capsys.readouterr().err
             assert err.startswith("sweep: invalid config: ") and err.count("\n") == 1, (argv, err)
-            assert not not_utf8.exists() and not not_utf8.with_suffix(".gnuplot").exists()
-            not_utf8_draws += 1
+            assert not refused.exists() and not refused.with_suffix(".gnuplot").exists()
+            refused_draws += 1
         runs.clear()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -192,8 +196,8 @@ def test_cli_contract_fuzz(tmp_path, capsys, monkeypatch):
             assert not list(tmp_path.glob(".*.tmp")), argv
             reruns += 1
     # the draws reach success, bad configs and I/O failures, and every swap
-    # outcome; some are rerun and some name a non-UTF-8 output
+    # outcome; some are rerun and some name each refused output
     assert {0, 2, 3} <= set(codes)
     assert bells == set(BellIndex)
-    assert reruns and not_utf8_draws
+    assert reruns and refused_draws >= len(_REFUSED_OUTS)
     assert not list(tmp_path.glob(".*.tmp"))

@@ -4,7 +4,7 @@ from itertools import cycle
 
 import numpy as np
 import pytest
-from conftest import _batch, _projector, partial_trace
+from conftest import _batch, _projector, _x_layout, partial_trace
 
 from xsteer.measures import (
     LN2,
@@ -12,19 +12,15 @@ from xsteer.measures import (
     TWO_LN2,
     NegativeProbabilityError,
     PathDisagreementError,
-    _JOINT_ROWS,
-    _MARGINAL_ROWS,
     _checked_i_ab,
+    _conditional_entropies,
     _derive,
     _g,
     _g_float,
-    _x_sides,
-    _x_terms,
     conditional_entropy,
     full_report,
     joint_distribution,
     neur_bound,
-    shannon_entropy,
     steering_functional,
     x_report,
 )
@@ -153,16 +149,23 @@ def test_marginal_distribution_cases():
         )
 
 
-def test_shannon_entropy():
-    assert shannon_entropy([1.0, 0.0]) == 0.0
-    assert abs(shannon_entropy([0.5, 0.5]) - LN2) < 1e-15
-    assert abs(shannon_entropy([0.25] * 4) - 2 * LN2) < 1e-15
+def test_conditional_entropies():
+    # H(B|A) of each joint table, entries 2n and 2n + 1 sharing A's outcome n
+    cases = [[1.0, 0.0, 0.0, 0.0], [0.5, 0.0, 0.0, 0.5], [0.5, 0.5, 0.0, 0.0], [0.25] * 4]
+    np.testing.assert_allclose(
+        _conditional_entropies(np.array(cases)), [0, 0, LN2, LN2], rtol=0, atol=1e-15
+    )
+    assert _conditional_entropies(np.array(cases[:1]))[0] == 0.0
     rng = np.random.default_rng(7)
     table = rng.dirichlet(np.ones(4), size=50)
     table[rng.random(table.shape) < 0.3] = 0.0
-    np.testing.assert_allclose(
-        shannon_entropy(table), [_oracle_entropy(row) for row in table], rtol=0, atol=1e-15
-    )
+    expected = [
+        _oracle_entropy(row) - _oracle_entropy([row[0] + row[1], row[2] + row[3]]) for row in table
+    ]
+    np.testing.assert_allclose(_conditional_entropies(table), expected, rtol=0, atol=1e-15)
+    # a (k, 4, n) batch gives the same values, one row per table
+    batch = _conditional_entropies(table.reshape(2, 25, 4).transpose(0, 2, 1))
+    np.testing.assert_allclose(batch.reshape(50), expected, rtol=0, atol=1e-15)
 
 
 def test_conditional_entropy_cases():
@@ -188,44 +191,42 @@ def _t_u(p):
 
 
 def test_deficits_bell_values():
-    tu, terms = _x_terms(bell_mixture(0.0))
+    tu, tables, (d, hz, _) = _x_layout(bell_mixture(0.0))
     np.testing.assert_allclose(tu, [1, -1], atol=1e-15)
-    np.testing.assert_allclose(terms[12:16], [0.5, 0, 0, 0.5], atol=1e-15)
-    d, hz, _ = _x_sides(bell_mixture(0.0))
+    np.testing.assert_allclose(tables[3], [0.5, 0, 0, 0.5], atol=1e-15)
     np.testing.assert_allclose(d, [LN2, LN2], atol=1e-15)
     assert abs(hz) < 1e-15
 
 
 def test_deficits_maximally_mixed_and_nu_half():
     mixed = XStateParams(0.25, 0.25, 0.25, 0.25, 0.0, 0.0)
-    np.testing.assert_allclose(_x_terms(mixed)[0], [0, 0], atol=1e-15)
-    d, hz, _ = _x_sides(mixed)
+    tu, _, (d, hz, _) = _x_layout(mixed)
+    np.testing.assert_allclose(tu, [0, 0], atol=1e-15)
     np.testing.assert_allclose([*d, hz], [0, 0, LN2], atol=1e-15)
     # the nu = 0.5 state keeps only the x correlation
-    np.testing.assert_allclose(_x_terms(bell_mixture(0.5))[0], [1, 0], atol=1e-15)
-    d, hz, _ = _x_sides(bell_mixture(0.5))
+    tu, _, (d, hz, _) = _x_layout(bell_mixture(0.5))
+    np.testing.assert_allclose(tu, [1, 0], atol=1e-15)
     np.testing.assert_allclose([*d, hz], [LN2, 0, LN2], atol=1e-15)
 
 
 def test_deficits_sign_structure_and_bounds():
     states = [random_x_state(seed) for seed in range(200)]
-    tu, terms = _x_terms(_batch(states))
-    d, hz, h = _x_sides(_batch(states))
+    tu, tables, (d, hz, h) = _x_layout(_batch(states))
     # one state at a time gives the batch's columns
     for i in (0, 99, 199):
-        one_tu, one_terms = _x_terms(states[i])
+        one_tu, one_tables, (one_d, one_hz, one_h) = _x_layout(states[i])
         np.testing.assert_allclose(one_tu, tu[:, i], rtol=0, atol=1e-15)
-        np.testing.assert_allclose(one_terms, terms[:, i], rtol=0, atol=1e-15)
-        one_d, one_hz, one_h = _x_sides(states[i])
+        np.testing.assert_allclose(one_tables, tables[..., i], rtol=0, atol=1e-15)
         np.testing.assert_allclose(
             [*one_d, one_hz, *one_h], [*d[:, i], hz[i], *h[:, i]], rtol=0, atol=1e-15
         )
     np.testing.assert_array_equal(tu, np.array([_t_u(p) for p in states]).T)
     assert np.max(np.abs(tu)) <= 1 + 1e-12
     # the raw populations and A's raw z outcomes are probabilities
-    populations, outcomes = terms[12:16], terms[_MARGINAL_ROWS][6:]
+    populations = tables[3]
+    outcomes = np.array([populations[0] + populations[1], populations[2:].sum(0)])
     assert np.all(populations >= 0.0) and np.all(populations <= 1.0)
-    np.testing.assert_allclose(outcomes, [populations[0] + populations[1], populations[2:].sum(0)])
+    np.testing.assert_array_equal(populations, np.array([p.diagonal for p in states]).T)
     np.testing.assert_allclose(outcomes.sum(axis=0), 1.0, atol=1e-12)
     # deficits and entropies stay in [0, ln 2]
     for values in (d, hz, h):
@@ -242,7 +243,7 @@ def test_joint_probabilities_from_coefficients():
             expected = np.array([1 + c, 1 - c, 1 - c, 1 + c]) / 4
             np.testing.assert_allclose(table[row], expected, atol=1e-12)
         np.testing.assert_allclose(table[2], p.diagonal, atol=1e-12)
-        np.testing.assert_allclose(_x_terms(p)[1][_JOINT_ROWS].reshape(3, 4), table, atol=1e-12)
+        np.testing.assert_allclose(_x_layout(p)[1][:3], table, atol=1e-12)
 
 
 def test_marginals_from_coefficients():
@@ -258,7 +259,7 @@ def test_marginals_from_coefficients():
             np.testing.assert_allclose(marginals[axis], _oracle_marginal(rho_a, axis), atol=1e-12)
         np.testing.assert_allclose(marginals[2], [p.d1 + p.d2, p.d3 + p.d4], atol=1e-12)
         np.testing.assert_allclose(
-            _x_terms(p)[1][_MARGINAL_ROWS].reshape(4, 2), [*marginals, marginals[2]], atol=1e-12
+            _x_layout(p)[1].reshape(4, 2, 2).sum(axis=-1), [*marginals, marginals[2]], atol=1e-12
         )
 
 

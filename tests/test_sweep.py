@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import _batch, _matrix_point
+from conftest import _batch, _matrix_point, _x_layout
 
 import xsteer.measures as measures
 import xsteer.sweep as sweep
@@ -261,7 +261,7 @@ def test_guard_negative_probability_floor(tmp_path, monkeypatch):
     tiny = XStateParams(0.5, 0.0, 0.0, 0.5, 0.5 + 1e-13, 0.0)
     rows = _run_with_params(tmp_path, monkeypatch, [_MIXED, tiny, _PSI])
     assert abs(rows[1].s - rows[2].s) < 1e-12 and abs(rows[1].z - rows[2].z) < 1e-12
-    joint = measures._x_terms(_batch([tiny]))[1][measures._JOINT_ROWS].reshape(3, 4, -1)
+    joint = _x_layout(_batch([tiny]))[1][:3]  # the cleaned joint tables
     assert joint.min() == 0.0
     np.testing.assert_allclose(joint.sum(axis=1), 1.0, rtol=0, atol=1e-15)
     monkeypatch.setattr(measures, "NEGATIVE_PROBABILITY_TOL", 0.01)
@@ -1017,10 +1017,14 @@ def test_cli_help_exits_0_with_usage_on_stdout(capsys):
         (["--config", "sweep\0.json"], "config: cannot read sweep\0.json"),
         (["--mode", "nu", "--out", "\udcff.csv"], "out must be valid UTF-8"),
         (["--config", "surrogate.json"], "out must be valid UTF-8"),
+        (
+            ["--mode", "nu", "--grid", "0:1:3", "--out", 'a\nsystem "touch pwned"\n#.csv'],
+            "out must not hold a line break",
+        ),
     ],
     ids=[
         "not-utf8", "too-deep", "nul-in-config-out", "nul-in-out-flag", "nul-in-config-path",
-        "non-utf8-out-flag", "non-utf8-config-out",
+        "non-utf8-out-flag", "non-utf8-config-out", "newline-in-out-flag",
     ],
 )
 def test_cli_rejects_unreadable_config_and_nul_paths(tmp_path, monkeypatch, capsys, argv, fragment):
