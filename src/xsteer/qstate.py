@@ -6,7 +6,7 @@ factor.  The compact six-parameter form of an X state (nonzero entries only on
 the main diagonal and anti-diagonal, all real) is carried by `XStateParams`.
 
 The parameter checks accept a batch as well as a single value: given arrays,
-they raise the error a single value would raise for the first failing row.
+the first check to fail, in check order, reports its own first failing row.
 """
 
 from __future__ import annotations
@@ -143,11 +143,11 @@ class XStateParams:
         clause is c^2 <= d_a d_b + min(1e-12, 1e-10 (d_a + d_b) + 1e-20): the
         second term is `check_density`'s floor EIGENVALUE_TOL on the smaller
         block eigenvalue `_smaller_block_eigenvalue`, squared out.  Raises
-        InvalidStateError naming `name` and the offending field, for the
-        first failing row of a batch; returns the input.  Every condition is
-        evaluated once and one `failing_row` call accepts the input; only a
-        failure looks for which check failed, in the order trace, outer
-        block, inner block, populations.
+        InvalidStateError naming `name` and the offending field; returns the
+        input.  Every condition is evaluated once and one `failing_row` call
+        accepts the input; only a failure looks for which check failed, in
+        the order trace, outer block, inner block, populations, each at its
+        own first failing row of a batch.
         """
         d1, d2, d3, d4 = diagonal = self.diagonal
         total = d1 + d2 + d3 + d4

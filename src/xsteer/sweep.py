@@ -21,19 +21,20 @@ _csv_chunks), and each block is compared, as it is rendered, with the next
 bytes of the file already at the output.  A temporary file beside the
 output is created only at the first block that differs: a file whose bytes
 would not change creates no temporary and is left as it was, with its
-inode, mtime and permissions.  The temporaries of the CSV and of the plot
-script are written in full and then renamed into place, CSV first (see
-_write_files).
+inode, mtime and permissions.  Blocks that matched are rendered again, not
+copied, and the temporaries of the CSV and of the plot script are written
+in full and then renamed into place, CSV first (see _write_files).
 """
 
 from __future__ import annotations
 
 import contextlib
 import errno
+import itertools
 import numbers
 import os
 import stat
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -246,7 +247,7 @@ def run_sweep(cfg: SweepConfig) -> np.recarray:
     csv_path = Path(cfg.out)
     _write_files({
         csv_path: _csv_chunks(table),
-        csv_path.with_suffix(".gnuplot"): (_plot_text(csv_path.name, cfg.mode).encode(),),
+        csv_path.with_suffix(".gnuplot"): lambda: (_plot_text(csv_path.name, cfg.mode).encode(),),
     })
     return _read_only(table.view(RECORD)[:, 0])
 
@@ -258,31 +259,32 @@ def _read_only(rows: np.ndarray) -> np.recarray:
     return rows
 
 
-def _write_files(contents: dict[Path, Iterable]) -> None:
+def _write_files(contents: dict[Path, Callable[[], Iterable]]) -> None:
     """Publish each file whose bytes would change: write it to a temporary beside it, then rename.
 
-    `contents` maps each path to an iterable of bytes-like chunks.  The file
-    already at each path is opened once, before anything is written (see
-    _open_old); a path that is a directory, which no rename can replace,
-    raises IsADirectoryError there.  Each chunk is then compared with the
-    old file's next bytes, and the temporary `.<name>.<pid>.tmp` is created
-    only at the first difference (see _write_changed): a file whose bytes
-    would not change creates, writes and renames nothing, and is left as it
-    was, with its inode, mtime and permissions.  A temporary is created with
+    `contents` maps each path to a function of no arguments that returns
+    its bytes-like chunks afresh on each call.  The file already at each
+    path is opened once, before anything is written (see _open_old); a path
+    that is a directory, which no rename can replace, raises
+    IsADirectoryError there.  Each chunk is then compared with the old
+    file's next bytes, and the temporary `.<name>.<pid>.tmp` is created only
+    at the first difference (see _write_changed): a file whose bytes would
+    not change creates, writes and renames nothing, and is left as it was,
+    with its inode, mtime and permissions.  A temporary is created with
     O_EXCL: if any entry, a symlink included, already has its name,
     FileExistsError is raised and the entry left as it is.  Every temporary
     is written in full before the first rename; then, in the dict's order,
     each is renamed over its path.  On any failure, including one raised
-    while a chunk is produced, the temporary files this call created and has
-    not yet published are removed.
+    while a chunk is rendered, the temporary files this call created and
+    has not yet published are removed.
     """
     old = []
     created = {}
     try:
         for path in contents:
             old.append(_open_old(path))
-        for (path, chunks), (fd, size) in zip(contents.items(), old):
-            _write_changed(path, chunks, fd, size, created)
+        for (path, render), (fd, size) in zip(contents.items(), old):
+            _write_changed(path, render, fd, size, created)
         for tmp, path in list(created.items()):
             os.replace(tmp, path)
             del created[tmp]
@@ -297,20 +299,20 @@ def _write_files(contents: dict[Path, Iterable]) -> None:
                 os.close(fd)
 
 
-def _write_changed(path: Path, chunks: Iterable, old: int | None, size: int, created: dict) -> None:
-    """Write `chunks` to a temporary for `path`, unless the old file at `old` holds exactly them.
+def _write_changed(path: Path, render: Callable, old: int | None, size: int, created: dict) -> None:
+    """Write render()'s chunks to a temporary for `path`, unless the old file at `old` holds them.
 
     Each chunk is compared with the next bytes of the old file, `size`
     bytes open at `old` (None: no old file), read one chunk at a time and
     not at all once a chunk runs past `size`.  The first difference is the
     first chunk that differs or runs past `size`, or the end of the chunks
     short of `size`.  There the temporary is created and entered in
-    `created`, which maps each temporary to its path; the prefix that
-    matched is copied from `old` in reads of at most one chunk, and the
-    chunks from the first difference on are written after it.
+    `created`, which maps each temporary to its path; the chunks that
+    matched are rendered again by a second render(), not read from `old`,
+    and the chunks from the first difference on are written after them.
     """
-    chunks = iter(chunks)
-    matched = step = 0
+    chunks = iter(render())
+    matched = spent = 0
     differing = None
     for chunk in chunks:
         view = memoryview(chunk).cast("B")
@@ -318,20 +320,16 @@ def _write_changed(path: Path, chunks: Iterable, old: int | None, size: int, cre
             differing = view
             break
         matched += len(view)
-        step = max(step, len(view))
+        spent += 1
     if old is not None and differing is None and matched == size:
         return
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     created[tmp] = path
     try:
-        copied = 0
-        while copied < matched:
-            data = os.pread(old, min(step, matched - copied), copied)
-            if not data:
-                raise OSError(errno.EIO, f"{path} shrank while it was compared")
-            _write_all(fd, data)
-            copied += len(data)
+        if spent:
+            for chunk in itertools.islice(render(), spent):
+                _write_all(fd, chunk)
         if differing is not None:
             _write_all(fd, differing)
         for chunk in chunks:
@@ -382,14 +380,14 @@ def _holds(fd: int, view: memoryview) -> bool:
     return os.readv(fd, [held]) == len(view) and held == view
 
 
-def _csv_chunks(table) -> Iterator:
-    """The CSV of an (n, 6) float table, one record per row, as bytes-like chunks; see write_csv.
+def _csv_chunks(table) -> Callable[[], Iterator]:
+    """A renderer of the CSV of an (n, 6) float table, one record per row; see write_csv.
 
     `table` may also be an array of dtype RECORD.  The shape, dtype and
     finiteness checks run before this returns, so a bad table raises before
-    any file is opened; the chunks are then the rows in blocks of
-    _BLOCK_ROWS, the first led by the header, each rendered when it is asked
-    for, so the renderer's temporaries stay small for any grid.
+    any file is opened.  Each call of the returned function gives fresh
+    chunks, the rows in blocks of _BLOCK_ROWS, the first led by the header,
+    each rendered when asked for, so its temporaries stay small.
 
     A block whose values are all non-negative renders in one numpy pass:
     each value v is written as the 13 digits of m = rint(q), where
@@ -419,8 +417,9 @@ def _csv_chunks(table) -> Iterator:
     if not finite.all():
         row = int(np.flatnonzero(~finite.all(axis=1))[0])
         raise NonFiniteRecordError(f"non-finite sweep record in row {row}: {table[row].tolist()}")
-    blocks = (table[start:start + _BLOCK_ROWS] for start in range(0, len(table), _BLOCK_ROWS))
-    return _head_joined((CSV_HEADER + "\n").encode(), map(_block_bytes, blocks))
+    head = (CSV_HEADER + "\n").encode()
+    starts = range(0, len(table), _BLOCK_ROWS)
+    return lambda: _head_joined(head, (_block_bytes(table[i:i + _BLOCK_ROWS]) for i in starts))
 
 
 def _head_joined(head: bytes, chunks: Iterator) -> Iterator:
@@ -472,10 +471,10 @@ def write_csv(table, path: Path | str) -> Path:
     shape or structured dtype raises ValueError and a non-finite value raises
     NonFiniteRecordError, naming the first such row, before anything is
     written.  Unless `path` is a regular file that already holds exactly
-    these bytes, the file goes to a temporary beside `path`, created at the
-    first block that differs, and is renamed into place.  A file that holds
-    them is left as it was, with the same inode, mtime and permissions, and
-    no temporary is created.
+    these bytes, the file is rendered to a temporary beside `path`, created
+    at the first block that differs, and is renamed into place.  A file that
+    holds them is left as it was, with the same inode, mtime and
+    permissions, and no temporary is created.
     """
     path = Path(path)
     _write_files({path: _csv_chunks(table)})

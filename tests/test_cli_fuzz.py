@@ -9,10 +9,11 @@ draw, the run keeps the CLI's contract: exit code 0, 2, 3 or 4 with no
 traceback and no warning; on success an empty stderr and a CSV of finite
 values whose sampled rows match the matrix oracle; on failure one `sweep:`
 line on stderr and no output file.  A second seeded generator, which leaves
-the draws above as they are, reruns about one successful draw in ten with
-the same argv, which must leave the pair as it was, and replaces the output
-of a few draws with a name that is not valid UTF-8 or that holds a line
-break, which must exit 2.
+the draws above as they are, picks about one successful draw in ten to rerun
+with the same argv, which must leave the pair as it was, and as many to rerun
+with the output named, in turn, by a name that is not valid UTF-8 or that
+holds a line break: such a draw is valid but for that name, so it must exit
+2 with the `out must` message.
 """
 
 import json
@@ -155,15 +156,6 @@ def test_cli_contract_fuzz(tmp_path, capsys, monkeypatch):
             path = tmp_path / f"{k}.json"
             path.write_text(json.dumps(config))
             argv.append(f"--config={path}")
-        if extra.random() < 0.03:
-            # the draw once more, its output named by a refused name; the flag
-            # wins over the config
-            refused = tmp_path / _REFUSED_OUTS[refused_draws % 2].format(k)
-            assert cli.main([*argv, f"--out={refused}"]) == 2, argv
-            err = capsys.readouterr().err
-            assert err.startswith("sweep: invalid config: ") and err.count("\n") == 1, (argv, err)
-            assert not refused.exists() and not refused.with_suffix(".gnuplot").exists()
-            refused_draws += 1
         runs.clear()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -195,6 +187,16 @@ def test_cli_contract_fuzz(tmp_path, capsys, monkeypatch):
             assert [_identity(p) for p in pair] == before, argv
             assert not list(tmp_path.glob(".*.tmp")), argv
             reruns += 1
+        if extra.random() < 0.1:
+            # the draw once more, its output named by a refused name; the flag
+            # wins over the config, and the draw is valid but for that name
+            refused = tmp_path / _REFUSED_OUTS[refused_draws % 2].format(k)
+            assert cli.main([*argv, f"--out={refused}"]) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("sweep: invalid config: out must "), (argv, err)
+            assert err.count("\n") == 1, (argv, err)
+            assert not refused.exists() and not refused.with_suffix(".gnuplot").exists()
+            refused_draws += 1
     # the draws reach success, bad configs and I/O failures, and every swap
     # outcome; some are rerun and some name each refused output
     assert {0, 2, 3} <= set(codes)

@@ -382,8 +382,11 @@ def test_completeness_defect_of_non_finite_operators_fails_every_tolerance():
     for bad in (math.inf, math.nan, -math.inf):
         for ops in ([[[bad, 0.0], [0.0, 1.0]]], [[[1.0, 0.0], [0.0, 1.0]], [[0.0, bad], [0.0, 0.0]]]):
             assert not completeness_defect(ops) <= 1e12
-    # |c| of a finite complex past the largest double is inf, not an OverflowError
+    # a product past the largest double overflows to inf inside the sum
     assert completeness_defect([[[1e308 + 1e308j, 0.0], [0.0, 1.0]]]) == math.inf
+    # a finite inner product, 1.5e308 (1 + 1j), whose modulus is past the
+    # largest double: abs raises OverflowError, and the defect is inf
+    assert completeness_defect([[[1e154, 1.5e154 + 1.5e154j], [0.0, 0.0]]]) == math.inf
 
 
 def test_channel_outputs_stay_valid_x_states():

@@ -110,6 +110,12 @@ def test_valid_configs_pass(tmp_path):
     _cfg(tmp_path, mode="swap", bell=BellIndex.PHI_MINUS).validate()
 
 
+def test_evaluate_grid_rejects_an_unknown_mode_of_an_unvalidated_config(tmp_path):
+    cfg = _cfg(tmp_path, mode="bogus")
+    with pytest.raises(ConfigError, match="^unknown mode 'bogus'$"):
+        evaluate_grid(cfg, cfg.grid())
+
+
 # ---------------------------------------------------------------------------
 # sweep content
 # ---------------------------------------------------------------------------
@@ -858,7 +864,17 @@ def test_entry_at_a_temporary_path_fails_only_a_run_that_writes_that_file(tmp_pa
     assert {p.name: _identity(p) for p in tmp_path.iterdir()} == before
 
 
-def test_changed_last_block_copies_the_matched_prefix_a_block_at_a_time(tmp_path, monkeypatch):
+def _record_blocks(monkeypatch) -> list:
+    """Record the row count of each block that _block_bytes renders."""
+    rendered = []
+    block_bytes = sweep._block_bytes
+    monkeypatch.setattr(
+        sweep, "_block_bytes", lambda block: rendered.append(len(block)) or block_bytes(block)
+    )
+    return rendered
+
+
+def test_changed_last_block_renders_the_file_again(tmp_path, monkeypatch):
     rows = sweep._BLOCK_ROWS
     table = np.random.default_rng(23).random((2 * rows + 3, 6))
     old = table.copy()
@@ -866,19 +882,88 @@ def test_changed_last_block_copies_the_matched_prefix_a_block_at_a_time(tmp_path
     path = write_csv(old, tmp_path / "t.csv")
     fresh = write_csv(table, tmp_path / "fresh.csv").read_bytes()
     first = len(CSV_HEADER) + 1 + memoryview(sweep._block_bytes(table[:rows])).nbytes
-    last = memoryview(sweep._block_bytes(table[2 * rows:])).nbytes
-    reads, copied = [], []
-    readv, pread = sweep.os.readv, sweep.os.pread
+    reads = []
+    readv = sweep.os.readv
     monkeypatch.setattr(
         sweep.os, "readv", lambda fd, buffers: reads.append(len(buffers[0])) or readv(fd, buffers)
     )
-    monkeypatch.setattr(
-        sweep.os, "pread", lambda fd, n, offset: copied.append(n) or pread(fd, n, offset)
-    )
-    renamed = _record_renames(monkeypatch)
+    renamed, rendered = _record_renames(monkeypatch), _record_blocks(monkeypatch)
     assert write_csv(table, path).read_bytes() == fresh
     assert renamed == ["t.csv"]
-    assert max(reads + copied) <= first and sum(copied) == len(fresh) - last
+    # each comparison reads at most one chunk; the two blocks that matched
+    # are spent, so they are rendered again, and the last is written as it is
+    assert max(reads) <= first
+    assert rendered == [rows, rows, 3, rows, rows]
+
+
+@pytest.mark.parametrize("blocks", [[201], [sweep._BLOCK_ROWS, sweep._BLOCK_ROWS, 3]])
+def test_changed_rerun_of_a_one_chunk_csv_renders_each_block_once(tmp_path, monkeypatch, blocks):
+    # the old CSV is one chunk, and the new first chunk differs from it or
+    # runs past it: nothing matched, so nothing is rendered twice
+    path = write_csv(np.zeros((201, 6)), tmp_path / "t.csv")
+    table = np.random.default_rng(25).random((sum(blocks), 6))
+    fresh = write_csv(table, tmp_path / "fresh.csv").read_bytes()
+    rendered = _record_blocks(monkeypatch)
+    assert write_csv(table, path).read_bytes() == fresh
+    assert rendered == blocks
+
+
+@pytest.mark.parametrize("change", ["one byte edited in place", "truncated"])
+def test_old_file_changed_while_compared_gets_only_rendered_bytes(tmp_path, monkeypatch, change):
+    # another writer changes the old CSV once its first two blocks have
+    # matched; what is published is the rendering, whatever the old file holds
+    rows = sweep._BLOCK_ROWS
+    table = np.random.default_rng(24).random((2 * rows + 3, 6))
+    old = table.copy()
+    old[-1, 2] = 0.5
+    path = write_csv(old, tmp_path / "t.csv")
+    fresh = write_csv(table, tmp_path / "fresh.csv").read_bytes()
+    compared = []
+    holds = sweep._holds
+
+    def meddled(fd, view):
+        compared.append(holds(fd, view))
+        if compared == [True, True]:
+            if change == "truncated":
+                os.truncate(path, 100)
+            else:
+                with open(path, "r+b") as fh:
+                    fh.seek(100)  # in the first row, which already matched
+                    fh.write(b"#")
+        return compared[-1]
+
+    monkeypatch.setattr(sweep, "_holds", meddled)
+    assert write_csv(table, path).read_bytes() == fresh
+    assert compared == [True, True, False]
+
+
+def test_render_failure_while_rendering_again_keeps_the_pair(tmp_path, monkeypatch):
+    # the rerun matches the old CSV through its first block and differs in
+    # its last, then fails while rendering the first block again
+    cfg = _cfg(tmp_path, points=sweep._BLOCK_ROWS + 5)
+    run_sweep(cfg)
+    pair = [tmp_path / "out.csv", tmp_path / "out.gnuplot"]
+    with open(pair[0], "r+b") as fh:
+        fh.seek(-2, os.SEEK_END)
+        fh.write(b"#")
+    before = [_identity(p) for p in pair]
+    tmp = tmp_path / f".out.csv.{os.getpid()}.tmp"
+    rendered, existed = [], []
+    block_bytes = sweep._block_bytes
+
+    def second_rendering_fails(block):
+        rendered.append(len(block))
+        if len(rendered) == 3:  # the first block of the second rendering
+            existed.append(tmp.exists())
+            raise RuntimeError("render failed")
+        return block_bytes(block)
+
+    monkeypatch.setattr(sweep, "_block_bytes", second_rendering_fails)
+    with pytest.raises(RuntimeError, match="render failed"):
+        run_sweep(cfg)
+    assert rendered == [sweep._BLOCK_ROWS, 5, sweep._BLOCK_ROWS] and existed == [True]
+    assert [_identity(p) for p in pair] == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.gnuplot"]
 
 
 def test_unreadable_directory_target_fails_before_any_write(tmp_path, monkeypatch):
@@ -1012,6 +1097,8 @@ def test_cli_help_exits_0_with_usage_on_stdout(capsys):
     [
         (["--config", "latin1.json"], "config: latin1.json is not UTF-8"),
         (["--config", "deep.json"], "config: deep.json nests too deep"),
+        (["--config", "cut.json"], "config: cut.json is not valid JSON"),
+        (["--config", "list.json"], "config: list.json must hold a JSON object"),
         (["--config", "nul.json"], "out must not hold a NUL byte"),
         (["--mode", "nu", "--out", "x\0.csv"], "out must not hold a NUL byte"),
         (["--config", "sweep\0.json"], "config: cannot read sweep\0.json"),
@@ -1023,7 +1110,8 @@ def test_cli_help_exits_0_with_usage_on_stdout(capsys):
         ),
     ],
     ids=[
-        "not-utf8", "too-deep", "nul-in-config-out", "nul-in-out-flag", "nul-in-config-path",
+        "not-utf8", "too-deep", "not-json", "not-an-object", "nul-in-config-out",
+        "nul-in-out-flag", "nul-in-config-path",
         "non-utf8-out-flag", "non-utf8-config-out", "newline-in-out-flag",
     ],
 )
@@ -1032,6 +1120,8 @@ def test_cli_rejects_unreadable_config_and_nul_paths(tmp_path, monkeypatch, caps
     files = {
         "latin1.json": b"\xff",
         "deep.json": b"[" * 100_000,
+        "cut.json": b'{"mode": "nu",',
+        "list.json": b"[1, 2]",
         "nul.json": b'{"mode": "nu", "grid": "0:1:3", "out": "x\\u0000.csv"}',
         "surrogate.json": b'{"mode": "nu", "grid": "0:1:3", "out": "\\udcff.csv"}',
     }
