@@ -397,7 +397,8 @@ def swapped_params(p12: XStateParams, p34: XStateParams, which: BellIndex) -> XS
     """
     _check_bell(which)
     p12.validate("rho12")
-    p34.validate("rho34")
+    if p34 is not p12:  # a pair swapped with itself is checked once
+        p34.validate("rho34")
     a, b = p12, p34
     if which in (BellIndex.PHI_PLUS, BellIndex.PHI_MINUS):
         b = XStateParams(b.d3, b.d4, b.d1, b.d2, c14=b.c23, c23=b.c14)

@@ -122,9 +122,12 @@ class SweepConfig:
 
     The grid has `points` values, from 2 to MAX_POINTS.  `points` and `jobs`
     are integers and the other numeric fields real numbers; a bool is
-    neither.  `r_b` is either a float in [0, pi/4] or the string "track",
-    meaning r_b follows the swept r_a.  `jobs` > 1 evaluates contiguous
-    chunks of the grid in a process pool.
+    neither.  The grid is computed in float64 from float(start) and
+    float(stop) by np.linspace's own steps (see grid): it equals np.linspace
+    of those two floats byte for byte, and np.float32 or Fraction ends give
+    the float64 grid of their float() values.  `r_b` is either a float in
+    [0, pi/4] or the string "track", meaning r_b follows the swept r_a.
+    `jobs` > 1 evaluates contiguous chunks of the grid in a process pool.
     """
 
     mode: str
@@ -163,7 +166,8 @@ class SweepConfig:
             str(self.out).encode()  # the plot script names the CSV in UTF-8
         except UnicodeEncodeError:
             raise ConfigError(f"out must be valid UTF-8, got {str(self.out)!r}") from None
-        if Path(self.out).suffix == ".gnuplot":
+        csv_path, plot_path, _ = _output_names(self.out)
+        if plot_path == csv_path:
             raise ConfigError(f"out must not end in .gnuplot, its plot script's suffix: {self.out}")
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
@@ -184,7 +188,26 @@ class SweepConfig:
         return self
 
     def grid(self) -> np.ndarray:
-        return np.linspace(self.start, self.stop, self.points)
+        """The `points` grid values: np.linspace's arithmetic on float(start) and float(stop).
+
+        The values i * step + start for i in range(points), with
+        step = (stop - start) / (points - 1), and the last value set to stop;
+        where step underflows to 0, each i is divided by points - 1 and then
+        multiplied by stop - start, as np.linspace does.
+        """
+        start, stop = float(self.start), float(self.stop)
+        div = self.points - 1
+        delta = stop - start
+        step = delta / div
+        grid = np.arange(self.points, dtype=float)
+        if step == 0:  # a denormal span, which linspace scales after dividing
+            grid /= div
+            grid *= delta
+        else:
+            grid *= step
+        grid += start
+        grid[-1] = stop
+        return grid
 
 
 def _x_params(cfg: SweepConfig, grid: np.ndarray) -> XStateParams:
@@ -225,9 +248,13 @@ def run_sweep(cfg: SweepConfig) -> np.recarray:
 
     With jobs > 1 the grid goes to a process pool of at most one worker per
     CPU, since the pool starts all its workers up front, in one contiguous
-    chunk per worker.  Each file whose bytes change is first written in
-    full to a temporary file beside the output, and the temporaries are
-    then renamed into place, CSV first; if either write fails, any earlier
+    chunk per worker.  The CSV goes to `out` as POSIX pathlib spells it and
+    the plot script beside it, named with `.gnuplot` in place of the suffix
+    Path.suffix reports; both paths and the CSV's name, which the script
+    reads, are worked out once as strings (see _output_names).  Each file
+    whose bytes change is first written in full to a temporary file beside
+    the output, and the temporaries are then renamed into place, CSV first;
+    if either write fails, any earlier
     pair is left as it was.  A file whose old bytes equal the new ones gets
     no temporary: an identical rerun creates, writes and renames nothing,
     and leaves both files as they were, with the same inode, mtime and
@@ -244,12 +271,41 @@ def run_sweep(cfg: SweepConfig) -> np.recarray:
             table = np.concatenate(list(pool.map(partial(evaluate_grid, cfg), chunks)))
     else:
         table = evaluate_grid(cfg, grid)
-    csv_path = Path(cfg.out)
+    csv_path, plot_path, csv_name = _output_names(cfg.out)
+    if plot_path is None:  # as Path.with_suffix refuses it
+        raise ValueError(f"{Path(csv_path)!r} has an empty name")
     _write_files({
         csv_path: _csv_chunks(table),
-        csv_path.with_suffix(".gnuplot"): lambda: (_plot_text(csv_path.name, cfg.mode).encode(),),
+        plot_path: lambda: (_plot_text(csv_name, cfg.mode).encode(),),
     })
     return _read_only(table.view(RECORD)[:, 0])
+
+
+def _output_names(out) -> tuple[str, str | None, str]:
+    """The CSV path `out` names, its plot script's path and the CSV's file name.
+
+    The paths are spelled as POSIX pathlib spells Path(out) and
+    Path(out).with_suffix(".gnuplot"), without building Path objects:
+    repeated separators and "." parts collapse, trailing separators are
+    dropped, and a leading "//" stays while three or more become "/".
+    ".gnuplot" replaces the suffix Path.suffix reports, the name's last "."
+    and what follows it unless that dot leads or ends the name, so "b."
+    gives "b..gnuplot" and ".csv" gives ".csv.gnuplot".  A path with an
+    empty name, such as "." or "/", has no plot script path: None.
+    """
+    path = os.fspath(out)
+    parts = path.split("/")
+    if "." in parts or "" in parts[1:] or not path:  # not yet spelled as pathlib spells it
+        body = path.lstrip("/")
+        root = "//" if len(path) - len(body) == 2 else "/" if path != body else ""
+        parts = [part for part in body.split("/") if part and part != "."]
+        path = root + "/".join(parts) or "."
+        if not parts:
+            return path, None, ""
+    name = parts[-1]
+    dot = name.rfind(".")  # the suffix starts here unless the dot leads or ends the name
+    end = len(path) - len(name) + dot if 0 < dot < len(name) - 1 else len(path)
+    return path, path[:end] + ".gnuplot", name
 
 
 def _read_only(rows: np.ndarray) -> np.recarray:
@@ -259,24 +315,25 @@ def _read_only(rows: np.ndarray) -> np.recarray:
     return rows
 
 
-def _write_files(contents: dict[Path, Callable[[], Iterable]]) -> None:
+def _write_files(contents: dict[str, Callable[[], Iterable]]) -> None:
     """Publish each file whose bytes would change: write it to a temporary beside it, then rename.
 
-    `contents` maps each path to a function of no arguments that returns
-    its bytes-like chunks afresh on each call.  The file already at each
-    path is opened once, before anything is written (see _open_old); a path
-    that is a directory, which no rename can replace, raises
-    IsADirectoryError there.  Each chunk is then compared with the old
-    file's next bytes, and the temporary `.<name>.<pid>.tmp` is created only
-    at the first difference (see _write_changed): a file whose bytes would
-    not change creates, writes and renames nothing, and is left as it was,
-    with its inode, mtime and permissions.  A temporary is created with
-    O_EXCL: if any entry, a symlink included, already has its name,
-    FileExistsError is raised and the entry left as it is.  Every temporary
-    is written in full before the first rename; then, in the dict's order,
-    each is renamed over its path.  On any failure, including one raised
-    while a chunk is rendered, the temporary files this call created and
-    has not yet published are removed.
+    `contents` maps each path, a str spelled as _output_names spells it, to
+    a function of no arguments that returns its bytes-like chunks afresh on
+    each call.  The file already at each path is opened once, before
+    anything is written (see _open_old); a path that is a directory, which
+    no rename can replace, raises IsADirectoryError there.  Each chunk is
+    then compared with the old file's next bytes, and the temporary
+    `.<name>.<pid>.tmp` in the path's directory is created only at the first
+    difference (see _write_changed): a file whose bytes would not change
+    creates, writes and renames nothing, and is left as it was, with its
+    inode, mtime and permissions.  A temporary is created with O_EXCL: if
+    any entry, a symlink included, already has its name, FileExistsError is
+    raised and the entry left as it is.  Every temporary is written in full
+    before the first rename; then, in the dict's order, each is renamed over
+    its path.  On any failure, including one raised while a chunk is
+    rendered, the temporary files this call created and has not yet
+    published are removed.
     """
     old = []
     created = {}
@@ -299,7 +356,7 @@ def _write_files(contents: dict[Path, Callable[[], Iterable]]) -> None:
                 os.close(fd)
 
 
-def _write_changed(path: Path, render: Callable, old: int | None, size: int, created: dict) -> None:
+def _write_changed(path: str, render: Callable, old: int | None, size: int, created: dict) -> None:
     """Write render()'s chunks to a temporary for `path`, unless the old file at `old` holds them.
 
     Each chunk is compared with the next bytes of the old file, `size`
@@ -323,7 +380,8 @@ def _write_changed(path: Path, render: Callable, old: int | None, size: int, cre
         spent += 1
     if old is not None and differing is None and matched == size:
         return
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     created[tmp] = path
     try:
@@ -345,7 +403,7 @@ def _write_all(fd: int, chunk) -> None:
         view = view[os.write(fd, view):]
 
 
-def _open_old(path: Path) -> tuple[int | None, int]:
+def _open_old(path: str) -> tuple[int | None, int]:
     """A read-only descriptor of the regular file at `path` and its size, else (None, 0).
 
     The open follows no symlink and never blocks on a FIFO.  A directory at
@@ -366,10 +424,10 @@ def _open_old(path: Path) -> tuple[int | None, int]:
     return None, 0
 
 
-def _refuse_directory(path: Path, mode: int) -> None:
+def _refuse_directory(path: str, mode: int) -> None:
     """Raise IsADirectoryError for `path` if `mode` is a directory's."""
     if stat.S_ISDIR(mode):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
 def _holds(fd: int, view: memoryview) -> bool:
@@ -477,7 +535,7 @@ def write_csv(table, path: Path | str) -> Path:
     permissions, and no temporary is created.
     """
     path = Path(path)
-    _write_files({path: _csv_chunks(table)})
+    _write_files({str(path): _csv_chunks(table)})
     return path
 
 
@@ -497,7 +555,7 @@ def _plot_text(csv_name: str, mode: str) -> str:
     name = "'" + csv_name.replace("'", "''") + "'"  # a gnuplot single-quoted string
     return "\n".join(
         [
-            f"# render with: gnuplot -persist {Path(csv_name).stem}.gnuplot",
+            f"# render with: gnuplot -persist {_output_names(csv_name)[1]}",
             "set datafile separator ','",
             f"set xlabel '{_SWEPT[mode][1]}'",
             "set ylabel 'steering / squeezing'",

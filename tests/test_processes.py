@@ -516,6 +516,16 @@ def test_swap_zero_probability_outcome_rejected():
                        BellIndex.PHI_PLUS)
 
 
+def test_swapped_params_checks_a_distinct_second_pair_as_rho34():
+    # a pair swapped with itself is checked once, as rho12; a distinct p34 is
+    # still checked, and named as rho34
+    good, bad = bell_mixture(0.3), XStateParams(0.5, 0.5, 0.5, 0.5, 0.0, 0.0)
+    with pytest.raises(InvalidStateError, match="^rho34 does not have unit trace"):
+        swapped_params(good, bad, BellIndex.PSI_PLUS)
+    with pytest.raises(InvalidStateError, match="^rho12 does not have unit trace"):
+        swapped_params(bad, bad, BellIndex.PSI_PLUS)
+
+
 @pytest.mark.parametrize("which", ["phi", None], ids=["value-string", "none"])
 def test_swap_rejects_which_that_is_not_a_bell_index(which):
     # "phi" is PHI_PLUS's value, yet swapped_params used to take it for the

@@ -6,6 +6,8 @@ import signal
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -334,7 +336,8 @@ def test_guard_fires_for_one_bad_row_past_the_first_block(
 
 
 def test_each_state_is_validated_once(tmp_path, monkeypatch):
-    # one check of the swept batch per sweep; swap also checks its two inputs
+    # one check of the swept batch per sweep; swap also checks its input pair,
+    # once, since it swaps the pair with itself
     calls = []
     validate = XStateParams.validate
 
@@ -343,7 +346,7 @@ def test_each_state_is_validated_once(tmp_path, monkeypatch):
         return validate(self, *args, **kwargs)
 
     monkeypatch.setattr(XStateParams, "validate", counted)
-    expected = {"nu": 1, "acceleration": 1, "ad-channel": 1, "dephasing-channel": 1, "swap": 3}
+    expected = {"nu": 1, "acceleration": 1, "ad-channel": 1, "dephasing-channel": 1, "swap": 2}
     for mode, count in expected.items():
         calls.clear()
         stop = R_MAX if mode == "acceleration" else 1.0
@@ -537,6 +540,81 @@ def test_plot_script_channel_axis_label(tmp_path):
     run_sweep(cfg)
     script = (tmp_path / "out.gnuplot").read_text(encoding="utf-8")
     assert "set xlabel 'γt'" in script
+
+
+@pytest.mark.parametrize(
+    "out", ["a.csv/", "b.", "./c.csv", "d//e.csv", ".csv", "noext", "x.csv.", Path("p/q.csv")],
+)
+def test_out_writes_the_pair_pathlib_names(tmp_path, monkeypatch, out):
+    # pathlib is the oracle: Path(out) and Path(out).with_suffix(".gnuplot"),
+    # and the script names both by their file names
+    monkeypatch.chdir(tmp_path)
+    for sub in ("d", "p"):
+        (tmp_path / sub).mkdir()
+    csv, plot = Path(out), Path(out).with_suffix(".gnuplot")
+    run_sweep(_cfg(tmp_path, points=3, out=out))
+    written = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file())
+    assert written == sorted([str(csv), str(plot)])
+    script = plot.read_text(encoding="utf-8").splitlines()
+    assert script[0] == f"# render with: gnuplot -persist {plot.name}"
+    assert script[-1].startswith(f"     '{csv.name}' skip 1 ")
+    assert len(load_csv(csv)) == 3
+
+
+def test_output_names_spell_paths_as_pathlib_does():
+    # every string of up to 6 characters over "a", ".", "/" and a run of
+    # random longer ones: the CSV path, plot path and name pathlib gives
+    alphabet = "a./"
+    spellings = ["".join(chars) for n in range(1, 7) for chars in product(alphabet, repeat=n)]
+    rng = np.random.default_rng(25)
+    spellings += ["".join(rng.choice(list("ab.c/"), size=rng.integers(1, 16))) for _ in range(2000)]
+    for out in spellings:
+        path = Path(out)
+        plot = str(path.with_suffix(".gnuplot")) if path.name else None
+        assert sweep._output_names(out) == (str(path), plot, path.name), out
+
+
+def test_grid_is_linspace_byte_for_byte():
+    # spans from denormal (linspace divides before it scales) to 1e300,
+    # float and int ends, either order
+    rng = np.random.default_rng(2025)
+    for _ in range(20_000):
+        points = int(rng.choice([2, 3, 201, int(rng.integers(2, 5000))]))
+        kind = rng.integers(4)
+        if kind == 0:
+            start = float(rng.choice([0.0, -0.0, 5e-324, -1e-310]))
+            stop = start + float(rng.integers(1, 2000)) * 5e-324
+        elif kind == 1:
+            start, stop = (int(v) for v in rng.integers(-10**6, 10**6, size=2))
+        else:
+            scale = 10.0 ** rng.uniform(-300, 300)
+            start, stop = rng.normal(size=2) * scale
+            if kind == 3:
+                start = 0.0
+        got = SweepConfig("nu", start, stop, points, "g.csv").grid()
+        want = np.linspace(start, stop, points)
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes(), (start, stop, points)
+
+
+def test_grid_ends_are_read_as_floats():
+    # np.float32 and Fraction ends give the grid of their float() values
+    for start, stop in [(np.float32(0.1), np.float32(0.7)), (Fraction(1, 3), Fraction(2, 3))]:
+        got = SweepConfig("nu", start, stop, 7, "g.csv").grid()
+        want = np.linspace(float(start), float(stop), 7)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+
+def test_run_sweep_builds_no_path_and_calls_no_linspace(tmp_path, monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(sweep, "Path", refused)
+    monkeypatch.setattr(np, "linspace", refused)
+    run_sweep(_cfg(tmp_path, points=5))
+    monkeypatch.undo()
+    assert len(load_csv(tmp_path / "out.csv")) == 5
+    assert (tmp_path / "out.gnuplot").is_file()
 
 
 def test_failed_plot_script_leaves_no_output(tmp_path, monkeypatch):
@@ -1197,7 +1275,7 @@ def test_cli_rejects_out_named_like_the_plot_script(tmp_path, capsys):
     assert main(["--mode", "nu", "--grid", "0:1:5", "--out", str(tmp_path / "a.csv")]) == EXIT_OK
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     capsys.readouterr()
-    for name in ("a.gnuplot", "fig.gnuplot"):
+    for name in ("a.gnuplot", "fig.gnuplot", "x.gnuplot/"):
         out = str(tmp_path / name)
         assert main(["--mode", "nu", "--grid", "0:1:5", "--out", out]) == EXIT_CONFIG
         err = capsys.readouterr().err
