@@ -132,7 +132,9 @@ def _load_config_file(path: str) -> dict:
             if not _SETTINGS[key].json_type(value):
                 kind = _SETTINGS[key].kind
                 raise ConfigError(f"config: {key} must be {kind}, got {json.dumps(value)}")
-    except json.JSONDecodeError as exc:
+    except ConfigError:
+        raise
+    except ValueError as exc:  # JSONDecodeError, or an int past Python's int-to-str digit limit
         raise ConfigError(f"config: {path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:  # raised by json.loads or json.dumps
         raise ConfigError(f"config: {path} nests too deep: {exc}") from exc

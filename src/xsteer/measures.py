@@ -22,7 +22,11 @@ Z > 0.  S and E are read off the deficits, never as differences of nearly
 equal numbers, so their signs stay exact at the threshold wherever
 D_x + D_y and H_z are not both near ln 2.  The dual-path check compares
 this closed form with the entropy identity I_AB = 6 ln 2 - 2 (H_x + H_y +
-H_z) of the cleaned joint probabilities.
+H_z), with H_x and H_y from the cleaned joint probabilities; both sides
+share the closed form's H_z of the populations, so the check compares
+g(t) and g(u) with the joint x and y tables.  Cleaning is one rule on both
+paths: the negative-probability floor, negatives set to 0, each table
+renormalised, after which no entry exceeds 1.
 
 `full_report` projects a density matrix and is the library path; `x_report`
 evaluates a batch of X states from their six parameters and is what sweeps
@@ -30,11 +34,11 @@ run.  `full_report` reads its matrix once, runs `check_density`'s checks
 on those rows and takes the X structure and entries off them; after one
 matrix product for the projection everything runs on Python floats, where
 numpy's call overhead would outweigh the arithmetic.  `x_report` runs one
-stacked pass: `_x_sides` fills a (4, 4, n) array with the x, y and z joint
-tables and the raw populations, cleans the joint tables with
-`joint_distribution`'s rule and takes all four tables' H(B|A) with
-`conditional_entropy`'s, which gives the identity's H_i and the closed
-form's H_z; `_g` gives the deficits and `_derive` the rest.
+stacked pass: `_x_sides` fills a (3, 4, n) array with the x and y joint
+tables and the raw populations, cleans the two joint tables with
+`joint_distribution`'s rule and takes the three tables' H(B|A) with
+`conditional_entropy`'s, which gives the identity's H_x, H_y and the H_z
+both sides share; `_g` gives the deficits and `_derive` the rest.
 `steering_functional` reads the same pass.  `joint_distribution` and
 `conditional_entropy` project a density matrix on arrays and are, with
 `steering_functional`, the reference for both.
@@ -113,17 +117,18 @@ def _check_floor(lowest: float) -> None:
 
 
 def _clean_probabilities(p: np.ndarray) -> np.ndarray:
-    """Floor-check, clip to [0, 1] and renormalise joint tables in place; returns `p`.
+    """Floor-check, set negatives to 0 and renormalise joint tables in place; returns `p`.
 
     The four entries of each table lie along axis 1: the (3, 4) table of
-    `joint_distribution` or a (3, 4, n) batch.  An empty batch has no
-    probability to check.  The clip runs only when a value lies outside
-    [0, 1], since otherwise it changes nothing.
+    `joint_distribution` or `_x_sides`' x and y tables, (2, 4) for one
+    state or a (2, 4, n) batch.  An empty batch has no
+    probability to check.  After the renormalisation every entry lies in
+    [0, 1], since no entry exceeds its non-negative table's sum.
     """
     lowest = float(np.minimum.reduce(p, axis=None, initial=np.inf))
     _check_floor(lowest)
-    if lowest < 0.0 or np.maximum.reduce(p, axis=None, initial=-np.inf) > 1.0:
-        np.minimum(np.maximum(p, 0.0, out=p), 1.0, out=p)  # np.clip, at a third of its call cost
+    if lowest < 0.0:
+        np.maximum(p, 0.0, out=p)
     p /= np.add.reduce(p, axis=1, keepdims=True)
     return p
 
@@ -141,8 +146,9 @@ def joint_distribution(rho: np.ndarray) -> np.ndarray:
 def _x_ln_x(x: np.ndarray) -> np.ndarray:
     """x ln x elementwise, with 0 ln 0 = 0 and 0 for every x < 0.
 
-    The package passes no x < 0: it clips its joint tables, `validate`
-    keeps every population in [0, 1], and `_g` clamps |t| to 1 first.
+    The package passes no x < 0: it sets its joint tables' negatives to 0,
+    `validate` keeps every population in [0, 1], and `_g` clamps |t| to 1
+    first.
     """
     y = np.where(x > 0.0, x, 1.0)
     np.log(y, out=y)  # in place: two temporaries fewer, measurable at sweep sizes
@@ -203,12 +209,12 @@ def _x_sides(p: XStateParams):
 
     Validates `p` once.  Returns the closed form's deficits D_x, D_y (along
     the first axis of an array) and its H_z from the raw populations, then
-    the entropy identity's H_x, H_y and H_z from the cleaned joint tables.
-    With t = 2(c14 + c23) and u = 2(c23 - c14), the joint x table is
-    (1 + t, 1 - t, 1 - t, 1 + t)/4 in `joint_distribution`'s columns, the y
-    table the same in u and the z table the populations; a fourth table
-    keeps the populations raw.  A batch keeps its rows along the trailing
-    axis; fields may be scalars shared by every row.
+    the entropy identity's H_x, H_y and H_z: H_x and H_y from the cleaned
+    joint tables, H_z the closed form's own.  With t = 2(c14 + c23) and
+    u = 2(c23 - c14), the joint x table is (1 + t, 1 - t, 1 - t, 1 + t)/4 in
+    `joint_distribution`'s columns and the y table the same in u; a third
+    table holds the raw populations.  A batch keeps its rows along the
+    trailing axis; fields may be scalars shared by every row.
     """
     p.validate()
     shape = np.broadcast(p.d1, p.d2, p.d3, p.d4, p.c14, p.c23).shape
@@ -216,20 +222,20 @@ def _x_sides(p: XStateParams):
     np.add(p.c14, p.c23, out=tu[0, ...])  # a view even for one state
     np.subtract(p.c23, p.c14, out=tu[1, ...])
     tu *= 2.0
-    tables = np.empty((4, 4) + shape)
+    tables = np.empty((3, 4) + shape)
     # (1 + t, 1 - t, 1 - t, 1 + t)/4 into the x table and the same in u into
     # the y table, each ufunc writing two entries of both
     xy = tables[:2]
     np.add(1.0, tu[:, None], out=xy[:, 0::3])
     np.subtract(1.0, tu[:, None], out=xy[:, 1:3])
     xy *= 0.25
-    # Each population into its joint z entry and its raw table at once; entry
-    # by entry, since a field may be a scalar: broadcast_arrays costs more.
+    # Each population into the raw table, entry by entry, since a field may
+    # be a scalar: broadcast_arrays costs more.
     for column, population in enumerate(p.diagonal):
-        tables[2:, column] = population
-    _clean_probabilities(tables[:3])
+        tables[2, column] = population
+    _clean_probabilities(xy)
     h = _conditional_entropies(tables)
-    return _g(tu), h[3], h[:3]
+    return _g(tu), h[2], h
 
 
 def steering_functional(p: XStateParams):
@@ -270,9 +276,11 @@ def _checked_i_ab(closed, h):
     """The closed-form I_AB `closed`, checked against the entropy identity.
 
     `h` holds H_x, H_y and H_z along its first axis: three floats for one
-    state, or three rows of a batch's values.  A disagreement beyond 1e-9
-    raises PathDisagreementError (for the first failing row of a batch)
-    since it signals a formula transcription bug rather than bad input.
+    state, or three rows of a batch's values.  For an X state H_z is the
+    closed form's own, so only the x and y terms can disagree.  A
+    disagreement beyond 1e-9 raises PathDisagreementError (for the first
+    failing row of a batch) since it signals a formula transcription bug
+    rather than bad input.
     """
     identity = SIX_LN2 - 2.0 * (h[0] + h[1] + h[2])
     row = failing_row(abs(closed - identity) <= PATH_AGREEMENT_TOL)
@@ -328,24 +336,26 @@ def full_report(rho: np.ndarray) -> SteeringReport:
     X_STRUCTURE_TOL, as `is_x_structured`) and X entries are read off the
     rows those checks read.  One matrix product gives the 12 joint
     probabilities; from there the pass runs on Python floats.  The
-    negative-probability floor, clip and renormalisation are
-    `joint_distribution`'s, and the H_i are `conditional_entropy`'s in their
-    conditional form.
+    negative-probability floor, the negatives set to 0 and the
+    renormalisation are `joint_distribution`'s, and the H_i are
+    `conditional_entropy`'s in their conditional form.
 
     For an X input the closed form reads D_x = g(t), D_y = g(u) off the
     real parts of the coherences and H_z off the populations, and its I_AB
-    is checked against the entropy identity 6 ln 2 - 2 sum H_i: a
+    is checked against the entropy identity 6 ln 2 - 2 sum H_i, with H_x and
+    H_y from the joint x and y probabilities and the closed form's H_z: a
     disagreement beyond 1e-9 raises PathDisagreementError, since it signals
-    a formula transcription bug rather than bad input.  Any other input
-    takes D_i = ln 2 - H_i, and the same tail derives S, Xi, E and Z.
+    a formula transcription bug rather than bad input.  The joint z
+    probabilities are read only for any other input, which takes
+    D_i = ln 2 - H_i; the same tail derives S, Xi, E and Z.
     """
     rho, rows = _checked_rows(rho, "state")
     p = (_PROJECTION @ rho.reshape(16)).real.tolist()
     lowest = min(p)
     _check_floor(lowest)
-    if lowest < 0.0 or max(p) > 1.0:  # else the clip to [0, 1] changes nothing
-        p = [min(max(v, 0.0), 1.0) for v in p]
-    h = (_axis_entropy(*p[0:4]), _axis_entropy(*p[4:8]), _axis_entropy(*p[8:12]))
+    if lowest < 0.0:
+        p = [max(v, 0.0) for v in p]
+    hx, hy = _axis_entropy(*p[0:4]), _axis_entropy(*p[4:8])
     if _x_structured(rows):
         # The x and y statistics read only the real parts of the coherences.
         d1, d2, d3, d4, c14, c23 = (v.real for v in _x_entries(rows))
@@ -354,13 +364,14 @@ def full_report(rho: np.ndarray) -> SteeringReport:
         hz = -(_given_outcome(d1, d2) + _given_outcome(d3, d4))
         h_cond = (LN2 - dx, LN2 - dy, hz)
     else:
-        h_cond = h
-        dx, dy, hz = LN2 - h[0], LN2 - h[1], h[2]
+        hz = _axis_entropy(*p[8:12])
+        h_cond = (hx, hy, hz)
+        dx, dy = LN2 - hx, LN2 - hy
     # _derive's formulas on floats; max(value, 0.0) lets a nan through, as
     # np.maximum does.  For a non-X input both sides of the check are the
     # entropy identity.
     delta = (dx + dy) - hz
-    i_ab = _checked_i_ab(TWO_LN2 + 2.0 * delta, h)
+    i_ab = _checked_i_ab(TWO_LN2 + 2.0 * delta, (hx, hy, hz))
     xi = (2.0 * math.exp(-dx), 2.0 * math.exp(-dy), math.exp(hz))
     e_x = max(xi[0] * math.expm1(dx - 0.5 * hz), 0.0)
     e_y = max(xi[1] * math.expm1(dy - 0.5 * hz), 0.0)
@@ -379,8 +390,9 @@ def x_report(p: XStateParams) -> np.ndarray:
     failing one.  Fields of `p` may be scalars shared by every row.
 
     One stacked pass: `_x_sides` gives the closed form's deficits and H_z
-    and the entropy identity's H_i, `_derive` reads I_AB, S, E and Z off the
-    closed side, and that I_AB is checked against the identity.
+    and the entropy identity's H_x and H_y, three conditional entropies per
+    state; `_derive` reads I_AB, S, E and Z off the closed side, and that
+    I_AB is checked against the identity.
     """
     d, hz, h = _x_sides(p)
     i_ab, s, e, z = _derive(d, hz)

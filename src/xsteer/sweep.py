@@ -121,8 +121,9 @@ class SweepConfig:
     """One sweep: the mode, the grid, the fixed parameters, the output path.
 
     The grid has `points` values, from 2 to MAX_POINTS.  `points` and `jobs`
-    are integers and the other numeric fields real numbers; a bool is
-    neither.  The grid is computed in float64 from float(start) and
+    are integers and the other numeric fields real numbers that a float can
+    hold; a bool is neither.  `out` must name a file: ".", "/" and "//" do
+    not.  The grid is computed in float64 from float(start) and
     float(stop) by np.linspace's own steps (see grid): it equals np.linspace
     of those two floats byte for byte, and np.float32 or Fraction ends give
     the float64 grid of their float() values.  `r_b` is either a float in
@@ -148,8 +149,13 @@ class SweepConfig:
             if not _is_integer(getattr(self, name)):
                 raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         for name in ("start", "stop", "nu", "g_over_gamma"):
-            if not _is_real(getattr(self, name)):
-                raise ConfigError(f"{name} must be a real number, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not _is_real(value):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
+            try:
+                float(value)  # an int or Fraction is compared exactly, but swept as a float
+            except OverflowError:
+                raise ConfigError(f"{name} is too large for a float") from None
         if not 2 <= self.points <= MAX_POINTS:
             raise ConfigError(f"points must lie in [2, {MAX_POINTS}], got {self.points}")
         if not self.start < self.stop:
@@ -166,7 +172,7 @@ class SweepConfig:
             str(self.out).encode()  # the plot script names the CSV in UTF-8
         except UnicodeEncodeError:
             raise ConfigError(f"out must be valid UTF-8, got {str(self.out)!r}") from None
-        csv_path, plot_path, _ = _output_names(self.out)
+        csv_path, plot_path, _ = _output_names(self.out)  # refuses a path with an empty name
         if plot_path == csv_path:
             raise ConfigError(f"out must not end in .gnuplot, its plot script's suffix: {self.out}")
         if self.jobs < 1:
@@ -272,8 +278,6 @@ def run_sweep(cfg: SweepConfig) -> np.recarray:
     else:
         table = evaluate_grid(cfg, grid)
     csv_path, plot_path, csv_name = _output_names(cfg.out)
-    if plot_path is None:  # as Path.with_suffix refuses it
-        raise ValueError(f"{Path(csv_path)!r} has an empty name")
     _write_files({
         csv_path: _csv_chunks(table),
         plot_path: lambda: (_plot_text(csv_name, cfg.mode).encode(),),
@@ -281,7 +285,7 @@ def run_sweep(cfg: SweepConfig) -> np.recarray:
     return _read_only(table.view(RECORD)[:, 0])
 
 
-def _output_names(out) -> tuple[str, str | None, str]:
+def _output_names(out) -> tuple[str, str, str]:
     """The CSV path `out` names, its plot script's path and the CSV's file name.
 
     The paths are spelled as POSIX pathlib spells Path(out) and
@@ -291,7 +295,8 @@ def _output_names(out) -> tuple[str, str | None, str]:
     ".gnuplot" replaces the suffix Path.suffix reports, the name's last "."
     and what follows it unless that dot leads or ends the name, so "b."
     gives "b..gnuplot" and ".csv" gives ".csv.gnuplot".  A path with an
-    empty name, such as "." or "/", has no plot script path: None.
+    empty name, such as "." or "/", names no file: ConfigError, where
+    Path.with_suffix raises ValueError.
     """
     path = os.fspath(out)
     parts = path.split("/")
@@ -299,9 +304,9 @@ def _output_names(out) -> tuple[str, str | None, str]:
         body = path.lstrip("/")
         root = "//" if len(path) - len(body) == 2 else "/" if path != body else ""
         parts = [part for part in body.split("/") if part and part != "."]
-        path = root + "/".join(parts) or "."
         if not parts:
-            return path, None, ""
+            raise ConfigError(f"out must name a file, got {path!r}")
+        path = root + "/".join(parts)
     name = parts[-1]
     dot = name.rfind(".")  # the suffix starts here unless the dot leads or ends the name
     end = len(path) - len(name) + dot if 0 < dot < len(name) - 1 else len(path)
@@ -570,50 +575,26 @@ def _plot_text(csv_name: str, mode: str) -> str:
 def figure_presets(outdir: Path | str) -> dict[str, SweepConfig]:
     """The bundled sweep configurations, one per standard curve set.
 
-    Grid densities default to 201 points; gamma*t ranges are chosen so each
-    run decays to its asymptote within the window.
+    Each takes its mode's default grid (see _SWEPT) and SweepConfig's
+    defaults unless it names a field; gamma*t ranges are chosen so each run
+    decays to its asymptote within the window.
     """
     outdir = Path(outdir)
 
-    def cfg(name: str, **kw) -> SweepConfig:
-        return SweepConfig(out=str(outdir / f"{name}.csv"), **kw)
+    def cfg(name: str, mode: str, **kw) -> tuple[str, SweepConfig]:
+        start, stop, points = _SWEPT[mode][2]
+        fields = {"start": start, "stop": stop, "points": points, **kw}
+        return name, SweepConfig(mode=mode, out=str(outdir / f"{name}.csv"), **fields)
 
-    presets = {
-        "mixture": cfg("mixture", mode="nu", start=0.0, stop=1.0, points=201),
-        "accel-single": cfg(
-            "accel-single", mode="acceleration", start=0.0, stop=R_MAX, points=201,
-            nu=1.0, r_b=0.0,
-        ),
-        "accel-joint": cfg(
-            "accel-joint", mode="acceleration", start=0.0, stop=R_MAX, points=201,
-            nu=1.0, r_b="track",
-        ),
-        "ad-slow": cfg(
-            "ad-slow", mode="ad-channel", start=0.0, stop=100.0, points=201,
-            nu=1.0, g_over_gamma=0.01,
-        ),
-        "ad-fast": cfg(
-            "ad-fast", mode="ad-channel", start=0.0, stop=30.0, points=201,
-            nu=1.0, g_over_gamma=0.1,
-        ),
-        "ad-weak": cfg(
-            "ad-weak", mode="ad-channel", start=0.0, stop=30.0, points=201,
-            nu=0.1, g_over_gamma=0.1,
-        ),
-        "dephasing-slow": cfg(
-            "dephasing-slow", mode="dephasing-channel", start=0.0, stop=60.0, points=201,
-            nu=1.0, g_over_gamma=0.01,
-        ),
-        "dephasing-fast": cfg(
-            "dephasing-fast", mode="dephasing-channel", start=0.0, stop=40.0, points=201,
-            nu=1.0, g_over_gamma=0.1,
-        ),
-        "dephasing-weak": cfg(
-            "dephasing-weak", mode="dephasing-channel", start=0.0, stop=40.0, points=201,
-            nu=0.1, g_over_gamma=0.1,
-        ),
-        "swap": cfg(
-            "swap", mode="swap", start=0.0, stop=1.0, points=201, bell=BellIndex.PSI_PLUS,
-        ),
-    }
-    return presets
+    return dict([
+        cfg("mixture", "nu"),
+        cfg("accel-single", "acceleration"),
+        cfg("accel-joint", "acceleration", r_b="track"),
+        cfg("ad-slow", "ad-channel", g_over_gamma=0.01),
+        cfg("ad-fast", "ad-channel", stop=30.0),
+        cfg("ad-weak", "ad-channel", stop=30.0, nu=0.1),
+        cfg("dephasing-slow", "dephasing-channel", stop=60.0, g_over_gamma=0.01),
+        cfg("dephasing-fast", "dephasing-channel"),
+        cfg("dephasing-weak", "dephasing-channel", nu=0.1),
+        cfg("swap", "swap"),
+    ])

@@ -22,8 +22,8 @@ def _batch(rows: list[XStateParams]) -> XStateParams:
 def _x_layout(p):
     """What `_x_sides` passes on for the X states `p`, and what it returns.
 
-    That is (t, u) as `_g` gets it, and the (4, 4, ...) tables `_conditional_entropies`
-    gets: the cleaned joint x, y and z tables, then the raw populations.
+    That is (t, u) as `_g` gets it, and the (3, 4, ...) tables `_conditional_entropies`
+    gets: the cleaned joint x and y tables, then the raw populations.
     """
     seen = {}
     g, entropies = measures._g, measures._conditional_entropies

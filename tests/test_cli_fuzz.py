@@ -58,9 +58,10 @@ _MISTYPED = {
     "g_over_gamma": [[0.1], "inf"], "jobs": [1.5, True, "2"],
 }
 _BAD_GRIDS = ["0:1", "a:b:c", "0:1:2.5", "0:1:3:4", ""]
-# Output names the CLI must refuse, in turn: one holding the byte 0xff as
-# os.fsdecode gives it, and one whose plot script would run a shell command.
-_REFUSED_OUTS = ["{}\udcff.csv", '{}\nsystem "touch pwned"\n#.csv']
+# Output names the CLI must refuse, in turn, relative to the test's directory:
+# one holding the byte 0xff as os.fsdecode gives it, one whose plot script
+# would run a shell command, and three whose file name pathlib reads as empty.
+_REFUSED_OUTS = ["{}\udcff.csv", '{}\nsystem "touch pwned"\n#.csv', ".", "/", "//"]
 
 
 def _pick(rng, values):
@@ -145,6 +146,7 @@ def test_cli_contract_fuzz(tmp_path, capsys, monkeypatch):
         return runs[-1][1]
 
     monkeypatch.setattr(cli, "run_sweep", recorded)
+    monkeypatch.chdir(tmp_path)
     (tmp_path / "file").write_text("")
     (tmp_path / "ro").mkdir(mode=0o555)
     read_only = not os.access(tmp_path / "ro", os.W_OK)
@@ -190,12 +192,13 @@ def test_cli_contract_fuzz(tmp_path, capsys, monkeypatch):
         if extra.random() < 0.1:
             # the draw once more, its output named by a refused name; the flag
             # wins over the config, and the draw is valid but for that name
-            refused = tmp_path / _REFUSED_OUTS[refused_draws % 2].format(k)
+            refused = _REFUSED_OUTS[refused_draws % len(_REFUSED_OUTS)].format(k)
+            before = sorted(tmp_path.iterdir())
             assert cli.main([*argv, f"--out={refused}"]) == 2, argv
             err = capsys.readouterr().err
             assert err.startswith("sweep: invalid config: out must "), (argv, err)
             assert err.count("\n") == 1, (argv, err)
-            assert not refused.exists() and not refused.with_suffix(".gnuplot").exists()
+            assert sorted(tmp_path.iterdir()) == before, refused
             refused_draws += 1
     # the draws reach success, bad configs and I/O failures, and every swap
     # outcome; some are rerun and some name each refused output

@@ -131,6 +131,15 @@ def test_joint_distribution_negative_probability():
         joint_distribution(indefinite)
 
 
+def test_joint_distribution_renormalises_an_entry_above_1():
+    # trace 2: the z row (1.2, 0.6, 0.2, 0) is divided by its sum, not
+    # clipped to 1 first, which would give (1, 0.6, 0.2, 0)/1.8
+    table = joint_distribution(np.diag([1.2, 0.6, 0.2, 0.0]).astype(complex))
+    np.testing.assert_allclose(table[2], [0.6, 0.3, 0.1, 0.0], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(table[:2], 0.25, rtol=0, atol=1e-15)
+    assert table.max() <= 1.0
+
+
 def test_marginal_distribution_cases():
     half = np.eye(2, dtype=complex) / 2
     ground = np.diag([1.0, 0.0]).astype(complex)
@@ -193,7 +202,7 @@ def _t_u(p):
 def test_deficits_bell_values():
     tu, tables, (d, hz, _) = _x_layout(bell_mixture(0.0))
     np.testing.assert_allclose(tu, [1, -1], atol=1e-15)
-    np.testing.assert_allclose(tables[3], [0.5, 0, 0, 0.5], atol=1e-15)
+    np.testing.assert_allclose(tables[2], [0.5, 0, 0, 0.5], atol=1e-15)
     np.testing.assert_allclose(d, [LN2, LN2], atol=1e-15)
     assert abs(hz) < 1e-15
 
@@ -223,7 +232,7 @@ def test_deficits_sign_structure_and_bounds():
     np.testing.assert_array_equal(tu, np.array([_t_u(p) for p in states]).T)
     assert np.max(np.abs(tu)) <= 1 + 1e-12
     # the raw populations and A's raw z outcomes are probabilities
-    populations = tables[3]
+    populations = tables[2]
     outcomes = np.array([populations[0] + populations[1], populations[2:].sum(0)])
     assert np.all(populations >= 0.0) and np.all(populations <= 1.0)
     np.testing.assert_array_equal(populations, np.array([p.diagonal for p in states]).T)
@@ -259,7 +268,7 @@ def test_marginals_from_coefficients():
             np.testing.assert_allclose(marginals[axis], _oracle_marginal(rho_a, axis), atol=1e-12)
         np.testing.assert_allclose(marginals[2], [p.d1 + p.d2, p.d3 + p.d4], atol=1e-12)
         np.testing.assert_allclose(
-            _x_layout(p)[1].reshape(4, 2, 2).sum(axis=-1), [*marginals, marginals[2]], atol=1e-12
+            _x_layout(p)[1].reshape(3, 2, 2).sum(axis=-1), marginals, atol=1e-12
         )
 
 

@@ -91,6 +91,13 @@ def _cfg(tmp_path, **kw):
         (dict(mode="acceleration", start=0.0, stop=0.5, r_b=0.1j), "r_b"),
         (dict(out=123), "out"),
         (dict(out="x\0.csv"), "NUL"),
+        # an int or Fraction is compared exactly, but no float holds these
+        (dict(mode="ad-channel", start=0, stop=10**400), "stop is too large for a float"),
+        (dict(mode="ad-channel", start=-10**400, stop=1.0), "start is too large for a float"),
+        (dict(stop=Fraction(10**400, 3)), "stop is too large for a float"),
+        (dict(mode="ad-channel", start=0.0, stop=10.0, nu=10**400), "nu is too large for a float"),
+        (dict(mode="dephasing-channel", start=0.0, stop=10.0, g_over_gamma=10**400),
+         "g_over_gamma is too large for a float"),
     ],
 )
 def test_config_validation_reports_offending_field(tmp_path, kw, fragment):
@@ -103,6 +110,31 @@ def test_out_that_is_not_utf8_is_rejected_before_any_write(tmp_path):
     # U+DCFF, which the plot script, written in UTF-8, could not name
     with pytest.raises(ConfigError, match="out must be valid UTF-8"):
         run_sweep(_cfg(tmp_path, out=str(tmp_path / "\udcff.csv")))
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(mode="ad-channel", start=0, stop=10**400),
+        dict(mode="dephasing-channel", start=0.0, stop=10.0, g_over_gamma=10**400),
+        dict(out="."),
+        dict(out=Path("/")),
+        dict(out="//"),
+    ],
+)
+def test_run_sweep_refuses_before_any_work(tmp_path, monkeypatch, kw):
+    # an overflowing field would raise OverflowError in grid() or in
+    # dephasing_coherence, and an empty name would fail only once the whole
+    # grid was evaluated: validate refuses both with a ConfigError first
+    monkeypatch.chdir(tmp_path)
+
+    def refused(*args):
+        raise AssertionError("evaluated")
+
+    monkeypatch.setattr(sweep, "evaluate_grid", refused)
+    with pytest.raises(ConfigError):
+        run_sweep(_cfg(tmp_path, **kw))
     assert not list(tmp_path.iterdir())
 
 
@@ -269,7 +301,7 @@ def test_guard_negative_probability_floor(tmp_path, monkeypatch):
     tiny = XStateParams(0.5, 0.0, 0.0, 0.5, 0.5 + 1e-13, 0.0)
     rows = _run_with_params(tmp_path, monkeypatch, [_MIXED, tiny, _PSI])
     assert abs(rows[1].s - rows[2].s) < 1e-12 and abs(rows[1].z - rows[2].z) < 1e-12
-    joint = _x_layout(_batch([tiny]))[1][:3]  # the cleaned joint tables
+    joint = _x_layout(_batch([tiny]))[1][:2]  # the cleaned joint x and y tables
     assert joint.min() == 0.0
     np.testing.assert_allclose(joint.sum(axis=1), 1.0, rtol=0, atol=1e-15)
     monkeypatch.setattr(measures, "NEGATIVE_PROBABILITY_TOL", 0.01)
@@ -563,15 +595,23 @@ def test_out_writes_the_pair_pathlib_names(tmp_path, monkeypatch, out):
 
 def test_output_names_spell_paths_as_pathlib_does():
     # every string of up to 6 characters over "a", ".", "/" and a run of
-    # random longer ones: the CSV path, plot path and name pathlib gives
+    # random longer ones: the CSV path, plot path and name pathlib gives,
+    # and ConfigError where pathlib's name is empty
     alphabet = "a./"
     spellings = ["".join(chars) for n in range(1, 7) for chars in product(alphabet, repeat=n)]
     rng = np.random.default_rng(25)
     spellings += ["".join(rng.choice(list("ab.c/"), size=rng.integers(1, 16))) for _ in range(2000)]
+    empty = 0
     for out in spellings:
         path = Path(out)
-        plot = str(path.with_suffix(".gnuplot")) if path.name else None
+        if not path.name:
+            with pytest.raises(ConfigError, match="out must name a file"):
+                sweep._output_names(out)
+            empty += 1
+            continue
+        plot = str(path.with_suffix(".gnuplot"))
         assert sweep._output_names(out) == (str(path), plot, path.name), out
+    assert empty > 10
 
 
 def test_grid_is_linspace_byte_for_byte():
@@ -1176,6 +1216,7 @@ def test_cli_help_exits_0_with_usage_on_stdout(capsys):
         (["--config", "latin1.json"], "config: latin1.json is not UTF-8"),
         (["--config", "deep.json"], "config: deep.json nests too deep"),
         (["--config", "cut.json"], "config: cut.json is not valid JSON"),
+        (["--config", "long-int.json"], "config: long-int.json is not valid JSON"),
         (["--config", "list.json"], "config: list.json must hold a JSON object"),
         (["--config", "nul.json"], "out must not hold a NUL byte"),
         (["--mode", "nu", "--out", "x\0.csv"], "out must not hold a NUL byte"),
@@ -1188,7 +1229,8 @@ def test_cli_help_exits_0_with_usage_on_stdout(capsys):
         ),
     ],
     ids=[
-        "not-utf8", "too-deep", "not-json", "not-an-object", "nul-in-config-out",
+        "not-utf8", "too-deep", "not-json", "int-past-digit-limit", "not-an-object",
+        "nul-in-config-out",
         "nul-in-out-flag", "nul-in-config-path",
         "non-utf8-out-flag", "non-utf8-config-out", "newline-in-out-flag",
     ],
@@ -1199,6 +1241,7 @@ def test_cli_rejects_unreadable_config_and_nul_paths(tmp_path, monkeypatch, caps
         "latin1.json": b"\xff",
         "deep.json": b"[" * 100_000,
         "cut.json": b'{"mode": "nu",',
+        "long-int.json": b'{"mode": "nu", "grid": [0, 1, 1' + b"0" * 5000 + b"]}",
         "list.json": b"[1, 2]",
         "nul.json": b'{"mode": "nu", "grid": "0:1:3", "out": "x\\u0000.csv"}',
         "surrogate.json": b'{"mode": "nu", "grid": "0:1:3", "out": "\\udcff.csv"}',
@@ -1282,6 +1325,16 @@ def test_cli_rejects_out_named_like_the_plot_script(tmp_path, capsys):
         assert err.startswith("sweep: invalid config: out must not end in .gnuplot")
         assert err.count("\n") == 1
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("out", [".", "/", "//", "./"])
+def test_cli_rejects_out_with_an_empty_name(tmp_path, monkeypatch, capsys, out):
+    # pathlib gives these an empty name, which no CSV or plot script can have
+    monkeypatch.chdir(tmp_path)
+    assert main(["--mode", "nu", "--grid", "0:1:3", "--out", out]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"sweep: invalid config: out must name a file, got {out!r}\n"
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_missing_mode_is_config_error(tmp_path):
