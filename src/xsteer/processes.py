@@ -14,14 +14,10 @@ Every process maps X states to X states.  `accelerated_params`,
 `damped_params`, `dephased_params` and `swapped_params` give the output's
 X parameters in closed form, for one state or a batch (array fields); the
 sweeps run on them.  The matrix path (`accelerate_oracle`, the Kraus
-operators with `apply_local_channel`, `bell_project_swap`) works on the
-density matrices themselves and serves as the independent oracle.  Channels
-run as contractions over qubit indices and swapping as two 4x4 matrix
-products; neither builds a 16x16 operator.  `accelerate_oracle` alone keeps
-an enlarged 16-dimensional state, since building it is what makes that path
-independent of the closed form; it forms the state from outer products of
-the Rindler images and traces out both region-II modes in one fixed
-contraction.
+operators with `apply_local_channel`, `bell_project_swap`) is the
+independent oracle, written as the formulas it checks in 4x4 matrix
+products: sum_k K_k rho K_k^dag, the partial trace m m^dag of each
+enlarged pure state, and the Bell projection around a fixed kernel.
 """
 
 from __future__ import annotations
@@ -55,6 +51,16 @@ class ChannelParameterError(ValueError):
 
 class ZeroProbabilityOutcomeError(ValueError):
     """The chosen Bell outcome has vanishing probability for these inputs."""
+
+
+# Entry (xX, yY) of a regrouped two-qubit matrix is flat entry
+# 4 (2x + y) + 2X + Y of the matrix with entries (xy, XY).
+_REALIGN = np.arange(16).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+
+
+def _realign(m: np.ndarray) -> np.ndarray:
+    """Regroup a 4x4 two-qubit matrix with entries (xy, XY) to entries (xX, yY); self-inverse."""
+    return m.take(_REALIGN)
 
 
 # ---------------------------------------------------------------------------
@@ -96,41 +102,27 @@ def accelerate(nu: float, r_a: float, r_b: float) -> np.ndarray:
     return from_x_params(accelerated_params(nu, r_a, r_b))
 
 
-# The image of |1> in the (region I, region II) product space, indexed as
-# 2*i_I + i_II, for every r; read only, since every call shares it.
-_RINDLER_ONE = np.array([0.0, 0.0, 1.0, 0.0], dtype=complex)
-_RINDLER_ONE.flags.writeable = False
-
-
-def _rindler_images(r: float) -> tuple[np.ndarray, np.ndarray]:
-    # Images of |0> and |1> in the (region I, region II) product space.
-    zero = np.array([math.cos(r), 0.0, 0.0, math.sin(r)], dtype=complex)
-    return zero, _RINDLER_ONE
-
-
-# The partial trace over A_II and B_II of a 16x16 matrix on the modes
-# (A_I, A_II, B_I, B_II), reshaped to a row and a column index per mode.
-_TRACE_REGION_II = "abcdebgd->aceg"
+def _rindler_images(r: float) -> np.ndarray:
+    # Images of |0> and |1> in the (region I, region II) space, indexed 2 i_I + i_II.
+    return np.array([[math.cos(r), 0.0, 0.0, math.sin(r)], [0.0, 0.0, 1.0, 0.0]], dtype=complex)
 
 
 def accelerate_oracle(nu: float, r_a: float, r_b: float) -> np.ndarray:
     """Brute-force path for `accelerate`: build the enlarged pure states.
 
-    Each computational basis vector of the pair is replaced by its
-    four-mode image (ordering A_I, A_II, B_I, B_II), the mixture is formed
-    in the 16-dimensional space, and both region-II factors are traced out.
-    Kept deliberately independent of the closed form so the two can be
-    compared elementwise.
+    Each basis vector of the pair becomes its image in the modes (A_I, A_II,
+    B_I, B_II); each Bell state of the mixture is then a 4x4 matrix of outer
+    products, regrouped by `_realign` to m with rows (A_I, B_I) and columns
+    (A_II, B_II), whose m m^dag is its trace over both region-II modes.
+    Kept independent of the closed form so the two can be compared elementwise.
     """
     _check_acceleration(nu, r_a, r_b)
-    za, oa = _rindler_images(r_a)
-    zb, ob = _rindler_images(r_b)
+    (za, oa), (zb, ob) = _rindler_images(r_a), _rindler_images(r_b)
     s = 1.0 / math.sqrt(2.0)
     outer = np.multiply.outer
-    psi = s * (outer(za, zb) + outer(oa, ob)).reshape(16)   # from (|00> + |11>)/sqrt(2)
-    phi = s * (outer(za, ob) + outer(oa, zb)).reshape(16)   # from (|01> + |10>)/sqrt(2)
-    rho16 = nu * outer(phi, phi.conj()) + (1.0 - nu) * outer(psi, psi.conj())
-    return np.einsum(_TRACE_REGION_II, rho16.reshape((2,) * 8)).reshape(4, 4)
+    m_psi = _realign(s * (outer(za, zb) + outer(oa, ob)))   # from (|00> + |11>)/sqrt(2)
+    m_phi = _realign(s * (outer(za, ob) + outer(oa, zb)))   # from (|01> + |10>)/sqrt(2)
+    return nu * (m_phi @ m_phi.conj().T) + (1.0 - nu) * (m_psi @ m_psi.conj().T)
 
 
 # ---------------------------------------------------------------------------
@@ -309,36 +301,21 @@ def apply_local_channel(
 ) -> np.ndarray:
     """Evolve the 4x4 rho0 under independent local channels on qubits A and B.
 
-    rho = sum_ij (K_i^A x K_j^B) rho0 (K_i^A x K_j^B)^dag, formed as two
-    contractions on rho0 reshaped to (2, 2, 2, 2): first each K_j^B on B's
-    indices, then each K_i^A on A's.  Both operator sets must be non-empty
-    lists of 2x2 operators that satisfy the completeness relation within
-    1e-12, which a nan or inf entry fails.
+    rho = sum_ij (K_i^A x K_j^B) rho0 (K_i^A x K_j^B)^dag, as 4x4 matrix
+    products over the stack of every K_i^A x K_j^B.  Both operator sets must
+    be non-empty lists of 2x2 operators that satisfy the completeness
+    relation within 1e-12, which a nan or inf entry fails.
     """
     ka = _checked_kraus(kraus_a, "A")
     kb = _checked_kraus(kraus_b, "B")
-    rho = as_square(rho0, "rho0").reshape(2, 2, 2, 2)
-    rho = np.einsum("jyb,abAB,jYB->ayAY", kb, rho, kb.conj())
-    rho = np.einsum("ixa,ayAY,iXA->xyXY", ka, rho, ka.conj())
-    return rho.reshape(4, 4)
+    # K_i^A x K_j^B: entry (ac, bd) of product ij is K_i^A[a, b] K_j^B[c, d].
+    k = np.multiply.outer(ka, kb).transpose(0, 3, 1, 4, 2, 5).reshape(-1, 4, 4)
+    return (k @ as_square(rho0, "rho0") @ k.conj().transpose(0, 2, 1)).sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
 # Entanglement swapping
 # ---------------------------------------------------------------------------
-
-# Entry (xX, yY) of a regrouped two-qubit matrix is flat entry
-# 4 (2x + y) + 2X + Y of the matrix with entries (xy, XY).
-_REALIGN = np.arange(16).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
-
-
-def _realign(m: np.ndarray) -> np.ndarray:
-    """Regroup a 4x4 two-qubit matrix with entries (xy, XY) to entries (xX, yY).
-
-    The map is its own inverse; one `take` gathers the permuted entries.
-    """
-    return m.take(_REALIGN)
-
 
 # The Bell projection of `bell_project_swap` as a 4x4 kernel per outcome:
 # entry (bB, cC) is conj(k_bc) k_BC, with k the Bell ket as a 2x2 array.

@@ -12,7 +12,9 @@ the first check to fail, in check order, reports its own first failing row.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from decimal import Decimal
 from enum import Enum
 
 import numpy as np
@@ -50,12 +52,28 @@ def row_value(value, row: int):
     return value[row] if isinstance(value, np.ndarray) and value.ndim else value
 
 
+def shown(value) -> str:
+    """`value` for an error message; an int or Fraction past 1e40 in 4 digits, as str may fail."""
+    if isinstance(value, numbers.Rational) and max(abs(value.numerator), value.denominator) > 1e40:
+        top = f"{Decimal(value.numerator):.3e}"
+        return top if value.denominator == 1 else f"{top}/{Decimal(value.denominator):.3e}"
+    return str(value)
+
+
+def check_float(x, name: str, error: type[Exception]) -> None:
+    """Raise `error` naming the parameter if float(x) overflows, as for 10**400."""
+    try:
+        float(x)
+    except OverflowError:
+        raise error(f"{name} is too large for a float, got {shown(x)}") from None
+
+
 @dataclass(frozen=True)
 class Domain:
     """An interval of finite reals; an open end excludes its bound.
 
     An infinite bound must be open, so the two comparisons alone exclude
-    inf and nan.
+    inf and nan; `check` also refuses a number no float can hold.
     """
 
     lo: float
@@ -81,7 +99,9 @@ class Domain:
         """Raise `error` naming the parameter unless x (every entry) lies in the domain."""
         row = failing_row(self.contains(x))
         if row is not None:
-            raise error(f"{name} must lie in {self}, got {row_value(x, row)}")
+            raise error(f"{name} must lie in {self}, got {shown(row_value(x, row))}")
+        if not isinstance(x, np.ndarray):  # Python compares an int or Fraction exactly
+            check_float(x, name, error)
 
 
 # The parameter domains every layer checks against: the Bell-mixture weight nu,
@@ -142,12 +162,13 @@ class XStateParams:
         positive semidefinite, and every population in [0, 1].  The block
         clause is c^2 <= d_a d_b + min(1e-12, 1e-10 (d_a + d_b) + 1e-20): the
         second term is `check_density`'s floor EIGENVALUE_TOL on the smaller
-        block eigenvalue `_smaller_block_eigenvalue`, squared out.  Raises
-        InvalidStateError naming `name` and the offending field; returns the
-        input.  Every condition is evaluated once and one `failing_row` call
-        accepts the input; only a failure looks for which check failed, in
-        the order trace, outer block, inner block, populations, each at its
-        own first failing row of a batch.
+        block eigenvalue `_smaller_block_eigenvalue`, squared out.  Past
+        d_a + d_b = 0.01 the first, the coherence bound, is the smaller: a
+        block failing only it passes `check_density`, and its message says so.
+        Raises InvalidStateError naming `name` and the offending field;
+        returns the input.  Every condition is evaluated once; only a failure
+        looks for which check failed, in the order trace, outer block, inner
+        block, populations, each at its own first failing row of a batch.
         """
         d1, d2, d3, d4 = diagonal = self.diagonal
         total = d1 + d2 + d3 + d4
@@ -174,8 +195,10 @@ class XStateParams:
             if block_row is not None:
                 c, da, db = (row_value(v, block_row) for v in (c, da, db))
                 lo = _smaller_block_eigenvalue(da, db, c)
+                failed = ("is not positive semidefinite" if lo < EIGENVALUE_TOL
+                          else f"breaks the coherence bound c^2 <= d_a d_b + {COHERENCE_TOL:g}")
                 raise InvalidStateError(
-                    f"{name} is not positive semidefinite (min eigenvalue {lo:.3e}): "
+                    f"{name} {failed} (min eigenvalue {lo:.3e}): "
                     f"in its {block} block {c_name}^2 = {c * c} exceeds {d_names} = {da * db}"
                 )
         # Last, so a negative population reports its block's eigenvalue.  Only

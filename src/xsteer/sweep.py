@@ -51,7 +51,7 @@ from .processes import (
     dephasing_coherence,
     swapped_params,
 )
-from .qstate import DOMAINS, R_MAX, BellIndex, XStateParams, bell_mixture
+from .qstate import DOMAINS, R_MAX, BellIndex, XStateParams, bell_mixture, check_float, shown
 
 # What each mode sweeps: its DOMAINS entry, its plot axis label and its
 # default grid (start, stop, points).
@@ -152,14 +152,13 @@ class SweepConfig:
             value = getattr(self, name)
             if not _is_real(value):
                 raise ConfigError(f"{name} must be a real number, got {value!r}")
-            try:
-                float(value)  # an int or Fraction is compared exactly, but swept as a float
-            except OverflowError:
-                raise ConfigError(f"{name} is too large for a float") from None
+            check_float(value, name, ConfigError)  # compared exactly, but swept as a float
         if not 2 <= self.points <= MAX_POINTS:
-            raise ConfigError(f"points must lie in [2, {MAX_POINTS}], got {self.points}")
+            raise ConfigError(f"points must lie in [2, {MAX_POINTS}], got {shown(self.points)}")
         if not self.start < self.stop:
-            raise ConfigError(f"grid needs start < stop, got {self.start}:{self.stop}")
+            raise ConfigError(
+                f"grid needs start < stop, got {shown(self.start)}:{shown(self.stop)}"
+            )
         if not self.out:
             raise ConfigError("out: an output path is required")
         if not isinstance(self.out, (str, os.PathLike)):
@@ -176,7 +175,7 @@ class SweepConfig:
         if plot_path == csv_path:
             raise ConfigError(f"out must not end in .gnuplot, its plot script's suffix: {self.out}")
         if self.jobs < 1:
-            raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
+            raise ConfigError(f"jobs must be >= 1, got {shown(self.jobs)}")
         swept = DOMAINS[_SWEPT[self.mode][0]]
         if not (swept.contains(self.start) and swept.contains(self.stop)):
             raise ConfigError(f"{self.mode} sweeps need a grid inside {swept}")

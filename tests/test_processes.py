@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -113,6 +114,33 @@ def test_accelerate_oracle_specific_points():
     np.testing.assert_allclose(
         accelerate_oracle(0.3, 0.2, 0.5), accelerate(0.3, 0.2, 0.5), atol=1e-12
     )
+
+
+def _traced_enlarged_mixture(nu, r_a, r_b):
+    # The 16x16 mixture on the modes (A_I, A_II, B_I, B_II), mode index
+    # 8 a_I + 4 a_II + 2 b_I + b_II, traced over A_II and B_II entry by entry.
+    def images(r):  # |0> and |1> in (region I, region II), indexed 2 i_I + i_II
+        return np.array([np.cos(r), 0.0, 0.0, np.sin(r)]), np.array([0.0, 0.0, 1.0, 0.0])
+
+    (za, oa), (zb, ob) = images(r_a), images(r_b)
+    psi = (np.kron(za, zb) + np.kron(oa, ob)) / np.sqrt(2.0)
+    phi = (np.kron(za, ob) + np.kron(oa, zb)) / np.sqrt(2.0)
+    rho16 = nu * np.outer(phi, phi.conj()) + (1.0 - nu) * np.outer(psi, psi.conj())
+    traced = np.zeros((4, 4), dtype=complex)
+    for a, b, a_, b_, a2, b2 in itertools.product(range(2), repeat=6):
+        row, col = 8 * a + 4 * a2 + 2 * b + b2, 8 * a_ + 4 * a2 + 2 * b_ + b2
+        traced[2 * a + b, 2 * a_ + b_] += rho16[row, col]
+    return traced
+
+
+def test_accelerate_oracle_matches_traced_enlarged_mixture():
+    rng = np.random.default_rng(27)
+    draws = [(nu, ra, rb) for nu in (0.0, 1.0) for ra in (0.0, R_MAX) for rb in (0.0, R_MAX)]
+    draws += [tuple(row) for row in rng.uniform(0.0, 1.0, (64, 3)) * (1.0, R_MAX, R_MAX)]
+    for nu, ra, rb in draws:
+        np.testing.assert_allclose(
+            accelerate_oracle(nu, ra, rb), _traced_enlarged_mixture(nu, ra, rb), rtol=0, atol=1e-15
+        )
 
 
 def test_accelerate_rejects_out_of_range():

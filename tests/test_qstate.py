@@ -366,6 +366,12 @@ _NEGATIVE_EIGENVALUE = XStateParams(
 )
 
 
+# c14^2 exceeds d1*d4 by 5e-11, past the 1e-12 slack, but the smaller outer
+# eigenvalue is -5e-11, above the eigenvalue floor: `check_density` passes
+# the matrix, and `validate` refuses it by the coherence bound alone.
+_COHERENCE_ONLY = XStateParams(0.5, 0.0, 0.0, 0.5, 0.5 + 5e-11, 0.0)
+
+
 @pytest.mark.parametrize(
     "params, fragment",
     [
@@ -374,16 +380,27 @@ _NEGATIVE_EIGENVALUE = XStateParams(
         (XStateParams(0.5, 0.25, 0.25, 1e-9, 0.0, 0.0), "trace"),
         (XStateParams(0.7, 0.5, -0.1, -0.1, 0.0, 0.0), "positive semidefinite"),
         (_NEGATIVE_EIGENVALUE, "positive semidefinite"),
+        (_COHERENCE_ONLY, "coherence bound"),
     ],
 )
 def test_check_x_density_agrees_with_matrix_check(params, fragment):
-    """The X-parameter check, `validate`, agrees with `check_density` on the matrix."""
+    """The X-parameter check, `validate`, agrees with `check_density` on the matrix.
+
+    Except for `_COHERENCE_ONLY`, the one documented case where they differ:
+    once d_a + d_b > 0.01 the 1e-12 coherence bound is tighter than the
+    -1e-10 eigenvalue floor, so `validate` refuses a block whose smaller
+    eigenvalue `check_density` accepts, and says that the bound failed.
+    """
     rho = _x_matrix(params)
-    if fragment is None:
+    if fragment is None or params is _COHERENCE_ONLY:
         check_density(rho)
+    if fragment is None:
         assert params.validate() is params
         return
-    for check, arg in ((check_density, rho), (XStateParams.validate, params)):
+    checks = [(XStateParams.validate, params)]
+    # full_report reads the X parameters off the matrix and validates them
+    checks.append((full_report, rho) if params is _COHERENCE_ONLY else (check_density, rho))
+    for check, arg in checks:
         with pytest.raises(InvalidStateError, match=fragment):
             check(arg)
 
@@ -422,10 +439,14 @@ def test_block_rule_accepts_what_both_separate_rules_accept():
     XStateParams(*states[:, accepted]).validate()
     still_accepted = []
     for row in states[:, ~accepted].T.tolist():
+        d1, d2, d3, d4, c14, c23 = row
+        da, db, c = (d1, d4, c14) if c14 else (d2, d3, c23)
+        # the message names the eigenvalue floor where it fails, else the coherence bound
+        floor_ok = 0.5 * (da + db) - math.hypot(0.5 * (da - db), c) >= -1e-10
         try:
             XStateParams(*row).validate()
         except InvalidStateError as exc:
-            assert "positive semidefinite" in str(exc)
+            assert ("coherence bound" if floor_ok else "positive semidefinite") in str(exc)
         else:
             still_accepted.append(row)
     assert still_accepted == []

@@ -18,13 +18,20 @@ import xsteer.measures as measures
 import xsteer.sweep as sweep
 from xsteer.cli import EXIT_CONFIG, EXIT_INTERNAL, EXIT_IO, EXIT_OK, main
 from xsteer.measures import NegativeProbabilityError, PathDisagreementError
-from xsteer.processes import ChannelParameterError, ZeroProbabilityOutcomeError
+from xsteer.processes import (
+    ChannelParameterError,
+    ZeroProbabilityOutcomeError,
+    accelerated_params,
+    ad_survival,
+    dephasing_coherence,
+)
 from xsteer.qstate import (
     DOMAINS,
     R_MAX,
     BellIndex,
     InvalidStateError,
     XStateParams,
+    bell_mixture,
 )
 from xsteer.sweep import (
     CSV_HEADER,
@@ -103,6 +110,40 @@ def _cfg(tmp_path, **kw):
 def test_config_validation_reports_offending_field(tmp_path, kw, fragment):
     with pytest.raises(ConfigError, match=fragment):
         _cfg(tmp_path, **kw).validate()
+
+
+# Python prints no int of more than 4,300 digits, and no float holds 10**5000.
+_HUGE = 10**5000
+
+
+@pytest.mark.parametrize(
+    "call, error, field",
+    [
+        (lambda out: SweepConfig("nu", 0, 1, _HUGE, out).validate(), ConfigError, "points"),
+        (lambda out: SweepConfig("nu", 0, 1, -_HUGE, out).validate(), ConfigError, "points"),
+        (lambda out: SweepConfig("nu", 0, 1, 3, out, jobs=-_HUGE).validate(), ConfigError, "jobs"),
+        (lambda out: SweepConfig("acceleration", 0, 0.5, 3, out, r_b=_HUGE).validate(),
+         ConfigError, "r_b"),
+        (lambda out: SweepConfig("nu", Fraction(_HUGE + 1, _HUGE // 10), 1, 3, out).validate(),
+         ConfigError, "start < stop"),
+        (lambda out: bell_mixture(_HUGE), InvalidStateError, "nu"),
+        (lambda out: accelerated_params(0.5, _HUGE, 0.1), InvalidStateError, "r_a"),
+        (lambda out: ad_survival(0.1, _HUGE), ChannelParameterError, "gamma\\*t"),
+        (lambda out: ad_survival(_HUGE, 1.0), ChannelParameterError, "g/gamma"),
+        (lambda out: dephasing_coherence(0.1, -_HUGE), ChannelParameterError, "gamma\\*t"),
+    ],
+    ids=[
+        "points", "negative-points", "jobs", "r_b", "fraction-start",
+        "bell_mixture", "accelerated_params", "ad_survival-time", "ad_survival-rate",
+        "dephasing_coherence",
+    ],
+)
+def test_ints_past_the_digit_limit_get_their_domain_error(tmp_path, call, error, field):
+    # the message names the field and writes the value in a few characters,
+    # where formatting the int itself raises Python's int-to-str ValueError
+    with pytest.raises(error, match=field) as raised:
+        call(str(tmp_path / "x.csv"))
+    assert len(str(raised.value)) < 100
 
 
 def test_out_that_is_not_utf8_is_rejected_before_any_write(tmp_path):
