@@ -35,9 +35,9 @@ on those rows and takes the X structure and entries off them; after one
 matrix product for the projection everything runs on Python floats, where
 numpy's call overhead would outweigh the arithmetic.  `x_report` runs one
 stacked pass: `_x_sides` fills a (3, 4, n) array with the x and y joint
-tables and the raw populations, cleans the two joint tables with
-`joint_distribution`'s rule and takes the three tables' H(B|A) with
-`conditional_entropy`'s, which gives the identity's H_x, H_y and the H_z
+tables and the populations, raised to at least 0, cleans the two joint
+tables with `joint_distribution`'s rule and takes the three tables' H(B|A)
+with `conditional_entropy`'s, which gives the identity's H_x, H_y and the H_z
 both sides share; `_g` gives the deficits and `_derive` the rest.
 `steering_functional` reads the same pass.  `joint_distribution` and
 `conditional_entropy` project a density matrix on arrays and are, with
@@ -147,8 +147,8 @@ def _x_ln_x(x: np.ndarray) -> np.ndarray:
     """x ln x elementwise, with 0 ln 0 = 0 and 0 for every x < 0.
 
     The package passes no x < 0: it sets its joint tables' negatives to 0,
-    `validate` keeps every population in [0, 1], and `_g` clamps |t| to 1
-    first.
+    `_x_sides` its populations' (`validate` admits them down to
+    EIGENVALUE_TOL), and `_g` clamps |t| to 1 first.
     """
     y = np.where(x > 0.0, x, 1.0)
     np.log(y, out=y)  # in place: two temporaries fewer, measurable at sweep sizes
@@ -208,13 +208,14 @@ def _x_sides(p: XStateParams):
     """Both sides of the I_AB check for the X states `p`, from one entropy pass.
 
     Validates `p` once.  Returns the closed form's deficits D_x, D_y (along
-    the first axis of an array) and its H_z from the raw populations, then
-    the entropy identity's H_x, H_y and H_z: H_x and H_y from the cleaned
-    joint tables, H_z the closed form's own.  With t = 2(c14 + c23) and
-    u = 2(c23 - c14), the joint x table is (1 + t, 1 - t, 1 - t, 1 + t)/4 in
-    `joint_distribution`'s columns and the y table the same in u; a third
-    table holds the raw populations.  A batch keeps its rows along the
-    trailing axis; fields may be scalars shared by every row.
+    the first axis of an array) and its H_z from the populations, each
+    raised to at least 0, then the entropy identity's H_x, H_y and H_z: H_x
+    and H_y from the cleaned joint tables, H_z the closed form's own.  With
+    t = 2(c14 + c23) and u = 2(c23 - c14), the joint x table is
+    (1 + t, 1 - t, 1 - t, 1 + t)/4 in `joint_distribution`'s columns and
+    the y table the same in u; a third table holds the populations.  A batch
+    keeps its rows along the trailing axis; fields may be scalars shared by
+    every row.
     """
     p.validate()
     shape = np.broadcast(p.d1, p.d2, p.d3, p.d4, p.c14, p.c23).shape
@@ -233,6 +234,7 @@ def _x_sides(p: XStateParams):
     # be a scalar: broadcast_arrays costs more.
     for column, population in enumerate(p.diagonal):
         tables[2, column] = population
+    np.maximum(tables[2], 0.0, out=tables[2])
     _clean_probabilities(xy)
     h = _conditional_entropies(tables)
     return _g(tu), h[2], h
@@ -341,7 +343,10 @@ def full_report(rho: np.ndarray) -> SteeringReport:
     `conditional_entropy`'s in their conditional form.
 
     For an X input the closed form reads D_x = g(t), D_y = g(u) off the
-    real parts of the coherences and H_z off the populations, and its I_AB
+    real parts of the coherences and H_z off the populations, each raised
+    to at least 0 as in `x_report`; the X entries need no `validate`, since
+    each X block is a principal submatrix of the checked matrix and so
+    passes its floor whenever the matrix does.  Its I_AB
     is checked against the entropy identity 6 ln 2 - 2 sum H_i, with H_x and
     H_y from the joint x and y probabilities and the closed form's H_z: a
     disagreement beyond 1e-9 raises PathDisagreementError, since it signals
@@ -359,8 +364,8 @@ def full_report(rho: np.ndarray) -> SteeringReport:
     if _x_structured(rows):
         # The x and y statistics read only the real parts of the coherences.
         d1, d2, d3, d4, c14, c23 = (v.real for v in _x_entries(rows))
-        XStateParams(d1, d2, d3, d4, c14, c23).validate()
         dx, dy = _g_float(2.0 * (c14 + c23)), _g_float(2.0 * (c23 - c14))
+        d1, d2, d3, d4 = max(d1, 0.0), max(d2, 0.0), max(d3, 0.0), max(d4, 0.0)
         hz = -(_given_outcome(d1, d2) + _given_outcome(d3, d4))
         h_cond = (LN2 - dx, LN2 - dy, hz)
     else:

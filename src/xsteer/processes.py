@@ -220,8 +220,10 @@ def damped_params(p: XStateParams, survival) -> XStateParams:
     Each qubit's |1> population decays to |0> with probability Q = 1 - P,
     so the populations move toward |00> and both coherences scale by
     sqrt(P) per qubit, P in all.  This is `apply_local_channel` with
-    `amplitude_damping_kraus` on both qubits, in closed form.
+    `amplitude_damping_kraus` on both qubits, in closed form.  P outside
+    [0, 1] raises ChannelParameterError.
     """
+    DOMAINS["channel_factor"].check(survival, "survival P", ChannelParameterError)
     q = 1.0 - survival
     return XStateParams(
         d1=p.d1 + q * p.d2 + q * p.d3 + q * q * p.d4,
@@ -237,8 +239,10 @@ def dephased_params(p: XStateParams, coherence) -> XStateParams:
     """X parameters after pure dephasing with factor P on both qubits.
 
     The populations stay; both coherences scale by P^2.  This is
-    `apply_local_channel` with `dephasing_kraus` on both qubits, in closed form.
+    `apply_local_channel` with `dephasing_kraus` on both qubits, in closed
+    form.  P outside [0, 1] raises ChannelParameterError.
     """
+    DOMAINS["channel_factor"].check(coherence, "coherence factor P", ChannelParameterError)
     scale = coherence * coherence
     return XStateParams(p.d1, p.d2, p.d3, p.d4, c14=scale * p.c14, c23=scale * p.c23)
 

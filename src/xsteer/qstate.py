@@ -23,7 +23,6 @@ import numpy as np
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIGENVALUE_TOL = -1e-10
-COHERENCE_TOL = 1e-12  # slack on c^2 <= d_a d_b in a 2x2 block of an X state
 X_STRUCTURE_TOL = 1e-10
 
 R_MAX = math.pi / 4.0
@@ -60,10 +59,10 @@ def shown(value) -> str:
     return str(value)
 
 
-def check_float(x, name: str, error: type[Exception]) -> None:
-    """Raise `error` naming the parameter if float(x) overflows, as for 10**400."""
+def check_float(x, name: str, error: type[Exception]) -> float:
+    """float(x); raise `error` naming the parameter if it overflows, as for 10**400."""
     try:
-        float(x)
+        return float(x)
     except OverflowError:
         raise error(f"{name} is too large for a float, got {shown(x)}") from None
 
@@ -105,11 +104,13 @@ class Domain:
 
 
 # The parameter domains every layer checks against: the Bell-mixture weight nu,
-# the Rindler parameter r of each qubit, the channel rate ratio g/gamma and the
-# dimensionless time gamma*t.  Amplitude damping needs g/gamma < 2, beyond which
-# its oscillation rate sqrt(g (2 gamma - g)) turns imaginary.
+# the Rindler parameter r of each qubit, the channel rate ratio g/gamma, the
+# dimensionless time gamma*t and the factor P a channel's closed form scales
+# by.  Amplitude damping needs g/gamma < 2, beyond which its oscillation rate
+# sqrt(g (2 gamma - g)) turns imaginary.
 DOMAINS = {
     "nu": Domain(0.0, 1.0),
+    "channel_factor": Domain(0.0, 1.0),
     "r": Domain(0.0, R_MAX),
     "g_over_gamma": Domain(0.0, math.inf, lo_open=True, hi_open=True),
     "g_over_gamma_ad": Domain(0.0, 2.0, lo_open=True, hi_open=True),
@@ -117,18 +118,25 @@ DOMAINS = {
 }
 
 
-def _block_ok(c, da, db):
-    """`XStateParams.validate`'s block clause on [[d_a, c], [c, d_b]], row by row for a batch."""
-    cc, dd = c * c, da * db
-    return (cc <= dd + COHERENCE_TOL) & (cc <= dd - EIGENVALUE_TOL * (da + db - EIGENVALUE_TOL))
+def _block_ok(cc, da, db):
+    """Whether the block [[d_a, c], [conj(c), d_b]], |c|^2 = cc, passes: the one positivity rule.
+
+    `check_density`'s floor EIGENVALUE_TOL on the block's smaller eigenvalue
+    `_smaller_block_eigenvalue`, squared out: (d_a + d_b)/2 - EIGENVALUE_TOL
+    must be at least 0 and its square at least ((d_a - d_b)/2)^2 + cc.  The
+    squared form has no cancellation near the floor.  Row by row for a batch.
+    """
+    return (da + db >= 2.0 * EIGENVALUE_TOL) & (
+        cc <= da * db - EIGENVALUE_TOL * (da + db - EIGENVALUE_TOL)
+    )
 
 
 def _smaller_block_eigenvalue(da, db, c) -> float:
-    """Smaller eigenvalue of the Hermitian 2x2 block [[d_a, c], [conj(c), d_b]].
+    """Smaller eigenvalue of the Hermitian 2x2 block [[d_a, c], [conj(c), d_b]], for a message.
 
     (d_a + d_b)/2 - hypot((d_a - d_b)/2, |c|), with |c| taken inside the
     hypot, which returns inf where abs of a complex past the largest double
-    raises OverflowError.
+    raises OverflowError.  `_block_ok` decides; this only reports.
     """
     return 0.5 * (da + db) - math.hypot(0.5 * (da - db), c.real, c.imag)
 
@@ -156,29 +164,27 @@ class XStateParams:
         return (self.d1, self.d2, self.d3, self.d4)
 
     def validate(self, name: str = "state") -> "XStateParams":
-        """The one check of X parameters: are they a density matrix?
+        """The one check of X parameters: `check_density`'s rule on their matrix.
 
-        Unit trace within TRACE_TOL, each 2x2 block [[d_a, c], [c, d_b]]
-        positive semidefinite, and every population in [0, 1].  The block
-        clause is c^2 <= d_a d_b + min(1e-12, 1e-10 (d_a + d_b) + 1e-20): the
-        second term is `check_density`'s floor EIGENVALUE_TOL on the smaller
-        block eigenvalue `_smaller_block_eigenvalue`, squared out.  Past
-        d_a + d_b = 0.01 the first, the coherence bound, is the smaller: a
-        block failing only it passes `check_density`, and its message says so.
-        Raises InvalidStateError naming `name` and the offending field;
-        returns the input.  Every condition is evaluated once; only a failure
-        looks for which check failed, in the order trace, outer block, inner
-        block, populations, each at its own first failing row of a batch.
+        Every field is read as float64, as `from_x_params` writes it into the
+        matrix (a scalar through `check_float`, so one no float can hold is
+        named), then checked for unit trace within TRACE_TOL, summed as
+        `check_density` sums it, and each 2x2 block [[d_a, c], [c, d_b]]
+        passing `_block_ok`, whose floor also keeps every population at
+        least EIGENVALUE_TOL.  Raises InvalidStateError naming `name`;
+        returns the input.  Every condition is evaluated once; only a
+        failure looks for which check failed, in the order trace, outer
+        block, inner block, each at its own first failing row of a batch.
         """
-        d1, d2, d3, d4 = diagonal = self.diagonal
-        total = d1 + d2 + d3 + d4
-        trace_ok = abs(total - 1.0) <= TRACE_TOL
-        outer_ok, inner_ok = _block_ok(self.c14, d1, d4), _block_ok(self.c23, d2, d3)
-        in_range = [(0.0 <= d) & (d <= 1.0) for d in diagonal]
-        row = failing_row(
-            trace_ok & outer_ok & inner_ok & in_range[0] & in_range[1] & in_range[2] & in_range[3]
+        d1, d2, d3, d4, c14, c23 = (
+            v.astype(np.float64, copy=False) if isinstance(v, np.ndarray)
+            else check_float(v, f"{name}: {k}", InvalidStateError)
+            for k, v in vars(self).items()  # the six fields, in their order
         )
-        if row is None:
+        total = (d1 + d2) + (d3 + d4)
+        trace_ok = abs(total - 1.0) <= TRACE_TOL
+        outer_ok, inner_ok = _block_ok(c14 * c14, d1, d4), _block_ok(c23 * c23, d2, d3)
+        if failing_row(trace_ok & outer_ok & inner_ok) is None:
             return self
         # Each check reports its own first failing row.
         trace_row = failing_row(trace_ok)
@@ -188,25 +194,17 @@ class XStateParams:
                 f"got {row_value(total, trace_row)}"
             )
         for c_name, c, d_names, da, db, block, ok in (
-            ("c14", self.c14, "d1*d4", d1, d4, "outer", outer_ok),
-            ("c23", self.c23, "d2*d3", d2, d3, "inner", inner_ok),
+            ("c14", c14, ("d1", "d4"), d1, d4, "outer", outer_ok),
+            ("c23", c23, ("d2", "d3"), d2, d3, "inner", inner_ok),
         ):
             block_row = failing_row(ok)
             if block_row is not None:
                 c, da, db = (row_value(v, block_row) for v in (c, da, db))
-                lo = _smaller_block_eigenvalue(da, db, c)
-                failed = ("is not positive semidefinite" if lo < EIGENVALUE_TOL
-                          else f"breaks the coherence bound c^2 <= d_a d_b + {COHERENCE_TOL:g}")
                 raise InvalidStateError(
-                    f"{name} {failed} (min eigenvalue {lo:.3e}): "
-                    f"in its {block} block {c_name}^2 = {c * c} exceeds {d_names} = {da * db}"
+                    f"{name} is not positive semidefinite (min eigenvalue "
+                    f"{_smaller_block_eigenvalue(da, db, c):.3e}): in its {block} block "
+                    f"{c_name}^2 = {c * c} with {d_names[0]} = {da}, {d_names[1]} = {db}"
                 )
-        # Last, so a negative population reports its block's eigenvalue.  Only
-        # the ranges fail now, so `row` is the first row where one does.
-        field = next(i for i, ok in enumerate(in_range) if failing_row(ok) == row)
-        raise InvalidStateError(
-            f"{name}: d{field + 1} must lie in [0, 1], got {row_value(diagonal[field], row)}"
-        )
 
 
 class BellIndex(Enum):
@@ -252,12 +250,14 @@ def check_density(rho: np.ndarray, name: str = "state") -> np.ndarray:
     nan, so a nan or inf entry fails the Hermiticity check: it leaves a nan
     or inf defect.
 
-    The checks run on the entries as Python numbers.  The smallest
-    eigenvalue has two sources.  When the eight entries off both diagonals
-    are exactly 0, the spectrum is exactly that of the two 2x2 blocks, so
-    the smaller block eigenvalue of each gives it in closed form.  Any other
-    matrix, however close to X structured, gets `np.linalg.eigvalsh`.  Both
-    read the lower triangle and the real part of the diagonal.
+    The checks run on the entries as Python numbers.  Positive
+    semidefiniteness means a smallest eigenvalue of at least EIGENVALUE_TOL.
+    When the eight entries off both diagonals are exactly 0, the spectrum is
+    exactly that of the two 2x2 blocks, so `_block_ok`, the rule
+    `XStateParams.validate` applies, decides on each.  Any other matrix,
+    however close to X structured, gets `np.linalg.eigvalsh`.  Both read the
+    lower triangle and the real part of the diagonal.  Populations in
+    [EIGENVALUE_TOL, 0) pass.
     """
     return _checked_rows(rho, name)[0]
 
@@ -292,16 +292,20 @@ def _checked_rows(rho, name: str) -> tuple[np.ndarray, list]:
         raise InvalidStateError(f"{name} is not a finite Hermitian matrix (defect {herm:.3e})")
     if not abs(tr - 1.0) <= TRACE_TOL:
         raise InvalidStateError(f"{name} does not have unit trace (trace {tr.real})")
-    if not any(_off_x(rows)):
+    if any(_off_x(rows)):
+        lo = float(np.linalg.eigvalsh(rho)[0])  # eigenvalues come in ascending order
+        if lo >= EIGENVALUE_TOL:
+            return rho, rows
+    elif _block_ok(a30.real * a30.real + a30.imag * a30.imag, a00.real, a33.real) and _block_ok(
+        a21.real * a21.real + a21.imag * a21.imag, a11.real, a22.real
+    ):
+        return rho, rows
+    else:
         lo = min(
             _smaller_block_eigenvalue(a00.real, a33.real, a30),
             _smaller_block_eigenvalue(a11.real, a22.real, a21),
         )
-    else:
-        lo = float(np.linalg.eigvalsh(rho)[0])  # eigenvalues come in ascending order
-    if not lo >= EIGENVALUE_TOL:
-        raise InvalidStateError(f"{name} is not positive semidefinite (min eigenvalue {lo:.3e})")
-    return rho, rows
+    raise InvalidStateError(f"{name} is not positive semidefinite (min eigenvalue {lo:.3e})")
 
 
 def from_x_params(p: XStateParams) -> np.ndarray:

@@ -303,6 +303,18 @@ def test_channel_closed_forms_match_kraus_path():
             np.testing.assert_allclose(from_x_params(closed), expected, rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("closed_form", [damped_params, dephased_params])
+def test_channel_closed_forms_refuse_factors_outside_the_unit_interval(closed_form):
+    # a factor past 1 would return a negative population with no error, and
+    # one no float can hold would overflow in the arithmetic
+    params = bell_mixture(0.3)
+    for factor in (2.0, -0.1, math.nan, 10**400, np.array([0.5, 1.5])):
+        with pytest.raises(ChannelParameterError, match=r"P must lie in \[0, 1\]"):
+            closed_form(params, factor)
+    for factor in (0.0, 1.0, np.array([0.0, 0.5, 1.0])):
+        closed_form(params, factor).validate()
+
+
 def test_dephasing_kills_coherences_at_long_times():
     ops = dephasing_kraus(0.1, 500.0)
     params = bell_mixture(0.3)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from conftest import _batch, _projector, partial_trace
 
-from xsteer.measures import full_report, steering_functional
+from xsteer.measures import full_report, steering_functional, x_report
 from xsteer.processes import bell_project_swap
 from xsteer.qstate import (
     DOMAINS,
@@ -69,12 +69,18 @@ def test_from_x_params_entry_positions():
         # c14^2 = 1e-12 is within the 1e-12 coherence slack, but the outer
         # block's smaller eigenvalue is -1e-6
         (XStateParams(0.0, 0.5, 0.5, 0.0, 1e-6, 0.0), "min eigenvalue"),
-        # both blocks pass; the populations leave [0, 1]
-        (XStateParams(1.2, -0.1, -0.1, 0.0, 0.0, 0.0), "d1 must lie in"),
+        # the populations leave [0, 1]: d2 + d3 < 0 puts the inner block below the floor
+        (XStateParams(1.2, -0.1, -0.1, 0.0, 0.0, 0.0), "in its inner block"),
+        # a field no float can hold is named, not an OverflowError
+        (XStateParams(10**5000, 0, 0, 0, 0, 0), "d1 is too large for a float, got 1.000e\\+5000"),
+        (XStateParams(0.5, 0, 0, 0.5, 10**400, 0), "c14 is too large for a float"),
+        # ints that sum to 1 exactly but overflow d1*d4 are checked as the
+        # floats the matrix holds, whose diagonal sums to 0
+        (XStateParams(10**300, 1 - 2 * 10**300, 0, 10**300, 0, 0), "unit trace.*got 0.0"),
     ],
 )
 def test_from_x_params_rejects_invalid(params, fragment):
-    for entry in (from_x_params, steering_functional):
+    for entry in (from_x_params, steering_functional, x_report):
         with pytest.raises(InvalidStateError, match=fragment):
             entry(params)
 
@@ -366,10 +372,9 @@ _NEGATIVE_EIGENVALUE = XStateParams(
 )
 
 
-# c14^2 exceeds d1*d4 by 5e-11, past the 1e-12 slack, but the smaller outer
-# eigenvalue is -5e-11, above the eigenvalue floor: `check_density` passes
-# the matrix, and `validate` refuses it by the coherence bound alone.
-_COHERENCE_ONLY = XStateParams(0.5, 0.0, 0.0, 0.5, 0.5 + 5e-11, 0.0)
+# c14^2 exceeds d1*d4 by 5e-11, but the smaller outer eigenvalue is -5e-11,
+# above the eigenvalue floor: both checks accept it.
+_ABOVE_FLOOR = XStateParams(0.5, 0.0, 0.0, 0.5, 0.5 + 5e-11, 0.0)
 
 
 @pytest.mark.parametrize(
@@ -380,76 +385,122 @@ _COHERENCE_ONLY = XStateParams(0.5, 0.0, 0.0, 0.5, 0.5 + 5e-11, 0.0)
         (XStateParams(0.5, 0.25, 0.25, 1e-9, 0.0, 0.0), "trace"),
         (XStateParams(0.7, 0.5, -0.1, -0.1, 0.0, 0.0), "positive semidefinite"),
         (_NEGATIVE_EIGENVALUE, "positive semidefinite"),
-        (_COHERENCE_ONLY, "coherence bound"),
+        (_ABOVE_FLOOR, None),
     ],
 )
 def test_check_x_density_agrees_with_matrix_check(params, fragment):
     """The X-parameter check, `validate`, agrees with `check_density` on the matrix.
 
-    Except for `_COHERENCE_ONLY`, the one documented case where they differ:
-    once d_a + d_b > 0.01 the 1e-12 coherence bound is tighter than the
-    -1e-10 eigenvalue floor, so `validate` refuses a block whose smaller
-    eigenvalue `check_density` accepts, and says that the bound failed.
+    Every matrix both accept gets a report from `full_report`.
     """
     rho = _x_matrix(params)
-    if fragment is None or params is _COHERENCE_ONLY:
-        check_density(rho)
     if fragment is None:
         assert params.validate() is params
+        check_density(rho)
+        full_report(rho)
         return
-    checks = [(XStateParams.validate, params)]
-    # full_report reads the X parameters off the matrix and validates them
-    checks.append((full_report, rho) if params is _COHERENCE_ONLY else (check_density, rho))
-    for check, arg in checks:
+    for check, arg in ((XStateParams.validate, params), (check_density, rho)):
         with pytest.raises(InvalidStateError, match=fragment):
             check(arg)
 
 
-def _separate_block_rules(da, db, c):
-    """The two block rules `validate` merges, each in its own closed form.
-
-    The coherence bound c^2 <= d_a d_b + 1e-12, and `check_density`'s floor
-    on the smaller block eigenvalue.
-    """
-    coherence_rule = c * c <= da * db + 1e-12
-    eigenvalue_rule = 0.5 * (da + db) - np.hypot(0.5 * (da - db), c) >= -1e-10
-    return coherence_rule & eigenvalue_rule
-
-
-def test_block_rule_accepts_what_both_separate_rules_accept():
-    # Blocks with d_a, d_b log-uniform down to 1e-22 (some exactly 0), and c
-    # set a relative 1e-7 to 1e-1 inside or outside one rule's boundary.
-    # Closer than about 1e-8 the eigenvalue form loses digits to the
-    # cancellation in (d_a + d_b)/2 - hypot, which the squared form avoids.
+def test_validate_accepts_exactly_what_check_density_accepts():
+    # Blocks with d_a, d_b log-uniform down to 1e-22, some exactly 0 and some
+    # negative down to -2e-10, and c set a relative 1e-7 to 1e-1 inside or
+    # outside c^2 = d_a d_b + 1e-12 or the eigenvalue floor's boundary
+    # (d_a + 1e-10)(d_b + 1e-10).  Closer than about 1e-8 the eigenvalue
+    # form loses digits to the cancellation in (d_a + d_b)/2 - hypot, which
+    # the squared form avoids.
     n = 100_000
     rng = np.random.default_rng(2010)
     da, db = np.exp(rng.uniform(math.log(1e-22), math.log(0.5), (2, n)))
-    da[rng.random(n) < 0.05] = 0.0
-    db[rng.random(n) < 0.05] = 0.0
+    for d in (da, db):
+        d[rng.random(n) < 0.05] = 0.0
+        negative = rng.random(n) < 0.05
+        d[negative] = -rng.uniform(0.0, 2e-10, negative.sum())
     boundary = np.where(rng.random(n) < 0.5, da * db + 1e-12, (da + 1e-10) * (db + 1e-10))
     offset = rng.choice([-1.0, 1.0], n) * np.exp(rng.uniform(math.log(1e-7), math.log(0.1), n))
-    c = rng.choice([-1.0, 1.0], n) * np.sqrt(boundary) * (1.0 + offset)
-    accepted = _separate_block_rules(da, db, c)
-    assert 0.1 < accepted.mean() < 0.9
+    c = rng.choice([-1.0, 1.0], n) * np.sqrt(np.maximum(boundary, 0.0)) * (1.0 + offset)
     # even rows test the outer block, odd rows the inner one; the other
     # block is diagonal and the trace is 1
     rest, zero = 0.5 * (1.0 - da - db), np.zeros(n)
     outer = np.arange(n) % 2 == 0
     states = np.where(outer, [da, rest, rest, db, c, zero], [rest, da, db, rest, zero, c])
-    XStateParams(*states[:, accepted]).validate()
-    still_accepted = []
-    for row in states[:, ~accepted].T.tolist():
-        d1, d2, d3, d4, c14, c23 = row
-        da, db, c = (d1, d4, c14) if c14 else (d2, d3, c23)
-        # the message names the eigenvalue floor where it fails, else the coherence bound
-        floor_ok = 0.5 * (da + db) - math.hypot(0.5 * (da - db), c) >= -1e-10
+    # the matrix of half the rows turns each coherence by a phase, keeping its modulus
+    turned = rng.random((2, n)) < 0.5
+    phases = np.where(turned, np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, (2, n))), 1.0)
+    matrices = np.zeros((n, 4, 4), dtype=complex)
+    for i in range(4):
+        matrices[:, i, i] = states[i]
+    matrices[:, 3, 0] = states[4] * phases[0]
+    matrices[:, 2, 1] = states[5] * phases[1]
+    matrices[:, 0, 3] = matrices[:, 3, 0].conj()
+    matrices[:, 1, 2] = matrices[:, 2, 1].conj()
+
+    def accepts(check, arg):
         try:
-            XStateParams(*row).validate()
+            check(arg)
         except InvalidStateError as exc:
-            assert ("coherence bound" if floor_ok else "positive semidefinite") in str(exc)
-        else:
-            still_accepted.append(row)
-    assert still_accepted == []
+            assert "positive semidefinite" in str(exc)
+            return False
+        return True
+
+    accepted = [accepts(check_density, rho) for rho in matrices]
+    rows = [XStateParams(*row) for row in states.T.tolist()]
+    assert [accepts(XStateParams.validate, row) for row in rows] == accepted
+    accepted = np.array(accepted)
+    assert 0.1 < accepted.mean() < 0.9
+    assert 0.01 < (np.minimum.reduce(states[:4]) < 0.0)[accepted].mean()  # some below 0
+    XStateParams(*states[:, accepted]).validate()
+    with pytest.raises(InvalidStateError, match="positive semidefinite"):
+        XStateParams(*states).validate()
+    # full_report reads the real parts of the coherences, x_report the same
+    # real parts as parameters; H_z takes each population as at least 0
+    kept = matrices[accepted]
+    real = [kept[:, i, i].real for i in range(4)] + [kept[:, 3, 0].real, kept[:, 2, 1].real]
+    reports = np.array([(r.s, r.z, r.e_x, r.e_y, r.i_ab) for r in map(full_report, kept)])
+    np.testing.assert_allclose(reports, x_report(XStateParams(*real)), rtol=0, atol=1e-14)
+    # a population on the floor and its partner at 1e-10 give H_z = ln 2
+    # and I_AB = 0, not a division by their sum 0
+    edge = XStateParams(-1e-10, 1e-10, 0.5, 0.5, 0.0, 0.0)
+    assert full_report(_x_matrix(edge)).i_ab == 0.0
+    assert x_report(edge)[0, 4] == 0.0
+
+
+def test_validate_reads_every_field_as_the_float64_matrix_holds_it():
+    # float32 fields near the outer block's floor, whose float32 trace can
+    # round to 1 where the float64 one is off by about 1e-8: validate, batched
+    # and row by row, decides as check_density does on their float64 matrix
+    n = 2000
+    rng = np.random.default_rng(2811)
+    d = rng.dirichlet(np.ones(4), n).T.astype(np.float32)
+    offset = rng.uniform(-1e-6, 1e-6, n)
+    c14 = (np.sqrt(d[0].astype(np.float64) * d[3]) * (1.0 + offset)).astype(np.float32)
+    fields = (*d, c14, np.zeros(n, dtype=np.float32))
+
+    def verdict(check, arg):
+        try:
+            check(arg)
+        except InvalidStateError as exc:
+            return str(exc).split(" (")[0].split(":")[0]
+        return "accepted"
+
+    verdicts = [verdict(check_density, _x_matrix(XStateParams(*row))) for row in zip(*fields)]
+    assert [verdict(XStateParams.validate, XStateParams(*row)) for row in zip(*fields)] == verdicts
+    assert {"accepted", "state does not have unit trace", "state is not positive semidefinite"} == set(
+        verdicts
+    )
+    kept = np.array(verdicts) == "accepted"
+    XStateParams(*(f[kept] for f in fields)).validate()
+    first = verdicts.index(next(v for v in verdicts if v != "accepted"))
+    with pytest.raises(InvalidStateError) as batched:
+        XStateParams(*fields).validate()
+    with pytest.raises(InvalidStateError) as single:
+        XStateParams(*(f[first] for f in fields)).validate()
+    assert str(batched.value) == str(single.value)
+    # an int64 coherence whose square wraps to 0 in int64 arithmetic
+    with pytest.raises(InvalidStateError, match="outer block c14"):
+        XStateParams(np.array([1]), 0, 0, np.array([0]), np.array([2**32]), 0).validate()
 
 
 def test_batch_checks_report_the_first_failing_row():
@@ -468,8 +519,8 @@ def test_batch_checks_report_the_first_failing_row():
 
 # Batches of six seeded valid states with bad rows put in: {row: state}, the
 # row whose error is reported, and its message.  `validate` reports the first
-# failing check in the order trace, outer block, inner block, populations,
-# each at its own first failing row.
+# failing check in the order trace, outer block, inner block, each at its own
+# first failing row.
 _DIAGNOSED = {
     "trace wins over an earlier block error": (
         {
@@ -484,7 +535,7 @@ _DIAGNOSED = {
         {4: XStateParams(0.25, 0.25, 0.25, 0.25, 0.3, 0.0)},
         4,
         "state is not positive semidefinite (min eigenvalue -5.000e-02): "
-        "in its outer block c14^2 = 0.09 exceeds d1*d4 = 0.0625",
+        "in its outer block c14^2 = 0.09 with d1 = 0.25, d4 = 0.25",
     ),
     "outer block wins over an earlier inner one": (
         {
@@ -493,7 +544,7 @@ _DIAGNOSED = {
         },
         5,
         "state is not positive semidefinite (min eigenvalue -5.000e-02): "
-        "in its outer block c14^2 = 0.2025 exceeds d1*d4 = 0.16000000000000003",
+        "in its outer block c14^2 = 0.2025 with d1 = 0.4, d4 = 0.4",
     ),
     "inner block": (
         {
@@ -502,8 +553,10 @@ _DIAGNOSED = {
         },
         2,
         "state is not positive semidefinite (min eigenvalue -5.000e-02): "
-        "in its inner block c23^2 = 0.0225 exceeds d2*d3 = 0.010000000000000002",
+        "in its inner block c23^2 = 0.0225 with d2 = 0.1, d3 = 0.1",
     ),
+    # row 1's negative populations fail its inner block, so the outer block
+    # check reports row 4 first
     "negative population with a block error wins over a range error": (
         {
             1: XStateParams(1.2, -0.1, -0.1, 0.0, 0.0, 0.0),
@@ -511,15 +564,17 @@ _DIAGNOSED = {
         },
         4,
         "state is not positive semidefinite (min eigenvalue -1.000e-01): "
-        "in its outer block c14^2 = 0.0 exceeds d1*d4 = -0.06999999999999999",
+        "in its outer block c14^2 = 0.0 with d1 = 0.7, d4 = -0.1",
     ),
+    # with zero coherences, d2 + d3 < 0 alone puts the inner block below the floor
     "populations alone": (
         {
             2: XStateParams(0.0, -0.05, -0.05, 1.1, 0.0, 0.0),
             4: XStateParams(1.2, -0.1, -0.1, 0.0, 0.0, 0.0),
         },
         2,
-        "state: d2 must lie in [0, 1], got -0.05",
+        "state is not positive semidefinite (min eigenvalue -5.000e-02): "
+        "in its inner block c23^2 = 0.0 with d2 = -0.05, d3 = -0.05",
     ),
 }
 

@@ -326,12 +326,13 @@ def test_guard_domain_fires_for_first_bad_grid_value(tmp_path, monkeypatch):
     [
         ((0.5, 0.25, 0.25, 1e-9, 0.0, 0.0), "unit trace"),
         ((0.0005, 0.4995, 0.4995, 0.0005, math.sqrt(0.0005**2 + 5e-13), 0.0), "min eigenvalue"),
-        ((0.5, 0.0, 0.0, 0.5, 0.5 + 2e-12, 0.0), "c14\\^2"),
-        ((0.25, 0.25, 0.25, 0.25, 0.0, 0.25 + 1e-11), "c23\\^2"),
+        ((0.5, 0.0, 0.0, 0.5, 0.5 + 2e-10, 0.0), "c14\\^2"),
+        ((0.25, 0.25, 0.25, 0.25, 0.0, 0.25 + 2e-10), "c23\\^2"),
     ],
 )
 def test_guard_state_checks_fire_per_row(tmp_path, monkeypatch, bad, fragment):
-    # check_density's trace and eigenvalue checks and validate's block rules
+    # validate's trace check, then its block rule: the floor on the smaller
+    # eigenvalue, in the outer and the inner block just past it
     with pytest.raises(InvalidStateError, match=fragment):
         _run_with_params(tmp_path, monkeypatch, [_PSI, _MIXED, XStateParams(*bad), _MIXED])
     assert not list(tmp_path.iterdir())
@@ -383,7 +384,7 @@ def test_guard_non_finite_rows(tmp_path, monkeypatch):
     "bad, tolerance, error",
     [
         ((0.5, 0.25, 0.25, 1e-9, 0.0, 0.0), None, InvalidStateError),
-        ((0.5, 0.0, 0.0, 0.5, 0.5 + 2e-12, 0.0), None, InvalidStateError),
+        ((0.5, 0.0, 0.0, 0.5, 0.5 + 2e-10, 0.0), None, InvalidStateError),
         ((0.5, 0.0, 0.0, 0.5, 0.5, 0.0), 0.01, NegativeProbabilityError),
     ],
 )
