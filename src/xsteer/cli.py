@@ -1,15 +1,19 @@
 """Command-line front end for the sweep engine.
 
 Exit codes: 0 success, 2 invalid configuration (including parameters that
-give an invalid state or channel), 3 I/O failure, 4 internal consistency
-failure (dual-path disagreement, a negative outcome probability, a Bell
-outcome of zero probability, or a non-finite value in a record to be written).
+give an invalid state or channel), 3 I/O failure (including a success line
+that cannot be written to stdout), 4 internal consistency failure (dual-path
+disagreement, a negative outcome probability, a Bell outcome of zero
+probability, or a non-finite value in a record to be written).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import json
+import os
 import sys
 from typing import Callable, NamedTuple
 
@@ -159,22 +163,56 @@ def _build_config(args: argparse.Namespace) -> SweepConfig:
     return SweepConfig(start=start, stop=stop, points=points, **fields)
 
 
-def main(argv=None) -> int:
+def _sweep(argv) -> tuple[int, str]:
+    """Run the sweep `argv` asks for: its exit code and the line that reports it."""
     try:
         cfg = _build_config(build_parser().parse_args(argv))
         records = run_sweep(cfg)
     except (ConfigError, InvalidStateError, ChannelParameterError) as exc:
-        print(f"sweep: invalid config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return EXIT_CONFIG, f"sweep: invalid config: {exc}"
     except OSError as exc:
-        print(f"sweep: I/O failure: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return EXIT_IO, f"sweep: I/O failure: {exc}"
     except (PathDisagreementError, NegativeProbabilityError, ZeroProbabilityOutcomeError,
             NonFiniteRecordError) as exc:
-        print(f"sweep: internal consistency failure: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    print(f"wrote {cfg.out} ({len(records)} rows) and companion .gnuplot script")
-    return EXIT_OK
+        return EXIT_INTERNAL, f"sweep: internal consistency failure: {exc}"
+    return EXIT_OK, f"wrote {cfg.out} ({len(records)} rows) and companion .gnuplot script"
+
+
+def _write_line(stream, line: str) -> OSError | None:
+    """Write `line` and a line break to `stream` and flush it; the OSError that stops it, else None.
+
+    A stream that fails is closed, which drops the bytes it still holds, so
+    the interpreter does not fail on them again when it flushes the standard
+    streams at exit.  None, Python's standard stream for a descriptor closed
+    at start-up, fails with EBADF.
+    """
+    if stream is None:
+        return OSError(errno.EBADF, os.strerror(errno.EBADF))
+    try:
+        stream.write(line + "\n")
+        stream.flush()
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            stream.close()
+        return exc
+    return None
+
+
+def main(argv=None) -> int:
+    """Run the sweep `argv` asks for and report it in one line: exit code 0, 2, 3 or 4.
+
+    Success is reported on stdout and each failure on stderr.  A success
+    line that cannot be written makes the run an I/O failure; a failure
+    line that cannot be written leaves the failure's own exit code.
+    """
+    code, line = _sweep(argv)
+    if code == EXIT_OK:
+        failure = _write_line(sys.stdout, line)
+        if failure is None:
+            return EXIT_OK
+        code, line = EXIT_IO, f"sweep: I/O failure: cannot write to stdout: {failure}"
+    _write_line(sys.stderr, line)
+    return code
 
 
 if __name__ == "__main__":

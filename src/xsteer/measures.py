@@ -24,8 +24,10 @@ D_x + D_y and H_z are not both near ln 2.  The dual-path check compares
 this closed form with the entropy identity I_AB = 6 ln 2 - 2 (H_x + H_y +
 H_z), with H_x and H_y from the cleaned joint probabilities; both sides
 share the closed form's H_z of the populations, so the check compares
-g(t) and g(u) with the joint x and y tables.  Cleaning is one rule on both
-paths: the negative-probability floor, negatives set to 0, each table
+g(t) and g(u) with the joint x and y tables.  Every closed-form I_AB,
+`steering_functional`'s included, passes this check.  Cleaning is one rule
+on both paths: the negative-probability floor, which is `check_density`'s
+eigenvalue floor EIGENVALUE_TOL, negatives set to 0, each table
 renormalised, after which no entry exceeds 1.
 
 `full_report` projects a density matrix and is the library path; `x_report`
@@ -39,8 +41,8 @@ tables and the populations, raised to at least 0, cleans the two joint
 tables with `joint_distribution`'s rule and takes the three tables' H(B|A)
 with `conditional_entropy`'s, which gives the identity's H_x, H_y and the H_z
 both sides share; `_g` gives the deficits and `_derive` the rest.
-`steering_functional` reads the same pass.  `joint_distribution` and
-`conditional_entropy` project a density matrix on arrays and are, with
+`steering_functional` reads the same pass and check.  `joint_distribution`
+and `conditional_entropy` project a density matrix on arrays and are, with
 `steering_functional`, the reference for both.
 """
 
@@ -52,6 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qstate import (
+    EIGENVALUE_TOL,
     XStateParams,
     _checked_rows,
     _x_entries,
@@ -79,8 +82,9 @@ TWO_LN2 = neur_bound(2)  # the steering threshold; bit-identical to 2 ln 2
 SIX_LN2 = 6.0 * LN2
 
 # Raw measurement probabilities this far below zero indicate a broken input,
-# not rounding noise.
-NEGATIVE_PROBABILITY_TOL = -1e-10
+# not rounding noise: each is some <b|rho|b>, at least the smallest
+# eigenvalue, which `check_density` keeps at EIGENVALUE_TOL or above.
+NEGATIVE_PROBABILITY_TOL = EIGENVALUE_TOL
 # Allowed disagreement between the closed-form functional and the entropy
 # identity before full_report treats it as a formula bug.
 PATH_AGREEMENT_TOL = 1e-9
@@ -245,11 +249,11 @@ def steering_functional(p: XStateParams):
 
     It equals 6 ln 2 - 2 (H_x + H_y + H_z); values above 2 ln 2 certify
     steering from A to B.  A batch gives one value per row.  This is
-    `x_report`'s closed form, from the same pass, validation and
-    negative-probability floor.
+    `x_report`'s closed form, from the same pass, validation,
+    negative-probability floor and dual-path check.
     """
-    d, hz, _ = _x_sides(p)
-    return _derive(d, hz)[0]
+    d, hz, h = _x_sides(p)
+    return _checked_i_ab(_derive(d, hz)[0], h)
 
 
 @dataclass(frozen=True)

@@ -68,7 +68,7 @@ def _realign(m: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _check_acceleration(nu: float, r_a: float, r_b: float) -> None:
-    DOMAINS["nu"].check(nu, "nu", InvalidStateError)
+    DOMAINS["nu"].check(nu, "mixing parameter nu", InvalidStateError)  # as bell_mixture names it
     DOMAINS["r"].check(r_a, "r_a", InvalidStateError)
     DOMAINS["r"].check(r_b, "r_b", InvalidStateError)
 

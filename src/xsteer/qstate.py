@@ -248,7 +248,9 @@ def check_density(rho: np.ndarray, name: str = "state") -> np.ndarray:
     `rho` must be a two-qubit operator, 4x4 (see `as_square`); returns it
     as a complex array so it can be used inline.  Each comparison fails on
     nan, so a nan or inf entry fails the Hermiticity check: it leaves a nan
-    or inf defect.
+    or inf defect.  The trace is the sum of the real diagonal, paired
+    (d1 + d2) + (d3 + d4) as `XStateParams.validate` sums it; the
+    Hermiticity check bounds the diagonal's imaginary parts.
 
     The checks run on the entries as Python numbers.  Positive
     semidefiniteness means a smallest eigenvalue of at least EIGENVALUE_TOL.
@@ -274,7 +276,7 @@ def _checked_rows(rho, name: str) -> tuple[np.ndarray, list]:
     rho = as_square(rho, name)
     rows = rho.tolist()
     (a00, a01, a02, a03), (a10, a11, a12, a13), (a20, a21, a22, a23), (a30, a31, a32, a33) = rows
-    tr = (a00 + a11) + (a22 + a33)  # numpy's pairing, so the same rounding
+    tr = (a00.real + a11.real) + (a22.real + a33.real)  # numpy's pairing, as validate sums
     try:
         defects = [
             abs(a00 - a00.conjugate()), abs(a11 - a11.conjugate()),
@@ -291,7 +293,7 @@ def _checked_rows(rho, name: str) -> tuple[np.ndarray, list]:
     if not herm <= HERMITICITY_TOL:
         raise InvalidStateError(f"{name} is not a finite Hermitian matrix (defect {herm:.3e})")
     if not abs(tr - 1.0) <= TRACE_TOL:
-        raise InvalidStateError(f"{name} does not have unit trace (trace {tr.real})")
+        raise InvalidStateError(f"{name} does not have unit trace (trace {tr})")
     if any(_off_x(rows)):
         lo = float(np.linalg.eigvalsh(rho)[0])  # eigenvalues come in ascending order
         if lo >= EIGENVALUE_TOL:

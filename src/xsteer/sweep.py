@@ -126,9 +126,16 @@ class SweepConfig:
     not.  The grid is computed in float64 from float(start) and
     float(stop) by np.linspace's own steps (see grid): it equals np.linspace
     of those two floats byte for byte, and np.float32 or Fraction ends give
-    the float64 grid of their float() values.  `r_b` is either a float in
-    [0, pi/4] or the string "track", meaning r_b follows the swept r_a.
+    the float64 grid of their float() values.  `r_b` is either such a
+    number or the string "track", meaning r_b follows the swept r_a.
     `jobs` > 1 evaluates contiguous chunks of the grid in a process pool.
+
+    `validate` checks these rules and that the grid lies in the swept
+    parameter's domain, which `grid` needs.  The domains of the fixed
+    parameters (`nu` in [0, 1], `r_b` in [0, pi/4], `g_over_gamma` positive
+    and, for ad-channel, below 2) are checked by the closed forms that take
+    them (see _x_params) on every run_sweep, before anything is written; a
+    mode ignores the fixed parameters it does not use.
     """
 
     mode: str
@@ -153,6 +160,10 @@ class SweepConfig:
             if not _is_real(value):
                 raise ConfigError(f"{name} must be a real number, got {value!r}")
             check_float(value, name, ConfigError)  # compared exactly, but swept as a float
+        if self.r_b != "track":
+            if not _is_real(self.r_b):
+                raise ConfigError(f"r_b must be a number or 'track', got {self.r_b!r}")
+            check_float(self.r_b, "r_b", ConfigError)
         if not 2 <= self.points <= MAX_POINTS:
             raise ConfigError(f"points must lie in [2, {MAX_POINTS}], got {shown(self.points)}")
         if not self.start < self.stop:
@@ -179,15 +190,6 @@ class SweepConfig:
         swept = DOMAINS[_SWEPT[self.mode][0]]
         if not (swept.contains(self.start) and swept.contains(self.stop)):
             raise ConfigError(f"{self.mode} sweeps need a grid inside {swept}")
-        if self.mode == "acceleration" and self.r_b != "track":
-            if not _is_real(self.r_b):
-                raise ConfigError(f"r_b must be a number or 'track', got {self.r_b!r}")
-            DOMAINS["r"].check(self.r_b, "r_b", ConfigError)
-        if self.mode in ("acceleration", "ad-channel", "dephasing-channel"):
-            DOMAINS["nu"].check(self.nu, "nu", ConfigError)
-        if self.mode in ("ad-channel", "dephasing-channel"):
-            rate = "g_over_gamma_ad" if self.mode == "ad-channel" else "g_over_gamma"
-            DOMAINS[rate].check(self.g_over_gamma, "g-over-gamma", ConfigError)
         if not isinstance(self.bell, BellIndex):
             raise ConfigError(f"bell must be a BellIndex, got {self.bell!r}")
         return self

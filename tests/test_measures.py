@@ -563,6 +563,8 @@ def test_either_side_of_the_path_check_off_by_2e_9_raises(monkeypatch, side):
     for p in states:
         with pytest.raises(PathDisagreementError):
             full_report(from_x_params(p))
+        with pytest.raises(PathDisagreementError):
+            steering_functional(p)
 
 
 def test_full_report_keeps_zero_offsets_at_zero():

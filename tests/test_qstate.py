@@ -328,6 +328,23 @@ def test_check_density_exact_x_blocks_match_dense_solver(monkeypatch):
     assert len(calls) == 2
 
 
+def test_check_density_reads_the_real_trace():
+    # Imaginary parts within the Hermiticity tolerance on each diagonal entry
+    # of 20,000 seeded X states: the real trace, summed as validate sums it,
+    # is within 1e-16 of 1, so check_density and full_report accept every one
+    rng = np.random.default_rng(29)
+    for k in range(20_000):
+        rho = from_x_params(random_x_state(k))
+        rho[range(4), range(4)] += 1j * rng.uniform(-0.5e-12, 0.5e-12, 4)
+        check_density(rho)
+        full_report(rho)
+    # a real trace off by 2e-12 is still refused, and the message prints it
+    rho[0, 0] += 2e-12
+    real_trace = (rho[0, 0].real + rho[1, 1].real) + (rho[2, 2].real + rho[3, 3].real)
+    with pytest.raises(InvalidStateError, match=re.escape(f"(trace {real_trace})")):
+        check_density(rho)
+
+
 def test_check_density_hermiticity_defect_matches_numpy():
     # Seeded 4x4 density matrices, a quarter of them exactly X, with one
     # entry pushed off Hermitian by 0.5e-12 to 2e-12 (an imaginary part on

@@ -1,4 +1,5 @@
 import errno
+import io
 import json
 import math
 import os
@@ -77,13 +78,12 @@ def _cfg(tmp_path, **kw):
         (dict(mode="acceleration", start=0.0, stop=0.5, r_b="sideways"), "track"),
         (dict(mode="acceleration", start=0.0, stop=0.5, r_b=3.0), "r_b"),
         (dict(mode="ad-channel", start=0.0, stop=10.0, nu=1.5), "nu"),
-        (dict(mode="ad-channel", start=0.0, stop=10.0, g_over_gamma=2.5), "g-over-gamma"),
-        (dict(mode="dephasing-channel", start=0.0, stop=10.0, g_over_gamma=-1.0), "g-over-gamma"),
+        (dict(mode="ad-channel", start=0.0, stop=10.0, g_over_gamma=2.5), "g/gamma"),
+        (dict(mode="dephasing-channel", start=0.0, stop=10.0, g_over_gamma=-1.0), "g/gamma"),
         (dict(mode="swap", bell="psi"), "bell"),
         (dict(mode="acceleration", start=0.0, stop=math.nextafter(math.pi / 4, 1)), "pi/4"),
         (dict(mode="ad-channel", start=0.0, stop=math.inf), "inside"),
-        (dict(mode="dephasing-channel", start=0.0, stop=10.0, g_over_gamma=math.inf),
-         "g-over-gamma"),
+        (dict(mode="dephasing-channel", start=0.0, stop=10.0, g_over_gamma=math.inf), "g/gamma"),
         (dict(points=MAX_POINTS + 1), "points"),
         (dict(out="fig.gnuplot"), "gnuplot"),
         (dict(points=5.5), "points"),
@@ -105,11 +105,59 @@ def _cfg(tmp_path, **kw):
         (dict(mode="ad-channel", start=0.0, stop=10.0, nu=10**400), "nu is too large for a float"),
         (dict(mode="dephasing-channel", start=0.0, stop=10.0, g_over_gamma=10**400),
          "g_over_gamma is too large for a float"),
+        # the type rules hold in every mode, r_b's too
+        (dict(mode="nu", r_b="sideways"), "track"),
     ],
 )
 def test_config_validation_reports_offending_field(tmp_path, kw, fragment):
-    with pytest.raises(ConfigError, match=fragment):
-        _cfg(tmp_path, **kw).validate()
+    # run_sweep refuses each before it writes anything: validate the types and
+    # the grid's domain, the closed forms the fixed parameters' domains
+    with pytest.raises((ConfigError, InvalidStateError, ChannelParameterError), match=fragment):
+        run_sweep(_cfg(tmp_path, **kw))
+    assert not list(tmp_path.iterdir())
+
+
+# Each fixed parameter outside its domain, the closed form that refuses it and
+# its message, which the CLI prints after "sweep: invalid config: ".
+_CLOSED_FORM_REFUSALS = [
+    ("acceleration", "r_b", 3.0, InvalidStateError, "r_b must lie in [0, pi/4], got 3.0"),
+    ("acceleration", "nu", 1.5, InvalidStateError,
+     "mixing parameter nu must lie in [0, 1], got 1.5"),
+    ("ad-channel", "nu", 1.5, InvalidStateError,
+     "mixing parameter nu must lie in [0, 1], got 1.5"),
+    ("ad-channel", "g_over_gamma", 2.5, ChannelParameterError,
+     "g/gamma must lie in (0, 2), got 2.5"),
+    ("dephasing-channel", "g_over_gamma", -1.0, ChannelParameterError,
+     "g/gamma must lie in (0, inf), got -1.0"),
+    ("dephasing-channel", "g_over_gamma", math.inf, ChannelParameterError,
+     "g/gamma must lie in (0, inf), got inf"),
+    ("dephasing-channel", "nu", math.nan, InvalidStateError,
+     "mixing parameter nu must lie in [0, 1], got nan"),
+]
+_FLAGS = {"nu": "--nu", "r_b": "--rb", "g_over_gamma": "--g-over-gamma"}
+
+
+@pytest.mark.parametrize(
+    "mode, field, value, error, message", _CLOSED_FORM_REFUSALS,
+    ids=[f"{mode}-{field}={value}" for mode, field, value, *_ in _CLOSED_FORM_REFUSALS],
+)
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_closed_forms_own_the_fixed_parameters_domains(
+    tmp_path, capsys, jobs, mode, field, value, error, message
+):
+    # validate accepts the config; the closed form refuses it on the first
+    # block, in a pool worker too, and nothing is written
+    start, stop, _ = sweep._SWEPT[mode][2]
+    cfg = _cfg(tmp_path, mode=mode, start=start, stop=stop, jobs=jobs, **{field: value})
+    cfg.validate()
+    with pytest.raises(error) as refused:
+        run_sweep(cfg)
+    assert str(refused.value) == message
+    assert not list(tmp_path.iterdir())
+    argv = ["--mode", mode, _FLAGS[field], str(value), "--jobs", str(jobs), "--out", cfg.out]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"sweep: invalid config: {message}\n"
+    assert not list(tmp_path.iterdir())
 
 
 # Python prints no int of more than 4,300 digits, and no float holds 10**5000.
@@ -1421,6 +1469,106 @@ def test_cli_maps_library_errors_to_exit_codes(tmp_path, monkeypatch, capsys, er
     assert main(["--mode", "nu", "--grid", "0:1:5", "--out", str(tmp_path / "x.csv")]) == code
     err = capsys.readouterr().err
     assert err.startswith("sweep: ") and err.endswith("forced\n") and err.count("\n") == 1
+
+
+class _FailingStream(io.StringIO):
+    """A text stream whose every write raises `error`."""
+
+    def __init__(self, error: OSError) -> None:
+        super().__init__()
+        self.error = error
+
+    def write(self, text):
+        raise self.error
+
+
+# How a standard stream fails: a full device, a pipe whose reader has closed
+# its end, and a descriptor closed at start-up, for which Python sets None.
+_STREAM_FAILURES = {
+    "full": lambda: _FailingStream(OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))),
+    "pipe": lambda: _FailingStream(BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))),
+    "closed": lambda: None,
+}
+
+
+@pytest.mark.parametrize("failure", _STREAM_FAILURES)
+def test_cli_success_line_that_cannot_be_written_is_an_io_failure(tmp_path, monkeypatch, failure):
+    out = tmp_path / "x.csv"
+    stdout = _STREAM_FAILURES[failure]()
+    err = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    monkeypatch.setattr(sys, "stderr", err)
+    assert main(["--mode", "nu", "--grid", "0:1:3", "--out", str(out)]) == EXIT_IO
+    assert err.getvalue().startswith("sweep: I/O failure: cannot write to stdout: [Errno ")
+    assert err.getvalue().count("\n") == 1
+    # the sweep itself succeeded, and the failed stream was closed
+    assert len(load_csv(out)) == 3
+    assert stdout is None or stdout.closed
+    # with stderr failing too, the exit code stays
+    monkeypatch.setattr(sys, "stdout", _STREAM_FAILURES["full"]())
+    monkeypatch.setattr(sys, "stderr", _STREAM_FAILURES["full"]())
+    assert main(["--mode", "nu", "--grid", "0:1:3", "--out", str(out)]) == EXIT_IO
+
+
+@pytest.mark.parametrize("failure", _STREAM_FAILURES)
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (ConfigError("forced"), EXIT_CONFIG),
+        (OSError(errno.ENOENT, "forced"), EXIT_IO),
+        (PathDisagreementError("forced"), EXIT_INTERNAL),
+    ],
+    ids=["config", "io", "internal"],
+)
+def test_cli_failure_whose_line_cannot_be_written_keeps_its_code(
+    tmp_path, monkeypatch, failure, error, code
+):
+    import xsteer.cli as cli
+
+    def boom(cfg):
+        raise error
+
+    monkeypatch.setattr(cli, "run_sweep", boom)
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(sys, "stderr", _STREAM_FAILURES[failure]())
+    assert main(["--mode", "nu", "--grid", "0:1:3", "--out", str(tmp_path / "x.csv")]) == code
+    assert out.getvalue() == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_cli_on_a_full_device_exits_cleanly(tmp_path, unbuffered):
+    import xsteer
+
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+               PYTHONPATH=str(Path(xsteer.__file__).parents[1]))
+
+    def sweep_cli(grid, **streams):
+        argv = [sys.executable, "-m", "xsteer", "--mode", "nu", "--grid", grid,
+                "--out", str(tmp_path / "x.csv")]
+        return subprocess.run(argv, env=env, timeout=60, **streams)
+
+    with open("/dev/full", "w") as full:
+        # the success line cannot be written: an I/O failure, on stderr
+        proc = sweep_cli("0:1:3", stdout=full, stderr=subprocess.PIPE, text=True)
+        assert proc.returncode == EXIT_IO
+        assert proc.stderr == (
+            "sweep: I/O failure: cannot write to stdout: [Errno 28] No space left on device\n"
+        )
+        assert len(load_csv(tmp_path / "x.csv")) == 3
+        # a failure line that cannot be written leaves the failure's own code
+        proc = sweep_cli("0:2:3", stdout=subprocess.PIPE, stderr=full, text=True)
+        assert (proc.returncode, proc.stdout) == (EXIT_CONFIG, "")
+    # a reader that has closed its end of the pipe
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = sweep_cli("0:1:3", stdout=write, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write)
+    assert proc.returncode == EXIT_IO
+    assert proc.stderr == "sweep: I/O failure: cannot write to stdout: [Errno 32] Broken pipe\n"
 
 
 def test_cli_config_file_with_flag_override(tmp_path):
