@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 2 invalid configuration (including parameters that
 give an invalid state or channel), 3 I/O failure (including a success line
-that cannot be written to stdout), 4 internal consistency failure (dual-path
-disagreement, a negative outcome probability, a Bell outcome of zero
-probability, or a non-finite value in a record to be written).
+or help text that cannot be written to stdout), 4 internal consistency
+failure (dual-path disagreement, a Bell outcome of zero probability, or a
+non-finite value in a record to be written).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import os
 import sys
 from typing import Callable, NamedTuple
 
-from .measures import NegativeProbabilityError, PathDisagreementError
+from .measures import PathDisagreementError
 from .processes import ChannelParameterError, ZeroProbabilityOutcomeError
 from .qstate import BellIndex, InvalidStateError
 from .sweep import (
@@ -85,8 +85,16 @@ _SETTINGS = {
 }
 
 
+class _HelpRequested(Exception):
+    """--help was given; the exception's text is the help, for main to write."""
+
+
 class _Parser(argparse.ArgumentParser):
-    """Splits argv into each flag's text; every rejection is a ConfigError."""
+    """Splits argv into each flag's text; every rejection is a ConfigError.
+
+    --help stops parsing with _HelpRequested, not argparse's exit, which
+    ignores a help text that cannot be written.
+    """
 
     def parse_known_args(self, args=None, namespace=None):
         # every flag but --help takes a value, so "--flag value" is read as
@@ -103,6 +111,9 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ConfigError(message)
+
+    def print_help(self, file=None):
+        raise _HelpRequested(self.format_help().rstrip("\n"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -164,16 +175,17 @@ def _build_config(args: argparse.Namespace) -> SweepConfig:
 
 
 def _sweep(argv) -> tuple[int, str]:
-    """Run the sweep `argv` asks for: its exit code and the line that reports it."""
+    """Run the sweep `argv` asks for: its exit code and the line that reports it, or the help."""
     try:
         cfg = _build_config(build_parser().parse_args(argv))
         records = run_sweep(cfg)
+    except _HelpRequested as exc:
+        return EXIT_OK, str(exc)
     except (ConfigError, InvalidStateError, ChannelParameterError) as exc:
         return EXIT_CONFIG, f"sweep: invalid config: {exc}"
     except OSError as exc:
         return EXIT_IO, f"sweep: I/O failure: {exc}"
-    except (PathDisagreementError, NegativeProbabilityError, ZeroProbabilityOutcomeError,
-            NonFiniteRecordError) as exc:
+    except (PathDisagreementError, ZeroProbabilityOutcomeError, NonFiniteRecordError) as exc:
         return EXIT_INTERNAL, f"sweep: internal consistency failure: {exc}"
     return EXIT_OK, f"wrote {cfg.out} ({len(records)} rows) and companion .gnuplot script"
 
@@ -201,9 +213,10 @@ def _write_line(stream, line: str) -> OSError | None:
 def main(argv=None) -> int:
     """Run the sweep `argv` asks for and report it in one line: exit code 0, 2, 3 or 4.
 
-    Success is reported on stdout and each failure on stderr.  A success
-    line that cannot be written makes the run an I/O failure; a failure
-    line that cannot be written leaves the failure's own exit code.
+    Success, or the help text --help asks for, is reported on stdout and
+    each failure on stderr.  A success line or help text that cannot be
+    written makes the run an I/O failure; a failure line that cannot be
+    written leaves the failure's own exit code.
     """
     code, line = _sweep(argv)
     if code == EXIT_OK:

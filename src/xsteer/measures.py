@@ -25,10 +25,10 @@ this closed form with the entropy identity I_AB = 6 ln 2 - 2 (H_x + H_y +
 H_z), with H_x and H_y from the cleaned joint probabilities; both sides
 share the closed form's H_z of the populations, so the check compares
 g(t) and g(u) with the joint x and y tables.  Every closed-form I_AB,
-`steering_functional`'s included, passes this check.  Cleaning is one rule
-on both paths: the negative-probability floor, which is `check_density`'s
-eigenvalue floor EIGENVALUE_TOL, negatives set to 0, each table
-renormalised, after which no entry exceeds 1.
+`steering_functional`'s included, passes this check.  A state is refused
+only by `check_density` or `XStateParams.validate`, one positivity rule;
+cleaning is one rule on both paths: negatives, rounding noise of a checked
+state, set to 0 and each table renormalised, after which no entry exceeds 1.
 
 `full_report` projects a density matrix and is the library path; `x_report`
 evaluates a batch of X states from their six parameters and is what sweeps
@@ -54,12 +54,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qstate import (
-    EIGENVALUE_TOL,
     XStateParams,
     _checked_rows,
     _x_entries,
     _x_structured,
-    as_square,
+    check_density,
     failing_row,
     row_value,
 )
@@ -81,10 +80,6 @@ LN2 = math.log(2.0)
 TWO_LN2 = neur_bound(2)  # the steering threshold; bit-identical to 2 ln 2
 SIX_LN2 = 6.0 * LN2
 
-# Raw measurement probabilities this far below zero indicate a broken input,
-# not rounding noise: each is some <b|rho|b>, at least the smallest
-# eigenvalue, which `check_density` keeps at EIGENVALUE_TOL or above.
-NEGATIVE_PROBABILITY_TOL = EIGENVALUE_TOL
 # Allowed disagreement between the closed-form functional and the entropy
 # identity before full_report treats it as a formula bug.
 PATH_AGREEMENT_TOL = 1e-9
@@ -104,34 +99,22 @@ PRODUCT_BASES = np.stack([np.kron(b, b) for b in (
 # b_ai column i of PRODUCT_BASES[a].
 _PROJECTION = np.einsum("aji,aki->aijk", PRODUCT_BASES.conj(), PRODUCT_BASES).reshape(12, 16)
 
-class NegativeProbabilityError(ValueError):
-    """A raw measurement probability fell below the rounding-noise floor."""
-
-
 class PathDisagreementError(RuntimeError):
     """Closed-form and entropy-identity evaluations of I_AB disagree."""
 
 
-def _check_floor(lowest: float) -> None:
-    """Raise NegativeProbabilityError when the smallest raw probability is below the floor."""
-    if lowest < NEGATIVE_PROBABILITY_TOL:
-        raise NegativeProbabilityError(
-            f"raw probability {lowest:.3e} below {NEGATIVE_PROBABILITY_TOL:.0e}"
-        )
-
-
 def _clean_probabilities(p: np.ndarray) -> np.ndarray:
-    """Floor-check, set negatives to 0 and renormalise joint tables in place; returns `p`.
+    """Set negatives to 0 and renormalise joint tables in place; returns `p`.
 
     The four entries of each table lie along axis 1: the (3, 4) table of
     `joint_distribution` or `_x_sides`' x and y tables, (2, 4) for one
-    state or a (2, 4, n) batch.  An empty batch has no
-    probability to check.  After the renormalisation every entry lies in
-    [0, 1], since no entry exceeds its non-negative table's sum.
+    state or a (2, 4, n) batch.  The inputs come from checked states, so a
+    negative entry is rounding noise and no entry is refused here; the
+    smallest entry decides whether any is set to 0, and an empty batch has
+    none.  After the renormalisation every entry lies in [0, 1], since no
+    entry exceeds its non-negative table's sum.
     """
-    lowest = float(np.minimum.reduce(p, axis=None, initial=np.inf))
-    _check_floor(lowest)
-    if lowest < 0.0:
+    if np.minimum.reduce(p, axis=None, initial=np.inf) < 0.0:
         np.maximum(p, 0.0, out=p)
     p /= np.add.reduce(p, axis=1, keepdims=True)
     return p
@@ -142,8 +125,10 @@ def joint_distribution(rho: np.ndarray) -> np.ndarray:
 
     Rows are the axes x, y, z.  Column 2n + m holds outcome n of qubit A
     and m of qubit B, with 0 for +1 and 1 for -1: (+,+), (+,-), (-,+), (-,-).
+    `rho` gets `check_density`'s checks first, so a matrix that is not a
+    state raises InvalidStateError.
     """
-    p = _PROJECTION @ as_square(rho, "state").reshape(16)
+    p = _PROJECTION @ check_density(rho).reshape(16)
     return _clean_probabilities(p.real.reshape(3, 4))
 
 
@@ -249,8 +234,8 @@ def steering_functional(p: XStateParams):
 
     It equals 6 ln 2 - 2 (H_x + H_y + H_z); values above 2 ln 2 certify
     steering from A to B.  A batch gives one value per row.  This is
-    `x_report`'s closed form, from the same pass, validation,
-    negative-probability floor and dual-path check.
+    `x_report`'s closed form, from the same pass, validation, cleaning and
+    dual-path check.
     """
     d, hz, h = _x_sides(p)
     return _checked_i_ab(_derive(d, hz)[0], h)
@@ -341,9 +326,9 @@ def full_report(rho: np.ndarray) -> SteeringReport:
     The input gets `check_density`'s checks, and its X structure (within
     X_STRUCTURE_TOL, as `is_x_structured`) and X entries are read off the
     rows those checks read.  One matrix product gives the 12 joint
-    probabilities; from there the pass runs on Python floats.  The
-    negative-probability floor, the negatives set to 0 and the
-    renormalisation are `joint_distribution`'s, and the H_i are
+    probabilities; from there the pass runs on Python floats.  No rule
+    but `check_density`'s refuses the input: the negatives set to 0 and the
+    renormalisation are `joint_distribution`'s cleaning, and the H_i are
     `conditional_entropy`'s in their conditional form.
 
     For an X input the closed form reads D_x = g(t), D_y = g(u) off the
@@ -360,9 +345,7 @@ def full_report(rho: np.ndarray) -> SteeringReport:
     """
     rho, rows = _checked_rows(rho, "state")
     p = (_PROJECTION @ rho.reshape(16)).real.tolist()
-    lowest = min(p)
-    _check_floor(lowest)
-    if lowest < 0.0:
+    if min(p) < 0.0:
         p = [max(v, 0.0) for v in p]
     hx, hy = _axis_entropy(*p[0:4]), _axis_entropy(*p[4:8])
     if _x_structured(rows):
@@ -394,9 +377,10 @@ def x_report(p: XStateParams) -> np.ndarray:
     """The `full_report` quantities of a batch of X states, from their parameters.
 
     Returns one row (s, z, e_x, e_y, i_ab) per state, the column order of
-    a sweep record.  Applies `XStateParams.validate`, the negative-probability
-    floor and the dual-path I_AB check to every row, raising for the first
-    failing one.  Fields of `p` may be scalars shared by every row.
+    a sweep record.  Applies `XStateParams.validate`, the one rule that
+    refuses a state here, and the dual-path I_AB check to every row, raising
+    for the first failing one.  Fields of `p` may be scalars shared by every
+    row.
 
     One stacked pass: `_x_sides` gives the closed form's deficits and H_z
     and the entropy identity's H_x and H_y, three conditional entropies per

@@ -127,7 +127,9 @@ class SweepConfig:
     float(stop) by np.linspace's own steps (see grid): it equals np.linspace
     of those two floats byte for byte, and np.float32 or Fraction ends give
     the float64 grid of their float() values.  `r_b` is either such a
-    number or the string "track", meaning r_b follows the swept r_a.
+    number or the string "track", meaning r_b follows the swept r_a.  The
+    fixed parameters `nu`, a numeric `r_b` and `g_over_gamma` are read as
+    their float() values too, so their domains are checked on those.
     `jobs` > 1 evaluates contiguous chunks of the grid in a process pool.
 
     `validate` checks these rules and that the grid lies in the swept
@@ -218,15 +220,20 @@ class SweepConfig:
 
 
 def _x_params(cfg: SweepConfig, grid: np.ndarray) -> XStateParams:
-    """The X parameters of the swept state at every grid value."""
+    """The X parameters of the swept state at every grid value.
+
+    The fixed parameters are read as float(), as `grid` reads the grid's
+    ends, so an np.float32 or Fraction value computes as its float64 value.
+    """
     if cfg.mode == "nu":
         return bell_mixture(grid)
+    nu, g_over_gamma = float(cfg.nu), float(cfg.g_over_gamma)
     if cfg.mode == "acceleration":
-        return accelerated_params(cfg.nu, grid, grid if cfg.r_b == "track" else cfg.r_b)
+        return accelerated_params(nu, grid, grid if cfg.r_b == "track" else float(cfg.r_b))
     if cfg.mode == "ad-channel":
-        return damped_params(bell_mixture(cfg.nu), ad_survival(cfg.g_over_gamma, grid))
+        return damped_params(bell_mixture(nu), ad_survival(g_over_gamma, grid))
     if cfg.mode == "dephasing-channel":
-        return dephased_params(bell_mixture(cfg.nu), dephasing_coherence(cfg.g_over_gamma, grid))
+        return dephased_params(bell_mixture(nu), dephasing_coherence(g_over_gamma, grid))
     if cfg.mode == "swap":
         pair = bell_mixture(grid)
         return swapped_params(pair, pair, cfg.bell)
@@ -386,8 +393,7 @@ def _write_changed(path: str, render: Callable, old: int | None, size: int, crea
         spent += 1
     if old is not None and differing is None and matched == size:
         return
-    head, name = os.path.split(path)
-    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    tmp = _temporary_name(path)
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     created[tmp] = path
     try:
@@ -400,6 +406,23 @@ def _write_changed(path: str, render: Callable, old: int | None, size: int, crea
             _write_all(fd, chunk)
     finally:
         os.close(fd)
+
+
+def _temporary_name(path: str) -> str:
+    """The temporary `.<name>.<pid>.tmp` beside `path`, cut to a 255-byte name if need be.
+
+    255 bytes is NAME_MAX on Linux.  A longer one loses leading characters
+    of <name>, as few as fit, counted in the bytes the file system sees.
+    The tail is kept since it tells a CSV's temporary from its plot
+    script's: the plot script's name ends in ".gnuplot", and the CSV name
+    of a valid SweepConfig does not, unless it is ".gnuplot" itself, which
+    is never cut.
+    """
+    head, name = os.path.split(path)
+    tail = f".{os.getpid()}.tmp"
+    while len(os.fsencode(name)) + len(tail) + 1 > 255:
+        name = name[1:]
+    return os.path.join(head, f".{name}{tail}")
 
 
 def _write_all(fd: int, chunk) -> None:

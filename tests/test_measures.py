@@ -10,9 +10,10 @@ from xsteer.measures import (
     LN2,
     SIX_LN2,
     TWO_LN2,
-    NegativeProbabilityError,
+    _PROJECTION,
     PathDisagreementError,
     _checked_i_ab,
+    _clean_probabilities,
     _conditional_entropies,
     _derive,
     _g,
@@ -34,6 +35,7 @@ from xsteer.qstate import (
     BellIndex,
     InvalidStateError,
     XStateParams,
+    _block_ok,
     bell_mixture,
     check_density,
     from_x_params,
@@ -126,15 +128,24 @@ def test_joint_distribution_matches_oracle(axis):
 
 
 def test_joint_distribution_negative_probability():
+    # a matrix with negative outcome probabilities is not a state: the one
+    # positivity rule, check_density's, refuses it on every report entry point
     indefinite = np.diag([0.7, 0.5, -0.1, -0.1]).astype(complex)
-    with pytest.raises(NegativeProbabilityError):
-        joint_distribution(indefinite)
+    for entry_point in (joint_distribution, conditional_entropy, full_report):
+        with pytest.raises(InvalidStateError, match="not positive semidefinite"):
+            entry_point(indefinite)
 
 
 def test_joint_distribution_renormalises_an_entry_above_1():
-    # trace 2: the z row (1.2, 0.6, 0.2, 0) is divided by its sum, not
-    # clipped to 1 first, which would give (1, 0.6, 0.2, 0)/1.8
-    table = joint_distribution(np.diag([1.2, 0.6, 0.2, 0.0]).astype(complex))
+    # the z row (1.2, 0.6, 0.2, 0) of the trace-2 diagonal is divided by its
+    # sum, not clipped to 1 first, which would give (1, 0.6, 0.2, 0)/1.8;
+    # joint_distribution itself refuses that matrix for its trace
+    double = np.diag([1.2, 0.6, 0.2, 0.0]).astype(complex)
+    with pytest.raises(InvalidStateError, match="unit trace"):
+        joint_distribution(double)
+    raw = (_PROJECTION @ double.reshape(16)).real.reshape(3, 4)
+    table = _clean_probabilities(raw)
+    assert table is raw
     np.testing.assert_allclose(table[2], [0.6, 0.3, 0.1, 0.0], rtol=0, atol=1e-15)
     np.testing.assert_allclose(table[:2], 0.25, rtol=0, atol=1e-15)
     assert table.max() <= 1.0
@@ -643,17 +654,74 @@ def test_full_report_exact_edge_values():
     assert half.i_ab == TWO_LN2 and half.s == 0.0
 
 
-def test_full_report_negative_probability_floor(monkeypatch):
-    import xsteer.measures as measures
+# A Bell-diagonal state on the positivity boundary: each coherence is the
+# largest double whose square passes _block_ok, so validate and
+# check_density accept it, and its raw outcome probability (1 - t)/4 is
+# -1.000e-10 as x_report forms it, about -1e-10 on the matrix path: rounding
+# noise, which no rule but theirs may refuse.
+_AT_THE_FLOOR = XStateParams(
+    0.31848084366072715, 0.18151915633927285, 0.18151915633927285, 0.31848084366072715,
+    0.31848084376072716, 0.18151915643927283,
+)
 
-    # the x outcomes (1 - t)/4 of the nu = 0.3 mixture are 0; full_report
-    # reads the floor at call time, so raising it to 0.01 rejects the state
-    rho = from_x_params(bell_mixture(0.3))
-    full_report(rho)
-    monkeypatch.setattr(measures, "NEGATIVE_PROBABILITY_TOL", 0.01)
-    with pytest.raises(NegativeProbabilityError, match=r"raw probability .* below 1e-02"):
-        full_report(rho)
+
+def test_full_report_negative_probability_floor():
+    # the floor on a checked state's outcome probabilities is check_density's
+    # eigenvalue floor and no other: the raw probabilities below 0 are
+    # rounding noise, set to 0 on both paths
+    rho = from_x_params(_AT_THE_FLOOR)
+    check_density(rho)
+    assert 0.25 * (1.0 - 2.0 * (_AT_THE_FLOOR.c14 + _AT_THE_FLOOR.c23)) < -1e-10
+    rep, row = full_report(rho), x_report(_AT_THE_FLOOR)[0]
+    np.testing.assert_allclose([rep.s, rep.z, rep.e_x, rep.e_y, rep.i_ab], row, rtol=0, atol=1e-15)
+    assert steering_functional(_AT_THE_FLOOR) == row[4]
+    assert joint_distribution(rho).min() == 0.0
     assert full_report(MAX_MIXED).s == 0.0  # every probability is 1/4
+
+
+def _largest_passing_coherence(da: float, db: float) -> float:
+    """The largest double c whose c*c passes _block_ok for the block (d_a, d_b)."""
+    c = math.sqrt(da * db + 1e-10 * (da + db + 1e-10))
+    while _block_ok(c * c, da, db):
+        c = math.nextafter(c, math.inf)
+    while not _block_ok(c * c, da, db):
+        c = math.nextafter(c, 0.0)
+    return c
+
+
+def _boundary_set(n: int = 20_000) -> XStateParams:
+    """n Bell-diagonal states with both blocks on the positivity boundary, as one batch.
+
+    Row k has populations (a, 1 - a, 1 - a, a)/2 for a drawn from
+    default_rng(30), each coherence the largest one its block admits, and
+    the signs (+, +) on even k, (+, -) on odd k.
+    """
+    a = np.random.default_rng(30).uniform(0.0, 1.0, n)
+    outer, inner = a / 2.0, (1.0 - a) / 2.0
+    c14 = np.array([_largest_passing_coherence(d, d) for d in outer.tolist()])
+    c23 = np.array([_largest_passing_coherence(d, d) for d in inner.tolist()])
+    c23[1::2] *= -1.0
+    return XStateParams(outer, inner, inner, outer, c14, c23)
+
+
+def test_boundary_states_pass_every_report_entry_point():
+    # states at the edge of check_density's and validate's rule pass every
+    # report entry point: no other rule refuses them, although 15,073 have
+    # an outcome probability below -1e-10 as x_report forms it, and 8,036 on
+    # the matrix path
+    states = _boundary_set()
+    states.validate()
+    rows = x_report(states)
+    assert rows.shape == (20_000, 5) and np.isfinite(rows).all()
+    for k in range(0, 20_000, 10):
+        p = XStateParams(*(float(v[k]) for v in vars(states).values()))
+        rho = check_density(from_x_params(p))
+        rep = full_report(rho)
+        np.testing.assert_allclose(
+            [rep.s, rep.z, rep.e_x, rep.e_y, rep.i_ab], rows[k], rtol=0, atol=1e-15
+        )
+        assert steering_functional(p) == rows[k, 4]
+        assert np.isfinite(conditional_entropy(rho)).all()
 
 
 def test_error_messages_print_plain_numbers():

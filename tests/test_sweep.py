@@ -17,8 +17,8 @@ from conftest import _batch, _matrix_point, _x_layout
 
 import xsteer.measures as measures
 import xsteer.sweep as sweep
-from xsteer.cli import EXIT_CONFIG, EXIT_INTERNAL, EXIT_IO, EXIT_OK, main
-from xsteer.measures import NegativeProbabilityError, PathDisagreementError
+from xsteer.cli import EXIT_CONFIG, EXIT_INTERNAL, EXIT_IO, EXIT_OK, build_parser, main
+from xsteer.measures import PathDisagreementError
 from xsteer.processes import (
     ChannelParameterError,
     ZeroProbabilityOutcomeError,
@@ -115,6 +115,27 @@ def test_config_validation_reports_offending_field(tmp_path, kw, fragment):
     with pytest.raises((ConfigError, InvalidStateError, ChannelParameterError), match=fragment):
         run_sweep(_cfg(tmp_path, **kw))
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(mode="acceleration", r_b=np.float32(0.1)),
+        dict(mode="acceleration", nu=np.float16(0.3)),
+        dict(mode="dephasing-channel", nu=np.float16(0.3)),
+        dict(mode="acceleration", r_b=Fraction(1, 10)),
+        dict(mode="ad-channel", g_over_gamma=np.float32(0.1)),
+    ],
+    ids=["r_b-float32", "nu-float16", "nu-float16-dephasing", "r_b-Fraction", "g-float32"],
+)
+def test_fixed_parameters_compute_as_their_float(tmp_path, kw):
+    # a fixed parameter of another numeric type writes the bytes of its float(),
+    # as the grid's ends do
+    grid = dict(start=0.0, stop=0.5, points=7)
+    run_sweep(SweepConfig(out=str(tmp_path / "typed.csv"), **grid, **kw))
+    as_float = {k: v if k == "mode" else float(v) for k, v in kw.items()}
+    run_sweep(SweepConfig(out=str(tmp_path / "float.csv"), **grid, **as_float))
+    assert (tmp_path / "typed.csv").read_bytes() == (tmp_path / "float.csv").read_bytes()
 
 
 # Each fixed parameter outside its domain, the closed form that refuses it and
@@ -394,9 +415,6 @@ def test_guard_negative_probability_floor(tmp_path, monkeypatch):
     joint = _x_layout(_batch([tiny]))[1][:2]  # the cleaned joint x and y tables
     assert joint.min() == 0.0
     np.testing.assert_allclose(joint.sum(axis=1), 1.0, rtol=0, atol=1e-15)
-    monkeypatch.setattr(measures, "NEGATIVE_PROBABILITY_TOL", 0.01)
-    with pytest.raises(NegativeProbabilityError):
-        _run_with_params(tmp_path, monkeypatch, [_MIXED, _PSI])
 
 
 def test_guard_path_disagreement(tmp_path, monkeypatch):
@@ -429,22 +447,17 @@ def test_guard_non_finite_rows(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "bad, tolerance, error",
+    "bad, error",
     [
-        ((0.5, 0.25, 0.25, 1e-9, 0.0, 0.0), None, InvalidStateError),
-        ((0.5, 0.0, 0.0, 0.5, 0.5 + 2e-10, 0.0), None, InvalidStateError),
-        ((0.5, 0.0, 0.0, 0.5, 0.5, 0.0), 0.01, NegativeProbabilityError),
+        ((0.5, 0.25, 0.25, 1e-9, 0.0, 0.0), InvalidStateError),
+        ((0.5, 0.0, 0.0, 0.5, 0.5 + 2e-10, 0.0), InvalidStateError),
     ],
 )
-def test_guard_fires_for_one_bad_row_past_the_first_block(
-    tmp_path, monkeypatch, bad, tolerance, error
-):
+def test_guard_fires_for_one_bad_row_past_the_first_block(tmp_path, monkeypatch, bad, error):
     # one bad row in the second evaluation block raises what it raises alone
     points, row = 2 * sweep._BLOCK_ROWS, sweep._BLOCK_ROWS + 1
     params = np.tile([0.25, 0.25, 0.25, 0.25, 0.0, 0.0], (points, 1))
     params[row] = bad
-    if tolerance is not None:
-        monkeypatch.setattr(measures, "NEGATIVE_PROBABILITY_TOL", tolerance)
     with pytest.raises(error) as alone:
         measures.x_report(XStateParams(*params[row:row + 1].T))
     monkeypatch.setattr(SweepConfig, "grid", lambda self: np.arange(float(points)))
@@ -1072,6 +1085,36 @@ def test_entry_at_a_temporary_path_fails_only_a_run_that_writes_that_file(tmp_pa
     assert {p.name: _identity(p) for p in tmp_path.iterdir()} == before
 
 
+@pytest.mark.parametrize("stem", ["a" * 241, "é" * 120], ids=["ascii", "two-byte"])
+def test_temporary_of_a_long_name_fits_in_255_bytes(tmp_path, monkeypatch, stem):
+    # with a 7-digit pid, ".<name>.<pid>.tmp" of the 245- or 244-byte CSV name
+    # and of its plot script's name would pass 255 bytes: each loses as few
+    # leading characters as fit, and the two keep their distinct tails
+    monkeypatch.setattr(sweep.os, "getpid", lambda: 4_194_303)
+    created = []
+    os_open = sweep.os.open
+
+    def opened(path, flags, *args, **kwargs):
+        if flags & os.O_CREAT:
+            created.append(Path(path).name)
+        return os_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(sweep.os, "open", opened)
+    cfg = _cfg(tmp_path, out=str(tmp_path / f"{stem}.csv"), points=3)
+    run_sweep(cfg)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"{stem}.csv", f"{stem}.gnuplot"]
+    assert len(load_csv(cfg.out)) == 3
+    csv_tmp, plot_tmp = created
+    assert csv_tmp.endswith(".csv.4194303.tmp") and plot_tmp.endswith(".gnuplot.4194303.tmp")
+    assert all(name.startswith(f".{stem[:3]}") for name in created)
+    assert all(254 <= len(os.fsencode(name)) <= 255 for name in created)
+    # an identical rerun creates nothing
+    created.clear()
+    run_sweep(cfg)
+    assert created == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"{stem}.csv", f"{stem}.gnuplot"]
+
+
 def _record_blocks(monkeypatch) -> list:
     """Record the row count of each block that _block_bytes renders."""
     rendered = []
@@ -1290,11 +1333,10 @@ def test_cli_flag_values_and_rejections(tmp_path, capsys, command, code):
 
 
 def test_cli_help_exits_0_with_usage_on_stdout(capsys):
-    with pytest.raises(SystemExit) as exit_:
-        main(["--help"])
-    assert exit_.value.code == 0
+    # main returns the code, as for a sweep, rather than raising SystemExit
+    assert main(["--help"]) == EXIT_OK
     out, err = capsys.readouterr()
-    assert out.startswith("usage: sweep") and err == ""
+    assert out == build_parser().format_help() and out.startswith("usage: sweep") and err == ""
     unwrapped = "".join(out.split())  # argparse wraps lines after a "-"
     for name in [*sweep.MODES, *(b.value for b in BellIndex)]:
         assert name in unwrapped
@@ -1455,8 +1497,8 @@ def test_cli_internal_failure_exit_code(tmp_path, monkeypatch, capsys):
     [
         (InvalidStateError, EXIT_CONFIG),
         (ChannelParameterError, EXIT_CONFIG),
-        (NegativeProbabilityError, EXIT_INTERNAL),
         (ZeroProbabilityOutcomeError, EXIT_INTERNAL),
+        (sweep.NonFiniteRecordError, EXIT_INTERNAL),
     ],
 )
 def test_cli_maps_library_errors_to_exit_codes(tmp_path, monkeypatch, capsys, error, code):
@@ -1511,6 +1553,17 @@ def test_cli_success_line_that_cannot_be_written_is_an_io_failure(tmp_path, monk
 
 
 @pytest.mark.parametrize("failure", _STREAM_FAILURES)
+def test_cli_help_that_cannot_be_written_is_an_io_failure(monkeypatch, failure):
+    stdout, err = _STREAM_FAILURES[failure](), io.StringIO()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    monkeypatch.setattr(sys, "stderr", err)
+    assert main(["--help"]) == EXIT_IO
+    assert err.getvalue().startswith("sweep: I/O failure: cannot write to stdout: [Errno ")
+    assert err.getvalue().count("\n") == 1
+    assert stdout is None or stdout.closed
+
+
+@pytest.mark.parametrize("failure", _STREAM_FAILURES)
 @pytest.mark.parametrize(
     "error, code",
     [
@@ -1545,9 +1598,11 @@ def test_cli_on_a_full_device_exits_cleanly(tmp_path, unbuffered):
                PYTHONPATH=str(Path(xsteer.__file__).parents[1]))
 
     def sweep_cli(grid, **streams):
-        argv = [sys.executable, "-m", "xsteer", "--mode", "nu", "--grid", grid,
-                "--out", str(tmp_path / "x.csv")]
-        return subprocess.run(argv, env=env, timeout=60, **streams)
+        args = ["--help"] if grid is None else [
+            "--mode", "nu", "--grid", grid, "--out", str(tmp_path / "x.csv")
+        ]
+        return subprocess.run([sys.executable, "-m", "xsteer", *args], env=env, timeout=60,
+                              **streams)
 
     with open("/dev/full", "w") as full:
         # the success line cannot be written: an I/O failure, on stderr
@@ -1560,6 +1615,12 @@ def test_cli_on_a_full_device_exits_cleanly(tmp_path, unbuffered):
         # a failure line that cannot be written leaves the failure's own code
         proc = sweep_cli("0:2:3", stdout=subprocess.PIPE, stderr=full, text=True)
         assert (proc.returncode, proc.stdout) == (EXIT_CONFIG, "")
+        # a help text that cannot be written is an I/O failure too
+        proc = sweep_cli(None, stdout=full, stderr=subprocess.PIPE, text=True)
+        assert proc.returncode == EXIT_IO
+        assert proc.stderr == (
+            "sweep: I/O failure: cannot write to stdout: [Errno 28] No space left on device\n"
+        )
     # a reader that has closed its end of the pipe
     read, write = os.pipe()
     os.close(read)
@@ -1569,6 +1630,7 @@ def test_cli_on_a_full_device_exits_cleanly(tmp_path, unbuffered):
         os.close(write)
     assert proc.returncode == EXIT_IO
     assert proc.stderr == "sweep: I/O failure: cannot write to stdout: [Errno 32] Broken pipe\n"
+
 
 
 def test_cli_config_file_with_flag_override(tmp_path):
