@@ -3,8 +3,9 @@
 Exit codes: 0 success, 2 invalid configuration (including parameters that
 give an invalid state or channel), 3 I/O failure (including a success line
 or help text that cannot be written to stdout), 4 internal consistency
-failure (dual-path disagreement, a Bell outcome of zero probability, or a
-non-finite value in a record to be written).
+failure (a Bell outcome of zero probability, or a non-finite value in a
+record to be written).  A sweep cannot raise `PathDisagreementError`: only
+`measures.full_report` runs the dual-path I_AB check.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import os
 import sys
 from typing import Callable, NamedTuple
 
-from .measures import PathDisagreementError
 from .processes import ChannelParameterError, ZeroProbabilityOutcomeError
 from .qstate import BellIndex, InvalidStateError
 from .sweep import (
@@ -185,7 +185,7 @@ def _sweep(argv) -> tuple[int, str]:
         return EXIT_CONFIG, f"sweep: invalid config: {exc}"
     except OSError as exc:
         return EXIT_IO, f"sweep: I/O failure: {exc}"
-    except (PathDisagreementError, ZeroProbabilityOutcomeError, NonFiniteRecordError) as exc:
+    except (ZeroProbabilityOutcomeError, NonFiniteRecordError) as exc:
         return EXIT_INTERNAL, f"sweep: internal consistency failure: {exc}"
     return EXIT_OK, f"wrote {cfg.out} ({len(records)} rows) and companion .gnuplot script"
 

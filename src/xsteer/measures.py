@@ -20,30 +20,26 @@ t = 2(c14 + c23), u = 2(c23 - c14), g(t) = [(1 + t) ln(1 + t) +
 when D_x + D_y > H_z, E_i > 0 exactly when D_i > H_z/2, so S > 0 forces
 Z > 0.  S and E are read off the deficits, never as differences of nearly
 equal numbers, so their signs stay exact at the threshold wherever
-D_x + D_y and H_z are not both near ln 2.  The dual-path check compares
-this closed form with the entropy identity I_AB = 6 ln 2 - 2 (H_x + H_y +
-H_z), with H_x and H_y from the cleaned joint probabilities; both sides
-share the closed form's H_z of the populations, so the check compares
-g(t) and g(u) with the joint x and y tables.  Every closed-form I_AB,
-`steering_functional`'s included, passes this check.  A state is refused
-only by `check_density` or `XStateParams.validate`, one positivity rule;
-cleaning is one rule on both paths: negatives, rounding noise of a checked
-state, set to 0 and each table renormalised, after which no entry exceeds 1.
+D_x + D_y and H_z are not both near ln 2.  A state is refused only by
+`check_density` or `XStateParams.validate`, one positivity rule; the
+matrix path's cleaning sets negatives, rounding noise of a checked state,
+to 0 and renormalises each joint table, after which no entry exceeds 1.
 
 `full_report` projects a density matrix and is the library path; `x_report`
 evaluates a batch of X states from their six parameters and is what sweeps
 run.  `full_report` reads its matrix once, runs `check_density`'s checks
 on those rows and takes the X structure and entries off them; after one
 matrix product for the projection everything runs on Python floats, where
-numpy's call overhead would outweigh the arithmetic.  `x_report` runs one
-stacked pass: `_x_sides` fills a (3, 4, n) array with the x and y joint
-tables and the populations, raised to at least 0, cleans the two joint
-tables with `joint_distribution`'s rule and takes the three tables' H(B|A)
-with `conditional_entropy`'s, which gives the identity's H_x, H_y and the H_z
-both sides share; `_g` gives the deficits and `_derive` the rest.
-`steering_functional` reads the same pass and check.  `joint_distribution`
-and `conditional_entropy` project a density matrix on arrays and are, with
-`steering_functional`, the reference for both.
+numpy's call overhead would outweigh the arithmetic.  For an X input it
+checks the closed form's I_AB against the entropy identity I_AB =
+6 ln 2 - 2 (H_x + H_y + H_z), with H_x and H_y from the projected matrix's
+joint x and y probabilities and the closed form's H_z, and is the only
+entry point that raises PathDisagreementError.  `x_report` computes only
+what it reports: `_x_sides` gives the deficits from `_g` and H_z from the
+populations, and `_derive` the rest; `steering_functional` reads the same
+pass.  `joint_distribution` and `conditional_entropy` project a density
+matrix on arrays and are, with `steering_functional`, the reference for
+both.
 """
 
 from __future__ import annotations
@@ -59,8 +55,6 @@ from .qstate import (
     _x_entries,
     _x_structured,
     check_density,
-    failing_row,
-    row_value,
 )
 
 
@@ -104,19 +98,16 @@ class PathDisagreementError(RuntimeError):
 
 
 def _clean_probabilities(p: np.ndarray) -> np.ndarray:
-    """Set negatives to 0 and renormalise joint tables in place; returns `p`.
+    """Set negatives to 0 and renormalise `joint_distribution`'s (3, 4) table in place; returns `p`.
 
-    The four entries of each table lie along axis 1: the (3, 4) table of
-    `joint_distribution` or `_x_sides`' x and y tables, (2, 4) for one
-    state or a (2, 4, n) batch.  The inputs come from checked states, so a
-    negative entry is rounding noise and no entry is refused here; the
-    smallest entry decides whether any is set to 0, and an empty batch has
-    none.  After the renormalisation every entry lies in [0, 1], since no
-    entry exceeds its non-negative table's sum.
+    The table comes from a checked state, so a negative entry is rounding
+    noise and no entry is refused here; the smallest entry decides whether
+    any is set to 0.  After the renormalisation every entry lies in [0, 1],
+    since no entry exceeds its non-negative row's sum.
     """
-    if np.minimum.reduce(p, axis=None, initial=np.inf) < 0.0:
+    if p.min() < 0.0:
         np.maximum(p, 0.0, out=p)
-    p /= np.add.reduce(p, axis=1, keepdims=True)
+    p /= p.sum(axis=1, keepdims=True)
     return p
 
 
@@ -194,17 +185,12 @@ def _g_float(t: float) -> float:
 
 
 def _x_sides(p: XStateParams):
-    """Both sides of the I_AB check for the X states `p`, from one entropy pass.
+    """The closed form's deficits D_x, D_y and its H_z for the X states `p`.
 
-    Validates `p` once.  Returns the closed form's deficits D_x, D_y (along
-    the first axis of an array) and its H_z from the populations, each
-    raised to at least 0, then the entropy identity's H_x, H_y and H_z: H_x
-    and H_y from the cleaned joint tables, H_z the closed form's own.  With
-    t = 2(c14 + c23) and u = 2(c23 - c14), the joint x table is
-    (1 + t, 1 - t, 1 - t, 1 + t)/4 in `joint_distribution`'s columns and
-    the y table the same in u; a third table holds the populations.  A batch
-    keeps its rows along the trailing axis; fields may be scalars shared by
-    every row.
+    Validates `p` once.  D_x = g(t) and D_y = g(u) of t = 2(c14 + c23) and
+    u = 2(c23 - c14) lie along the first axis of an array; H_z is H(B|A) of
+    the populations, each raised to at least 0.  A batch keeps its rows
+    along the trailing axis; fields may be scalars shared by every row.
     """
     p.validate()
     shape = np.broadcast(p.d1, p.d2, p.d3, p.d4, p.c14, p.c23).shape
@@ -212,21 +198,13 @@ def _x_sides(p: XStateParams):
     np.add(p.c14, p.c23, out=tu[0, ...])  # a view even for one state
     np.subtract(p.c23, p.c14, out=tu[1, ...])
     tu *= 2.0
-    tables = np.empty((3, 4) + shape)
-    # (1 + t, 1 - t, 1 - t, 1 + t)/4 into the x table and the same in u into
-    # the y table, each ufunc writing two entries of both
-    xy = tables[:2]
-    np.add(1.0, tu[:, None], out=xy[:, 0::3])
-    np.subtract(1.0, tu[:, None], out=xy[:, 1:3])
-    xy *= 0.25
-    # Each population into the raw table, entry by entry, since a field may
-    # be a scalar: broadcast_arrays costs more.
+    # Each population into the table, entry by entry, since a field may be
+    # a scalar: broadcast_arrays costs more.
+    populations = np.empty((1, 4) + shape)
     for column, population in enumerate(p.diagonal):
-        tables[2, column] = population
-    np.maximum(tables[2], 0.0, out=tables[2])
-    _clean_probabilities(xy)
-    h = _conditional_entropies(tables)
-    return _g(tu), h[2], h
+        populations[0, column] = population
+    np.maximum(populations, 0.0, out=populations)
+    return _g(tu), _conditional_entropies(populations)[0]
 
 
 def steering_functional(p: XStateParams):
@@ -234,11 +212,9 @@ def steering_functional(p: XStateParams):
 
     It equals 6 ln 2 - 2 (H_x + H_y + H_z); values above 2 ln 2 certify
     steering from A to B.  A batch gives one value per row.  This is
-    `x_report`'s closed form, from the same pass, validation, cleaning and
-    dual-path check.
+    `x_report`'s closed form, from the same pass and validation.
     """
-    d, hz, h = _x_sides(p)
-    return _checked_i_ab(_derive(d, hz)[0], h)
+    return _derive(*_x_sides(p))[0]
 
 
 @dataclass(frozen=True)
@@ -263,23 +239,17 @@ class SteeringReport:
     z: float
 
 
-def _checked_i_ab(closed, h):
-    """The closed-form I_AB `closed`, checked against the entropy identity.
+def _checked_i_ab(closed: float, h) -> float:
+    """`full_report`'s closed-form I_AB `closed`, checked against the entropy identity.
 
-    `h` holds H_x, H_y and H_z along its first axis: three floats for one
-    state, or three rows of a batch's values.  For an X state H_z is the
-    closed form's own, so only the x and y terms can disagree.  A
-    disagreement beyond 1e-9 raises PathDisagreementError (for the first
-    failing row of a batch) since it signals a formula transcription bug
-    rather than bad input.
+    `h` holds H_x, H_y and H_z.  For an X state H_z is the closed form's
+    own, so only the x and y terms can disagree.  A disagreement beyond
+    1e-9 raises PathDisagreementError since it signals a formula
+    transcription bug rather than bad input.
     """
     identity = SIX_LN2 - 2.0 * (h[0] + h[1] + h[2])
-    row = failing_row(abs(closed - identity) <= PATH_AGREEMENT_TOL)
-    if row is not None:
-        raise PathDisagreementError(
-            f"I_AB closed form {row_value(closed, row)} "
-            f"vs entropy identity {row_value(identity, row)}"
-        )
+    if not abs(closed - identity) <= PATH_AGREEMENT_TOL:
+        raise PathDisagreementError(f"I_AB closed form {closed} vs entropy identity {identity}")
     return closed
 
 
@@ -378,18 +348,17 @@ def x_report(p: XStateParams) -> np.ndarray:
 
     Returns one row (s, z, e_x, e_y, i_ab) per state, the column order of
     a sweep record.  Applies `XStateParams.validate`, the one rule that
-    refuses a state here, and the dual-path I_AB check to every row, raising
-    for the first failing one.  Fields of `p` may be scalars shared by every
-    row.
+    refuses a state here, raising for the first failing row.  Fields of `p`
+    may be scalars shared by every row.
 
-    One stacked pass: `_x_sides` gives the closed form's deficits and H_z
-    and the entropy identity's H_x and H_y, three conditional entropies per
-    state; `_derive` reads I_AB, S, E and Z off the closed side, and that
-    I_AB is checked against the identity.
+    One stacked pass: `_x_sides` gives the deficits and H_z, one conditional
+    entropy per state, and `_derive` reads I_AB, S, E and Z off them.  No
+    runtime check compares I_AB with the entropy identity here: its x and y
+    tables would be built from the same t and u that `_g` reads, so
+    `tests/test_measures.py` compares `_g` with those tables' entropies once,
+    on every t and u of the bundled presets and a dense set over [-1, 1].
     """
-    d, hz, h = _x_sides(p)
-    i_ab, s, e, z = _derive(d, hz)
-    _checked_i_ab(i_ab, h)
+    i_ab, s, e, z = _derive(*_x_sides(p))
     rows = np.empty((i_ab.size, 5))
     for column, value in enumerate((s, z, e[0], e[1], i_ab)):  # np.column_stack costs more
         rows[:, column] = value

@@ -1,7 +1,5 @@
 import numpy as np
-import pytest
 
-from xsteer import measures
 from xsteer.measures import full_report
 from xsteer.processes import (
     accelerate_oracle,
@@ -17,30 +15,6 @@ from xsteer.sweep import SweepConfig
 def _batch(rows: list[XStateParams]) -> XStateParams:
     """One batch of X parameters, a row per state of `rows`."""
     return XStateParams(*np.array([(p.d1, p.d2, p.d3, p.d4, p.c14, p.c23) for p in rows]).T)
-
-
-def _x_layout(p):
-    """What `_x_sides` passes on for the X states `p`, and what it returns.
-
-    That is (t, u) as `_g` gets it, and the (3, 4, ...) tables `_conditional_entropies`
-    gets: the cleaned joint x and y tables, then the raw populations.
-    """
-    seen = {}
-    g, entropies = measures._g, measures._conditional_entropies
-
-    def g_spy(tu):
-        seen["tu"] = tu.copy()
-        return g(tu)
-
-    def entropies_spy(tables):
-        seen["tables"] = tables.copy()
-        return entropies(tables)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(measures, "_g", g_spy)
-        patch.setattr(measures, "_conditional_entropies", entropies_spy)
-        sides = measures._x_sides(p)
-    return seen["tu"], seen["tables"], sides
 
 
 def partial_trace(rho: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:

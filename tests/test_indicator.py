@@ -4,13 +4,20 @@ One `x_report` pass over three sets of X states: 10^5 random states drawn as
 `random_x_state` draws them, every steerable one of those with its
 coherences scaled down onto the threshold I_AB = 2 ln 2 (approached from
 above, where Z is smallest), and a grid over the Bell-diagonal states.
+The bundled presets add the sweeps' rows.
 """
 
 import numpy as np
 
-from xsteer.measures import TWO_LN2, _x_sides, steering_functional, x_report
-from xsteer.qstate import XStateParams
-from xsteer.sweep import evaluate_grid, figure_presets
+from xsteer.measures import TWO_LN2, _x_sides, full_report, steering_functional, x_report
+from xsteer.qstate import XStateParams, bell_mixture, from_x_params
+from xsteer.sweep import _x_params, evaluate_grid, figure_presets
+
+# (sqrt 2 - 1)/2 correctly rounded; (math.sqrt(2) - 1)/2 rounds to ...757 and
+# 1/math.sqrt(2) - 0.5 to ...746.  With S = 0, D_x + D_y <= H_z, so at most one
+# E is positive, its deficit is at most H_z, and Z <= e^(-H_z/2) - e^(-H_z),
+# which increases on [0, ln 2] to 1/sqrt(2) - 1/2 at H_z = ln 2.
+Z_BOUND = 0.20710678118654752
 
 
 def _random_x_states(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -87,6 +94,10 @@ def test_steering_implies_squeezing_but_not_conversely():
     bell = slice(threshold.stop, None)
     assert np.any(unsteered[bell])
     assert abs(np.max(z[bell] - s[bell]) - (np.sqrt(2.0) - 1.0) / 2.0) < 1e-12
+    # Z above (sqrt 2 - 1)/2 certifies steering: no S = 0 row passes it, and
+    # the Bell-diagonal grid reaches it
+    assert np.all(z[s == 0.0] <= Z_BOUND)
+    assert np.max(z[bell][s[bell] == 0.0]) == Z_BOUND
 
 
 def test_steering_forces_a_deficit_above_half_h_z():
@@ -95,7 +106,7 @@ def test_steering_forces_a_deficit_above_half_h_z():
     rows = _random_x_states(np.random.default_rng(18), 20_000)
     states = XStateParams(*rows.T)
     report = x_report(states)
-    d, hz, _ = _x_sides(states)
+    d, hz = _x_sides(states)
     steering = report[:, 0] > 0.0
     assert np.count_nonzero(steering) > 100
     assert np.all(np.max(d, axis=0)[steering] > 0.5 * hz[steering])
@@ -107,3 +118,29 @@ def test_no_preset_row_steers_without_squeezing(tmp_path):
         table = evaluate_grid(cfg, cfg.grid())
         s, z = table[:, 1], table[:, 2]
         assert not np.any((s > 0.0) & (z == 0.0)), name
+        assert np.all(z[s == 0.0] <= Z_BOUND), name
+
+
+def test_z_reaches_its_bound_at_nu_half():
+    # equality needs H_z = ln 2 with deficits ln 2 and 0: the nu = 1/2 mixture
+    half = bell_mixture(0.5)
+    assert x_report(half)[0, :2].tolist() == [0.0, Z_BOUND]
+    rep = full_report(from_x_params(half))
+    assert (rep.s, rep.z) == (0.0, Z_BOUND)
+
+
+def test_s_and_z_vanish_together_where_t_and_u_agree_in_size(tmp_path):
+    # |t| = |u| gives D_x = D_y = D: S > 0 means 2 D > H_z and Z > 0 means
+    # D > H_z / 2, one condition.  The presets are selected by their rows.
+    agreeing = []
+    for name, cfg in figure_presets(tmp_path).items():
+        grid = cfg.grid()
+        p = _x_params(cfg, grid)
+        t, u = np.broadcast_arrays(2.0 * (p.c14 + p.c23), 2.0 * (p.c23 - p.c14), grid)[:2]
+        if np.array_equal(np.abs(t), np.abs(u)):
+            agreeing.append(name)
+            table = evaluate_grid(cfg, grid)
+            np.testing.assert_array_equal(table[:, 1] > 0.0, table[:, 2] > 0.0, err_msg=name)
+    assert agreeing == [
+        "accel-single", "accel-joint", "ad-slow", "ad-fast", "dephasing-slow", "dephasing-fast"
+    ]

@@ -4,7 +4,7 @@ from itertools import cycle
 
 import numpy as np
 import pytest
-from conftest import _batch, _projector, _x_layout, partial_trace
+from conftest import _batch, _projector, partial_trace
 
 from xsteer.measures import (
     LN2,
@@ -18,6 +18,7 @@ from xsteer.measures import (
     _derive,
     _g,
     _g_float,
+    _x_sides,
     conditional_entropy,
     full_report,
     joint_distribution,
@@ -43,6 +44,7 @@ from xsteer.qstate import (
     random_x_state,
     x_params_from_density,
 )
+from xsteer.sweep import _x_params, figure_presets
 
 SQ2 = math.sqrt(2.0)
 
@@ -210,60 +212,66 @@ def _t_u(p):
     return 2.0 * (p.c14 + p.c23), 2.0 * (p.c23 - p.c14)
 
 
+def _x_table(p):
+    """The joint table of an X state from its correlations t, u and its populations.
+
+    The x row is (1 + t, 1 - t, 1 - t, 1 + t)/4 in the columns (+,+), (+,-),
+    (-,+), (-,-), the y row the same in u, the z row the populations.
+    """
+    return np.array([np.array([1 + c, 1 - c, 1 - c, 1 + c]) / 4 for c in _t_u(p)] + [p.diagonal])
+
+
 def test_deficits_bell_values():
-    tu, tables, (d, hz, _) = _x_layout(bell_mixture(0.0))
-    np.testing.assert_allclose(tu, [1, -1], atol=1e-15)
-    np.testing.assert_allclose(tables[2], [0.5, 0, 0, 0.5], atol=1e-15)
+    p = bell_mixture(0.0)
+    d, hz = _x_sides(p)
+    np.testing.assert_allclose(_t_u(p), [1, -1], atol=1e-15)
+    np.testing.assert_allclose(p.diagonal, [0.5, 0, 0, 0.5], atol=1e-15)
     np.testing.assert_allclose(d, [LN2, LN2], atol=1e-15)
     assert abs(hz) < 1e-15
 
 
 def test_deficits_maximally_mixed_and_nu_half():
     mixed = XStateParams(0.25, 0.25, 0.25, 0.25, 0.0, 0.0)
-    tu, _, (d, hz, _) = _x_layout(mixed)
-    np.testing.assert_allclose(tu, [0, 0], atol=1e-15)
+    d, hz = _x_sides(mixed)
+    np.testing.assert_allclose(_t_u(mixed), [0, 0], atol=1e-15)
     np.testing.assert_allclose([*d, hz], [0, 0, LN2], atol=1e-15)
     # the nu = 0.5 state keeps only the x correlation
-    tu, _, (d, hz, _) = _x_layout(bell_mixture(0.5))
-    np.testing.assert_allclose(tu, [1, 0], atol=1e-15)
+    d, hz = _x_sides(bell_mixture(0.5))
+    np.testing.assert_allclose(_t_u(bell_mixture(0.5)), [1, 0], atol=1e-15)
     np.testing.assert_allclose([*d, hz], [LN2, 0, LN2], atol=1e-15)
 
 
 def test_deficits_sign_structure_and_bounds():
     states = [random_x_state(seed) for seed in range(200)]
-    tu, tables, (d, hz, h) = _x_layout(_batch(states))
+    d, hz = _x_sides(_batch(states))
     # one state at a time gives the batch's columns
     for i in (0, 99, 199):
-        one_tu, one_tables, (one_d, one_hz, one_h) = _x_layout(states[i])
-        np.testing.assert_allclose(one_tu, tu[:, i], rtol=0, atol=1e-15)
-        np.testing.assert_allclose(one_tables, tables[..., i], rtol=0, atol=1e-15)
-        np.testing.assert_allclose(
-            [*one_d, one_hz, *one_h], [*d[:, i], hz[i], *h[:, i]], rtol=0, atol=1e-15
-        )
-    np.testing.assert_array_equal(tu, np.array([_t_u(p) for p in states]).T)
+        one_d, one_hz = _x_sides(states[i])
+        np.testing.assert_allclose([*one_d, one_hz], [*d[:, i], hz[i]], rtol=0, atol=1e-15)
+    # the deficits are g of t = 2(c14 + c23) and u = 2(c23 - c14)
+    tu = np.array([_t_u(p) for p in states]).T
+    np.testing.assert_array_equal(d, _g(tu))
     assert np.max(np.abs(tu)) <= 1 + 1e-12
     # the raw populations and A's raw z outcomes are probabilities
-    populations = tables[2]
+    populations = np.array([p.diagonal for p in states]).T
     outcomes = np.array([populations[0] + populations[1], populations[2:].sum(0)])
     assert np.all(populations >= 0.0) and np.all(populations <= 1.0)
-    np.testing.assert_array_equal(populations, np.array([p.diagonal for p in states]).T)
     np.testing.assert_allclose(outcomes.sum(axis=0), 1.0, atol=1e-12)
     # deficits and entropies stay in [0, ln 2]
-    for values in (d, hz, h):
+    for values in (d, hz):
         assert np.all(values >= -1e-15) and np.all(values <= LN2 + 1e-15)
 
 
 def test_joint_probabilities_from_coefficients():
-    # the x row is (1 + t, 1 - t, 1 - t, 1 + t)/4 in the columns (+,+), (+,-),
-    # (-,+), (-,-), the y row the same in u, the z row the populations
+    # joint_distribution of the matrix is the table built from t, u and the
+    # populations, and x_report's deficits are ln 2 - H_x and ln 2 - H_y of it
     for seed in range(50):
         p = random_x_state(seed)
         table = joint_distribution(from_x_params(p))
-        for row, c in zip((0, 1), _t_u(p)):
-            expected = np.array([1 + c, 1 - c, 1 - c, 1 + c]) / 4
-            np.testing.assert_allclose(table[row], expected, atol=1e-12)
-        np.testing.assert_allclose(table[2], p.diagonal, atol=1e-12)
-        np.testing.assert_allclose(_x_layout(p)[1][:3], table, atol=1e-12)
+        np.testing.assert_allclose(table, _x_table(p), atol=1e-12)
+        np.testing.assert_allclose(
+            _x_sides(p)[0], LN2 - _conditional_entropies(table[:2]), rtol=0, atol=1e-12
+        )
 
 
 def test_marginals_from_coefficients():
@@ -279,7 +287,7 @@ def test_marginals_from_coefficients():
             np.testing.assert_allclose(marginals[axis], _oracle_marginal(rho_a, axis), atol=1e-12)
         np.testing.assert_allclose(marginals[2], [p.d1 + p.d2, p.d3 + p.d4], atol=1e-12)
         np.testing.assert_allclose(
-            _x_layout(p)[1].reshape(3, 2, 2).sum(axis=-1), marginals, atol=1e-12
+            _x_table(p).reshape(3, 2, 2).sum(axis=-1), marginals, atol=1e-12
         )
 
 
@@ -325,6 +333,40 @@ def test_g_float_and_array_twins_agree():
     array, floats = _both_g(t)
     np.testing.assert_allclose(floats, array, rtol=1e-15, atol=0)
     assert np.all(array >= 0.0) and np.all(array <= LN2)
+
+
+def _table_deficit(t: np.ndarray) -> np.ndarray:
+    """ln 2 - H(B|A) of the joint table (1 + t, 1 - t, 1 - t, 1 + t)/4 of each entry of `t`.
+
+    The table is an X state's x table, or its y table in u, cleaned by
+    `_clean_probabilities`: a negative 1 - |t| of a t just past 1 is set to 0
+    and the table renormalised.
+    """
+    tables = np.empty((1, 4, t.size))
+    np.add(1.0, t, out=tables[0, 0::3])
+    np.subtract(1.0, t, out=tables[0, 1:3])
+    tables *= 0.25
+    return LN2 - _conditional_entropies(_clean_probabilities(tables))[0]
+
+
+def test_g_matches_the_entropy_of_its_joint_table(tmp_path):
+    # x_report reads D_x = g(t) and D_y = g(u) with no runtime check; the
+    # joint table's entropy is the independent formula, held to 2e-15 per
+    # deficit on every preset's t and u and on a dense set over [-1, 1]
+    presets = []
+    for cfg in figure_presets(tmp_path).values():
+        t, u = _t_u(_x_params(cfg, cfg.grid()))
+        presets += [np.broadcast_to(t, cfg.grid().shape), np.broadcast_to(u, cfg.grid().shape)]
+    rng = np.random.default_rng(31)
+    tiny = np.logspace(-300, 0, 20_000)
+    dense = np.concatenate([
+        rng.uniform(-1.0, 1.0, 200_000), tiny, 1.0 - tiny[tiny < 1.0],
+        0.5 + rng.uniform(-1e-6, 1e-6, 2_000), [0.0, 0.5, 1.0, 1.0 - 1e-16],
+    ])
+    dense = np.concatenate([dense, -dense])
+    for name, t in (("presets", np.concatenate(presets)), ("dense", dense)):
+        gap = np.abs(_g(t) - _table_deficit(t))
+        assert gap.max() <= 2e-15, (name, t[gap.argmax()], gap.max())
 
 
 def test_steering_functional_values():
@@ -554,28 +596,14 @@ def test_either_side_of_the_path_check_off_by_2e_9_raises(monkeypatch, side):
 
     # the closed form through its two deficits, 5e-10 each, the identity
     # through its three H_i; either moves its I_AB by 2e-9
-    g, g_float, axis_entropy, x_sides = (
-        measures._g, measures._g_float, measures._axis_entropy, measures._x_sides
-    )
-
-    def identity_shifted(p):
-        d, hz, h = x_sides(p)
-        return d, hz, h - 1e-9 / 3
-
+    g_float, axis_entropy = measures._g_float, measures._axis_entropy
     if side == "closed form":
-        monkeypatch.setattr(measures, "_g", lambda t: g(t) + 5e-10)
         monkeypatch.setattr(measures, "_g_float", lambda t: g_float(t) + 5e-10)
     else:
-        monkeypatch.setattr(measures, "_x_sides", identity_shifted)
         monkeypatch.setattr(measures, "_axis_entropy", lambda *p: axis_entropy(*p) - 1e-9 / 3)
-    states = [random_x_state(seed) for seed in range(5)]
-    with pytest.raises(PathDisagreementError):
-        x_report(_batch(states))
-    for p in states:
+    for seed in range(5):
         with pytest.raises(PathDisagreementError):
-            full_report(from_x_params(p))
-        with pytest.raises(PathDisagreementError):
-            steering_functional(p)
+            full_report(from_x_params(random_x_state(seed)))
 
 
 def test_full_report_keeps_zero_offsets_at_zero():

@@ -13,12 +13,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import _batch, _matrix_point, _x_layout
+from conftest import _batch, _matrix_point
 
 import xsteer.measures as measures
 import xsteer.sweep as sweep
 from xsteer.cli import EXIT_CONFIG, EXIT_INTERNAL, EXIT_IO, EXIT_OK, build_parser, main
-from xsteer.measures import PathDisagreementError
 from xsteer.processes import (
     ChannelParameterError,
     ZeroProbabilityOutcomeError,
@@ -408,22 +407,10 @@ def test_guard_state_checks_fire_per_row(tmp_path, monkeypatch, bad, fragment):
 
 
 def test_guard_negative_probability_floor(tmp_path, monkeypatch):
-    # 1 - t = -2e-13 is clipped and renormalised: the row reads as psi+
+    # 1 - t = -2e-13: g clamps |t| to 1, so the row reads as psi+
     tiny = XStateParams(0.5, 0.0, 0.0, 0.5, 0.5 + 1e-13, 0.0)
     rows = _run_with_params(tmp_path, monkeypatch, [_MIXED, tiny, _PSI])
     assert abs(rows[1].s - rows[2].s) < 1e-12 and abs(rows[1].z - rows[2].z) < 1e-12
-    joint = _x_layout(_batch([tiny]))[1][:2]  # the cleaned joint x and y tables
-    assert joint.min() == 0.0
-    np.testing.assert_allclose(joint.sum(axis=1), 1.0, rtol=0, atol=1e-15)
-
-
-def test_guard_path_disagreement(tmp_path, monkeypatch):
-    # each deficit 5e-10 high puts the closed form's I_AB 2e-9 above the identity
-    g = measures._g
-    monkeypatch.setattr(measures, "_g", lambda t: g(t) + 5e-10)
-    with pytest.raises(PathDisagreementError):
-        run_sweep(_cfg(tmp_path, points=5))
-    assert not list(tmp_path.iterdir())
 
 
 def test_guard_swap_weight_floor(tmp_path, monkeypatch):
@@ -1484,7 +1471,7 @@ def test_cli_internal_failure_exit_code(tmp_path, monkeypatch, capsys):
     import xsteer.cli as cli
 
     def boom(cfg):
-        raise PathDisagreementError("forced")
+        raise ZeroProbabilityOutcomeError("forced")
 
     monkeypatch.setattr(cli, "run_sweep", boom)
     code = main(["--mode", "nu", "--grid", "0:1:5", "--out", str(tmp_path / "x.csv")])
@@ -1569,7 +1556,7 @@ def test_cli_help_that_cannot_be_written_is_an_io_failure(monkeypatch, failure):
     [
         (ConfigError("forced"), EXIT_CONFIG),
         (OSError(errno.ENOENT, "forced"), EXIT_IO),
-        (PathDisagreementError("forced"), EXIT_INTERNAL),
+        (ZeroProbabilityOutcomeError("forced"), EXIT_INTERNAL),
     ],
     ids=["config", "io", "internal"],
 )
