@@ -66,22 +66,24 @@ _MODES_TEXT = ", ".join(MODES)
 _BELLS_TEXT = ", ".join(b.value for b in BellIndex)
 
 # In the order their values are converted, so the first bad one is reported.
-# Range rules live in SweepConfig.validate, not here.
+# Range rules live in SweepConfig.validate, not here.  Each default a help
+# names is SweepConfig's own: build_parser fills in the field's default, which
+# the dataclass keeps as the class attribute of that name.
 _SETTINGS = {
     "mode": _Setting("mode", f"one of {_MODES_TEXT}", _is_str, _mode,
                      f"which parameter sweep to run: {_MODES_TEXT}"),
     "grid": _Setting("grid", "start:stop:points", _is_str, _grid,
                      "grid as start:stop:points (defaults per mode)"),
     "bell": _Setting("bell", f"one of {_BELLS_TEXT}", _is_str, BellIndex,
-                     f"Bell outcome for swap mode: {_BELLS_TEXT} (default psi)"),
-    "nu": _Setting("nu", "a number", _is_real, float, "fixed mixing parameter (default 1.0)"),
+                     f"Bell outcome for swap mode: {_BELLS_TEXT} (default {{bell.value}})"),
+    "nu": _Setting("nu", "a number", _is_real, float, "fixed mixing parameter (default {nu})"),
     "rb": _Setting("r_b", 'a number or "track"', lambda v: _is_real(v) or v == "track",
                    lambda v: "track" if v == "track" else float(v),
-                   "acceleration of qubit B: a number in [0, pi/4] or 'track' (default 0)"),
+                   "acceleration of qubit B: a number in [0, pi/4] or 'track' (default {r_b})"),
     "g_over_gamma": _Setting("g_over_gamma", "a number", _is_real, float,
-                             "decay-rate ratio g/gamma for channel modes (default 0.1)"),
+                             "decay-rate ratio g/gamma for channel modes (default {g_over_gamma})"),
     "out": _Setting("out", "a string", _is_str, str, "output CSV path"),
-    "jobs": _Setting("jobs", "an integer", _is_integer, int, "parallel workers (default 1)"),
+    "jobs": _Setting("jobs", "an integer", _is_integer, int, "parallel workers (default {jobs})"),
 }
 
 
@@ -123,7 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
         "a state or process parameter, writing a CSV and a gnuplot script.",
     )
     for key, setting in _SETTINGS.items():
-        parser.add_argument(f"--{key.replace('_', '-')}", dest=key, help=setting.help)
+        help_text = setting.help.format_map(vars(SweepConfig))
+        parser.add_argument(f"--{key.replace('_', '-')}", dest=key, help=help_text)
     parser.add_argument("--config", help="JSON config file; explicit flags win on conflict")
     return parser
 

@@ -192,16 +192,16 @@ def _x_sides(p: XStateParams):
     the populations, each raised to at least 0.  A batch keeps its rows
     along the trailing axis; fields may be scalars shared by every row.
     """
-    p.validate()
-    shape = np.broadcast(p.d1, p.d2, p.d3, p.d4, p.c14, p.c23).shape
+    d1, d2, d3, d4, c14, c23 = p.validate()
+    shape = np.broadcast(d1, d2, d3, d4, c14, c23).shape
     tu = np.empty((2,) + shape)
-    np.add(p.c14, p.c23, out=tu[0, ...])  # a view even for one state
-    np.subtract(p.c23, p.c14, out=tu[1, ...])
+    np.add(c14, c23, out=tu[0, ...])  # a view even for one state
+    np.subtract(c23, c14, out=tu[1, ...])
     tu *= 2.0
     # Each population into the table, entry by entry, since a field may be
     # a scalar: broadcast_arrays costs more.
     populations = np.empty((1, 4) + shape)
-    for column, population in enumerate(p.diagonal):
+    for column, population in enumerate((d1, d2, d3, d4)):
         populations[0, column] = population
     np.maximum(populations, 0.0, out=populations)
     return _g(tu), _conditional_entropies(populations)[0]

@@ -67,10 +67,11 @@ def _realign(m: np.ndarray) -> np.ndarray:
 # Acceleration
 # ---------------------------------------------------------------------------
 
-def _check_acceleration(nu: float, r_a: float, r_b: float) -> None:
-    DOMAINS["nu"].check(nu, "mixing parameter nu", InvalidStateError)  # as bell_mixture names it
-    DOMAINS["r"].check(r_a, "r_a", InvalidStateError)
-    DOMAINS["r"].check(r_b, "r_b", InvalidStateError)
+def _check_acceleration(nu, r_a, r_b) -> tuple:
+    """nu, r_a and r_b as their domain checks read them; nu is named as bell_mixture names it."""
+    nu = DOMAINS["nu"].check(nu, "mixing parameter nu", InvalidStateError)
+    r = DOMAINS["r"]
+    return nu, r.check(r_a, "r_a", InvalidStateError), r.check(r_b, "r_b", InvalidStateError)
 
 
 def accelerated_params(nu, r_a, r_b) -> XStateParams:
@@ -81,7 +82,7 @@ def accelerated_params(nu, r_a, r_b) -> XStateParams:
     it reduces exactly to bell_mixture(nu).  The populations sum to one
     identically in (nu, r_a, r_b).  Arrays of any argument give a batch.
     """
-    _check_acceleration(nu, r_a, r_b)
+    nu, r_a, r_b = _check_acceleration(nu, r_a, r_b)
     w = (1.0 - nu) / 2.0
     v = nu / 2.0
     ca, sa = np.cos(r_a), np.sin(r_a)
@@ -116,7 +117,7 @@ def accelerate_oracle(nu: float, r_a: float, r_b: float) -> np.ndarray:
     (A_II, B_II), whose m m^dag is its trace over both region-II modes.
     Kept independent of the closed form so the two can be compared elementwise.
     """
-    _check_acceleration(nu, r_a, r_b)
+    nu, r_a, r_b = _check_acceleration(nu, r_a, r_b)
     (za, oa), (zb, ob) = _rindler_images(r_a), _rindler_images(r_b)
     s = 1.0 / math.sqrt(2.0)
     outer = np.multiply.outer
@@ -129,9 +130,10 @@ def accelerate_oracle(nu: float, r_a: float, r_b: float) -> np.ndarray:
 # Noisy channels
 # ---------------------------------------------------------------------------
 
-def _check_channel(g_over_gamma: float, gamma_t: float, rate: str) -> None:
-    DOMAINS[rate].check(g_over_gamma, "g/gamma", ChannelParameterError)
-    DOMAINS["gamma_t"].check(gamma_t, "gamma*t", ChannelParameterError)
+def _check_channel(g_over_gamma, gamma_t, rate: str) -> tuple:
+    """g/gamma, checked against DOMAINS[rate], and gamma*t as their domain checks read them."""
+    g_over_gamma = DOMAINS[rate].check(g_over_gamma, "g/gamma", ChannelParameterError)
+    return g_over_gamma, DOMAINS["gamma_t"].check(gamma_t, "gamma*t", ChannelParameterError)
 
 
 def _product(a, b):
@@ -157,8 +159,7 @@ def ad_survival(g_over_gamma, gamma_t):
     R >= 2 makes l imaginary and is rejected.  An array of times gives one
     P per time.
     """
-    _check_channel(g_over_gamma, gamma_t, "g_over_gamma_ad")
-    r = g_over_gamma
+    r, gamma_t = _check_channel(g_over_gamma, gamma_t, "g_over_gamma_ad")
     lam = np.sqrt(r * (2.0 - r))
     half_phase = 0.5 * lam * gamma_t
     amp = np.cos(half_phase) + (r / lam) * np.sin(half_phase)
@@ -191,7 +192,7 @@ def dephasing_coherence(g_over_gamma, gamma_t):
     than by g/gamma keeps it accurate when g/gamma is subnormal.  An array of
     times gives one P per time.
     """
-    _check_channel(g_over_gamma, gamma_t, "g_over_gamma")
+    g_over_gamma, gamma_t = _check_channel(g_over_gamma, gamma_t, "g_over_gamma")
     # Below the smallest normal double expm1(-x) / x is exactly -1, so raising
     # x to it changes nothing except at x = 0, where the bracket is 0.
     x = np.maximum(_product(g_over_gamma, gamma_t), _SMALLEST_NORMAL)
@@ -221,17 +222,20 @@ def damped_params(p: XStateParams, survival) -> XStateParams:
     so the populations move toward |00> and both coherences scale by
     sqrt(P) per qubit, P in all.  This is `apply_local_channel` with
     `amplitude_damping_kraus` on both qubits, in closed form.  P outside
-    [0, 1] raises ChannelParameterError.
+    [0, 1] raises ChannelParameterError.  P and the fields of `p` are read
+    as float64; `p` is not checked, so a sweep checks each state once, on
+    the output.
     """
-    DOMAINS["channel_factor"].check(survival, "survival P", ChannelParameterError)
+    survival = DOMAINS["channel_factor"].check(survival, "survival P", ChannelParameterError)
+    d1, d2, d3, d4, c14, c23 = p._read()
     q = 1.0 - survival
     return XStateParams(
-        d1=p.d1 + q * p.d2 + q * p.d3 + q * q * p.d4,
-        d2=survival * (p.d2 + q * p.d4),
-        d3=survival * (p.d3 + q * p.d4),
-        d4=survival * survival * p.d4,
-        c14=survival * p.c14,
-        c23=survival * p.c23,
+        d1=d1 + q * d2 + q * d3 + q * q * d4,
+        d2=survival * (d2 + q * d4),
+        d3=survival * (d3 + q * d4),
+        d4=survival * survival * d4,
+        c14=survival * c14,
+        c23=survival * c23,
     )
 
 
@@ -240,11 +244,13 @@ def dephased_params(p: XStateParams, coherence) -> XStateParams:
 
     The populations stay; both coherences scale by P^2.  This is
     `apply_local_channel` with `dephasing_kraus` on both qubits, in closed
-    form.  P outside [0, 1] raises ChannelParameterError.
+    form.  P outside [0, 1] raises ChannelParameterError.  P and the fields
+    of `p` are read as float64, as in `damped_params`; `p` is not checked.
     """
-    DOMAINS["channel_factor"].check(coherence, "coherence factor P", ChannelParameterError)
-    scale = coherence * coherence
-    return XStateParams(p.d1, p.d2, p.d3, p.d4, c14=scale * p.c14, c23=scale * p.c23)
+    factor = DOMAINS["channel_factor"].check(coherence, "coherence factor P", ChannelParameterError)
+    d1, d2, d3, d4, c14, c23 = p._read()
+    scale = factor * factor
+    return XStateParams(d1, d2, d3, d4, c14=scale * c14, c23=scale * c23)
 
 
 def completeness_defect(kraus: list[np.ndarray]) -> float:
@@ -377,13 +383,12 @@ def swapped_params(p12: XStateParams, p34: XStateParams, which: BellIndex) -> XS
     must be a BellIndex member.
     """
     _check_bell(which)
-    p12.validate("rho12")
-    if p34 is not p12:  # a pair swapped with itself is checked once
-        p34.validate("rho34")
-    a, b = p12, p34
+    a1, a2, a3, a4, a14, a23 = a = p12.validate("rho12")
+    # a pair swapped with itself is checked once
+    b1, b2, b3, b4, b14, b23 = a if p34 is p12 else p34.validate("rho34")
     if which in (BellIndex.PHI_PLUS, BellIndex.PHI_MINUS):
-        b = XStateParams(b.d3, b.d4, b.d1, b.d2, c14=b.c23, c23=b.c14)
-    weight = 0.5 * ((a.d1 + a.d3) * (b.d1 + b.d2) + (a.d2 + a.d4) * (b.d3 + b.d4))
+        b1, b2, b3, b4, b14, b23 = b3, b4, b1, b2, b23, b14
+    weight = 0.5 * ((a1 + a3) * (b1 + b2) + (a2 + a4) * (b3 + b4))
     row = failing_row(weight >= SWAP_PROBABILITY_FLOOR)
     if row is not None:
         raise ZeroProbabilityOutcomeError(
@@ -392,12 +397,12 @@ def swapped_params(p12: XStateParams, p34: XStateParams, which: BellIndex) -> XS
     half = 0.5 / weight
     signed = -half if which in (BellIndex.PSI_MINUS, BellIndex.PHI_MINUS) else half
     return XStateParams(
-        d1=half * (a.d1 * b.d1 + a.d2 * b.d3),
-        d2=half * (a.d1 * b.d2 + a.d2 * b.d4),
-        d3=half * (a.d3 * b.d1 + a.d4 * b.d3),
-        d4=half * (a.d3 * b.d2 + a.d4 * b.d4),
-        c14=signed * (a.c14 * b.c14 + a.c23 * b.c23),
-        c23=signed * (a.c14 * b.c23 + a.c23 * b.c14),
+        d1=half * (a1 * b1 + a2 * b3),
+        d2=half * (a1 * b2 + a2 * b4),
+        d3=half * (a3 * b1 + a4 * b3),
+        d4=half * (a3 * b2 + a4 * b4),
+        c14=signed * (a14 * b14 + a23 * b23),
+        c23=signed * (a14 * b23 + a23 * b14),
     )
 
 

@@ -7,6 +7,9 @@ the main diagonal and anti-diagonal, all real) is carried by `XStateParams`.
 
 The parameter checks accept a batch as well as a single value: given arrays,
 the first check to fail, in check order, reports its own first failing row.
+`check_float` is the one read of a number: each check returns the float64
+value it accepted, and the closed forms compute with that value, so an
+np.float32, np.float16, int or Fraction input computes as its float64 value.
 """
 
 from __future__ import annotations
@@ -59,8 +62,14 @@ def shown(value) -> str:
     return str(value)
 
 
-def check_float(x, name: str, error: type[Exception]) -> float:
-    """float(x); raise `error` naming the parameter if it overflows, as for 10**400."""
+def check_float(x, name: str, error: type[Exception]):
+    """x read as float64: an array by astype, which hands back a float64 array as is, else float(x).
+
+    Raises `error` naming the parameter for a number no float can hold, as
+    for 10**400.
+    """
+    if isinstance(x, np.ndarray):
+        return x.astype(np.float64, copy=False)
     try:
         return float(x)
     except OverflowError:
@@ -94,13 +103,22 @@ class Domain:
         below = x < self.hi if self.hi_open else x <= self.hi
         return above & below
 
-    def check(self, x, name: str, error: type[Exception]) -> None:
-        """Raise `error` naming the parameter unless x (every entry) lies in the domain."""
+    def check(self, x, name: str, error: type[Exception]):
+        """x read by `check_float`, once x and that value (every entry) lie in the domain.
+
+        Raises `error` naming the parameter otherwise.  x itself is compared
+        first, so an int or Fraction is compared exactly and one no float can
+        hold gets this message; its float64 value is compared too, since
+        rounding can put it on an open bound, as it puts a positive Fraction
+        below the smallest double on 0.
+        """
         row = failing_row(self.contains(x))
+        value = x if row is not None else check_float(x, name, error)
+        if value is not x:  # a float64 array or a Python float is read as itself
+            row = failing_row(self.contains(value))
         if row is not None:
             raise error(f"{name} must lie in {self}, got {shown(row_value(x, row))}")
-        if not isinstance(x, np.ndarray):  # Python compares an int or Fraction exactly
-            check_float(x, name, error)
+        return value
 
 
 # The parameter domains every layer checks against: the Bell-mixture weight nu,
@@ -159,33 +177,31 @@ class XStateParams:
     c14: float
     c23: float
 
-    @property
-    def diagonal(self) -> tuple[float, float, float, float]:
-        return (self.d1, self.d2, self.d3, self.d4)
+    def _read(self, name: str = "state") -> tuple:
+        """The six fields, in their order, each read by `check_float`; the state is not checked."""
+        fields = vars(self).items()  # in their declared order
+        return tuple(check_float(v, f"{name}: {k}", InvalidStateError) for k, v in fields)
 
-    def validate(self, name: str = "state") -> "XStateParams":
+    def validate(self, name: str = "state") -> tuple:
         """The one check of X parameters: `check_density`'s rule on their matrix.
 
-        Every field is read as float64, as `from_x_params` writes it into the
-        matrix (a scalar through `check_float`, so one no float can hold is
-        named), then checked for unit trace within TRACE_TOL, summed as
-        `check_density` sums it, and each 2x2 block [[d_a, c], [c, d_b]]
-        passing `_block_ok`, whose floor also keeps every population at
-        least EIGENVALUE_TOL.  Raises InvalidStateError naming `name`;
-        returns the input.  Every condition is evaluated once; only a
-        failure looks for which check failed, in the order trace, outer
-        block, inner block, each at its own first failing row of a batch.
+        Every field is read as float64 (see `_read`), as `from_x_params`
+        writes it into the matrix, then checked for unit trace within
+        TRACE_TOL, summed as `check_density` sums it, and each 2x2 block
+        [[d_a, c], [c, d_b]] passing `_block_ok`, whose floor also keeps
+        every population at least EIGENVALUE_TOL.  Raises InvalidStateError
+        naming `name`; returns the six values read, (d1, d2, d3, d4, c14,
+        c23), for the caller to compute with.  Every condition is evaluated
+        once; only a failure looks for which check failed, in the order
+        trace, outer block, inner block, each at its own first failing row
+        of a batch.
         """
-        d1, d2, d3, d4, c14, c23 = (
-            v.astype(np.float64, copy=False) if isinstance(v, np.ndarray)
-            else check_float(v, f"{name}: {k}", InvalidStateError)
-            for k, v in vars(self).items()  # the six fields, in their order
-        )
+        d1, d2, d3, d4, c14, c23 = fields = self._read(name)
         total = (d1 + d2) + (d3 + d4)
         trace_ok = abs(total - 1.0) <= TRACE_TOL
         outer_ok, inner_ok = _block_ok(c14 * c14, d1, d4), _block_ok(c23 * c23, d2, d3)
         if failing_row(trace_ok & outer_ok & inner_ok) is None:
-            return self
+            return fields
         # Each check reports its own first failing row.
         trace_row = failing_row(trace_ok)
         if trace_row is not None:
@@ -312,11 +328,11 @@ def _checked_rows(rho, name: str) -> tuple[np.ndarray, list]:
 
 def from_x_params(p: XStateParams) -> np.ndarray:
     """Build the 4x4 density operator for a validated X-state parameter set."""
-    p.validate()
+    d1, d2, d3, d4, c14, c23 = p.validate()
     rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0], rho[1, 1], rho[2, 2], rho[3, 3] = p.d1, p.d2, p.d3, p.d4
-    rho[0, 3] = rho[3, 0] = p.c14
-    rho[1, 2] = rho[2, 1] = p.c23
+    rho[0, 0], rho[1, 1], rho[2, 2], rho[3, 3] = d1, d2, d3, d4
+    rho[0, 3] = rho[3, 0] = c14
+    rho[1, 2] = rho[2, 1] = c23
     return rho
 
 
@@ -370,7 +386,7 @@ def bell_mixture(nu: float) -> XStateParams:
     ((1-nu)/2, nu/2, nu/2, (1-nu)/2) and coherences c14 = (1-nu)/2,
     c23 = nu/2.  An array of nu gives a batch.
     """
-    DOMAINS["nu"].check(nu, "mixing parameter nu", InvalidStateError)
+    nu = DOMAINS["nu"].check(nu, "mixing parameter nu", InvalidStateError)
     w = (1.0 - nu) / 2.0
     v = nu / 2.0
     return XStateParams(w, v, v, w, c14=w, c23=v)

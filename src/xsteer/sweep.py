@@ -128,8 +128,9 @@ class SweepConfig:
     of those two floats byte for byte, and np.float32 or Fraction ends give
     the float64 grid of their float() values.  `r_b` is either such a
     number or the string "track", meaning r_b follows the swept r_a.  The
-    fixed parameters `nu`, a numeric `r_b` and `g_over_gamma` are read as
-    their float() values too, so their domains are checked on those.
+    closed forms read the fixed parameters `nu`, a numeric `r_b` and
+    `g_over_gamma` as their float() values too, check their domains on
+    those and compute with them.
     `jobs` > 1 evaluates contiguous chunks of the grid in a process pool.
 
     `validate` checks these rules and that the grid lies in the swept
@@ -222,18 +223,18 @@ class SweepConfig:
 def _x_params(cfg: SweepConfig, grid: np.ndarray) -> XStateParams:
     """The X parameters of the swept state at every grid value.
 
-    The fixed parameters are read as float(), as `grid` reads the grid's
-    ends, so an np.float32 or Fraction value computes as its float64 value.
+    The closed forms read the fixed parameters as float(), as `grid` reads
+    the grid's ends, and check their domains on those values, so an
+    np.float32 or Fraction value computes as its float64 value.
     """
     if cfg.mode == "nu":
         return bell_mixture(grid)
-    nu, g_over_gamma = float(cfg.nu), float(cfg.g_over_gamma)
     if cfg.mode == "acceleration":
-        return accelerated_params(nu, grid, grid if cfg.r_b == "track" else float(cfg.r_b))
+        return accelerated_params(cfg.nu, grid, grid if cfg.r_b == "track" else cfg.r_b)
     if cfg.mode == "ad-channel":
-        return damped_params(bell_mixture(nu), ad_survival(g_over_gamma, grid))
+        return damped_params(bell_mixture(cfg.nu), ad_survival(cfg.g_over_gamma, grid))
     if cfg.mode == "dephasing-channel":
-        return dephased_params(bell_mixture(nu), dephasing_coherence(g_over_gamma, grid))
+        return dephased_params(bell_mixture(cfg.nu), dephasing_coherence(cfg.g_over_gamma, grid))
     if cfg.mode == "swap":
         pair = bell_mixture(grid)
         return swapped_params(pair, pair, cfg.bell)

@@ -9,7 +9,15 @@ The bundled presets add the sweeps' rows.
 
 import numpy as np
 
-from xsteer.measures import TWO_LN2, _x_sides, full_report, steering_functional, x_report
+from xsteer.measures import (
+    LN2,
+    TWO_LN2,
+    _g_float,
+    _x_sides,
+    full_report,
+    steering_functional,
+    x_report,
+)
 from xsteer.qstate import XStateParams, bell_mixture, from_x_params
 from xsteer.sweep import _x_params, evaluate_grid, figure_presets
 
@@ -144,3 +152,35 @@ def test_s_and_z_vanish_together_where_t_and_u_agree_in_size(tmp_path):
     assert agreeing == [
         "accel-single", "accel-joint", "ad-slow", "ad-fast", "dephasing-slow", "dephasing-fast"
     ]
+
+
+def test_steering_in_closed_form_for_the_mixture_and_swap_presets(tmp_path):
+    # the nu mixture has t = 1 and u = 2 nu - 1, so D_x = ln 2 and H_z =
+    # ln 2 - g(2 nu - 1): S = g(2 nu - 1) / ln 2; swapping two copies
+    # through psi+ leaves t = 1 and u = -(2 nu - 1)^2: S = g((2 nu - 1)^2) / ln 2
+    presets = figure_presets(tmp_path)
+    for name, power in (("mixture", 1), ("swap", 2)):
+        cfg = presets[name]
+        table = evaluate_grid(cfg, cfg.grid())
+        nu, s = table[:, 0].tolist(), table[:, 1].tolist()
+        for v, got in zip(nu, s):
+            assert abs(got - _g_float((2.0 * v - 1.0) ** power) / LN2) <= 1e-14, (name, v)
+        row = dict(zip(nu, s))
+        assert (row[0.0], row[1.0], row[0.5]) == (1.0, 1.0, 0.0), name
+
+
+def test_z_bound_holds_for_non_x_states():
+    # Z above (sqrt 2 - 1)/2 certifies steering for any two-qubit state, not
+    # only X states: Ginibre matrices G G^dag of rank 1 to 4, normalised
+    rng = np.random.default_rng(11)
+    reports = []
+    for _ in range(20_000):
+        rank = int(rng.integers(1, 5))
+        g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+        rho = g @ g.conj().T
+        rho /= np.trace(rho).real
+        report = full_report(rho)
+        reports.append((report.s, report.z))
+    s, z = np.array(reports).T
+    assert np.count_nonzero(s == 0.0) > 15_000
+    assert np.all(z[s == 0.0] <= Z_BOUND)

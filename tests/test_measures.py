@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 from enum import Enum
 from itertools import cycle
 
@@ -218,14 +219,15 @@ def _x_table(p):
     The x row is (1 + t, 1 - t, 1 - t, 1 + t)/4 in the columns (+,+), (+,-),
     (-,+), (-,-), the y row the same in u, the z row the populations.
     """
-    return np.array([np.array([1 + c, 1 - c, 1 - c, 1 + c]) / 4 for c in _t_u(p)] + [p.diagonal])
+    rows = [np.array([1 + c, 1 - c, 1 - c, 1 + c]) / 4 for c in _t_u(p)]
+    return np.array(rows + [astuple(p)[:4]])
 
 
 def test_deficits_bell_values():
     p = bell_mixture(0.0)
     d, hz = _x_sides(p)
     np.testing.assert_allclose(_t_u(p), [1, -1], atol=1e-15)
-    np.testing.assert_allclose(p.diagonal, [0.5, 0, 0, 0.5], atol=1e-15)
+    np.testing.assert_allclose(astuple(p)[:4], [0.5, 0, 0, 0.5], atol=1e-15)
     np.testing.assert_allclose(d, [LN2, LN2], atol=1e-15)
     assert abs(hz) < 1e-15
 
@@ -253,7 +255,7 @@ def test_deficits_sign_structure_and_bounds():
     np.testing.assert_array_equal(d, _g(tu))
     assert np.max(np.abs(tu)) <= 1 + 1e-12
     # the raw populations and A's raw z outcomes are probabilities
-    populations = np.array([p.diagonal for p in states]).T
+    populations = np.array([astuple(p)[:4] for p in states]).T
     outcomes = np.array([populations[0] + populations[1], populations[2:].sum(0)])
     assert np.all(populations >= 0.0) and np.all(populations <= 1.0)
     np.testing.assert_allclose(outcomes.sum(axis=0), 1.0, atol=1e-12)
@@ -427,7 +429,7 @@ def test_base2_rescaling_leaves_s_invariant():
     def s_base2(p):
         t, u = _t_u(p)
         deficits = 0.5 * x_log2_x([1.0 + t, 1.0 - t, 1.0 + u, 1.0 - u])
-        h_z = x_log2_x([p.d1 + p.d2, p.d3 + p.d4]) - x_log2_x(p.diagonal)
+        h_z = x_log2_x([p.d1 + p.d2, p.d3 + p.d4]) - x_log2_x(astuple(p)[:4])
         total = 2.0 + 2.0 * (deficits - h_z)
         return max(0.0, (total - 2.0) / 4.0)
 
@@ -540,7 +542,8 @@ def test_full_report_accepts_complex_x_states():
     for seed in range(20):
         p = random_x_state(seed)
         phases = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 2))
-        cases.append((np.diag(p.diagonal).astype(complex), p.c14 * phases[0], p.c23 * phases[1]))
+        diagonal = np.diag(astuple(p)[:4]).astype(complex)
+        cases.append((diagonal, p.c14 * phases[0], p.c23 * phases[1]))
     for rho, c14, c23 in cases:
         rho[0, 3], rho[3, 0] = c14, np.conj(c14)
         rho[1, 2], rho[2, 1] = c23, np.conj(c23)

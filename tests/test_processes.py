@@ -1,11 +1,14 @@
 import itertools
 import math
 import warnings
+from dataclasses import astuple
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from conftest import _batch, _projector, partial_trace
 
+from xsteer import measures
 from xsteer.measures import full_report
 from xsteer.processes import (
     ChannelParameterError,
@@ -77,12 +80,12 @@ def test_zero_acceleration_is_identity_on_mixture_family():
 def test_single_qubit_acceleration_coefficients():
     # accelerating one qubit of psi+ by r = pi/4
     p = accelerated_params(0.0, R_MAX, 0.0)
-    np.testing.assert_allclose(p.diagonal, [0.25, 0.0, 0.25, 0.5], atol=1e-15)
+    np.testing.assert_allclose(astuple(p)[:4], [0.25, 0.0, 0.25, 0.5], atol=1e-15)
     assert abs(p.c14 - INV_2SQ2) < 1e-15
     assert p.c23 == 0.0
     # and of phi+: same populations on the swapped slots
     q = accelerated_params(1.0, R_MAX, 0.0)
-    np.testing.assert_allclose(q.diagonal, [0.0, 0.25, 0.5, 0.25], atol=1e-15)
+    np.testing.assert_allclose(astuple(q)[:4], [0.0, 0.25, 0.5, 0.25], atol=1e-15)
     assert abs(q.c23 - INV_2SQ2) < 1e-15
     assert q.c14 == 0.0
 
@@ -92,7 +95,7 @@ def test_accelerated_populations_sum_to_one():
         for ra in np.linspace(0.0, R_MAX, 5):
             for rb in np.linspace(0.0, R_MAX, 5):
                 p = accelerated_params(nu, ra, rb)
-                assert abs(sum(p.diagonal) - 1.0) <= 1e-12
+                assert abs(sum(astuple(p)[:4]) - 1.0) <= 1e-12
 
 
 def test_accelerate_matches_oracle_on_grid():
@@ -273,7 +276,7 @@ def test_dephasing_scales_coherences_quadratically():
             params = random_x_state(seed)
             out = apply_local_channel(from_x_params(params), ops, ops)
             got = x_params_from_density(out)
-            np.testing.assert_allclose(got.diagonal, params.diagonal, atol=1e-14)
+            np.testing.assert_allclose(astuple(got)[:4], astuple(params)[:4], atol=1e-14)
             assert abs(got.c14 - params.c14 * p * p) < 1e-14
             assert abs(got.c23 - params.c23 * p * p) < 1e-14
 
@@ -319,7 +322,7 @@ def test_dephasing_kills_coherences_at_long_times():
     ops = dephasing_kraus(0.1, 500.0)
     params = bell_mixture(0.3)
     got = x_params_from_density(apply_local_channel(from_x_params(params), ops, ops))
-    np.testing.assert_allclose(got.diagonal, params.diagonal, atol=1e-14)
+    np.testing.assert_allclose(astuple(got)[:4], astuple(params)[:4], atol=1e-14)
     assert abs(got.c14) < 1e-12
     assert abs(got.c23) < 1e-12
 
@@ -579,3 +582,98 @@ def test_swap_rejects_which_that_is_not_a_bell_index(which):
         swapped_params(p, p, which)
     with pytest.raises(ValueError, match=expected):
         bell_project_swap(from_x_params(p), from_x_params(p), which)
+
+
+# ---------------------------------------------------------------------------
+# inputs of other numeric types
+# ---------------------------------------------------------------------------
+
+def _as_float64(value):
+    """The float64 cast of a closed form's input: arrays by astype, scalars by float()."""
+    if isinstance(value, XStateParams):
+        return XStateParams(*map(_as_float64, astuple(value)))
+    if isinstance(value, np.ndarray):
+        return value.astype(np.float64)
+    return value if isinstance(value, BellIndex) else float(value)
+
+
+def _bits(value) -> np.ndarray:
+    """The int64 view of a result's float64 (or complex128) entries, an X state's fields stacked."""
+    if isinstance(value, XStateParams):
+        value = np.stack(np.broadcast_arrays(*astuple(value)))
+    elif isinstance(value, tuple):  # _x_sides' deficits and H_z
+        return np.concatenate([_bits(v).ravel() for v in value])
+    value = np.atleast_1d(value)
+    assert value.dtype in (np.float64, np.complex128), value.dtype
+    return value.view(np.int64)
+
+
+def _float32_states(n: int) -> list:
+    """The first n random_x_state draws whose fields, cast to float32, still pass validate."""
+    states = []
+    for seed in itertools.count():
+        state = XStateParams(*np.float32(astuple(random_x_state(seed))))
+        try:
+            state.validate()
+        except InvalidStateError:  # the cast leaves a trace off 1 by more than TRACE_TOL
+            continue
+        states.append(state)
+        if len(states) == n:
+            return states
+
+
+def test_closed_forms_compute_with_the_float64_value_of_any_input():
+    # float32 arrays and np.float32 and np.float16 scalars give, bit for bit,
+    # what their float64 casts give, through each closed form and each report
+    rng = np.random.default_rng(32)
+    n = 40
+    nu, r_a, r_b, p = rng.uniform(0.0, 1.0, (4, n)).astype(np.float32)
+    r_a *= np.float32(0.78)
+    r_b *= np.float32(0.78)
+    gamma_t = rng.uniform(0.0, 30.0, n).astype(np.float32)
+    states = _float32_states(2 * n)
+    batch = XStateParams(*np.array([astuple(s) for s in states[:n]], np.float32).T)
+    partners = XStateParams(*np.array([astuple(s) for s in states[n:]], np.float32).T)
+    half, quarter = np.float16(0.5), np.float32(0.25)
+    calls = [
+        (bell_mixture, (nu,)), (bell_mixture, (np.float32(0.3),)),
+        (bell_mixture, (np.float16(0.7),)), (accelerated_params, (nu, r_a, r_b)),
+        (accelerated_params, (np.float16(0.3), half, quarter)),
+        (ad_survival, (np.float32(0.1), gamma_t)), (ad_survival, (np.float16(1.5), half)),
+        (dephasing_coherence, (np.float32(0.1), gamma_t)), (dephasing_coherence, (half, quarter)),
+        (damped_params, (batch, p)), (damped_params, (states[0], half)),
+        (dephased_params, (batch, p)), (dephased_params, (states[1], quarter)),
+        *((swapped_params, (batch, partners, which)) for which in BellIndex),
+        (swapped_params, (states[2], states[2], BellIndex.PSI_PLUS)),
+        (from_x_params, (states[3],)), (measures._x_sides, (batch,)),
+        (accelerate_oracle, (np.float16(0.3), half, quarter)),
+        (accelerate, (np.float32(0.6), quarter, np.float16(0.125))),
+    ]
+    for closed_form, args in calls:
+        got, want = closed_form(*args), closed_form(*map(_as_float64, args))
+        np.testing.assert_array_equal(_bits(got), _bits(want), err_msg=closed_form.__name__)
+        if not isinstance(got, XStateParams):
+            continue
+        for report in (measures.x_report, measures.steering_functional):
+            np.testing.assert_array_equal(_bits(report(got)), _bits(report(want)))
+        if np.ndim(got.d1) == 0:
+            got, want = (np.hstack(astuple(full_report(from_x_params(q)))) for q in (got, want))
+            np.testing.assert_array_equal(_bits(got), _bits(want))
+    # accelerate against its oracle on the same typed inputs
+    args = (np.float16(0.3), half, quarter)
+    assert np.max(np.abs(accelerate(*args) - accelerate_oracle(*args))) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "closed_form, rate",
+    [
+        (ad_survival, Fraction(1, 10**400)),
+        (ad_survival, 2 - Fraction(1, 10**30)),
+        (dephasing_coherence, Fraction(1, 10**400)),
+    ],
+)
+def test_a_rate_whose_float_lands_on_an_open_bound_is_refused(closed_form, rate):
+    # the rate lies inside the open domain, but its float64 value, the one the
+    # closed form would compute with, is 0.0 or 2.0, where it is not
+    with pytest.raises(ChannelParameterError, match="g/gamma must lie in"):
+        closed_form(rate, 1.0)

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -376,7 +377,7 @@ def test_check_density_hermiticity_defect_matches_numpy():
 
 def _x_matrix(p: XStateParams) -> np.ndarray:
     # like from_x_params, but without validating the parameters
-    rho = np.diag(np.array(p.diagonal, dtype=complex))
+    rho = np.diag(np.array(astuple(p)[:4], dtype=complex))
     rho[0, 3] = rho[3, 0] = p.c14
     rho[1, 2] = rho[2, 1] = p.c23
     return rho
@@ -408,11 +409,12 @@ _ABOVE_FLOOR = XStateParams(0.5, 0.0, 0.0, 0.5, 0.5 + 5e-11, 0.0)
 def test_check_x_density_agrees_with_matrix_check(params, fragment):
     """The X-parameter check, `validate`, agrees with `check_density` on the matrix.
 
-    Every matrix both accept gets a report from `full_report`.
+    Every matrix both accept gets a report from `full_report`, and `validate`
+    returns the six fields it read, in their order.
     """
     rho = _x_matrix(params)
     if fragment is None:
-        assert params.validate() is params
+        assert params.validate() == tuple(vars(params).values())  # each field a float
         check_density(rho)
         full_report(rho)
         return

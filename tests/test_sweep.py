@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import io
 import json
@@ -1329,6 +1330,23 @@ def test_cli_help_exits_0_with_usage_on_stdout(capsys):
         assert name in unwrapped
 
 
+def test_cli_help_names_the_defaults_a_sweep_config_takes():
+    # each flag's help states the value SweepConfig gives its field when the
+    # flag is left out, a Bell outcome by its flag value
+    import xsteer.cli as cli
+
+    cfg = SweepConfig("nu", 0.0, 1.0, 2, "x.csv")
+    defaulted = {f.name for f in dataclasses.fields(cfg) if f.default is not dataclasses.MISSING}
+    helps = {action.dest: action.help for action in build_parser()._actions}
+    named = []
+    for key, setting in cli._SETTINGS.items():
+        if setting.field in defaulted:
+            value = getattr(cfg, setting.field)
+            assert f"(default {getattr(value, 'value', value)})" in helps[key], key
+            named.append(key)
+    assert named == ["bell", "nu", "rb", "g_over_gamma", "jobs"]
+
+
 @pytest.mark.parametrize(
     "argv, fragment",
     [
@@ -1467,18 +1485,6 @@ def test_cli_unwritable_output_is_io_error(tmp_path, capsys):
     assert "I/O failure" in capsys.readouterr().err
 
 
-def test_cli_internal_failure_exit_code(tmp_path, monkeypatch, capsys):
-    import xsteer.cli as cli
-
-    def boom(cfg):
-        raise ZeroProbabilityOutcomeError("forced")
-
-    monkeypatch.setattr(cli, "run_sweep", boom)
-    code = main(["--mode", "nu", "--grid", "0:1:5", "--out", str(tmp_path / "x.csv")])
-    assert code == EXIT_INTERNAL
-    assert "internal consistency" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize(
     "error, code",
     [
@@ -1496,8 +1502,8 @@ def test_cli_maps_library_errors_to_exit_codes(tmp_path, monkeypatch, capsys, er
 
     monkeypatch.setattr(cli, "run_sweep", boom)
     assert main(["--mode", "nu", "--grid", "0:1:5", "--out", str(tmp_path / "x.csv")]) == code
-    err = capsys.readouterr().err
-    assert err.startswith("sweep: ") and err.endswith("forced\n") and err.count("\n") == 1
+    prefix = {EXIT_CONFIG: "invalid config", EXIT_INTERNAL: "internal consistency failure"}[code]
+    assert capsys.readouterr().err == f"sweep: {prefix}: forced\n"
 
 
 class _FailingStream(io.StringIO):
