@@ -63,6 +63,10 @@ def _realign(m: np.ndarray) -> np.ndarray:
     return m.take(_REALIGN)
 
 
+# Each Bell ket as its 2x2 coefficient matrix k: entry (a, b) is the amplitude of |ab>.
+_BELL_COEFFICIENTS = {which: which.ket.reshape(2, 2) for which in BellIndex}
+
+
 # ---------------------------------------------------------------------------
 # Acceleration
 # ---------------------------------------------------------------------------
@@ -111,18 +115,19 @@ def _rindler_images(r: float) -> np.ndarray:
 def accelerate_oracle(nu: float, r_a: float, r_b: float) -> np.ndarray:
     """Brute-force path for `accelerate`: build the enlarged pure states.
 
-    Each basis vector of the pair becomes its image in the modes (A_I, A_II,
-    B_I, B_II); each Bell state of the mixture is then a 4x4 matrix of outer
-    products, regrouped by `_realign` to m with rows (A_I, B_I) and columns
-    (A_II, B_II), whose m m^dag is its trace over both region-II modes.
-    Kept independent of the closed form so the two can be compared elementwise.
+    Each Bell state of the mixture, as its coefficient matrix k (entry
+    (a, b) the amplitude of |ab>, from `BellIndex.ket`), maps to
+    V_A^T k V_B, where row a of V is the image of |a> in a qubit's
+    (region I, region II) modes: the enlarged pure state with rows
+    (A_I, A_II) and columns (B_I, B_II).  `_realign` regroups it to m with
+    rows (A_I, B_I) and columns (A_II, B_II), whose m m^dag is its trace
+    over both region-II modes.  Kept independent of the closed form so the
+    two can be compared elementwise.
     """
     nu, r_a, r_b = _check_acceleration(nu, r_a, r_b)
-    (za, oa), (zb, ob) = _rindler_images(r_a), _rindler_images(r_b)
-    s = 1.0 / math.sqrt(2.0)
-    outer = np.multiply.outer
-    m_psi = _realign(s * (outer(za, zb) + outer(oa, ob)))   # from (|00> + |11>)/sqrt(2)
-    m_phi = _realign(s * (outer(za, ob) + outer(oa, zb)))   # from (|01> + |10>)/sqrt(2)
+    va, vb = _rindler_images(r_a), _rindler_images(r_b)
+    phi, psi = _BELL_COEFFICIENTS[BellIndex.PHI_PLUS], _BELL_COEFFICIENTS[BellIndex.PSI_PLUS]
+    m_phi, m_psi = _realign(va.T @ phi @ vb), _realign(va.T @ psi @ vb)
     return nu * (m_phi @ m_phi.conj().T) + (1.0 - nu) * (m_psi @ m_psi.conj().T)
 
 
@@ -328,10 +333,8 @@ def apply_local_channel(
 # ---------------------------------------------------------------------------
 
 # The Bell projection of `bell_project_swap` as a 4x4 kernel per outcome:
-# entry (bB, cC) is conj(k_bc) k_BC, with k the Bell ket as a 2x2 array.
-_SWAP_KERNELS = {
-    which: np.kron(which.ket.reshape(2, 2).conj(), which.ket.reshape(2, 2)) for which in BellIndex
-}
+# entry (bB, cC) is conj(k_bc) k_BC, with k the Bell state's coefficients.
+_SWAP_KERNELS = {which: np.kron(k.conj(), k) for which, k in _BELL_COEFFICIENTS.items()}
 
 
 def _check_bell(which) -> None:
@@ -372,15 +375,15 @@ def bell_project_swap(
 def swapped_params(p12: XStateParams, p34: XStateParams, which: BellIndex) -> XStateParams:
     """Closed form of `bell_project_swap` for two X states.
 
-    Projecting qubits 2, 3 onto psi+- (|00> +- |11>)/sqrt(2) leaves qubits 1, 4
-    in an X state: with a = p12 and b = p34, the outcome has probability
-    W = [(a1 + a3)(b1 + b2) + (a2 + a4)(b3 + b4)] / 2, and after dividing
-    by W the populations are (a1 b1 + a2 b3, a1 b2 + a2 b4, a3 b1 + a4 b3,
-    a3 b2 + a4 b4) / 2 and the coherences +-(a14 b14 + a23 b23) / 2 and
-    +-(a14 b23 + a23 b14) / 2.  The phi+- outcomes are the psi+- ones with
-    qubit 3 flipped, which swaps b's populations in pairs and its two
-    coherences.  Outcomes with W below 1e-12 are rejected, and `which`
-    must be a BellIndex member.
+    Projecting qubits 2, 3 onto psi+- (`BellIndex`: |00> +- |11>, normalised)
+    leaves qubits 1, 4 in an X state: with a = p12 and b = p34, the outcome
+    has probability W = [(a1 + a3)(b1 + b2) + (a2 + a4)(b3 + b4)] / 2, and
+    after dividing by W the populations are (a1 b1 + a2 b3, a1 b2 + a2 b4,
+    a3 b1 + a4 b3, a3 b2 + a4 b4) / 2 and the coherences
+    +-(a14 b14 + a23 b23) / 2 and +-(a14 b23 + a23 b14) / 2.  The phi+-
+    outcomes are the psi+- ones with qubit 3 flipped, which swaps b's
+    populations in pairs and its two coherences.  Outcomes with W below
+    1e-12 are rejected, and `which` must be a BellIndex member.
     """
     _check_bell(which)
     a1, a2, a3, a4, a14, a23 = a = p12.validate("rho12")

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import MAX_EMAX, MIN_EMIN, Context
 from enum import Enum
 
 import numpy as np
@@ -55,10 +55,17 @@ def row_value(value, row: int):
 
 
 def shown(value) -> str:
-    """`value` for an error message; an int or Fraction past 1e40 in 4 digits, as str may fail."""
+    """`value` for an error message; a rational past 1e40 by its value, in 4 significant digits.
+
+    str may fail on such an int (Python's int-to-str limit) and would write
+    a Fraction as two huge ints.  The one division runs at more digits than
+    numerator and denominator hold, so an int is exact, and the 4-digit
+    rounding the only one, as when the int itself is formatted.
+    """
     if isinstance(value, numbers.Rational) and max(abs(value.numerator), value.denominator) > 1e40:
-        top = f"{Decimal(value.numerator):.3e}"
-        return top if value.denominator == 1 else f"{top}/{Decimal(value.denominator):.3e}"
+        n, d = value.numerator, value.denominator
+        prec = (abs(n).bit_length() + d.bit_length()) // 3 + 8  # a bit holds under 1/3 digit
+        return f"{Context(prec=prec, Emax=MAX_EMAX, Emin=MIN_EMIN).divide(n, d):.3e}"
     return str(value)
 
 
@@ -66,14 +73,13 @@ def check_float(x, name: str, error: type[Exception]):
     """x read as float64: an array by astype, which hands back a float64 array as is, else float(x).
 
     Raises `error` naming the parameter for a number no float can hold, as
-    for 10**400.
+    for 10**400, showing an array's entry of largest magnitude.
     """
-    if isinstance(x, np.ndarray):
-        return x.astype(np.float64, copy=False)
     try:
-        return float(x)
+        return x.astype(np.float64, copy=False) if isinstance(x, np.ndarray) else float(x)
     except OverflowError:
-        raise error(f"{name} is too large for a float, got {shown(x)}") from None
+        largest = max(np.ravel(x), key=abs)
+        raise error(f"{name} is too large for a float, got {shown(largest)}") from None
 
 
 @dataclass(frozen=True)

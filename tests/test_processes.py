@@ -664,6 +664,16 @@ def test_closed_forms_compute_with_the_float64_value_of_any_input():
     assert np.max(np.abs(accelerate(*args) - accelerate_oracle(*args))) <= 1e-15
 
 
+@pytest.mark.parametrize("closed_form", [ad_survival, dephasing_coherence])
+@pytest.mark.parametrize(
+    "gamma_t", [10**400, np.array([1.0, 10**400], dtype=object)], ids=["int", "object array"]
+)
+def test_a_time_no_float_can_hold_is_refused(closed_form, gamma_t):
+    message = r"gamma\*t is too large for a float, got 1.000e\+400"
+    with pytest.raises(ChannelParameterError, match=message):
+        closed_form(0.1, gamma_t)
+
+
 @pytest.mark.parametrize(
     "closed_form, rate",
     [

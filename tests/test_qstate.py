@@ -1,6 +1,8 @@
 import math
 import re
 from dataclasses import astuple
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from xsteer.qstate import (
     from_x_params,
     is_x_structured,
     random_x_state,
+    shown,
     x_params_from_density,
 )
 
@@ -78,6 +81,9 @@ def test_from_x_params_entry_positions():
         # ints that sum to 1 exactly but overflow d1*d4 are checked as the
         # floats the matrix holds, whose diagonal sums to 0
         (XStateParams(10**300, 1 - 2 * 10**300, 0, 10**300, 0, 0), "unit trace.*got 0.0"),
+        # an array entry no float can hold is named too, by the entry of largest magnitude
+        (XStateParams(np.array([0.5, 10**400, -10**401], dtype=object), 0, 0, 0.5, 0, 0),
+         "d1 is too large for a float, got -1.000e\\+401"),
     ],
 )
 def test_from_x_params_rejects_invalid(params, fragment):
@@ -96,6 +102,21 @@ def test_bell_mixture_cases():
 def test_bell_mixture_out_of_range(nu):
     with pytest.raises(InvalidStateError):
         bell_mixture(nu)
+
+
+def test_shown_writes_a_rational_past_1e40_by_its_value():
+    # an int prints as its Decimal formats, rounded once at any size, even
+    # next to a rounding midpoint
+    for n in (10**41 + 1, -(10**60 + 5 * 10**56), 10**60 + 5 * 10**56 + 1, 10**5000, 7**20000):
+        assert shown(n) == f"{Decimal(n):.3e}"
+    assert shown(10**5000) == "1.000e+5000"
+    assert shown(10**60 + 5 * 10**56 + 1) == "1.001e+60"
+    assert shown(Fraction(1, 10**400)) == "1.000e-400"
+    assert shown(Fraction(-3, 10**50)) == "-3.000e-50"
+    assert shown(Fraction(10**400, 3)) == "3.333e+399"
+    assert shown(Fraction(2, 3)) == "2/3" and shown(10**40) == str(10**40)
+    with pytest.raises(InvalidStateError, match=r"nu must lie in \[0, 1\], got -3.000e-50$"):
+        bell_mixture(Fraction(-3, 10**50))
 
 
 def test_bell_states_conventions():
