@@ -109,6 +109,15 @@ status=0
 sweep --help > /dev/full 2> "$dir/help.err" || status=$?
 test "$status" -eq 3
 test "$(wc -l < "$dir/help.err")" -eq 1
+# a config number that no float can hold is refused by its one read,
+# with one stderr line naming the field, and nothing is written
+printf '{"mode": "nu", "out": "%s", "nu": 1%0400d}' "$dir/huge.csv" 0 > "$dir/huge.json"
+status=0
+sweep --config "$dir/huge.json" 2> "$dir/huge.err" || status=$?
+test "$status" -eq 2
+test "$(wc -l < "$dir/huge.err")" -eq 1
+grep -q 'nu is too large for a float, got 1.000e+400' "$dir/huge.err"
+test -z "$(find "$dir" -maxdepth 1 -name 'huge.*' ! -name huge.json ! -name huge.err)"
 # a 245-byte CSV name: its temporary and the plot script's would pass
 # 255 bytes, so each loses leading characters of the name; the
 # directory holds exactly the two outputs after a run and a rerun

@@ -11,7 +11,6 @@ from .qstate import (
     x_params_from_density,
 )
 from .measures import (
-    PathDisagreementError,
     SteeringReport,
     conditional_entropy,
     full_report,

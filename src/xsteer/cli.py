@@ -4,8 +4,11 @@ Exit codes: 0 success, 2 invalid configuration (including parameters that
 give an invalid state or channel), 3 I/O failure (including a success line
 or help text that cannot be written to stdout), 4 internal consistency
 failure (a Bell outcome of zero probability, or a non-finite value in a
-record to be written).  A sweep cannot raise `PathDisagreementError`: only
-`measures.full_report` runs the dual-path I_AB check.
+record to be written).
+
+A setting's value given as text, a flag's or a JSON string, goes through its
+`convert`; a JSON number goes to `SweepConfig` as parsed, so that
+`SweepConfig.validate` reads it once and refuses one that no float can hold.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ class _Setting(NamedTuple):
     field: str  # its SweepConfig field; "grid" fills start, stop and points
     kind: str  # the values it takes, in words, for its error messages
     json_type: Callable[[object], bool]  # whether a JSON value has the right type
-    convert: Callable  # the flag's text or the JSON value to the field's value
+    convert: Callable  # a flag's text or a JSON string to the field's value
     help: str
 
 
@@ -169,10 +172,11 @@ def _build_config(args: argparse.Namespace) -> SweepConfig:
     fields = {}
     for key, setting in _SETTINGS.items():
         if key in values:
+            value = values[key]  # text, or a JSON number that SweepConfig.validate reads
             try:
-                fields[setting.field] = setting.convert(values[key])
+                fields[setting.field] = setting.convert(value) if isinstance(value, str) else value
             except ValueError as exc:
-                raise ConfigError(f"{key} must be {setting.kind}, got {values[key]!r}") from exc
+                raise ConfigError(f"{key} must be {setting.kind}, got {value!r}") from exc
     start, stop, points = fields.pop("grid", _SWEPT[fields["mode"]][2])
     return SweepConfig(start=start, stop=stop, points=points, **fields)
 

@@ -25,21 +25,20 @@ D_x + D_y and H_z are not both near ln 2.  A state is refused only by
 matrix path's cleaning sets negatives, rounding noise of a checked state,
 to 0 and renormalises each joint table, after which no entry exceeds 1.
 
-`full_report` projects a density matrix and is the library path; `x_report`
+`full_report` reads a density matrix and is the library path; `x_report`
 evaluates a batch of X states from their six parameters and is what sweeps
-run.  `full_report` reads its matrix once, runs `check_density`'s checks
-on those rows and takes the X structure and entries off them; after one
-matrix product for the projection everything runs on Python floats, where
-numpy's call overhead would outweigh the arithmetic.  For an X input it
-checks the closed form's I_AB against the entropy identity I_AB =
-6 ln 2 - 2 (H_x + H_y + H_z), with H_x and H_y from the projected matrix's
-joint x and y probabilities and the closed form's H_z, and is the only
-entry point that raises PathDisagreementError.  `x_report` computes only
-what it reports: `_x_sides` gives the deficits from `_g` and H_z from the
-populations, and `_derive` the rest; `steering_functional` reads the same
-pass.  `joint_distribution` and `conditional_entropy` project a density
-matrix on arrays and are, with `steering_functional`, the reference for
-both.
+run.  Both compute only what they report.  `full_report` reads its matrix
+once, runs `check_density`'s checks on those rows and takes the X
+structure and entries off them, then runs on Python floats, where numpy's
+call overhead would outweigh the arithmetic: an X input takes the closed
+form from its entries, and only any other input is projected, with one
+matrix product, for its three conditional entropies.  `x_report`'s
+`_x_sides` gives the deficits from `_g` and H_z from the populations, and
+`_derive` the rest; `steering_functional` reads the same pass.  No report
+compares I_AB with the entropy identity I_AB = 6 ln 2 - 2 (H_x + H_y + H_z)
+at run time; the tests hold both paths to it.  `joint_distribution` and
+`conditional_entropy` project a density matrix on arrays and are, with
+`steering_functional`, the array reference for `full_report`.
 """
 
 from __future__ import annotations
@@ -74,10 +73,6 @@ LN2 = math.log(2.0)
 TWO_LN2 = neur_bound(2)  # the steering threshold; bit-identical to 2 ln 2
 SIX_LN2 = 6.0 * LN2
 
-# Allowed disagreement between the closed-form functional and the entropy
-# identity before full_report treats it as a formula bug.
-PATH_AGREEMENT_TOL = 1e-9
-
 _SQ2 = 1.0 / math.sqrt(2.0)
 # Product eigenbases of x, y and z: column 2n + m of PRODUCT_BASES[i] is
 # |n>_A |m>_B, with |0>, |1> the +1, -1 eigenvectors of sigma_i:
@@ -92,9 +87,6 @@ PRODUCT_BASES = np.stack([np.kron(b, b) for b in (
 # 4a + i of _PROJECTION times rho.reshape(16) is <b_ai| rho |b_ai>, with
 # b_ai column i of PRODUCT_BASES[a].
 _PROJECTION = np.einsum("aji,aki->aijk", PRODUCT_BASES.conj(), PRODUCT_BASES).reshape(12, 16)
-
-class PathDisagreementError(RuntimeError):
-    """Closed-form and entropy-identity evaluations of I_AB disagree."""
 
 
 def _clean_probabilities(p: np.ndarray) -> np.ndarray:
@@ -239,20 +231,6 @@ class SteeringReport:
     z: float
 
 
-def _checked_i_ab(closed: float, h) -> float:
-    """`full_report`'s closed-form I_AB `closed`, checked against the entropy identity.
-
-    `h` holds H_x, H_y and H_z.  For an X state H_z is the closed form's
-    own, so only the x and y terms can disagree.  A disagreement beyond
-    1e-9 raises PathDisagreementError since it signals a formula
-    transcription bug rather than bad input.
-    """
-    identity = SIX_LN2 - 2.0 * (h[0] + h[1] + h[2])
-    if not abs(closed - identity) <= PATH_AGREEMENT_TOL:
-        raise PathDisagreementError(f"I_AB closed form {closed} vs entropy identity {identity}")
-    return closed
-
-
 def _derive(d: np.ndarray, hz):
     """I_AB, S, (E_x, E_y) and Z from D_x, D_y (first axis of `d`) and H_z, on arrays.
 
@@ -295,29 +273,21 @@ def full_report(rho: np.ndarray) -> SteeringReport:
 
     The input gets `check_density`'s checks, and its X structure (within
     X_STRUCTURE_TOL, as `is_x_structured`) and X entries are read off the
-    rows those checks read.  One matrix product gives the 12 joint
-    probabilities; from there the pass runs on Python floats.  No rule
-    but `check_density`'s refuses the input: the negatives set to 0 and the
-    renormalisation are `joint_distribution`'s cleaning, and the H_i are
-    `conditional_entropy`'s in their conditional form.
+    rows those checks read.  From there the pass runs on Python floats, and
+    no rule but `check_density`'s refuses the input.
 
     For an X input the closed form reads D_x = g(t), D_y = g(u) off the
     real parts of the coherences and H_z off the populations, each raised
     to at least 0 as in `x_report`; the X entries need no `validate`, since
     each X block is a principal submatrix of the checked matrix and so
-    passes its floor whenever the matrix does.  Its I_AB
-    is checked against the entropy identity 6 ln 2 - 2 sum H_i, with H_x and
-    H_y from the joint x and y probabilities and the closed form's H_z: a
-    disagreement beyond 1e-9 raises PathDisagreementError, since it signals
-    a formula transcription bug rather than bad input.  The joint z
-    probabilities are read only for any other input, which takes
-    D_i = ln 2 - H_i; the same tail derives S, Xi, E and Z.
+    passes its floor whenever the matrix does.  Only any other input is
+    projected: one matrix product gives its 12 joint probabilities, with
+    `joint_distribution`'s cleaning (negatives set to 0, each table
+    renormalised), and it takes D_i = ln 2 - H_i with the H_i
+    `conditional_entropy`'s in their conditional form.  The same tail
+    derives I_AB, S, Xi, E and Z.
     """
     rho, rows = _checked_rows(rho, "state")
-    p = (_PROJECTION @ rho.reshape(16)).real.tolist()
-    if min(p) < 0.0:
-        p = [max(v, 0.0) for v in p]
-    hx, hy = _axis_entropy(*p[0:4]), _axis_entropy(*p[4:8])
     if _x_structured(rows):
         # The x and y statistics read only the real parts of the coherences.
         d1, d2, d3, d4, c14, c23 = (v.real for v in _x_entries(rows))
@@ -326,20 +296,20 @@ def full_report(rho: np.ndarray) -> SteeringReport:
         hz = -(_given_outcome(d1, d2) + _given_outcome(d3, d4))
         h_cond = (LN2 - dx, LN2 - dy, hz)
     else:
-        hz = _axis_entropy(*p[8:12])
-        h_cond = (hx, hy, hz)
-        dx, dy = LN2 - hx, LN2 - hy
+        p = (_PROJECTION @ rho.reshape(16)).real.tolist()
+        if min(p) < 0.0:
+            p = [max(v, 0.0) for v in p]
+        h_cond = (_axis_entropy(*p[0:4]), _axis_entropy(*p[4:8]), _axis_entropy(*p[8:12]))
+        dx, dy, hz = LN2 - h_cond[0], LN2 - h_cond[1], h_cond[2]
     # _derive's formulas on floats; max(value, 0.0) lets a nan through, as
-    # np.maximum does.  For a non-X input both sides of the check are the
-    # entropy identity.
+    # np.maximum does.
     delta = (dx + dy) - hz
-    i_ab = _checked_i_ab(TWO_LN2 + 2.0 * delta, (hx, hy, hz))
     xi = (2.0 * math.exp(-dx), 2.0 * math.exp(-dy), math.exp(hz))
     e_x = max(xi[0] * math.expm1(dx - 0.5 * hz), 0.0)
     e_y = max(xi[1] * math.expm1(dy - 0.5 * hz), 0.0)
     # Positional arguments: a frozen dataclass's __init__ binds keywords slower.
     return SteeringReport(
-        h_cond, i_ab, max(delta / TWO_LN2, 0.0), xi, e_x, e_y, 0.5 * (e_x + e_y)
+        h_cond, TWO_LN2 + 2.0 * delta, max(delta / TWO_LN2, 0.0), xi, e_x, e_y, 0.5 * (e_x + e_y)
     )
 
 
@@ -352,11 +322,12 @@ def x_report(p: XStateParams) -> np.ndarray:
     may be scalars shared by every row.
 
     One stacked pass: `_x_sides` gives the deficits and H_z, one conditional
-    entropy per state, and `_derive` reads I_AB, S, E and Z off them.  No
-    runtime check compares I_AB with the entropy identity here: its x and y
-    tables would be built from the same t and u that `_g` reads, so
-    `tests/test_measures.py` compares `_g` with those tables' entropies once,
-    on every t and u of the bundled presets and a dense set over [-1, 1].
+    entropy per state, and `_derive` reads I_AB, S, E and Z off them.  As in
+    `full_report`, no runtime check compares I_AB with the entropy identity:
+    the x and y tables would be built from the same t and u that `_g` reads,
+    so `tests/test_measures.py` compares `_g` with those tables' entropies
+    once, on every t and u of the bundled presets and a dense set over
+    [-1, 1].
     """
     i_ab, s, e, z = _derive(*_x_sides(p))
     rows = np.empty((i_ab.size, 5))

@@ -12,8 +12,6 @@ from xsteer.measures import (
     SIX_LN2,
     TWO_LN2,
     _PROJECTION,
-    PathDisagreementError,
-    _checked_i_ab,
     _clean_probabilities,
     _conditional_entropies,
     _derive,
@@ -582,40 +580,35 @@ def test_measures_reject_wrong_size_matrices(measure, dim):
         measure(np.eye(dim, dtype=complex) / dim)
 
 
-def test_full_report_path_disagreement_guard(monkeypatch):
+def test_full_report_projects_only_non_x_inputs(monkeypatch):
     import xsteer.measures as measures
 
-    # full_report reads the closed form's deficits off _g_float: with both 0
-    # it gives I_AB = 2 ln 2 - 2 H_z, about 0.16, against about 1.72 from the
-    # entropy identity
-    monkeypatch.setattr(measures, "_g_float", lambda t: 0.0)
-    with pytest.raises(PathDisagreementError):
-        measures.full_report(from_x_params(bell_mixture(0.3)))
+    # an X input takes the closed form off its entries and never reaches
+    # the projected tables' entropies; any other input is read only there
+    def projected(*p):
+        raise AssertionError("projected")
 
-
-@pytest.mark.parametrize("side", ["closed form", "entropy identity"])
-def test_either_side_of_the_path_check_off_by_2e_9_raises(monkeypatch, side):
-    import xsteer.measures as measures
-
-    # the closed form through its two deficits, 5e-10 each, the identity
-    # through its three H_i; either moves its I_AB by 2e-9
-    g_float, axis_entropy = measures._g_float, measures._axis_entropy
-    if side == "closed form":
-        monkeypatch.setattr(measures, "_g_float", lambda t: g_float(t) + 5e-10)
-    else:
-        monkeypatch.setattr(measures, "_axis_entropy", lambda *p: axis_entropy(*p) - 1e-9 / 3)
-    for seed in range(5):
-        with pytest.raises(PathDisagreementError):
-            full_report(from_x_params(random_x_state(seed)))
+    monkeypatch.setattr(measures, "_axis_entropy", projected)
+    for seed in range(20):
+        full_report(from_x_params(random_x_state(seed)))
+    for state in (BELL_PSI, MAX_MIXED, from_x_params(bell_mixture(0.3))):
+        full_report(state)
+    u = np.kron(np.array([[0.8, -0.6], [0.6, 0.8]]), np.eye(2))
+    rotated = u @ from_x_params(random_x_state(0)) @ u.T
+    assert not is_x_structured(rotated)
+    with pytest.raises(AssertionError, match="projected"):
+        full_report(rotated)
 
 
 def test_full_report_keeps_zero_offsets_at_zero():
-    # 1 - t = -2e-12 passes check_density; g clamps |t| to 1 and the clipped
-    # joint probability counts 0, where -2e-12 ln(tiny) = +1.4e-9 would trip
-    # the 1e-9 path check
-    rep = full_report(from_x_params(XStateParams(0.5, 0.0, 0.0, 0.5, 0.5 + 1e-12, 0.0)))
+    # 1 - t = -2e-12 passes check_density; g clamps |t| to 1, and the matrix
+    # path's clipped joint probability counts 0, where -2e-12 ln(tiny) would
+    # move H_x by +1.4e-9
+    rho = from_x_params(XStateParams(0.5, 0.0, 0.0, 0.5, 0.5 + 1e-12, 0.0))
+    rep = full_report(rho)
     bell = full_report(from_x_params(bell_mixture(0.0)))
     assert abs(rep.s - bell.s) < 1e-11 and abs(rep.z - bell.z) < 1e-11
+    np.testing.assert_allclose(rep.h_cond, conditional_entropy(rho), rtol=0, atol=1e-11)
 
 
 def test_full_report_matches_per_quantity_functions():
@@ -627,7 +620,10 @@ def test_full_report_matches_per_quantity_functions():
         p = random_x_state(seed)
         rho = from_x_params(p)
         rep = full_report(rho)
-        np.testing.assert_allclose(rep.h_cond, conditional_entropy(rho), rtol=0, atol=1e-14)
+        h = conditional_entropy(rho)
+        np.testing.assert_allclose(rep.h_cond, h, rtol=0, atol=1e-14)
+        # the entropy identity I_AB = 6 ln 2 - 2 (H_x + H_y + H_z)
+        assert abs(rep.i_ab - (SIX_LN2 - 2.0 * h.sum())) <= 1e-14
         assert abs(rep.i_ab - steering_functional(p)) <= 1e-14
         half = rng.uniform(0.05, math.pi / 2.0 - 0.05)
         c, s = math.cos(half), math.sin(half)
@@ -635,9 +631,9 @@ def test_full_report_matches_per_quantity_functions():
         rotated = u @ rho @ u.T
         assert not is_x_structured(rotated)
         rotated_rep = full_report(rotated)
-        np.testing.assert_allclose(
-            rotated_rep.h_cond, conditional_entropy(rotated), rtol=0, atol=1e-14
-        )
+        h = conditional_entropy(rotated)
+        np.testing.assert_allclose(rotated_rep.h_cond, h, rtol=0, atol=1e-14)
+        assert abs(rotated_rep.i_ab - (SIX_LN2 - 2.0 * h.sum())) <= 1e-14
         reports += [rep, rotated_rep]
     # full_report's float tail against the batched _derive that x_report runs,
     # fed the deficits D_i = ln 2 - H_i of the measured entropies,
@@ -699,7 +695,8 @@ _AT_THE_FLOOR = XStateParams(
 def test_full_report_negative_probability_floor():
     # the floor on a checked state's outcome probabilities is check_density's
     # eigenvalue floor and no other: the raw probabilities below 0 are
-    # rounding noise, set to 0 on both paths
+    # rounding noise, which joint_distribution sets to 0 and the closed
+    # form never forms
     rho = from_x_params(_AT_THE_FLOOR)
     check_density(rho)
     assert 0.25 * (1.0 - 2.0 * (_AT_THE_FLOOR.c14 + _AT_THE_FLOOR.c23)) < -1e-10
@@ -756,13 +753,10 @@ def test_boundary_states_pass_every_report_entry_point():
 
 
 def test_error_messages_print_plain_numbers():
-    h = conditional_entropy(from_x_params(bell_mixture(0.3)))
-    with pytest.raises(PathDisagreementError) as closed_form:
-        _checked_i_ab(np.float64(12.34), h)
     with pytest.raises(InvalidStateError) as parameters:
         XStateParams(np.array([0.5]), 0.1, 0.1, 0.5, 0.0, 0.0).validate()
     with pytest.raises(InvalidStateError) as matrix:
         check_density(np.eye(4, dtype=complex) / 2.0)
-    for error, number in ((closed_form, "12.34"), (parameters, "1.2"), (matrix, "2.0")):
+    for error, number in ((parameters, "1.2"), (matrix, "2.0")):
         message = str(error.value)
         assert number in message and "np." not in message, message

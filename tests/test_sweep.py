@@ -1676,6 +1676,25 @@ def test_cli_config_file_rejects_bad_value_types(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "mode, key, field",
+    [
+        ("nu", "nu", "nu"),
+        ("acceleration", "rb", "r_b"),
+        ("acceleration", "g_over_gamma", "g_over_gamma"),
+    ],
+)
+def test_cli_config_number_no_float_can_hold(tmp_path, capsys, mode, key, field):
+    # a JSON number reaches SweepConfig as parsed, so its one read refuses it
+    conf = tmp_path / "sweep.json"
+    out = tmp_path / "x.csv"
+    conf.write_text(f'{{"mode": "{mode}", "out": {json.dumps(str(out))}, "{key}": 1{"0" * 400}}}')
+    assert main(["--config", str(conf)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"sweep: invalid config: {field} is too large for a float, got 1.000e+400\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.json"]
+
+
 def test_cli_reports_bad_bell_before_bad_rb(tmp_path, capsys):
     conf = tmp_path / "sweep.json"
     conf.write_text(json.dumps({"mode": "nu", "out": str(tmp_path / "x.csv"), "bell": "chi"}))
