@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # The installed `sweep` entry point's contract, checked in the directory DIR:
 # output names, exit codes and their one stderr line, the publish rules
-# (identical reruns, read-only directories, leftovers, 255-byte names) and,
-# through block_sweeps.sh, each mode over several evaluation blocks.
+# (identical reruns, read-only directories, leftovers, 255-byte names),
+# --jobs as a validated no-op and, through block_sweeps.sh, each mode over
+# several evaluation blocks.
 #
 #     bash .github/cli_contract.sh "$RUNNER_TEMP"
 #
@@ -118,6 +119,17 @@ test "$status" -eq 2
 test "$(wc -l < "$dir/huge.err")" -eq 1
 grep -q 'nu is too large for a float, got 1.000e+400' "$dir/huge.err"
 test -z "$(find "$dir" -maxdepth 1 -name 'huge.*' ! -name huge.json ! -name huge.err)"
+# --jobs is validated and ignored: any value of 1 or more writes the
+# --jobs 1 bytes, and 0 is an invalid config that writes nothing
+sweep --mode swap --bell phi-minus --grid 0:1:40001 --jobs 1 --out "$dir/jobs1.csv"
+sweep --mode swap --bell phi-minus --grid 0:1:40001 --jobs 64 --out "$dir/jobs64.csv"
+cmp "$dir/jobs1.csv" "$dir/jobs64.csv"
+status=0
+sweep --mode nu --grid 0:1:5 --jobs 0 --out "$dir/jobs0.csv" 2> "$dir/jobs0.err" || status=$?
+test "$status" -eq 2
+test "$(wc -l < "$dir/jobs0.err")" -eq 1
+test ! -e "$dir/jobs0.csv"
+test ! -e "$dir/jobs0.gnuplot"
 # a 245-byte CSV name: its temporary and the plot script's would pass
 # 255 bytes, so each loses leading characters of the name; the
 # directory holds exactly the two outputs after a run and a rerun

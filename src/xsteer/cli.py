@@ -86,7 +86,8 @@ _SETTINGS = {
     "g_over_gamma": _Setting("g_over_gamma", "a number", _is_real, float,
                              "decay-rate ratio g/gamma for channel modes (default {g_over_gamma})"),
     "out": _Setting("out", "a string", _is_str, str, "output CSV path"),
-    "jobs": _Setting("jobs", "an integer", _is_integer, int, "parallel workers (default {jobs})"),
+    "jobs": _Setting("jobs", "an integer", _is_integer, int,
+                     "at least 1, then ignored: a sweep runs in one process (default {jobs})"),
 }
 
 

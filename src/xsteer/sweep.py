@@ -12,18 +12,18 @@ Each grid point yields one record (param, s, z, e_x, e_y, i_ab).  Every mode
 maps X states to X states, so `evaluate_grid` computes the six X parameters
 of the grid points in closed form and fills one preallocated (n, 6) table in
 blocks of _BLOCK_ROWS rows, one stacked `x_report` pass per block, so its
-temporaries stay near 15 MB whatever the grid size.  With jobs > 1 the grid is
-split into contiguous chunks, one per worker, each evaluated the same way;
-every operation acts row by row, so the emitted bytes are identical for any
-worker count and block size.  The CSV is rendered in the same blocks, each
-in one numpy pass that yields the ASCII bytes "%.12e" gives (see
-_csv_chunks), and each block is compared, as it is rendered, with the next
-bytes of the file already at the output.  A temporary file beside the
-output is created only at the first block that differs: a file whose bytes
-would not change creates no temporary and is left as it was, with its
-inode, mtime and permissions.  Blocks that matched are rendered again, not
-copied, and the temporaries of the CSV and of the plot script are written
-in full and then renamed into place, CSV first (see _write_files).
+temporaries stay near 15 MB whatever the grid size.  The whole grid is
+evaluated in the calling process, whatever `jobs` says, and every operation
+acts row by row, so the emitted bytes are identical for any block size.  The
+CSV is rendered in the same blocks, each in one numpy pass that yields the
+ASCII bytes "%.12e" gives (see _csv_chunks), and each block is compared, as
+it is rendered, with the next bytes of the file already at the output.  A
+temporary file beside the output is created only at the first block that
+differs: a file whose bytes would not change creates no temporary and is
+left as it was, with its inode, mtime and permissions.  Blocks that matched
+are rendered again, not copied, and the temporaries of the CSV and of the
+plot script are written in full and then renamed into place, CSV first (see
+_write_files).
 """
 
 from __future__ import annotations
@@ -35,9 +35,10 @@ import numbers
 import os
 import stat
 from collections.abc import Callable, Iterable, Iterator
+# Not used here: perfbench/run.py's pool_phase patches this name.  ROADMAP
+# item 1 deletes both.
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -131,7 +132,8 @@ class SweepConfig:
     closed forms read the fixed parameters `nu`, a numeric `r_b` and
     `g_over_gamma` as their float() values too, check their domains on
     those and compute with them.
-    `jobs` > 1 evaluates contiguous chunks of the grid in a process pool.
+    `jobs` must be at least 1, so that old command lines and configs still
+    run, and changes nothing else: every sweep runs in the calling process.
 
     `validate` checks these rules and that the grid lies in the swept
     parameter's domain, which `grid` needs.  The domains of the fixed
@@ -261,11 +263,10 @@ def evaluate_grid(cfg: SweepConfig, grid) -> np.ndarray:
 def run_sweep(cfg: SweepConfig) -> np.recarray:
     """Evaluate the grid, write the CSV and its plot script, return the records.
 
-    With jobs > 1 the grid goes to a process pool of at most one worker per
-    CPU, since the pool starts all its workers up front, in one contiguous
-    chunk per worker.  The CSV goes to `out` as POSIX pathlib spells it and
-    the plot script beside it, named with `.gnuplot` in place of the suffix
-    Path.suffix reports; both paths and the CSV's name, which the script
+    The grid is evaluated in the calling process, whatever `jobs` says.  The
+    CSV goes to `out` as POSIX pathlib spells it and the plot script beside
+    it, named with `.gnuplot` in place of the suffix Path.suffix reports;
+    both paths and the CSV's name, which the script
     reads, are worked out once as strings (see _output_names).  Each file
     whose bytes change is first written in full to a temporary file beside
     the output, and the temporaries are then renamed into place, CSV first;
@@ -278,14 +279,7 @@ def run_sweep(cfg: SweepConfig) -> np.recarray:
     FileExistsError and is left alone (see _write_files).
     """
     cfg.validate()
-    grid = cfg.grid()
-    if cfg.jobs > 1:
-        workers = min(cfg.jobs, os.cpu_count() or 1)
-        chunks = np.array_split(grid, min(workers, grid.size))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            table = np.concatenate(list(pool.map(partial(evaluate_grid, cfg), chunks)))
-    else:
-        table = evaluate_grid(cfg, grid)
+    table = evaluate_grid(cfg, cfg.grid())
     csv_path, plot_path, csv_name = _output_names(cfg.out)
     _write_files({
         csv_path: _csv_chunks(table),

@@ -30,7 +30,6 @@ from xsteer.qstate import R_MAX, BellIndex
 from xsteer.sweep import MODES, load_csv, run_sweep
 
 DRAWS = 300
-POOL_DRAWS = {0, 100, 200}  # the few draws that ask for --jobs 2
 
 TINY = 5e-324  # the smallest subnormal double
 BELOW_2 = math.nextafter(2.0, 0.0)
@@ -97,10 +96,8 @@ def _draw(rng, k: int, tmp_path, read_only: bool):
             values["g_over_gamma"] = BELOW_2  # mostly the largest rate damping accepts
     if mode == "swap":  # every outcome, in turn, or one that does not exist
         values["bell"] = list(BellIndex)[k % 4].value if rng.random() < 0.95 else "chi"
-    if k in POOL_DRAWS:
-        values["jobs"] = 2
-    elif rng.random() < 0.05:
-        values["jobs"] = _pick(rng, [1, 0, -1])
+    if rng.random() < 0.1:  # any valid jobs runs in this process; 0 and -1 are refused
+        values["jobs"] = _pick(rng, [1, 2, 64, 10**6, 0, -1])
     where = rng.random()
     if where < 0.08:
         csv = tmp_path / f"missing/{k}.csv"
@@ -150,7 +147,7 @@ def test_cli_contract_fuzz(tmp_path, capsys, monkeypatch):
     (tmp_path / "file").write_text("")
     (tmp_path / "ro").mkdir(mode=0o555)
     read_only = not os.access(tmp_path / "ro", os.W_OK)
-    codes, bells, reruns, refused_draws = [], set(), 0, 0
+    codes, bells, jobs, reruns, refused_draws = [], set(), set(), 0, 0
     for k in range(DRAWS):
         flags, config, csv = _draw(rng, k, tmp_path, read_only)
         argv = list(flags)
@@ -181,6 +178,7 @@ def test_cli_contract_fuzz(tmp_path, capsys, monkeypatch):
             np.testing.assert_allclose(table[row], want, rtol=0, atol=1e-12, err_msg=str(argv))
         if cfg.mode == "swap":
             bells.add(cfg.bell)
+        jobs.add(cfg.jobs)
         if extra.random() < 0.1:  # an identical rerun leaves the pair as it was
             pair = [Path(cfg.out), Path(cfg.out).with_suffix(".gnuplot")]
             before = [_identity(p) for p in pair]
@@ -200,9 +198,10 @@ def test_cli_contract_fuzz(tmp_path, capsys, monkeypatch):
             assert err.count("\n") == 1, (argv, err)
             assert sorted(tmp_path.iterdir()) == before, refused
             refused_draws += 1
-    # the draws reach success, bad configs and I/O failures, and every swap
-    # outcome; some are rerun and some name each refused output
+    # the draws reach success, bad configs and I/O failures, every swap
+    # outcome and jobs > 1; some are rerun and some name each refused output
     assert {0, 2, 3} <= set(codes)
     assert bells == set(BellIndex)
+    assert max(jobs) > 1, jobs
     assert reruns and refused_draws >= len(_REFUSED_OUTS)
     assert not list(tmp_path.glob(".*.tmp"))

@@ -167,7 +167,7 @@ def test_closed_forms_own_the_fixed_parameters_domains(
     tmp_path, capsys, jobs, mode, field, value, error, message
 ):
     # validate accepts the config; the closed form refuses it on the first
-    # block, in a pool worker too, and nothing is written
+    # block, whatever jobs says, and nothing is written
     start, stop, _ = sweep._SWEPT[mode][2]
     cfg = _cfg(tmp_path, mode=mode, start=start, stop=stop, jobs=jobs, **{field: value})
     cfg.validate()
@@ -346,7 +346,7 @@ def test_batched_engine_matches_matrix_oracle(tmp_path, mode):
 
 
 def test_chunked_evaluation_is_bit_identical(tmp_path):
-    # what the pool does for any worker count, without starting one
+    # every row is evaluated on its own: any split of the grid gives the same bits
     for cfg in figure_presets(tmp_path).values():
         whole = evaluate_grid(cfg, cfg.grid())
         for k in (2, 3, 7, 64):
@@ -497,37 +497,25 @@ def test_csv_byte_determinism_sequential(tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
-def test_csv_byte_determinism_parallel(tmp_path):
-    cfg_a = _cfg(tmp_path, out=str(tmp_path / "seq.csv"), points=41, jobs=1)
-    cfg_b = _cfg(tmp_path, out=str(tmp_path / "par.csv"), points=41, jobs=4)
-    run_sweep(cfg_a)
-    run_sweep(cfg_b)
-    assert (tmp_path / "seq.csv").read_bytes() == (tmp_path / "par.csv").read_bytes()
+def test_csv_byte_determinism_parallel(tmp_path, monkeypatch):
+    # jobs is validated and ignored: each sweep evaluates its whole grid in
+    # one call in this process and writes the jobs=1 bytes
+    calls, evaluate = [], sweep.evaluate_grid
 
+    def counting(cfg, grid):
+        calls.append(np.array(grid))
+        return evaluate(cfg, grid)
 
-def test_pool_size_is_capped_at_cpu_count(tmp_path, monkeypatch):
-    import xsteer.sweep as sweep
-
-    sizes = []
-
-    class InProcessPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
-
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", InProcessPool)
-    run_sweep(_cfg(tmp_path, out=str(tmp_path / "seq.csv"), points=9))
-    run_sweep(_cfg(tmp_path, out=str(tmp_path / "par.csv"), points=9, jobs=10**6))
-    assert sizes == [os.cpu_count() or 1]
-    assert (tmp_path / "seq.csv").read_bytes() == (tmp_path / "par.csv").read_bytes()
+    monkeypatch.setattr(sweep, "evaluate_grid", counting)
+    run_sweep(_cfg(tmp_path, out=str(tmp_path / "seq.csv"), points=41, jobs=1))
+    want = (tmp_path / "seq.csv").read_bytes()
+    for jobs in (2, 4, 10**6):
+        calls.clear()
+        cfg = _cfg(tmp_path, out=str(tmp_path / f"par-{jobs}.csv"), points=41, jobs=jobs)
+        run_sweep(cfg)
+        assert len(calls) == 1, jobs
+        assert calls[0].tobytes() == cfg.grid().tobytes(), jobs
+        assert (tmp_path / f"par-{jobs}.csv").read_bytes() == want, jobs
 
 
 def test_csv_round_trip_at_printed_precision(tmp_path):
