@@ -2,8 +2,11 @@
 
     sweep --mode dephasing-channel --grid 0:40:40001 --out dp.csv
     python .github/check_cli_csv.py dp.csv dephasing-channel 0:40:40001
+    sweep --mode acceleration --rb track --grid 0:0.7853981633974483:40001 --out ac.csv
+    python .github/check_cli_csv.py ac.csv acceleration 0:0.7853981633974483:40001 track
 
-The sweep must use the default --nu, --rb, --g-over-gamma and --bell.
+The sweep must use the default --nu, --g-over-gamma and --bell; an optional
+fourth argument gives its --rb value, "track" or a number (default 0).
 Exits non-zero unless the file holds exactly the header and, per row of
 evaluate_grid's table for the same grid, the six values as "{:.12e}", and
 unless that table's values lie within 1e-12 of the closed forms in
@@ -23,9 +26,13 @@ from xsteer.sweep import CSV_HEADER, SweepConfig, evaluate_grid
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import oracle  # noqa: E402
 
-path, mode, grid = sys.argv[1:]
+path, mode, grid, *rb = sys.argv[1:]
 start, stop, points = grid.split(":")
-cfg = SweepConfig(mode=mode, start=float(start), stop=float(stop), points=int(points), out=path)
+r_b = rb[0] if rb else "0"
+cfg = SweepConfig(
+    mode=mode, start=float(start), stop=float(stop), points=int(points), out=path,
+    r_b=r_b if r_b == "track" else float(r_b),
+)
 table = evaluate_grid(cfg, cfg.grid())
 rows = table.tolist()
 want = CSV_HEADER + "\n" + "".join(",".join(map("{:.12e}".format, row)) + "\n" for row in rows)

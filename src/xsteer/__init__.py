@@ -23,7 +23,6 @@ from .processes import (
     ZeroProbabilityOutcomeError,
     accelerate,
     accelerate_oracle,
-    accelerated_params,
     ad_survival,
     amplitude_damping_kraus,
     apply_local_channel,
@@ -31,6 +30,7 @@ from .processes import (
     completeness_defect,
     dephasing_coherence,
     dephasing_kraus,
+    local_params,
     swap_bell_mixtures,
 )
 from .sweep import (

@@ -10,14 +10,26 @@ Three families are implemented:
 * entanglement swapping by projecting the middle pair of two entangled
   pairs onto a chosen Bell state.
 
-Every process maps X states to X states.  `accelerated_params`,
-`damped_params`, `dephased_params` and `swapped_params` give the output's
-X parameters in closed form, for one state or a batch (array fields); the
-sweeps run on them.  The matrix path (`accelerate_oracle`, the Kraus
-operators with `apply_local_channel`, `bell_project_swap`) is the
-independent oracle, written as the formulas it checks in 4x4 matrix
-products: sum_k K_k rho K_k^dag, the partial trace m m^dag of each
-enlarged pure state, and the Bell projection around a fixed kernel.
+Every process maps X states to X states.  Acceleration, amplitude damping
+and dephasing act on each qubit as a phase-covariant channel: a 2x2 matrix
+T that maps the qubit's populations (p0, p1) to T (p0, p1), and a factor
+lambda that scales its coherence.  `local_params` is their one closed form,
+for one state or a batch (array fields), and each process supplies only its
+channel (T as (t00, t01, t10, t11), then lambda), built and domain-checked
+by `acceleration_channel`, `damping_channel` or `dephasing_channel`:
+
+    acceleration       T = [[cos^2 r, 0], [sin^2 r, 1]]   lambda = cos r
+    amplitude damping  T = [[1, 1 - P], [0, P]]           lambda = sqrt(P)
+    dephasing          T = [[1, 0], [0, 1]]               lambda = P
+
+Acceleration, as modelled here, is the local channel that raises
+population from |0> to |1> with probability sin^2 r.  `swapped_params`
+gives swapping's output in closed form.  The sweeps run on these.  The
+matrix path (`accelerate_oracle`, the Kraus operators with
+`apply_local_channel`, `bell_project_swap`) is the independent oracle,
+written as the formulas it checks in 4x4 matrix products: sum_k K_k rho
+K_k^dag, the partial trace m m^dag of each enlarged pure state, and the
+Bell projection around a fixed kernel.
 """
 
 from __future__ import annotations
@@ -68,6 +80,36 @@ _BELL_COEFFICIENTS = {which: which.ket.reshape(2, 2) for which in BellIndex}
 
 
 # ---------------------------------------------------------------------------
+# Local phase-covariant channels
+# ---------------------------------------------------------------------------
+
+def _populations(channel: tuple, p0, p1) -> tuple:
+    """T (p0, p1) for the channel's T = [[t00, t01], [t10, t11]]."""
+    return channel[0] * p0 + channel[1] * p1, channel[2] * p0 + channel[3] * p1
+
+
+def local_params(p: XStateParams, channel_a: tuple, channel_b: tuple) -> XStateParams:
+    """X parameters after independent phase-covariant channels on qubits A and B.
+
+    Each channel is (t00, t01, t10, t11, lam): T = [[t00, t01], [t10, t11]]
+    maps the qubit's populations (p0, p1) to T (p0, p1), and lam scales its
+    coherence.  B's T acts on the pairs (d1, d2) and (d3, d4), then A's on
+    (d1, d3) and (d2, d4), and both coherences scale by lam_A lam_B.  This
+    is `apply_local_channel` with the channels' Kraus operators, in closed
+    form.  The fields of `p` are read as float64 and the channel entries
+    used as given; neither is checked, so a sweep checks each state once,
+    on the output, and the channel builders check their own parameters.
+    """
+    d1, d2, d3, d4, c14, c23 = p._read()
+    d1, d2 = _populations(channel_b, d1, d2)
+    d3, d4 = _populations(channel_b, d3, d4)
+    d1, d3 = _populations(channel_a, d1, d3)
+    d2, d4 = _populations(channel_a, d2, d4)
+    lam = channel_a[4] * channel_b[4]
+    return XStateParams(d1, d2, d3, d4, c14=lam * c14, c23=lam * c23)
+
+
+# ---------------------------------------------------------------------------
 # Acceleration
 # ---------------------------------------------------------------------------
 
@@ -78,33 +120,22 @@ def _check_acceleration(nu, r_a, r_b) -> tuple:
     return nu, r.check(r_a, "r_a", InvalidStateError), r.check(r_b, "r_b", InvalidStateError)
 
 
-def accelerated_params(nu, r_a, r_b) -> XStateParams:
-    """Closed-form X parameters of the Bell mixture seen after acceleration.
+def acceleration_channel(r, name: str) -> tuple:
+    """The channel of a qubit accelerated by r: T = [[cos^2 r, 0], [sin^2 r, 1]], lam = cos r.
 
-    Re-derived by substituting the Rindler mode decomposition into the
-    nu-mixture and tracing out the hidden-region factors; at r_a = r_b = 0
-    it reduces exactly to bell_mixture(nu).  The populations sum to one
-    identically in (nu, r_a, r_b).  Arrays of any argument give a batch.
+    r outside [0, pi/4] raises InvalidStateError naming it `name`, as
+    "r_a" or "r_b".  An array of r gives one channel per entry.
     """
-    nu, r_a, r_b = _check_acceleration(nu, r_a, r_b)
-    w = (1.0 - nu) / 2.0
-    v = nu / 2.0
-    ca, sa = np.cos(r_a), np.sin(r_a)
-    cb, sb = np.cos(r_b), np.sin(r_b)
-    ca2, sa2, cb2, sb2 = ca * ca, sa * sa, cb * cb, sb * sb
-    return XStateParams(
-        d1=w * ca2 * cb2,
-        d2=ca2 * (w * sb2 + v),
-        d3=cb2 * (w * sa2 + v),
-        d4=sa2 * (w * sb2 + v) + v * sb2 + w,
-        c14=w * ca * cb,
-        c23=v * ca * cb,
-    )
+    r = DOMAINS["r"].check(r, name, InvalidStateError)
+    c, s = np.cos(r), np.sin(r)
+    return c * c, 0.0, s * s, 1.0, c
 
 
 def accelerate(nu: float, r_a: float, r_b: float) -> np.ndarray:
-    """Accelerated two-qubit state as a 4x4 density matrix."""
-    return from_x_params(accelerated_params(nu, r_a, r_b))
+    """Accelerated two-qubit state as a 4x4 density matrix: `local_params` of the nu mixture."""
+    mixture = bell_mixture(nu)
+    channel_a, channel_b = acceleration_channel(r_a, "r_a"), acceleration_channel(r_b, "r_b")
+    return from_x_params(local_params(mixture, channel_a, channel_b))
 
 
 def _rindler_images(r: float) -> np.ndarray:
@@ -220,42 +251,24 @@ def dephasing_kraus(g_over_gamma: float, gamma_t: float) -> list[np.ndarray]:
     return [k1, k2]
 
 
-def damped_params(p: XStateParams, survival) -> XStateParams:
-    """X parameters after amplitude damping with survival P on both qubits.
+def damping_channel(survival) -> tuple:
+    """The amplitude-damping channel with survival P: T = [[1, 1 - P], [0, P]], lam = sqrt(P).
 
-    Each qubit's |1> population decays to |0> with probability Q = 1 - P,
-    so the populations move toward |00> and both coherences scale by
-    sqrt(P) per qubit, P in all.  This is `apply_local_channel` with
-    `amplitude_damping_kraus` on both qubits, in closed form.  P outside
-    [0, 1] raises ChannelParameterError.  P and the fields of `p` are read
-    as float64; `p` is not checked, so a sweep checks each state once, on
-    the output.
+    P outside [0, 1] raises ChannelParameterError.  An array of P gives one
+    channel per entry.
     """
     survival = DOMAINS["channel_factor"].check(survival, "survival P", ChannelParameterError)
-    d1, d2, d3, d4, c14, c23 = p._read()
-    q = 1.0 - survival
-    return XStateParams(
-        d1=d1 + q * d2 + q * d3 + q * q * d4,
-        d2=survival * (d2 + q * d4),
-        d3=survival * (d3 + q * d4),
-        d4=survival * survival * d4,
-        c14=survival * c14,
-        c23=survival * c23,
-    )
+    return 1.0, 1.0 - survival, 0.0, survival, np.sqrt(survival)
 
 
-def dephased_params(p: XStateParams, coherence) -> XStateParams:
-    """X parameters after pure dephasing with factor P on both qubits.
+def dephasing_channel(coherence) -> tuple:
+    """The pure-dephasing channel with coherence factor P: T the identity, lam = P.
 
-    The populations stay; both coherences scale by P^2.  This is
-    `apply_local_channel` with `dephasing_kraus` on both qubits, in closed
-    form.  P outside [0, 1] raises ChannelParameterError.  P and the fields
-    of `p` are read as float64, as in `damped_params`; `p` is not checked.
+    P outside [0, 1] raises ChannelParameterError.  An array of P gives one
+    channel per entry.
     """
     factor = DOMAINS["channel_factor"].check(coherence, "coherence factor P", ChannelParameterError)
-    d1, d2, d3, d4, c14, c23 = p._read()
-    scale = factor * factor
-    return XStateParams(d1, d2, d3, d4, c14=scale * c14, c23=scale * c23)
+    return 1.0, 0.0, 0.0, 1.0, factor
 
 
 def completeness_defect(kraus: list[np.ndarray]) -> float:

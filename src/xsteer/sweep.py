@@ -45,11 +45,12 @@ import numpy as np
 
 from .measures import x_report
 from .processes import (
-    accelerated_params,
+    acceleration_channel,
     ad_survival,
-    damped_params,
-    dephased_params,
+    damping_channel,
+    dephasing_channel,
     dephasing_coherence,
+    local_params,
     swapped_params,
 )
 from .qstate import DOMAINS, R_MAX, BellIndex, XStateParams, bell_mixture, check_float, shown
@@ -225,22 +226,28 @@ class SweepConfig:
 def _x_params(cfg: SweepConfig, grid: np.ndarray) -> XStateParams:
     """The X parameters of the swept state at every grid value.
 
-    The closed forms read the fixed parameters as float(), as `grid` reads
-    the grid's ends, and check their domains on those values, so an
-    np.float32 or Fraction value computes as its float64 value.
+    Acceleration, damping and dephasing are one closed form, `local_params`
+    of the nu Bell mixture under each qubit's channel.  The closed forms
+    read the fixed parameters as float(), as `grid` reads the grid's ends,
+    and check their domains on those values, nu first, so an np.float32 or
+    Fraction value computes as its float64 value.
     """
     if cfg.mode == "nu":
         return bell_mixture(grid)
-    if cfg.mode == "acceleration":
-        return accelerated_params(cfg.nu, grid, grid if cfg.r_b == "track" else cfg.r_b)
-    if cfg.mode == "ad-channel":
-        return damped_params(bell_mixture(cfg.nu), ad_survival(cfg.g_over_gamma, grid))
-    if cfg.mode == "dephasing-channel":
-        return dephased_params(bell_mixture(cfg.nu), dephasing_coherence(cfg.g_over_gamma, grid))
     if cfg.mode == "swap":
         pair = bell_mixture(grid)
         return swapped_params(pair, pair, cfg.bell)
-    raise ConfigError(f"unknown mode {cfg.mode!r}")
+    mixture = bell_mixture(cfg.nu)
+    if cfg.mode == "acceleration":
+        channel_a = acceleration_channel(grid, "r_a")
+        channel_b = channel_a if cfg.r_b == "track" else acceleration_channel(cfg.r_b, "r_b")
+    elif cfg.mode == "ad-channel":
+        channel_a = channel_b = damping_channel(ad_survival(cfg.g_over_gamma, grid))
+    elif cfg.mode == "dephasing-channel":
+        channel_a = channel_b = dephasing_channel(dephasing_coherence(cfg.g_over_gamma, grid))
+    else:
+        raise ConfigError(f"unknown mode {cfg.mode!r}")
+    return local_params(mixture, channel_a, channel_b)
 
 
 def evaluate_grid(cfg: SweepConfig, grid) -> np.ndarray:

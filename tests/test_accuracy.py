@@ -43,11 +43,12 @@ from conftest import _TWO_LN2, _batch, _decimal_point
 
 from xsteer.measures import LN2, _x_sides, full_report, x_report
 from xsteer.processes import (
-    accelerated_params,
+    acceleration_channel,
     ad_survival,
-    damped_params,
-    dephased_params,
+    damping_channel,
+    dephasing_channel,
     dephasing_coherence,
+    local_params,
     swapped_params,
 )
 from xsteer.qstate import (
@@ -191,11 +192,15 @@ def _edge_states() -> dict[str, XStateParams]:
     channels = []
     for nu in (0.0, 0.1, 0.5):
         for g in (0.01, 0.1, 1.5):
-            channels += _rows(damped_params(bell_mixture(nu), ad_survival(g, taus)))
+            damping = damping_channel(ad_survival(g, taus))
+            channels += _rows(local_params(bell_mixture(nu), damping, damping))
         for g in (0.01, 0.1, 10.0):
-            channels += _rows(dephased_params(bell_mixture(nu), dephasing_coherence(g, taus)))
+            dephasing = dephasing_channel(dephasing_coherence(g, taus))
+            channels += _rows(local_params(bell_mixture(nu), dephasing, dephasing))
     accelerated = [
-        accelerated_params(nu, r_a, r_b)
+        local_params(
+            bell_mixture(nu), acceleration_channel(r_a, "r_a"), acceleration_channel(r_b, "r_b")
+        )
         for nu in (0.0, 0.1, 0.5, 0.9, 1.0) for r_a in (0.0, R_MAX) for r_b in (0.0, R_MAX)
     ]
     faint = []

@@ -15,16 +15,17 @@ from xsteer.processes import (
     ZeroProbabilityOutcomeError,
     accelerate,
     accelerate_oracle,
-    accelerated_params,
+    acceleration_channel,
     ad_survival,
     amplitude_damping_kraus,
     apply_local_channel,
     bell_project_swap,
     completeness_defect,
-    damped_params,
-    dephased_params,
+    damping_channel,
+    dephasing_channel,
     dephasing_coherence,
     dephasing_kraus,
+    local_params,
     swap_bell_mixtures,
     swapped_params,
 )
@@ -67,6 +68,17 @@ def _random_kraus(rng: np.random.Generator, count: int) -> list[np.ndarray]:
 # acceleration
 # ---------------------------------------------------------------------------
 
+def _accelerated(nu, r_a, r_b) -> XStateParams:
+    """The closed form `accelerate` reads: the nu mixture under each qubit's acceleration."""
+    channels = acceleration_channel(r_a, "r_a"), acceleration_channel(r_b, "r_b")
+    return local_params(bell_mixture(nu), *channels)
+
+
+def _acceleration_kraus(r: float) -> list[np.ndarray]:
+    """K1 = diag(cos r, 1) and K2 = sin r |1><0|: T = [[cos^2 r, 0], [sin^2 r, 1]], lam = cos r."""
+    return [np.diag([math.cos(r), 1.0]), np.array([[0.0, 0.0], [math.sin(r), 0.0]])]
+
+
 def test_zero_acceleration_is_identity_on_mixture_family():
     for nu in np.linspace(0.0, 1.0, 11):
         np.testing.assert_allclose(
@@ -79,12 +91,12 @@ def test_zero_acceleration_is_identity_on_mixture_family():
 
 def test_single_qubit_acceleration_coefficients():
     # accelerating one qubit of psi+ by r = pi/4
-    p = accelerated_params(0.0, R_MAX, 0.0)
+    p = _accelerated(0.0, R_MAX, 0.0)
     np.testing.assert_allclose(astuple(p)[:4], [0.25, 0.0, 0.25, 0.5], atol=1e-15)
     assert abs(p.c14 - INV_2SQ2) < 1e-15
     assert p.c23 == 0.0
     # and of phi+: same populations on the swapped slots
-    q = accelerated_params(1.0, R_MAX, 0.0)
+    q = _accelerated(1.0, R_MAX, 0.0)
     np.testing.assert_allclose(astuple(q)[:4], [0.0, 0.25, 0.5, 0.25], atol=1e-15)
     assert abs(q.c23 - INV_2SQ2) < 1e-15
     assert q.c14 == 0.0
@@ -94,7 +106,7 @@ def test_accelerated_populations_sum_to_one():
     for nu in np.linspace(0.0, 1.0, 5):
         for ra in np.linspace(0.0, R_MAX, 5):
             for rb in np.linspace(0.0, R_MAX, 5):
-                p = accelerated_params(nu, ra, rb)
+                p = _accelerated(nu, ra, rb)
                 assert abs(sum(astuple(p)[:4]) - 1.0) <= 1e-12
 
 
@@ -144,6 +156,17 @@ def test_accelerate_oracle_matches_traced_enlarged_mixture():
         np.testing.assert_allclose(
             accelerate_oracle(nu, ra, rb), _traced_enlarged_mixture(nu, ra, rb), rtol=0, atol=1e-15
         )
+
+
+def test_acceleration_is_a_local_channel():
+    # the Kraus pair of the acceleration channel, applied through the matrix
+    # path, gives the enlarged-space oracle's state: acceleration as modelled
+    # is a local channel, which local_params' closed form rests on
+    rng = np.random.default_rng(36)
+    for nu, ra, rb in rng.uniform(0.0, 1.0, (200, 3)) * (1.0, R_MAX, R_MAX):
+        ops_a, ops_b = _acceleration_kraus(ra), _acceleration_kraus(rb)
+        local = apply_local_channel(from_x_params(bell_mixture(nu)), ops_a, ops_b)
+        np.testing.assert_allclose(local, accelerate_oracle(nu, ra, rb), rtol=0, atol=1e-15)
 
 
 def test_accelerate_rejects_out_of_range():
@@ -281,41 +304,74 @@ def test_dephasing_scales_coherences_quadratically():
             assert abs(got.c23 - params.c23 * p * p) < 1e-14
 
 
-def test_channel_closed_forms_match_kraus_path():
-    # damped_params and dephased_params against the Kraus operators applied
-    # on both qubits, elementwise, for random states and channel parameters
-    rng = np.random.default_rng(7)
-    states = [random_x_state(seed) for seed in range(40)]
-    ratios = np.concatenate(
-        [[1e-12, 1.999999], np.exp(rng.uniform(math.log(1e-6), math.log(1.99), 38))]
-    )
-    times = rng.uniform(0.0, 100.0, 40)
-    survival = ad_survival(0.1, times)
-    coherence = dephasing_coherence(0.1, times)
-    damped = damped_params(_batch(states), survival)
-    dephased = dephased_params(_batch(states), coherence)
-    for i, (params, ratio, tau) in enumerate(zip(states, ratios, times)):
-        rho = from_x_params(params)
-        for closed, ops in (
-            (damped_params(params, ad_survival(ratio, tau)), amplitude_damping_kraus(ratio, tau)),
-            (dephased_params(params, dephasing_coherence(ratio, tau)), dephasing_kraus(ratio, tau)),
-            (_row(damped, i), amplitude_damping_kraus(0.1, tau)),
-            (_row(dephased, i), dephasing_kraus(0.1, tau)),
-        ):
-            expected = apply_local_channel(rho, ops, ops)
+def _phase_covariant_kraus(a: float, b: float, theta: float, phi: float) -> list[np.ndarray]:
+    """sqrt(a) |1><0|, sqrt(b) |0><1| and two diagonal operators.
+
+    T = [[1 - a, b], [a, 1 - b]] and lam = sqrt((1 - a)(1 - b)) cos(theta - phi).
+    """
+    x, y = math.sqrt(1.0 - a), math.sqrt(1.0 - b)
+    return [
+        np.array([[0.0, 0.0], [math.sqrt(a), 0.0]]),
+        np.array([[0.0, math.sqrt(b)], [0.0, 0.0]]),
+        np.diag([x * math.cos(theta), y * math.cos(phi)]),
+        np.diag([x * math.sin(theta), y * math.sin(phi)]),
+    ]
+
+
+def _channels(kind: str, rng: np.random.Generator, n: int) -> tuple:
+    """n channels of one kind: their closed form, an array per entry, and each one's Kraus set."""
+    if kind == "acceleration":
+        r = rng.uniform(0.0, R_MAX, n)
+        r[:2] = 0.0, R_MAX
+        return acceleration_channel(r, "r"), [_acceleration_kraus(x) for x in r]
+    if kind == "phase-covariant":
+        a, b, theta, phi = rng.uniform(0.0, 1.0, (4, n)) * [[1.0], [1.0], [2 * np.pi], [2 * np.pi]]
+        lam = np.sqrt((1.0 - a) * (1.0 - b)) * np.cos(theta - phi)
+        kraus = [_phase_covariant_kraus(*row) for row in zip(a, b, theta, phi)]
+        return (1.0 - a, b, a, 1.0 - b, lam), kraus
+    ratios = np.exp(rng.uniform(math.log(1e-6), math.log(1.99), n))
+    ratios[:2] = 1e-12, 1.999999
+    times = rng.uniform(0.0, 100.0, n)
+    if kind == "damping":
+        channel = damping_channel(ad_survival(ratios, times))
+        return channel, [amplitude_damping_kraus(*x) for x in zip(ratios, times)]
+    channel = dephasing_channel(dephasing_coherence(ratios, times))
+    return channel, [dephasing_kraus(*x) for x in zip(ratios, times)]
+
+
+@pytest.mark.parametrize(
+    "kind_a, kind_b",
+    [
+        ("acceleration", "acceleration"), ("damping", "damping"), ("dephasing", "dephasing"),
+        ("phase-covariant", "phase-covariant"), ("acceleration", "damping"),
+        ("dephasing", "acceleration"), ("damping", "phase-covariant"),
+    ],
+)
+def test_local_params_matches_kraus_path(kind_a, kind_b):
+    # local_params against the Kraus operators applied through the matrix
+    # path, elementwise, on random states: for a batch and row by row
+    rng = np.random.default_rng(36)
+    states = [random_x_state(seed) for seed in range(300)]
+    channel_a, kraus_a = _channels(kind_a, rng, len(states))
+    channel_b, kraus_b = _channels(kind_b, rng, len(states))
+    batch = local_params(_batch(states), channel_a, channel_b)
+    for i, params in enumerate(states):
+        expected = apply_local_channel(from_x_params(params), kraus_a[i], kraus_b[i])
+        row_a, row_b = ([np.broadcast_to(t, 300)[i] for t in c] for c in (channel_a, channel_b))
+        for closed in (_row(batch, i), local_params(params, row_a, row_b)):
             np.testing.assert_allclose(from_x_params(closed), expected, rtol=0, atol=1e-15)
 
 
-@pytest.mark.parametrize("closed_form", [damped_params, dephased_params])
-def test_channel_closed_forms_refuse_factors_outside_the_unit_interval(closed_form):
+@pytest.mark.parametrize("builder", [damping_channel, dephasing_channel])
+def test_channel_closed_forms_refuse_factors_outside_the_unit_interval(builder):
     # a factor past 1 would return a negative population with no error, and
     # one no float can hold would overflow in the arithmetic
     params = bell_mixture(0.3)
     for factor in (2.0, -0.1, math.nan, 10**400, np.array([0.5, 1.5])):
         with pytest.raises(ChannelParameterError, match=r"P must lie in \[0, 1\]"):
-            closed_form(params, factor)
+            builder(factor)
     for factor in (0.0, 1.0, np.array([0.0, 0.5, 1.0])):
-        closed_form(params, factor).validate()
+        local_params(params, builder(factor), builder(factor)).validate()
 
 
 def test_dephasing_kills_coherences_at_long_times():
@@ -594,7 +650,9 @@ def _as_float64(value):
         return XStateParams(*map(_as_float64, astuple(value)))
     if isinstance(value, np.ndarray):
         return value.astype(np.float64)
-    return value if isinstance(value, BellIndex) else float(value)
+    if isinstance(value, tuple):  # a channel
+        return tuple(map(_as_float64, value))
+    return value if isinstance(value, (BellIndex, str)) else float(value)
 
 
 def _bits(value) -> np.ndarray:
@@ -637,12 +695,15 @@ def test_closed_forms_compute_with_the_float64_value_of_any_input():
     half, quarter = np.float16(0.5), np.float32(0.25)
     calls = [
         (bell_mixture, (nu,)), (bell_mixture, (np.float32(0.3),)),
-        (bell_mixture, (np.float16(0.7),)), (accelerated_params, (nu, r_a, r_b)),
-        (accelerated_params, (np.float16(0.3), half, quarter)),
+        (bell_mixture, (np.float16(0.7),)), (acceleration_channel, (r_a, "r_a")),
+        (acceleration_channel, (np.float16(0.3), "r_b")),
         (ad_survival, (np.float32(0.1), gamma_t)), (ad_survival, (np.float16(1.5), half)),
         (dephasing_coherence, (np.float32(0.1), gamma_t)), (dephasing_coherence, (half, quarter)),
-        (damped_params, (batch, p)), (damped_params, (states[0], half)),
-        (dephased_params, (batch, p)), (dephased_params, (states[1], quarter)),
+        (damping_channel, (p,)), (damping_channel, (half,)),
+        (dephasing_channel, (p,)), (dephasing_channel, (quarter,)),
+        (local_params, (batch, acceleration_channel(r_a, "r_a"), damping_channel(p))),
+        (local_params, (states[0], damping_channel(half), damping_channel(half))),
+        (local_params, (states[1], dephasing_channel(quarter), acceleration_channel(r_b, "r_b"))),
         *((swapped_params, (batch, partners, which)) for which in BellIndex),
         (swapped_params, (states[2], states[2], BellIndex.PSI_PLUS)),
         (from_x_params, (states[3],)), (measures._x_sides, (batch,)),

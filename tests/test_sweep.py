@@ -22,7 +22,7 @@ from xsteer.cli import EXIT_CONFIG, EXIT_INTERNAL, EXIT_IO, EXIT_OK, build_parse
 from xsteer.processes import (
     ChannelParameterError,
     ZeroProbabilityOutcomeError,
-    accelerated_params,
+    acceleration_channel,
     ad_survival,
     dephasing_coherence,
 )
@@ -196,14 +196,14 @@ _HUGE = 10**5000
         (lambda out: SweepConfig("nu", Fraction(_HUGE + 1, _HUGE // 10), 1, 3, out).validate(),
          ConfigError, "start < stop"),
         (lambda out: bell_mixture(_HUGE), InvalidStateError, "nu"),
-        (lambda out: accelerated_params(0.5, _HUGE, 0.1), InvalidStateError, "r_a"),
+        (lambda out: acceleration_channel(_HUGE, "r_a"), InvalidStateError, "r_a"),
         (lambda out: ad_survival(0.1, _HUGE), ChannelParameterError, "gamma\\*t"),
         (lambda out: ad_survival(_HUGE, 1.0), ChannelParameterError, "g/gamma"),
         (lambda out: dephasing_coherence(0.1, -_HUGE), ChannelParameterError, "gamma\\*t"),
     ],
     ids=[
         "points", "negative-points", "jobs", "r_b", "fraction-start",
-        "bell_mixture", "accelerated_params", "ad_survival-time", "ad_survival-rate",
+        "bell_mixture", "acceleration_channel", "ad_survival-time", "ad_survival-rate",
         "dephasing_coherence",
     ],
 )
