@@ -15,7 +15,6 @@ from .measures import (
     conditional_entropy,
     full_report,
     joint_distribution,
-    neur_bound,
     steering_functional,
 )
 from .processes import (

@@ -28,13 +28,13 @@ to 0 and renormalises each joint table, after which no entry exceeds 1.
 `full_report` reads a density matrix and is the library path; `x_report`
 evaluates a batch of X states from their six parameters and is what sweeps
 run.  Both compute only what they report.  `full_report` reads its matrix
-once, runs `check_density`'s checks on those rows and takes the X
-structure and entries off them, then runs on Python floats, where numpy's
-call overhead would outweigh the arithmetic: an X input takes the closed
-form from its entries, and only any other input is projected, with one
-matrix product, for its three conditional entropies.  `x_report`'s
-`_x_sides` gives the deficits from `_g` and H_z from the populations, and
-`_derive` the rest; `steering_functional` reads the same pass.  No report
+once, through `check_density`'s checks, which decide whether it is X
+structured and hand back the X entries they read, then runs on Python
+floats, where numpy's call overhead would outweigh the arithmetic: an X
+input takes the closed form from those entries, and only any other input
+is projected, with one matrix product, for its three conditional
+entropies.  `x_report`'s `_x_sides` gives the deficits from `_g` and H_z
+from the populations, and `_derive` the rest; `steering_functional` reads the same pass.  No report
 compares I_AB with the entropy identity I_AB = 6 ln 2 - 2 (H_x + H_y + H_z)
 at run time; the tests hold both paths to it.  `joint_distribution` and
 `conditional_entropy` project a density matrix on arrays and are, with
@@ -48,29 +48,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import (
-    XStateParams,
-    _checked_rows,
-    _x_entries,
-    _x_structured,
-    check_density,
-)
-
-
-def neur_bound(n: int) -> float:
-    """Entropic uncertainty bound (N/2) ln(N/2) + (1 + N/2) ln(1 + N/2).
-
-    Defined for an even number N >= 2 of measurement outcomes; N = 2 gives
-    the qubit threshold 2 ln 2.
-    """
-    if n < 2 or n % 2 != 0:
-        raise ValueError(f"bound is defined for even n >= 2, got {n}")
-    half = n / 2.0
-    return half * math.log(half) + (1.0 + half) * math.log(1.0 + half)
+from .qstate import XStateParams, _checked_rows, check_density
 
 
 LN2 = math.log(2.0)
-TWO_LN2 = neur_bound(2)  # the steering threshold; bit-identical to 2 ln 2
+# The steering threshold: the NEUR bound (N/2) ln(N/2) + (1 + N/2) ln(1 + N/2)
+# at N = 2 measurement outcomes.
+TWO_LN2 = 2.0 * LN2
 SIX_LN2 = 6.0 * LN2
 
 _SQ2 = 1.0 / math.sqrt(2.0)
@@ -271,10 +255,10 @@ def _axis_entropy(p00: float, p01: float, p10: float, p11: float) -> float:
 def full_report(rho: np.ndarray) -> SteeringReport:
     """Compute all steering and squeezing quantities for one state.
 
-    The input gets `check_density`'s checks, and its X structure (within
-    X_STRUCTURE_TOL, as `is_x_structured`) and X entries are read off the
-    rows those checks read.  From there the pass runs on Python floats, and
-    no rule but `check_density`'s refuses the input.
+    The input gets `check_density`'s checks, which decide whether it is X
+    structured (every entry off both diagonals exactly 0) and hand back the
+    X entries their block rule read.  From there the pass runs on Python
+    floats, and no rule but `check_density`'s refuses the input.
 
     For an X input the closed form reads D_x = g(t), D_y = g(u) off the
     real parts of the coherences and H_z off the populations, each raised
@@ -287,10 +271,10 @@ def full_report(rho: np.ndarray) -> SteeringReport:
     `conditional_entropy`'s in their conditional form.  The same tail
     derives I_AB, S, Xi, E and Z.
     """
-    rho, rows = _checked_rows(rho, "state")
-    if _x_structured(rows):
+    rho, entries = _checked_rows(rho, "state")
+    if entries is not None:
         # The x and y statistics read only the real parts of the coherences.
-        d1, d2, d3, d4, c14, c23 = (v.real for v in _x_entries(rows))
+        d1, d2, d3, d4, c14, c23 = (v.real for v in entries)
         dx, dy = _g_float(2.0 * (c14 + c23)), _g_float(2.0 * (c23 - c14))
         d1, d2, d3, d4 = max(d1, 0.0), max(d2, 0.0), max(d3, 0.0), max(d4, 0.0)
         hz = -(_given_outcome(d1, d2) + _given_outcome(d3, d4))

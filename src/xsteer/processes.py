@@ -113,13 +113,6 @@ def local_params(p: XStateParams, channel_a: tuple, channel_b: tuple) -> XStateP
 # Acceleration
 # ---------------------------------------------------------------------------
 
-def _check_acceleration(nu, r_a, r_b) -> tuple:
-    """nu, r_a and r_b as their domain checks read them; nu is named as bell_mixture names it."""
-    nu = DOMAINS["nu"].check(nu, "mixing parameter nu", InvalidStateError)
-    r = DOMAINS["r"]
-    return nu, r.check(r_a, "r_a", InvalidStateError), r.check(r_b, "r_b", InvalidStateError)
-
-
 def acceleration_channel(r, name: str) -> tuple:
     """The channel of a qubit accelerated by r: T = [[cos^2 r, 0], [sin^2 r, 1]], lam = cos r.
 
@@ -152,14 +145,19 @@ def accelerate_oracle(nu: float, r_a: float, r_b: float) -> np.ndarray:
     (region I, region II) modes: the enlarged pure state with rows
     (A_I, A_II) and columns (B_I, B_II).  `_realign` regroups it to m with
     rows (A_I, B_I) and columns (A_II, B_II), whose m m^dag is its trace
-    over both region-II modes.  Kept independent of the closed form so the
-    two can be compared elementwise.
+    over both region-II modes, and the two are mixed with `bell_mixture`'s
+    weights, which owns nu's check; `DOMAINS["r"]` checks r_a and r_b.
+    Kept independent of the closed form so the two can be compared
+    elementwise.
     """
-    nu, r_a, r_b = _check_acceleration(nu, r_a, r_b)
-    va, vb = _rindler_images(r_a), _rindler_images(r_b)
+    mixture = bell_mixture(nu)
+    r = DOMAINS["r"]
+    va = _rindler_images(r.check(r_a, "r_a", InvalidStateError))
+    vb = _rindler_images(r.check(r_b, "r_b", InvalidStateError))
     phi, psi = _BELL_COEFFICIENTS[BellIndex.PHI_PLUS], _BELL_COEFFICIENTS[BellIndex.PSI_PLUS]
     m_phi, m_psi = _realign(va.T @ phi @ vb), _realign(va.T @ psi @ vb)
-    return nu * (m_phi @ m_phi.conj().T) + (1.0 - nu) * (m_psi @ m_psi.conj().T)
+    weight_phi, weight_psi = 2.0 * mixture.d2, 2.0 * mixture.d1  # nu and 1 - nu
+    return weight_phi * (m_phi @ m_phi.conj().T) + weight_psi * (m_psi @ m_psi.conj().T)
 
 
 # ---------------------------------------------------------------------------

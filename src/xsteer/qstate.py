@@ -4,6 +4,11 @@ Everything downstream works on plain complex numpy arrays in the standard
 computational basis |00>, |01>, |10>, |11| with qubit A as the left Kronecker
 factor.  The compact six-parameter form of an X state (nonzero entries only on
 the main diagonal and anti-diagonal, all real) is carried by `XStateParams`.
+A matrix is X structured when its eight entries off both diagonals are
+exactly 0 (`_off_x`), and its six X entries are read at the positions
+`XStateParams` documents (`_x_entries`): `check_density`'s block rule,
+`full_report`'s closed form, `is_x_structured` and `x_params_from_density`
+all use this one test and this one read.
 
 The parameter checks accept a batch as well as a single value: given arrays,
 the first check to fail, in check order, reports its own first failing row.
@@ -26,7 +31,6 @@ import numpy as np
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIGENVALUE_TOL = -1e-10
-X_STRUCTURE_TOL = 1e-10
 
 R_MAX = math.pi / 4.0
 
@@ -276,24 +280,26 @@ def check_density(rho: np.ndarray, name: str = "state") -> np.ndarray:
 
     The checks run on the entries as Python numbers.  Positive
     semidefiniteness means a smallest eigenvalue of at least EIGENVALUE_TOL.
-    When the eight entries off both diagonals are exactly 0, the spectrum is
-    exactly that of the two 2x2 blocks, so `_block_ok`, the rule
-    `XStateParams.validate` applies, decides on each.  Any other matrix,
-    however close to X structured, gets `np.linalg.eigvalsh`.  Both read the
-    lower triangle and the real part of the diagonal.  Populations in
-    [EIGENVALUE_TOL, 0) pass.
+    When the eight entries off both diagonals are exactly 0 (the one X
+    test), the spectrum is exactly that of the two 2x2 blocks, so
+    `_block_ok`, the rule `XStateParams.validate` applies, decides on each
+    block as `_x_entries` reads it: the real diagonal and the coherences at
+    (1,4) and (2,3).  Any other matrix, however close to X structured, gets
+    `np.linalg.eigvalsh`.  Populations in [EIGENVALUE_TOL, 0) pass.
     """
     return _checked_rows(rho, name)[0]
 
 
-def _checked_rows(rho, name: str) -> tuple[np.ndarray, list]:
-    """`check_density`'s checks; returns the complex array and its rows as Python numbers.
+def _checked_rows(rho, name: str) -> tuple[np.ndarray, tuple | None]:
+    """`check_density`'s checks; returns the complex array and the X entries its block rule read.
 
-    The Hermiticity defect is the largest |a_ij - conj(a_ji)| over every
-    pair i <= j, the diagonal included: a nan or inf real part on the
-    diagonal leaves a nan defect there.  The sixteen entries are unpacked
-    and the ten defects written out: a loop over so few entries costs more
-    than their arithmetic.
+    The entries are `_x_entries`' six, as Python complex numbers, for an X
+    matrix, and None for any other, which `eigvalsh` decided.  The
+    Hermiticity defect is the largest |a_ij - conj(a_ji)| over every pair
+    i <= j, the diagonal included: a nan or inf real part on the diagonal
+    leaves a nan defect there.  The sixteen entries are unpacked and the ten
+    defects written out: a loop over so few entries costs more than their
+    arithmetic.
     """
     rho = as_square(rho, name)
     rows = rho.tolist()
@@ -319,16 +325,15 @@ def _checked_rows(rho, name: str) -> tuple[np.ndarray, list]:
     if any(_off_x(rows)):
         lo = float(np.linalg.eigvalsh(rho)[0])  # eigenvalues come in ascending order
         if lo >= EIGENVALUE_TOL:
-            return rho, rows
-    elif _block_ok(a30.real * a30.real + a30.imag * a30.imag, a00.real, a33.real) and _block_ok(
-        a21.real * a21.real + a21.imag * a21.imag, a11.real, a22.real
-    ):
-        return rho, rows
+            return rho, None
     else:
-        lo = min(
-            _smaller_block_eigenvalue(a00.real, a33.real, a30),
-            _smaller_block_eigenvalue(a11.real, a22.real, a21),
-        )
+        entries = d1, d2, d3, d4, c14, c23 = _x_entries(rows)
+        d1, d2, d3, d4 = d1.real, d2.real, d3.real, d4.real
+        if _block_ok(c14.real * c14.real + c14.imag * c14.imag, d1, d4) and _block_ok(
+            c23.real * c23.real + c23.imag * c23.imag, d2, d3
+        ):
+            return rho, entries
+        lo = min(_smaller_block_eigenvalue(d1, d4, c14), _smaller_block_eigenvalue(d2, d3, c23))
     raise InvalidStateError(f"{name} is not positive semidefinite (min eigenvalue {lo:.3e})")
 
 
@@ -354,33 +359,24 @@ def _x_entries(rows) -> tuple:
     return d1, d2, d3, d4, c14, c23
 
 
-def _x_structured(rows) -> bool:
-    """`is_x_structured` on the rows of a 4x4 matrix; a nan entry fails it."""
-    off_x = _off_x(rows)
-    try:
-        return not any(off_x) or all(abs(z) <= X_STRUCTURE_TOL for z in off_x)
-    except OverflowError:  # abs of a finite complex past the largest double
-        return False
-
-
 def is_x_structured(rho: np.ndarray) -> bool:
-    """True when every entry of the 4x4 `rho` off both diagonals is within X_STRUCTURE_TOL."""
-    return _x_structured(as_square(rho, "state").tolist())
+    """True when every entry of the 4x4 `rho` off both diagonals is exactly 0; nan is not 0."""
+    return not any(_off_x(as_square(rho, "state").tolist()))
 
 
 def x_params_from_density(rho: np.ndarray) -> XStateParams:
     """Read the six X-state parameters back out of a density matrix.
 
-    `rho` must be 4x4, and the X structure is checked on `rho` itself.  X
-    entries with an imaginary part above X_STRUCTURE_TOL raise
-    InvalidStateError.
+    `rho` must be 4x4 and X structured (see `is_x_structured`), with real X
+    entries: any nonzero entry off both diagonals, or any nonzero imaginary
+    part of an X entry, raises InvalidStateError.
     """
     rows = as_square(rho, "state").tolist()
-    if not _x_structured(rows):
+    if any(_off_x(rows)):
         raise InvalidStateError("density matrix is not X structured")
     picked = _x_entries(rows)
-    if max(abs(z.imag) for z in picked) > X_STRUCTURE_TOL:
-        raise InvalidStateError("X entries carry a non-negligible imaginary part")
+    if any(z.imag for z in picked):
+        raise InvalidStateError("X entries carry a nonzero imaginary part")
     return XStateParams(*(z.real for z in picked))
 
 

@@ -21,7 +21,6 @@ from xsteer.measures import (
     conditional_entropy,
     full_report,
     joint_distribution,
-    neur_bound,
     steering_functional,
     x_report,
 )
@@ -390,15 +389,8 @@ def test_empty_batch_gives_empty_results():
 
 
 def test_neur_bound():
-    # the threshold the code runs is the paper's bound, bit for bit 2 ln 2
-    assert TWO_LN2 == neur_bound(2) == 2.0 * LN2
-    assert abs(neur_bound(4) - (2 * LN2 + 3 * math.log(3))) < 1e-12
-    assert abs(neur_bound(4) - 4.682131) < 1e-6
-    assert abs(neur_bound(6) - (3 * math.log(3) + 4 * math.log(4))) < 1e-12
-    assert abs(neur_bound(6) - 8.841014) < 1e-6
-    for bad in (0, 1, 3, -2):
-        with pytest.raises(ValueError):
-            neur_bound(bad)
+    # the threshold the code runs is the paper's bound at N = 2, bit for bit 2 ln 2
+    assert TWO_LN2 == 2.0 * LN2
 
 
 def _report(p):
@@ -598,6 +590,13 @@ def test_full_report_projects_only_non_x_inputs(monkeypatch):
     assert not is_x_structured(rotated)
     with pytest.raises(AssertionError, match="projected"):
         full_report(rotated)
+    # X means every entry off both diagonals exactly 0: an X state's matrix
+    # with a Hermitian off-X pair of 1e-15 is projected
+    near_x = from_x_params(random_x_state(0))
+    near_x[0, 1] = near_x[1, 0] = 1e-15
+    assert not is_x_structured(near_x)
+    with pytest.raises(AssertionError, match="projected"):
+        full_report(near_x)
 
 
 def test_full_report_keeps_zero_offsets_at_zero():
@@ -654,18 +653,26 @@ def test_full_report_matches_per_quantity_functions():
 
 def test_full_report_float_pass_matches_x_report():
     # full_report's pass on Python floats against x_report's on arrays, on
-    # 1,000 seeded X states and on the X states that the channels and Bell
-    # swapping make of them
+    # 1,000 seeded X states, on the X states that the channels and Bell
+    # swapping make of them, and on X states whose (4,1) and (3,2) entries
+    # are an ulp off the (1,4) and (2,3) ones
     rhos = [from_x_params(random_x_state(seed)) for seed in range(1000)]
     kraus_a, kraus_b = amplitude_damping_kraus(0.1, 2.0), dephasing_kraus(0.5, 3.0)
     damped = [apply_local_channel(rho, kraus_a, kraus_b) for rho in rhos[:200]]
     swapped = [
         bell_project_swap(rhos[i], rhos[i + 1], which) for i, which in zip(range(200), cycle(BellIndex))
     ]
-    for states in (rhos, damped, swapped):
-        got = [[r.s, r.z, r.e_x, r.e_y, r.i_ab] for r in map(full_report, states)]
-        expected = x_report(_batch([x_params_from_density(rho) for rho in states]))
-        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
+    nudged = [rho.copy() for rho in rhos[:200]]
+    for rho in nudged:
+        rho[3, 0] = math.nextafter(rho[0, 3].real, 0.0)
+        rho[2, 1] = math.nextafter(rho[1, 2].real, 0.0)
+    for states in (rhos, damped, swapped, nudged):
+        reports = list(map(full_report, states))
+        params = [x_params_from_density(rho) for rho in states]
+        got = [[r.s, r.z, r.e_x, r.e_y, r.i_ab] for r in reports]
+        np.testing.assert_allclose(got, x_report(_batch(params)), rtol=0, atol=1e-15)
+        # full_report evaluates the X entries x_params_from_density reads, to the bit
+        assert [astuple(r) for r in reports] == [astuple(_report(p)) for p in params]
 
 
 def test_full_report_exact_edge_values():
@@ -705,6 +712,13 @@ def test_full_report_negative_probability_floor():
     assert steering_functional(_AT_THE_FLOOR) == row[4]
     assert joint_distribution(rho).min() == 0.0
     assert full_report(MAX_MIXED).s == 0.0  # every probability is 1/4
+    # the block rule decides on the coherences at (1,4) and (2,3), the X
+    # entries full_report reads: a (4,1) entry one ulp above the largest
+    # passing (1,4) entry is within the Hermiticity tolerance and passes
+    above = rho.copy()
+    above[3, 0] = math.nextafter(_AT_THE_FLOOR.c14, math.inf)
+    check_density(above)
+    assert astuple(full_report(above)) == astuple(rep)
 
 
 def _largest_passing_coherence(da: float, db: float) -> float:

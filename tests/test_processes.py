@@ -489,12 +489,24 @@ def test_completeness_defect_of_non_finite_operators_fails_every_tolerance():
 
 
 def test_channel_outputs_stay_valid_x_states():
+    # the matrix path's outputs are exactly X: every entry off both diagonals
+    # is 0 and every X entry real, so full_report takes their closed form
+    damping, dephasing = amplitude_damping_kraus(0.1, 3.0), dephasing_kraus(0.01, 5.0)
+    rng = np.random.default_rng(37)
     for seed in range(20):
         rho = from_x_params(random_x_state(seed))
-        for ops in (amplitude_damping_kraus(0.1, 3.0), dephasing_kraus(0.01, 5.0)):
-            out = apply_local_channel(rho, ops, ops)
+        partner = from_x_params(random_x_state(1000 + seed))
+        outputs = [
+            apply_local_channel(rho, damping, damping),
+            apply_local_channel(rho, dephasing, dephasing),
+            apply_local_channel(rho, damping, dephasing),
+            accelerate_oracle(rng.uniform(0.0, 1.0), *rng.uniform(0.0, R_MAX, 2)),
+        ]
+        outputs += [bell_project_swap(rho, partner, which) for which in BellIndex]
+        for out in outputs:
             check_density(out)
             assert is_x_structured(out)
+            x_params_from_density(out)
 
 
 # ---------------------------------------------------------------------------

@@ -203,9 +203,15 @@ def test_x_params_from_density_rejects_non_x():
     rho = np.kron(np.diag([1.0, 0.0]), np.array([[0.5, -0.2j], [0.2j, 0.5]]))
     with pytest.raises(InvalidStateError, match="X structured"):
         x_params_from_density(rho)
-    # an off-X entry whose abs overflows is not within the tolerance either
+    # an off-X entry whose abs overflows is nonzero too
     rho = np.eye(4, dtype=complex) / 4.0
     rho[0, 1] = complex(1.5e308, 1.5e308)
+    assert not is_x_structured(rho)
+    with pytest.raises(InvalidStateError, match="X structured"):
+        x_params_from_density(rho)
+    # X means every entry off both diagonals exactly 0: a pair of 1e-15 is not X
+    rho = from_x_params(XStateParams(0.4, 0.1, 0.1, 0.4, 0.2, 0.05))
+    rho[0, 1] = rho[1, 0] = 1e-15
     assert not is_x_structured(rho)
     with pytest.raises(InvalidStateError, match="X structured"):
         x_params_from_density(rho)
@@ -214,6 +220,11 @@ def test_x_params_from_density_rejects_non_x():
 def test_x_params_from_density_imaginary_coherences():
     rho = from_x_params(XStateParams(0.4, 0.1, 0.1, 0.4, 0.2, 0.05))
     rho[0, 3], rho[3, 0] = 0.2j, -0.2j
+    with pytest.raises(InvalidStateError, match="imaginary"):
+        x_params_from_density(rho)
+    # any nonzero imaginary part, however small
+    rho = from_x_params(XStateParams(0.4, 0.1, 0.1, 0.4, 0.2, 0.05))
+    rho[1, 2], rho[2, 1] = 0.05 + 1e-15j, 0.05 - 1e-15j
     with pytest.raises(InvalidStateError, match="imaginary"):
         x_params_from_density(rho)
 
