@@ -4,9 +4,12 @@
     python .github/check_cli_csv.py dp.csv dephasing-channel 0:40:40001
     sweep --mode acceleration --rb track --grid 0:0.7853981633974483:40001 --out ac.csv
     python .github/check_cli_csv.py ac.csv acceleration 0:0.7853981633974483:40001 track
+    sweep --mode ad-channel --nu 0.1 --g-over-gamma 1.5 --grid 0:100:40001 --out ad.csv
+    python .github/check_cli_csv.py ad.csv ad-channel 0:100:40001 --nu 0.1 --g-over-gamma 1.5
 
-The sweep must use the default --nu, --g-over-gamma and --bell; an optional
-fourth argument gives its --rb value, "track" or a number (default 0).
+The sweep must use the default --bell; an optional fourth argument gives
+its --rb value, "track" or a number, and --nu and --g-over-gamma give its
+values of those flags, each defaulting to the sweep's own default.
 Exits non-zero unless the file holds exactly the header and, per row of
 evaluate_grid's table for the same grid, the six values as "{:.12e}", and
 unless that table's values lie within 1e-12 of the closed forms in
@@ -15,6 +18,7 @@ acceleration the oracle reads the states off xsteer's enlarged-space
 `accelerate_oracle`, as the benchmark's grid-parallel check does.
 """
 
+import argparse
 import sys
 from pathlib import Path
 
@@ -26,12 +30,20 @@ from xsteer.sweep import CSV_HEADER, SweepConfig, evaluate_grid
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import oracle  # noqa: E402
 
-path, mode, grid, *rb = sys.argv[1:]
-start, stop, points = grid.split(":")
-r_b = rb[0] if rb else "0"
+parser = argparse.ArgumentParser()
+parser.add_argument("path")
+parser.add_argument("mode")
+parser.add_argument("grid", help="start:stop:points")
+parser.add_argument("rb", nargs="?", default="0")
+parser.add_argument("--nu", type=float, default=SweepConfig.nu)
+parser.add_argument("--g-over-gamma", type=float, default=SweepConfig.g_over_gamma)
+args = parser.parse_args()
+path, mode = args.path, args.mode
+start, stop, points = args.grid.split(":")
 cfg = SweepConfig(
     mode=mode, start=float(start), stop=float(stop), points=int(points), out=path,
-    r_b=r_b if r_b == "track" else float(r_b),
+    r_b=args.rb if args.rb == "track" else float(args.rb), nu=args.nu,
+    g_over_gamma=args.g_over_gamma,
 )
 table = evaluate_grid(cfg, cfg.grid())
 rows = table.tolist()

@@ -16,12 +16,14 @@ T that maps the qubit's populations (p0, p1) to T (p0, p1), and a factor
 lambda that scales its coherence.  `local_params` is their one closed form,
 for one state or a batch (array fields), and each process supplies only its
 channel (T as (t00, t01, t10, t11), then lambda), built and domain-checked
-by `acceleration_channel`, `damping_channel` or `dephasing_channel`:
+by `acceleration_channel` from r, or by `damping_channel` and
+`dephasing_channel` from (g/gamma, gamma*t), as their Kraus operators are:
 
     acceleration       T = [[cos^2 r, 0], [sin^2 r, 1]]   lambda = cos r
     amplitude damping  T = [[1, 1 - P], [0, P]]           lambda = sqrt(P)
     dephasing          T = [[1, 0], [0, 1]]               lambda = P
 
+with P = `ad_survival` for damping and `dephasing_coherence` for dephasing.
 Acceleration, as modelled here, is the local channel that raises
 population from |0> to |1> with probability sin^2 r.  `swapped_params`
 gives swapping's output in closed form.  The sweeps run on these.  The
@@ -249,24 +251,25 @@ def dephasing_kraus(g_over_gamma: float, gamma_t: float) -> list[np.ndarray]:
     return [k1, k2]
 
 
-def damping_channel(survival) -> tuple:
-    """The amplitude-damping channel with survival P: T = [[1, 1 - P], [0, P]], lam = sqrt(P).
+def damping_channel(g_over_gamma, gamma_t) -> tuple:
+    """The amplitude-damping channel: T = [[1, 1 - P], [0, P]], lam = sqrt(P).
 
-    P outside [0, 1] raises ChannelParameterError.  An array of P gives one
-    channel per entry.
+    P is `ad_survival(g_over_gamma, gamma_t)`, which checks both parameters,
+    as for `amplitude_damping_kraus`.  An array of times gives one channel
+    per time.
     """
-    survival = DOMAINS["channel_factor"].check(survival, "survival P", ChannelParameterError)
+    survival = ad_survival(g_over_gamma, gamma_t)
     return 1.0, 1.0 - survival, 0.0, survival, np.sqrt(survival)
 
 
-def dephasing_channel(coherence) -> tuple:
-    """The pure-dephasing channel with coherence factor P: T the identity, lam = P.
+def dephasing_channel(g_over_gamma, gamma_t) -> tuple:
+    """The pure-dephasing channel: T the identity, lam = P.
 
-    P outside [0, 1] raises ChannelParameterError.  An array of P gives one
-    channel per entry.
+    P is `dephasing_coherence(g_over_gamma, gamma_t)`, which checks both
+    parameters, as for `dephasing_kraus`.  An array of times gives one
+    channel per time.
     """
-    factor = DOMAINS["channel_factor"].check(coherence, "coherence factor P", ChannelParameterError)
-    return 1.0, 0.0, 0.0, 1.0, factor
+    return 1.0, 0.0, 0.0, 1.0, dephasing_coherence(g_over_gamma, gamma_t)
 
 
 def completeness_defect(kraus: list[np.ndarray]) -> float:

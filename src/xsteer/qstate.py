@@ -132,13 +132,11 @@ class Domain:
 
 
 # The parameter domains every layer checks against: the Bell-mixture weight nu,
-# the Rindler parameter r of each qubit, the channel rate ratio g/gamma, the
-# dimensionless time gamma*t and the factor P a channel's closed form scales
-# by.  Amplitude damping needs g/gamma < 2, beyond which its oscillation rate
-# sqrt(g (2 gamma - g)) turns imaginary.
+# the Rindler parameter r of each qubit, the channel rate ratio g/gamma and the
+# dimensionless time gamma*t.  Amplitude damping needs g/gamma < 2, beyond
+# which its oscillation rate sqrt(g (2 gamma - g)) turns imaginary.
 DOMAINS = {
     "nu": Domain(0.0, 1.0),
-    "channel_factor": Domain(0.0, 1.0),
     "r": Domain(0.0, R_MAX),
     "g_over_gamma": Domain(0.0, math.inf, lo_open=True, hi_open=True),
     "g_over_gamma_ad": Domain(0.0, 2.0, lo_open=True, hi_open=True),

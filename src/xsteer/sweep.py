@@ -46,10 +46,8 @@ import numpy as np
 from .measures import x_report
 from .processes import (
     acceleration_channel,
-    ad_survival,
     damping_channel,
     dephasing_channel,
-    dephasing_coherence,
     local_params,
     swapped_params,
 )
@@ -242,9 +240,9 @@ def _x_params(cfg: SweepConfig, grid: np.ndarray) -> XStateParams:
         channel_a = acceleration_channel(grid, "r_a")
         channel_b = channel_a if cfg.r_b == "track" else acceleration_channel(cfg.r_b, "r_b")
     elif cfg.mode == "ad-channel":
-        channel_a = channel_b = damping_channel(ad_survival(cfg.g_over_gamma, grid))
+        channel_a = channel_b = damping_channel(cfg.g_over_gamma, grid)
     elif cfg.mode == "dephasing-channel":
-        channel_a = channel_b = dephasing_channel(dephasing_coherence(cfg.g_over_gamma, grid))
+        channel_a = channel_b = dephasing_channel(cfg.g_over_gamma, grid)
     else:
         raise ConfigError(f"unknown mode {cfg.mode!r}")
     return local_params(mixture, channel_a, channel_b)

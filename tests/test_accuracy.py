@@ -44,10 +44,8 @@ from conftest import _TWO_LN2, _batch, _decimal_point
 from xsteer.measures import LN2, _x_sides, full_report, x_report
 from xsteer.processes import (
     acceleration_channel,
-    ad_survival,
     damping_channel,
     dephasing_channel,
-    dephasing_coherence,
     local_params,
     swapped_params,
 )
@@ -192,10 +190,10 @@ def _edge_states() -> dict[str, XStateParams]:
     channels = []
     for nu in (0.0, 0.1, 0.5):
         for g in (0.01, 0.1, 1.5):
-            damping = damping_channel(ad_survival(g, taus))
+            damping = damping_channel(g, taus)
             channels += _rows(local_params(bell_mixture(nu), damping, damping))
         for g in (0.01, 0.1, 10.0):
-            dephasing = dephasing_channel(dephasing_coherence(g, taus))
+            dephasing = dephasing_channel(g, taus)
             channels += _rows(local_params(bell_mixture(nu), dephasing, dephasing))
     accelerated = [
         local_params(

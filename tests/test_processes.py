@@ -333,9 +333,9 @@ def _channels(kind: str, rng: np.random.Generator, n: int) -> tuple:
     ratios[:2] = 1e-12, 1.999999
     times = rng.uniform(0.0, 100.0, n)
     if kind == "damping":
-        channel = damping_channel(ad_survival(ratios, times))
+        channel = damping_channel(ratios, times)
         return channel, [amplitude_damping_kraus(*x) for x in zip(ratios, times)]
-    channel = dephasing_channel(dephasing_coherence(ratios, times))
+    channel = dephasing_channel(ratios, times)
     return channel, [dephasing_kraus(*x) for x in zip(ratios, times)]
 
 
@@ -362,16 +362,46 @@ def test_local_params_matches_kraus_path(kind_a, kind_b):
             np.testing.assert_allclose(from_x_params(closed), expected, rtol=0, atol=1e-15)
 
 
-@pytest.mark.parametrize("builder", [damping_channel, dephasing_channel])
-def test_channel_closed_forms_refuse_factors_outside_the_unit_interval(builder):
-    # a factor past 1 would return a negative population with no error, and
-    # one no float can hold would overflow in the arithmetic
+@pytest.mark.parametrize(
+    "builder, factor, kraus, channel",
+    [
+        (damping_channel, ad_survival, amplitude_damping_kraus,
+         lambda p: (1.0, 1.0 - p, 0.0, p, np.sqrt(p))),
+        (dephasing_channel, dephasing_coherence, dephasing_kraus,
+         lambda p: (1.0, 0.0, 0.0, 1.0, p)),
+    ],
+    ids=["damping_channel", "dephasing_channel"],
+)
+def test_channel_builders_match_their_kraus_twins(builder, factor, kraus, channel):
+    # a builder takes its Kraus twin's (g/gamma, gamma*t), computes with the
+    # same factor P, and refuses what the twin refuses with the same message
+    rng = np.random.default_rng(38)
+    ratios = np.exp(rng.uniform(math.log(1e-6), math.log(1.99), 200))
+    times = rng.uniform(0.0, 100.0, 200)
+    np.testing.assert_array_equal(
+        _bits(builder(ratios, times)), _bits(channel(factor(ratios, times)))
+    )
+    for g, t in zip(ratios[:20].tolist(), times[:20].tolist()):
+        np.testing.assert_array_equal(_bits(builder(g, t)), _bits(channel(factor(g, t))))
+    refused = [(0.0, 1.0), (-0.5, 1.0), (0.1, -1.0), (0.1, -5e-324), (math.nan, 1.0),
+               (0.1, math.nan), (10**400, 1.0), (0.1, 10**400)]
+    if builder is damping_channel:
+        refused += [(2.0, 1.0), (2.5, 1.0), (math.inf, 1.0)]
+    for g, t in refused:
+        with pytest.raises(ChannelParameterError) as twin:
+            kraus(g, t)
+        with pytest.raises(ChannelParameterError) as built:
+            builder(g, t)
+        assert str(built.value) == str(twin.value), (g, t)
+    # the domain edges: the smallest rate, the largest (below 2 for
+    # damping), time 0 and the largest time
+    largest = math.nextafter(2.0, 0.0) if builder is damping_channel else 1.7e308
     params = bell_mixture(0.3)
-    for factor in (2.0, -0.1, math.nan, 10**400, np.array([0.5, 1.5])):
-        with pytest.raises(ChannelParameterError, match=r"P must lie in \[0, 1\]"):
-            builder(factor)
-    for factor in (0.0, 1.0, np.array([0.0, 0.5, 1.0])):
-        local_params(params, builder(factor), builder(factor)).validate()
+    for g, t in itertools.product((5e-324, 1e-12, largest), (0.0, 1.7e308)):
+        built = builder(g, t)
+        np.testing.assert_array_equal(_bits(built), _bits(channel(factor(g, t))))
+        assert completeness_defect(kraus(g, t)) <= 1e-12
+        local_params(params, built, built).validate()
 
 
 def test_dephasing_kills_coherences_at_long_times():
@@ -711,11 +741,12 @@ def test_closed_forms_compute_with_the_float64_value_of_any_input():
         (acceleration_channel, (np.float16(0.3), "r_b")),
         (ad_survival, (np.float32(0.1), gamma_t)), (ad_survival, (np.float16(1.5), half)),
         (dephasing_coherence, (np.float32(0.1), gamma_t)), (dephasing_coherence, (half, quarter)),
-        (damping_channel, (p,)), (damping_channel, (half,)),
-        (dephasing_channel, (p,)), (dephasing_channel, (quarter,)),
-        (local_params, (batch, acceleration_channel(r_a, "r_a"), damping_channel(p))),
-        (local_params, (states[0], damping_channel(half), damping_channel(half))),
-        (local_params, (states[1], dephasing_channel(quarter), acceleration_channel(r_b, "r_b"))),
+        (damping_channel, (p, gamma_t)), (damping_channel, (np.float16(1.5), half)),
+        (dephasing_channel, (p, gamma_t)), (dephasing_channel, (half, quarter)),
+        (local_params, (batch, acceleration_channel(r_a, "r_a"), damping_channel(p, gamma_t))),
+        (local_params, (states[0], damping_channel(half, half), damping_channel(half, half))),
+        (local_params,
+         (states[1], dephasing_channel(half, quarter), acceleration_channel(r_b, "r_b"))),
         *((swapped_params, (batch, partners, which)) for which in BellIndex),
         (swapped_params, (states[2], states[2], BellIndex.PSI_PLUS)),
         (from_x_params, (states[3],)), (measures._x_sides, (batch,)),

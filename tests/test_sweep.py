@@ -148,6 +148,8 @@ _CLOSED_FORM_REFUSALS = [
      "mixing parameter nu must lie in [0, 1], got 1.5"),
     ("ad-channel", "g_over_gamma", 2.5, ChannelParameterError,
      "g/gamma must lie in (0, 2), got 2.5"),
+    ("ad-channel", "g_over_gamma", 0.0, ChannelParameterError,
+     "g/gamma must lie in (0, 2), got 0.0"),
     ("dephasing-channel", "g_over_gamma", -1.0, ChannelParameterError,
      "g/gamma must lie in (0, inf), got -1.0"),
     ("dephasing-channel", "g_over_gamma", math.inf, ChannelParameterError,
